@@ -1,41 +1,27 @@
-"""Log-densities, samplers, derivatives, and unconstraining transforms.
+"""The prior-family registry: parameters, aliases, checks, densities, transforms.
 
-Four prior families are supported: Normal, HalfNormal, Uniform, Exponential.
-Each knows its log density, the analytic derivative of that log density, how
-to draw from itself given a numpy Generator, and the bijection that maps an
-unconstrained real coordinate onto its support (with the log-Jacobian needed
-for density corrections in unconstrained space).
+:data:`FAMILIES` maps each prior family's name to its class and is the only
+list of them: the spec schema reads names, parameters, aliases and supports
+from it, and validates parameter values by constructing the family.  Each
+family knows its log density, the analytic derivative of that log density,
+and the bijection that maps an unconstrained real coordinate onto its support
+(with the log-Jacobian needed for density corrections in unconstrained space).
 
 Conventions:
   * the second Normal parameter is a standard deviation,
   * HalfNormal is supported on [0, inf) with normalizer sqrt(2/pi)/sigma,
   * Exponential is parameterized by its rate ``lam`` (mean = 1/lam),
-  * out-of-support points get log density -inf rather than an error.
+  * out-of-support points get log density -inf rather than an error, and
+    the derivative there is the one-sided limit from inside the support.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar, Mapping
 
-import numpy as np
-
-from .errors import InvalidParamValue, OutsideSupport
-from .spec_schema import DistributionSpec
-
-__all__ = [
-    "Normal",
-    "HalfNormal",
-    "Uniform",
-    "Exponential",
-    "PriorDistribution",
-    "IdentityTransform",
-    "ExpTransform",
-    "LogisticIntervalTransform",
-    "Transform",
-    "transform_for",
-    "from_spec",
-]
+from .errors import InvalidParamValue
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _NEG_INF = float("-inf")
@@ -131,16 +117,36 @@ Transform = IdentityTransform | ExpTransform | LogisticIntervalTransform
 # Distributions
 
 
+class PriorDistribution:
+    """A prior family: its dataclass fields are its canonical parameters, ``ALIASES``
+    maps other lowercase names onto them, ``SUPPORT`` is None if parameters set it."""
+
+    ALIASES: ClassVar[Mapping[str, str]]
+    SUPPORT: ClassVar[tuple[float, float] | None]
+
+    @classmethod
+    def param_names(cls) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(cls))
+
+    def support(self) -> tuple[float, float]:
+        return self.SUPPORT
+
+    def _require_positive(self, name: str) -> None:
+        value = getattr(self, name)
+        if not value > 0:
+            raise InvalidParamValue(f"{type(self).__name__}: {name} must be > 0, got {value}")
+
+
 @dataclass(frozen=True)
-class Normal:
+class Normal(PriorDistribution):
     mu: float
     sigma: float
 
-    def __post_init__(self):
-        _require(self.sigma > 0, f"Normal sigma must be > 0, got {self.sigma}")
+    ALIASES = {"loc": "mu", "mean": "mu", "sd": "sigma", "scale": "sigma"}
+    SUPPORT = (-math.inf, math.inf)
 
-    def support(self) -> tuple[float, float]:
-        return (_NEG_INF, float("inf"))
+    def __post_init__(self):
+        self._require_positive("sigma")
 
     def log_pdf(self, x: float) -> float:
         t = (x - self.mu) / self.sigma
@@ -149,25 +155,19 @@ class Normal:
     def dlogpdf_dx(self, x: float) -> float:
         return -(x - self.mu) / (self.sigma * self.sigma)
 
-    def _dlogpdf_dx_limit(self, x: float) -> float:
-        return self.dlogpdf_dx(x)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.mu + self.sigma * rng.standard_normal()
-
     def transform(self) -> Transform:
         return IdentityTransform()
 
 
 @dataclass(frozen=True)
-class HalfNormal:
+class HalfNormal(PriorDistribution):
     sigma: float
 
-    def __post_init__(self):
-        _require(self.sigma > 0, f"HalfNormal sigma must be > 0, got {self.sigma}")
+    ALIASES = {"sd": "sigma", "scale": "sigma"}
+    SUPPORT = (0.0, math.inf)
 
-    def support(self) -> tuple[float, float]:
-        return (0.0, float("inf"))
+    def __post_init__(self):
+        self._require_positive("sigma")
 
     def log_pdf(self, x: float) -> float:
         if x < 0:
@@ -176,27 +176,23 @@ class HalfNormal:
         return 0.5 * math.log(2.0 / math.pi) - math.log(self.sigma) - 0.5 * t * t
 
     def dlogpdf_dx(self, x: float) -> float:
-        if x <= 0:
-            raise OutsideSupport("HalfNormal", x)
-        return self._dlogpdf_dx_limit(x)
-
-    def _dlogpdf_dx_limit(self, x: float) -> float:
         return -x / (self.sigma * self.sigma)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return abs(self.sigma * rng.standard_normal())
 
     def transform(self) -> Transform:
         return ExpTransform()
 
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(PriorDistribution):
     lower: float
     upper: float
 
+    ALIASES = {"low": "lower", "a": "lower", "high": "upper", "b": "upper"}
+    SUPPORT = None
+
     def __post_init__(self):
-        _require(self.lower < self.upper, f"Uniform needs lower < upper, got [{self.lower}, {self.upper}]")
+        if not self.lower < self.upper:
+            raise InvalidParamValue(f"Uniform: lower must be < upper, got lower={self.lower}, upper={self.upper}")
 
     def support(self) -> tuple[float, float]:
         return (self.lower, self.upper)
@@ -207,29 +203,21 @@ class Uniform:
         return -math.log(self.upper - self.lower)
 
     def dlogpdf_dx(self, x: float) -> float:
-        if x <= self.lower or x >= self.upper:
-            raise OutsideSupport("Uniform", x)
         return 0.0
-
-    def _dlogpdf_dx_limit(self, x: float) -> float:
-        return 0.0
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.lower + (self.upper - self.lower) * rng.random()
 
     def transform(self) -> Transform:
         return LogisticIntervalTransform(self.lower, self.upper)
 
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(PriorDistribution):
     lam: float
 
-    def __post_init__(self):
-        _require(self.lam > 0, f"Exponential lam must be > 0, got {self.lam}")
+    ALIASES = {"rate": "lam", "lambda": "lam"}
+    SUPPORT = (0.0, math.inf)
 
-    def support(self) -> tuple[float, float]:
-        return (0.0, float("inf"))
+    def __post_init__(self):
+        self._require_positive("lam")
 
     def log_pdf(self, x: float) -> float:
         if x < 0:
@@ -237,42 +225,29 @@ class Exponential:
         return math.log(self.lam) - self.lam * x
 
     def dlogpdf_dx(self, x: float) -> float:
-        if x <= 0:
-            raise OutsideSupport("Exponential", x)
         return -self.lam
-
-    def _dlogpdf_dx_limit(self, x: float) -> float:
-        return -self.lam
-
-    def sample(self, rng: np.random.Generator) -> float:
-        # inverse CDF: x = -ln(1 - u) / lam with u in [0, 1)
-        return -math.log1p(-rng.random()) / self.lam
 
     def transform(self) -> Transform:
         return ExpTransform()
 
 
-PriorDistribution = Normal | HalfNormal | Uniform | Exponential
+FAMILIES: dict[str, type[PriorDistribution]] = {
+    cls.__name__: cls for cls in (Normal, HalfNormal, Uniform, Exponential)
+}
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidParamValue(message)
+def from_spec(spec) -> PriorDistribution:
+    """Instantiate the family a validated ``DistributionSpec`` names."""
+    return FAMILIES[spec.name](**spec.params)
 
 
-def transform_for(dist: PriorDistribution) -> Transform:
-    """The unconstraining bijection associated with a distribution's support."""
-    return dist.transform()
-
-
-def from_spec(spec: DistributionSpec) -> PriorDistribution:
-    """Instantiate the distribution described by a validated DistributionSpec."""
-    if spec.name == "Normal":
-        return Normal(spec.params["mu"], spec.params["sigma"])
-    if spec.name == "HalfNormal":
-        return HalfNormal(spec.params["sigma"])
-    if spec.name == "Uniform":
-        return Uniform(spec.params["lower"], spec.params["upper"])
-    if spec.name == "Exponential":
-        return Exponential(spec.params["lam"])
-    raise AssertionError(f"unreachable: {spec.name}")
+__all__ = [
+    *FAMILIES,
+    "FAMILIES",
+    "PriorDistribution",
+    "from_spec",
+    "IdentityTransform",
+    "ExpTransform",
+    "LogisticIntervalTransform",
+    "Transform",
+]

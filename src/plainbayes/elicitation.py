@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
 from importlib import resources
@@ -261,8 +261,3 @@ def elicit_model(description: str, cfg: LlmConfig) -> ModelSpec:
     """Render, call, sanitize, and parse a whole-model elicitation."""
     prompt = render_model_prompt(description)
     return _elicit(prompt, cfg, parse_model_json)
-
-
-def with_fixtures(cfg: LlmConfig, directory: str | Path) -> LlmConfig:
-    """A copy of ``cfg`` pointing at a different fixture directory."""
-    return replace(cfg, fixtures_dir=directory)

@@ -110,10 +110,10 @@ class UnresolvedVariable(SchemaError):
 
 
 class NoiseNotPositiveSupport(SchemaError):
-    def __init__(self, name: str, distribution: str):
+    def __init__(self, name: str, distribution: str, eligible: tuple[str, ...]):
         super().__init__(
             f"noise parameter {name!r} has prior {distribution}, which does not have "
-            f"strictly positive support (use HalfNormal or Exponential)"
+            f"strictly positive support (use {' or '.join(eligible)})"
         )
         self.name = name
 
@@ -126,11 +126,6 @@ class ShadowedColumn(SchemaError):
 
 # ---------------------------------------------------------------------------
 # Distributions / posterior
-
-
-class OutsideSupport(PlainbayesError):
-    def __init__(self, distribution: str, x: float):
-        super().__init__(f"x={x!r} is not strictly inside the support of {distribution}")
 
 
 class DimensionMismatch(PlainbayesError):

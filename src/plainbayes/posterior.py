@@ -52,9 +52,9 @@ _GRADIENT_OVERFLOW_FLOOR = -1e10
 class PosteriorFn:
     """A pure, immutable log density over unconstrained coordinates.
 
-    ``log_density_and_grad`` is the primitive; ``log_density`` and
-    ``grad_log_density`` derive from it unless a cheaper value-only
-    callable is supplied.  Instances are safe to share across chains.
+    ``log_density_and_grad`` is the primitive; ``log_density`` derives from
+    it unless a cheaper value-only callable is supplied.  Instances are safe
+    to share across chains.
     """
 
     def __init__(
@@ -86,9 +86,6 @@ class PosteriorFn:
         if self._value is not None:
             return self._value(z)
         return self._value_and_grad(z)[0]
-
-    def grad_log_density(self, z) -> np.ndarray:
-        return self.log_density_and_grad(z)[1]
 
     def log_density_and_grad(self, z) -> tuple[float, np.ndarray]:
         z = self._check(z)
@@ -190,7 +187,7 @@ def build_posterior(
         for i, (zi, xi, dist, tf) in enumerate(zip(z, x, dists, transforms)):
             dljk[i] = tf.dlog_jacobian_dz(zi)
             dfwd[i] = tf.dforward_dz(zi)
-            dprior[i] = dist._dlogpdf_dx_limit(xi)
+            dprior[i] = dist.dlogpdf_dx(xi)
 
         grad = dprior * dfwd + dljk
 

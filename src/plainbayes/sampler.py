@@ -7,10 +7,12 @@ statistic, and windowed estimation of a diagonal mass matrix during warmup
 terminal step-size-only phase).  Transitions whose Hamiltonian error exceeds
 1000 are flagged divergent and their subtree is discarded.
 
-Every chain draws from its own Philox stream keyed by ``seed + chain_index``,
-so results are reproducible bit for bit and independent of whether chains
-run serially or in parallel.  Warmup draws are discarded; adaptation is
-frozen after warmup so the kept chain is Markovian.
+Chains run one after another, each drawing from its own Philox stream keyed
+by ``seed + chain_index``, so results are reproducible bit for bit.  Warmup
+draws are discarded; adaptation is frozen after warmup so the kept chain is
+Markovian.  Past the initial point, a non-finite density (say, a positive
+parameter underflowing to 0 under a division) is log density -inf: NUTS marks
+the step divergent and RWM rejects it; numpy overflow there is not warned.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AllDivergent, BadInitialPoint, MalformedTrace, SamplerError
+from .errors import AllDivergent, BadInitialPoint, MalformedTrace, NonFiniteDensity, SamplerError
 from .posterior import PosteriorFn
 
 __all__ = ["SamplerConfig", "Trace", "nuts_sample", "rwm_sample", "save_trace", "load_trace"]
@@ -211,9 +213,13 @@ def _kinetic(r: np.ndarray, inv_mass: np.ndarray) -> float:
 def _leapfrog(vag, z, r, grad, eps, inv_mass):
     r_half = r + 0.5 * eps * grad
     z_new = z + eps * inv_mass * r_half
-    logp_new, grad_new = vag(z_new)
+    try:
+        logp_new, grad_new = vag(z_new)
+    except NonFiniteDensity:
+        logp_new, grad_new = -math.inf, np.zeros_like(z_new)
     r_new = r_half + 0.5 * eps * grad_new
     return z_new, r_new, grad_new, logp_new
+
 
 def _is_turning(z_minus, z_plus, r_minus, r_plus, inv_mass) -> bool:
     dz = z_plus - z_minus
@@ -414,14 +420,7 @@ def _run_nuts_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
 
 def nuts_sample(pf: PosteriorFn, cfg: SamplerConfig) -> Trace:
     """Run ``cfg.chains`` independent NUTS chains and collect kept draws."""
-    if pf.dimension < 1:
-        raise SamplerError("posterior must have dimension >= 1")
-    per_chain = [_run_nuts_chain(pf, cfg, c) for c in range(cfg.chains)]
-    trace = _assemble(pf, cfg, per_chain)
-    divergent_fraction = float(np.mean(trace.stats["divergent"]))
-    if divergent_fraction > 0.5:
-        raise AllDivergent(divergent_fraction)
-    return trace
+    return _run_chains(_run_nuts_chain, pf, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +443,10 @@ def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
 
     def step(z, logp, scale):
         proposal = z + scale * rng.standard_normal(dim)
-        logp_new = value(proposal)
+        try:
+            logp_new = value(proposal)
+        except NonFiniteDensity:
+            logp_new = -math.inf
         delta = logp_new - logp
         alpha = 1.0 if delta >= 0 else math.exp(delta)
         if rng.random() < alpha:
@@ -486,9 +488,14 @@ def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
 
 def rwm_sample(pf: PosteriorFn, cfg: SamplerConfig) -> Trace:
     """Gradient-free fallback: adaptive Gaussian random-walk Metropolis."""
+    return _run_chains(_run_rwm_chain, pf, cfg)
+
+
+def _run_chains(run_chain: Callable, pf: PosteriorFn, cfg: SamplerConfig) -> Trace:
     if pf.dimension < 1:
         raise SamplerError("posterior must have dimension >= 1")
-    per_chain = [_run_rwm_chain(pf, cfg, c) for c in range(cfg.chains)]
+    with np.errstate(over="ignore"):
+        per_chain = [run_chain(pf, cfg, c) for c in range(cfg.chains)]
     trace = _assemble(pf, cfg, per_chain)
     divergent_fraction = float(np.mean(trace.stats["divergent"]))
     if divergent_fraction > 0.5:

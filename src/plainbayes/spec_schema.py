@@ -6,21 +6,23 @@ Two wire shapes are supported:
 * model JSON: ``{"priors": {"<param>": <prior-json>, ...},
   "likelihood": {"distribution": "Normal", "formula": "<expr>"}}``
 
-Parameter-name aliases produced by different LLM runs (``sd``/``scale`` for
-``sigma``, ``rate`` for ``lam``, ...) are normalized to canonical names on
-parse.  The second parameter of ``Normal`` is always interpreted as a
-standard deviation, never a variance.
+Prior families, their canonical parameters and the parameter-name aliases
+produced by different LLM runs come from :data:`distributions.FAMILIES`;
+aliases are normalized to canonical names on parse, and parameter values are
+checked by constructing the family.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from . import formula
+from .distributions import FAMILIES
 from .errors import (
     ExtraKeyWarning,
     InvalidParamValue,
@@ -47,32 +49,12 @@ __all__ = [
     "prior_to_obj",
     "model_to_obj",
     "model_to_json",
-    "POSITIVE_SUPPORT_DISTRIBUTIONS",
 ]
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
-# Canonical parameter names, in declaration order, per distribution.
-CANONICAL_PARAMS: dict[str, tuple[str, ...]] = {
-    "Normal": ("mu", "sigma"),
-    "HalfNormal": ("sigma",),
-    "Uniform": ("lower", "upper"),
-    "Exponential": ("lam",),
-}
-
-# Accepted aliases, normalized on parse (keys lowercase).
-_PARAM_ALIASES: dict[str, dict[str, str]] = {
-    "Normal": {"mu": "mu", "loc": "mu", "mean": "mu", "sigma": "sigma", "sd": "sigma", "scale": "sigma"},
-    "HalfNormal": {"sigma": "sigma", "sd": "sigma", "scale": "sigma"},
-    "Uniform": {"lower": "lower", "low": "lower", "a": "lower", "upper": "upper", "high": "upper", "b": "upper"},
-    "Exponential": {"lam": "lam", "rate": "lam", "lambda": "lam"},
-}
-
-_DISTRIBUTION_BY_LOWER = {name.lower(): name for name in CANONICAL_PARAMS}
-
-# Distributions whose support is strictly positive (apart from the boundary
-# point 0), i.e. acceptable for the likelihood noise scale.
-POSITIVE_SUPPORT_DISTRIBUTIONS = frozenset({"HalfNormal", "Exponential"})
+# Families supported on (0, inf) may carry the likelihood noise scale.
+_NOISE_FAMILIES = tuple(name for name, f in FAMILIES.items() if f.SUPPORT == (0.0, math.inf))
 
 _POSITIONAL_RE = re.compile(r"^param\d+$")
 
@@ -98,9 +80,10 @@ class DistributionSpec:
     params: dict[str, float]
 
     def __post_init__(self):
-        if self.name not in CANONICAL_PARAMS:
+        family = FAMILIES.get(self.name)
+        if family is None:
             raise UnknownDistribution(str(self.name))
-        required = CANONICAL_PARAMS[self.name]
+        required = family.param_names()
         cleaned: dict[str, float] = {}
         for pname in required:
             if pname not in self.params:
@@ -109,14 +92,7 @@ class DistributionSpec:
         extra = set(self.params) - set(required)
         if extra:
             raise InvalidParamValue(f"{self.name}: unexpected parameters {sorted(extra)}")
-        if self.name in ("Normal", "HalfNormal") and cleaned["sigma"] <= 0:
-            raise InvalidParamValue(f"{self.name}: sigma must be > 0, got {cleaned['sigma']}")
-        if self.name == "Uniform" and not cleaned["lower"] < cleaned["upper"]:
-            raise InvalidParamValue(
-                f"Uniform: lower must be < upper, got lower={cleaned['lower']}, upper={cleaned['upper']}"
-            )
-        if self.name == "Exponential" and cleaned["lam"] <= 0:
-            raise InvalidParamValue(f"Exponential: lam must be > 0, got {cleaned['lam']}")
+        family(**cleaned)  # the family's own value checks
         object.__setattr__(self, "params", cleaned)
 
     def __str__(self) -> str:
@@ -247,9 +223,10 @@ def _parse_prior_obj(obj: Mapping, context: str = "prior") -> DistributionSpec:
     if "distribution" not in obj:
         raise MalformedJson(f"{context}: missing 'distribution'")
     raw_name = obj["distribution"]
-    if not isinstance(raw_name, str) or raw_name.lower() not in _DISTRIBUTION_BY_LOWER:
+    name = next((n for n in FAMILIES if isinstance(raw_name, str) and n.lower() == raw_name.lower()), None)
+    if name is None:
         raise UnknownDistribution(str(raw_name))
-    name = _DISTRIBUTION_BY_LOWER[raw_name.lower()]
+    family = FAMILIES[name]
 
     params_raw = obj.get("params")
     if params_raw is None:
@@ -257,18 +234,19 @@ def _parse_prior_obj(obj: Mapping, context: str = "prior") -> DistributionSpec:
     if not isinstance(params_raw, Mapping):
         raise MalformedJson(f"{context}: 'params' must be an object")
 
-    aliases = _PARAM_ALIASES[name]
+    canonical = family.param_names()
     params: dict[str, float] = {}
     unknown: list[str] = []
     for key, value in params_raw.items():
         key_str = str(key)
-        canon = aliases.get(key_str.lower())
+        lower = key_str.lower()
+        canon = lower if lower in canonical else family.ALIASES.get(lower)
         if canon is None:
-            if _POSITIONAL_RE.match(key_str.lower()):
+            if _POSITIONAL_RE.match(lower):
                 raise MissingParam(
                     name,
                     f"positional parameter name {key_str!r} is not accepted; "
-                    f"use named parameters {list(CANONICAL_PARAMS[name])}",
+                    f"use named parameters {list(canonical)}",
                 )
             unknown.append(key_str)
             continue
@@ -374,8 +352,8 @@ def validate_model(spec: ModelSpec, data_columns: Iterable[str]) -> ValidatedMod
     if noise not in spec.priors:
         raise UnresolvedVariable(noise, "the likelihood noise parameter must name a prior")
     noise_dist = spec.priors[noise].name
-    if noise_dist not in POSITIVE_SUPPORT_DISTRIBUTIONS:
-        raise NoiseNotPositiveSupport(noise, noise_dist)
+    if noise_dist not in _NOISE_FAMILIES:
+        raise NoiseNotPositiveSupport(noise, noise_dist, _NOISE_FAMILIES)
 
     return ValidatedModel(spec=spec, formula_ast=ast, variable_roles=roles)
 

@@ -199,6 +199,7 @@ class TestRun:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == "run"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_reruns_are_byte_identical(self, tmp_path):
         args = [
             "run",

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from plainbayes.data_io import Dataset, SimConfig, simulate_linear
 from plainbayes.distributions import LogisticIntervalTransform
-from plainbayes.errors import AllDivergent, SamplerError
+from plainbayes.errors import AllDivergent, NonFiniteDensity, SamplerError
 from plainbayes.posterior import PosteriorFn, build_posterior
 from plainbayes.sampler import (
     SamplerConfig,
@@ -17,6 +18,7 @@ from plainbayes.sampler import (
     save_trace,
 )
 from plainbayes.diagnostics import ess_bulk, split_rhat
+from plainbayes.spec_schema import parse_model_json, validate_model
 
 
 def std_normal_posterior(dim):
@@ -166,6 +168,7 @@ class TestExperimentPosterior:
     def trace(self, experiment_trace):
         return experiment_trace
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_support_invariant(self, trace):
         alpha = trace.pooled("alpha")
         beta = trace.pooled("beta")
@@ -232,6 +235,48 @@ class TestNonFiniteGradient:
         pf = PosteriorFn(param_names=["a"], log_density_and_grad=vag)
         with pytest.raises(NonFiniteGradient, match="z="):
             nuts_sample(pf, SamplerConfig(chains=1, warmup_draws=50, kept_draws=10, seed=0))
+
+
+class TestNonFiniteDensity:
+    RATIO_MODEL = """
+    {"priors": {"alpha": {"distribution": "Normal", "params": {"mu": 0, "sigma": 25}},
+                "tau": {"distribution": "Exponential", "params": {"lam": 1}},
+                "sigma": {"distribution": "HalfNormal", "params": {"sigma": 25}}},
+     "likelihood": {"distribution": "Normal", "formula": "alpha + X / tau"}}
+    """
+
+    def test_underflowing_divisor_is_rejected(self):
+        # the step-size search drives tau = exp(z) to 0, where X / tau is not finite
+        data = simulate_linear(SimConfig(alpha=2.5, beta=1.8, sigma=15.0, n=2000, seed=7))
+        model = validate_model(parse_model_json(self.RATIO_MODEL), data.column_names())
+        pf = build_posterior(model, data)
+        trace = nuts_sample(pf, SamplerConfig(chains=1, warmup_draws=20, kept_draws=10, seed=8))
+        assert np.all(np.isfinite(trace.draws))
+
+    def test_rwm_rejects_nonfinite_proposal(self):
+        def value(z):
+            if abs(float(z[0])) > 1.0:
+                raise NonFiniteDensity("outside the box")
+            return -0.5 * float(z[0]) ** 2
+
+        pf = PosteriorFn(param_names=["a"], log_density_and_grad=None, log_density=value)
+        trace = rwm_sample(pf, SamplerConfig(algorithm="rwm", chains=2, warmup_draws=200, kept_draws=200, seed=3))
+        assert np.all(np.abs(trace.draws) <= 1.0)
+        assert not np.all(trace.stats["step_accepted"])
+
+    @pytest.mark.parametrize("sample", [nuts_sample, rwm_sample])
+    def test_initial_point_still_raises_with_row(self, sample):
+        # alpha / X is not finite on the X = 0 row at every point
+        spec = parse_model_json(
+            '{"priors": {"alpha": {"distribution": "Normal", "params": {"mu": 0, "sigma": 1}},'
+            ' "sigma": {"distribution": "HalfNormal", "params": {"sigma": 1}}},'
+            ' "likelihood": {"distribution": "Normal", "formula": "alpha / X"}}'
+        )
+        data = Dataset({"X": np.array([1.0, 0.0]), "y": np.array([0.0, 0.0])})
+        pf = build_posterior(validate_model(spec, data.column_names()), data)
+        with pytest.raises(NonFiniteDensity) as err:
+            sample(pf, SamplerConfig(chains=1, warmup_draws=10, kept_draws=10, seed=0))
+        assert err.value.row == 1
 
 
 class TestAllDivergent:
