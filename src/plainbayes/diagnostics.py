@@ -26,9 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from .errors import InsufficientSamples, PlainbayesError, SummaryCellWarning, ZeroVarianceWarning
 from .sampler import Trace
@@ -81,17 +79,44 @@ def split_rhat(chains) -> float:
     return math.sqrt(((n - 1) / n * within + between / n) / within)
 
 
+def _average_ranks(arr: np.ndarray) -> np.ndarray:
+    """scipy's ``rankdata(arr, method="average")``, bit for bit: 1-based ranks,
+    each tie group sharing its mean rank (an exact half); any NaN makes all ranks NaN."""
+    flat = arr.reshape(-1)
+    if np.isnan(flat).any():
+        return np.full(arr.shape, math.nan)
+    order = np.argsort(flat, kind="stable")
+    sorted_values = flat[order]
+    starts = np.flatnonzero(np.r_[True, sorted_values[1:] != sorted_values[:-1]])
+    stops = np.r_[starts[1:], flat.size]
+    ranks = np.empty(flat.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + stops), stops - starts)
+    return ranks.reshape(arr.shape)
+
+
 def _rank_normalize(arr: np.ndarray) -> np.ndarray:
     """Map pooled samples to normal quantiles via average ranks."""
-    ranks = rankdata(arr, method="average").reshape(arr.shape)
-    return ndtri((ranks - 0.5) / arr.size)
+    return ndtri((_average_ranks(arr) - 0.5) / arr.size)
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 11-smooth integer >= ``target``, as scipy's ``next_fast_len`` picks FFT sizes."""
+    size = target
+    while True:
+        rest = size
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return size
+        size += 1
 
 
 def _autocovariance(x: np.ndarray) -> np.ndarray:
     """Biased (1/n) autocovariance of one chain via FFT."""
     n = x.shape[0]
     centered = x - x.mean()
-    size = _fft.next_fast_len(2 * n)
+    size = _next_fast_len(2 * n)
     spectrum = np.fft.rfft(centered, size)
     acov = np.fft.irfft(spectrum * np.conj(spectrum), size)[:n].real
     return acov / n

@@ -98,19 +98,8 @@ class PosteriorFn:
         return dict(zip(self.param_names, map(float, z)))
 
 
-def build_posterior(
-    model: ValidatedModel,
-    data: Dataset,
-    *,
-    response_column: str = "y",
-    include_likelihood: bool = True,
-) -> PosteriorFn:
-    """Compile a model + dataset into a PosteriorFn.
-
-    ``include_likelihood=False`` zeroes the likelihood term (prior plus
-    Jacobian only); it exists for tests and diagnostics of the additive
-    decomposition, not as a public modeling feature.
-    """
+def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: str = "y") -> PosteriorFn:
+    """Compile a model + dataset into a PosteriorFn."""
     spec = model.spec
     names = list(spec.priors)
     dists = [from_spec(spec.priors[name]) for name in names]
@@ -142,83 +131,48 @@ def build_posterior(
             raise NonFiniteDensity(f"likelihood mean is non-finite: {exc}", row=row) from None
         return np.broadcast_to(np.asarray(value, dtype=float), (n_rows,))
 
-    def _prior_term(z: np.ndarray, x: list[float]) -> float:
+    def density(z: np.ndarray, with_grad: bool):
+        """Log density at ``z``; with ``with_grad``, the pair (value, gradient)."""
+        x = [tf.forward(zi) for tf, zi in zip(transforms, z)]
         total = 0.0
         for zi, xi, dist, tf in zip(z, x, dists, transforms):
             total += dist.log_pdf(xi) + tf.log_jacobian(zi)
-        return total
-
-    def value_only(z: np.ndarray) -> float:
-        x = [tf.forward(zi) for tf, zi in zip(transforms, z)]
-        total = _prior_term(z, x)
-        if total == -math.inf:
-            return -math.inf
         if math.isnan(total):
             raise NonFiniteDensity("prior log density is NaN")
-        if include_likelihood:
-            total += _log_likelihood(x)
-        return total
 
-    def _log_likelihood(x: list[float]) -> float:
         sigma = x[noise_index]
-        if not (sigma > 0.0 and math.isfinite(sigma)):
-            return -math.inf  # noise-scale underflow/overflow guard
-        env = dict(zip(names, x))
-        env.update(fixed_env)
-        mu = _mu(env)
-        resid = y - mu
-        t = resid / sigma
-        loglik = -0.5 * float(np.dot(t, t)) - n_rows * math.log(sigma) - 0.5 * n_rows * _LOG_2PI
-        if math.isnan(loglik):
-            raise NonFiniteDensity("likelihood log density is NaN")
-        return loglik
-
-    def value_and_grad(z: np.ndarray) -> tuple[float, np.ndarray]:
-        x = [tf.forward(zi) for tf, zi in zip(transforms, z)]
-        total = _prior_term(z, x)
-        if total == -math.inf:
-            return -math.inf, np.zeros(dim)
-        if math.isnan(total):
-            raise NonFiniteDensity("prior log density is NaN")
-
-        dljk = np.empty(dim)  # d log|J_i| / dz_i
-        dfwd = np.empty(dim)  # d x_i / dz_i
-        dprior = np.empty(dim)  # d log prior_i / dx_i (one-sided at support edges)
-        for i, (zi, xi, dist, tf) in enumerate(zip(z, x, dists, transforms)):
-            dljk[i] = tf.dlog_jacobian_dz(zi)
-            dfwd[i] = tf.dforward_dz(zi)
-            dprior[i] = dist.dlogpdf_dx(xi)
-
-        grad = dprior * dfwd + dljk
-
-        if include_likelihood:
-            sigma = x[noise_index]
-            if not (sigma > 0.0 and math.isfinite(sigma)):
-                return -math.inf, np.zeros(dim)
-            env = dict(zip(names, x))
-            env.update(fixed_env)
-            mu = _mu(env)
-            resid = y - mu
-            inv_var = 1.0 / (sigma * sigma)
+        loglik = -math.inf  # outside a prior's support, or noise-scale underflow/overflow
+        if total > -math.inf and sigma > 0.0 and math.isfinite(sigma):
+            env = dict(zip(names, x), **fixed_env)
+            resid = y - _mu(env)
             t = resid / sigma
             loglik = -0.5 * float(np.dot(t, t)) - n_rows * math.log(sigma) - 0.5 * n_rows * _LOG_2PI
-            if loglik == -math.inf:
-                return -math.inf, np.zeros(dim)
             if math.isnan(loglik):
                 raise NonFiniteDensity("likelihood log density is NaN")
-            total += loglik
-            try:
-                for i, name in enumerate(names):
-                    dmu = formula.evaluate(partials[i], env)
-                    dmu = np.broadcast_to(np.asarray(dmu, dtype=float), (n_rows,))
-                    s = inv_var * float(np.dot(resid, dmu))
-                    if i == noise_index:
-                        s += float(np.dot(resid, resid)) / (sigma * sigma * sigma) - n_rows / sigma
-                    grad[i] += s * dfwd[i]
-            except NonFiniteResult:
-                # derivative overflow (e.g. near a division singularity) while
-                # the density itself is fine: same policy as non-finite grad
-                grad[:] = math.nan
+        if loglik == -math.inf:
+            return (-math.inf, np.zeros(dim)) if with_grad else -math.inf
+        total += loglik
+        if not with_grad:
+            return total
+
+        # d log|J_i| / dz_i, d x_i / dz_i and d log prior_i / dx_i (one-sided at support edges)
+        dljk = np.array([tf.dlog_jacobian_dz(zi) for tf, zi in zip(transforms, z)], dtype=float)
+        dfwd = np.array([tf.dforward_dz(zi) for tf, zi in zip(transforms, z)], dtype=float)
+        dprior = np.array([dist.dlogpdf_dx(xi) for dist, xi in zip(dists, x)], dtype=float)
+        grad = dprior * dfwd + dljk
+
+        inv_var = 1.0 / (sigma * sigma)
+        try:
+            for i, partial in enumerate(partials):
+                dmu = np.broadcast_to(np.asarray(formula.evaluate(partial, env), dtype=float), (n_rows,))
+                s = inv_var * float(np.dot(resid, dmu))
+                if i == noise_index:
+                    s += float(np.dot(resid, resid)) / (sigma * sigma * sigma) - n_rows / sigma
+                grad[i] += s * dfwd[i]
+        except NonFiniteResult:
+            # derivative overflow (e.g. near a division singularity) while
+            # the density itself is fine: same policy as non-finite grad
+            grad[:] = math.nan
 
         if not np.all(np.isfinite(grad)):
             # Overflow in the chain rule at an astronomically improbable point
@@ -233,8 +187,8 @@ def build_posterior(
 
     return PosteriorFn(
         param_names=names,
-        log_density_and_grad=value_and_grad,
-        log_density=value_only,
+        log_density_and_grad=lambda z: density(z, True),
+        log_density=lambda z: density(z, False),
         constrain=constrain,
         transforms=transforms,
     )

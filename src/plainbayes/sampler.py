@@ -125,25 +125,33 @@ class _DualAveraging:
         return math.exp(self.log_step_avg)
 
 
-class _Welford:
-    """Streaming mean/variance accumulator for mass-matrix estimation."""
+class _WindowedVariance:
+    """Streaming per-coordinate variance of the warm-up draws in each adaptation window."""
 
-    def __init__(self, dim: int):
-        self.n = 0
-        self.mean = np.zeros(dim)
-        self.m2 = np.zeros(dim)
+    def __init__(self, warmup: int, dim: int):
+        self.windows = _adaptation_windows(warmup)
+        self.zeros = np.zeros(dim)  # shared: mean and m2 are rebound, never updated in place
+        self.n, self.mean, self.m2 = 0, self.zeros, self.zeros
 
-    def add(self, x: np.ndarray) -> None:
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
-
-    def regularized_variance(self) -> np.ndarray:
+    def observe(self, m: int, z: np.ndarray) -> np.ndarray | None:
+        """Add the state after warm-up iteration ``m``; if ``m`` closes a
+        window, return that window's regularized variance, else None."""
+        if not self.windows:
+            return None
+        start, end = self.windows[0]
+        if start <= m < end:
+            self.n += 1
+            delta = z - self.mean
+            self.mean = self.mean + delta / self.n
+            self.m2 = self.m2 + delta * (z - self.mean)
+        if m + 1 != end:
+            return None
         # Shrink toward 1e-3 like Stan does, so short windows stay sane.
-        var = self.m2 / max(self.n - 1, 1)
         w = self.n / (self.n + 5.0)
-        return w * var + 1e-3 * (1.0 - w)
+        var = w * (self.m2 / max(self.n - 1, 1)) + 1e-3 * (1.0 - w)
+        del self.windows[0]
+        self.n, self.mean, self.m2 = 0, self.zeros, self.zeros
+        return var
 
 
 def _adaptation_windows(warmup: int, init_buffer: int = 75, term_buffer: int = 50, base: int = 25):
@@ -188,17 +196,10 @@ def _initial_point(value_fn: Callable, rng: np.random.Generator, dim: int, attem
 
 @dataclass
 class _Tree:
-    z_minus: np.ndarray
-    r_minus: np.ndarray
-    grad_minus: np.ndarray
-    logp_minus: float
-    z_plus: np.ndarray
-    r_plus: np.ndarray
-    grad_plus: np.ndarray
-    logp_plus: float
-    z_prop: np.ndarray
-    logp_prop: float
-    grad_prop: np.ndarray
+    # Each state is a (z, r, grad, logp) tuple, as _leapfrog returns it;
+    # ends[direction > 0] is the edge a doubling in that direction extends.
+    ends: list[tuple]  # [minus, plus]
+    prop: tuple  # the state proposed from this subtree
     log_weight: float
     alpha_sum: float
     n_alpha: int
@@ -210,7 +211,9 @@ def _kinetic(r: np.ndarray, inv_mass: np.ndarray) -> float:
     return 0.5 * float(np.dot(r, inv_mass * r))
 
 
-def _leapfrog(vag, z, r, grad, eps, inv_mass):
+def _leapfrog(vag, z, r, grad, eps, inv_mass, h0):
+    """One leapfrog step: the new (z, r, grad, logp) state and its change in
+    log joint density from ``h0`` (NaN counts as -inf)."""
     r_half = r + 0.5 * eps * grad
     z_new = z + eps * inv_mass * r_half
     try:
@@ -218,10 +221,12 @@ def _leapfrog(vag, z, r, grad, eps, inv_mass):
     except NonFiniteDensity:
         logp_new, grad_new = -math.inf, np.zeros_like(z_new)
     r_new = r_half + 0.5 * eps * grad_new
-    return z_new, r_new, grad_new, logp_new
+    delta_h = (logp_new - _kinetic(r_new, inv_mass)) - h0
+    return (z_new, r_new, grad_new, logp_new), -math.inf if math.isnan(delta_h) else delta_h
 
 
-def _is_turning(z_minus, z_plus, r_minus, r_plus, inv_mass) -> bool:
+def _is_turning(ends, inv_mass) -> bool:
+    (z_minus, r_minus, _, _), (z_plus, r_plus, _, _) = ends
     dz = z_plus - z_minus
     return (
         float(np.dot(dz, inv_mass * r_minus)) < 0.0
@@ -229,18 +234,14 @@ def _is_turning(z_minus, z_plus, r_minus, r_plus, inv_mass) -> bool:
     )
 
 
-def _build_tree(vag, z, r, grad, logp, direction, depth, eps, inv_mass, h0, rng) -> _Tree:
+def _build_tree(vag, edge, direction, depth, eps, inv_mass, h0, rng) -> _Tree:
+    """Build a subtree of 2**depth leapfrog steps from ``edge`` in ``direction``."""
     if depth == 0:
-        z1, r1, grad1, logp1 = _leapfrog(vag, z, r, grad, direction * eps, inv_mass)
-        h1 = logp1 - _kinetic(r1, inv_mass)
-        delta_h = h1 - h0
-        if math.isnan(delta_h):
-            delta_h = -math.inf
+        leaf, delta_h = _leapfrog(vag, *edge[:3], direction * eps, inv_mass, h0)
         divergent = delta_h < -_DIVERGENCE_THRESHOLD
         return _Tree(
-            z_minus=z1, r_minus=r1, grad_minus=grad1, logp_minus=logp1,
-            z_plus=z1, r_plus=r1, grad_plus=grad1, logp_plus=logp1,
-            z_prop=z1, logp_prop=logp1, grad_prop=grad1,
+            ends=[leaf, leaf],
+            prop=leaf,
             log_weight=delta_h,
             alpha_sum=min(1.0, math.exp(min(0.0, delta_h))),
             n_alpha=1,
@@ -248,29 +249,13 @@ def _build_tree(vag, z, r, grad, logp, direction, depth, eps, inv_mass, h0, rng)
             ok=not divergent,
         )
 
-    first = _build_tree(vag, z, r, grad, logp, direction, depth - 1, eps, inv_mass, h0, rng)
+    first = _build_tree(vag, edge, direction, depth - 1, eps, inv_mass, h0, rng)
     if not first.ok:
         return first
 
-    if direction == -1:
-        second = _build_tree(
-            vag, first.z_minus, first.r_minus, first.grad_minus, first.logp_minus,
-            direction, depth - 1, eps, inv_mass, h0, rng,
-        )
-        first.z_minus = second.z_minus
-        first.r_minus = second.r_minus
-        first.grad_minus = second.grad_minus
-        first.logp_minus = second.logp_minus
-    else:
-        second = _build_tree(
-            vag, first.z_plus, first.r_plus, first.grad_plus, first.logp_plus,
-            direction, depth - 1, eps, inv_mass, h0, rng,
-        )
-        first.z_plus = second.z_plus
-        first.r_plus = second.r_plus
-        first.grad_plus = second.grad_plus
-        first.logp_plus = second.logp_plus
-
+    side = direction > 0
+    second = _build_tree(vag, first.ends[side], direction, depth - 1, eps, inv_mass, h0, rng)
+    first.ends[side] = second.ends[side]
     first.alpha_sum += second.alpha_sum
     first.n_alpha += second.n_alpha
     first.divergent = first.divergent or second.divergent
@@ -282,12 +267,10 @@ def _build_tree(vag, z, r, grad, logp, direction, depth, eps, inv_mass, h0, rng)
     total = np.logaddexp(first.log_weight, second.log_weight)
     p_second = math.exp(min(0.0, second.log_weight - total))
     if rng.random() < p_second:
-        first.z_prop = second.z_prop
-        first.logp_prop = second.logp_prop
-        first.grad_prop = second.grad_prop
+        first.prop = second.prop
     first.log_weight = float(total)
 
-    if _is_turning(first.z_minus, first.z_plus, first.r_minus, first.r_plus, inv_mass):
+    if _is_turning(first.ends, inv_mass):
         first.ok = False
     return first
 
@@ -297,12 +280,8 @@ def _nuts_transition(vag, z, logp, grad, eps, inv_mass, rng, max_depth):
     r0 = rng.standard_normal(dim) / np.sqrt(inv_mass)
     h0 = logp - _kinetic(r0, inv_mass)
 
-    z_minus = z_plus = z
-    r_minus = r_plus = r0
-    grad_minus = grad_plus = grad
-    logp_minus = logp_plus = logp
-    z_cur, logp_cur, grad_cur = z, logp, grad
-
+    ends = [(z, r0, grad, logp)] * 2  # [minus, plus]
+    prop = ends[0]
     log_weight = 0.0  # weight of the initial point relative to itself
     alpha_sum = 0.0
     n_alpha = 0
@@ -311,16 +290,9 @@ def _nuts_transition(vag, z, logp, grad, eps, inv_mass, rng, max_depth):
 
     while depth < max_depth:
         direction = 1 if rng.random() < 0.5 else -1
-        if direction == -1:
-            sub = _build_tree(vag, z_minus, r_minus, grad_minus, logp_minus,
-                              -1, depth, eps, inv_mass, h0, rng)
-            z_minus, r_minus = sub.z_minus, sub.r_minus
-            grad_minus, logp_minus = sub.grad_minus, sub.logp_minus
-        else:
-            sub = _build_tree(vag, z_plus, r_plus, grad_plus, logp_plus,
-                              1, depth, eps, inv_mass, h0, rng)
-            z_plus, r_plus = sub.z_plus, sub.r_plus
-            grad_plus, logp_plus = sub.grad_plus, sub.logp_plus
+        side = direction > 0
+        sub = _build_tree(vag, ends[side], direction, depth, eps, inv_mass, h0, rng)
+        ends[side] = sub.ends[side]
 
         alpha_sum += sub.alpha_sum
         n_alpha += sub.n_alpha
@@ -331,15 +303,16 @@ def _nuts_transition(vag, z, logp, grad, eps, inv_mass, rng, max_depth):
         # Biased progressive sampling: favor the fresh subtree.
         p_new = math.exp(min(0.0, sub.log_weight - log_weight))
         if rng.random() < p_new:
-            z_cur, logp_cur, grad_cur = sub.z_prop, sub.logp_prop, sub.grad_prop
+            prop = sub.prop
         log_weight = float(np.logaddexp(log_weight, sub.log_weight))
 
         depth += 1
-        if _is_turning(z_minus, z_plus, r_minus, r_plus, inv_mass):
+        if _is_turning(ends, inv_mass):
             break
 
     accept_stat = alpha_sum / max(n_alpha, 1)
-    return z_cur, logp_cur, grad_cur, accept_stat, depth, divergent
+    z, _, grad, logp = prop
+    return z, logp, grad, accept_stat, depth, divergent
 
 
 def _find_reasonable_step_size(vag, z, logp, grad, inv_mass, rng, init: float) -> float:
@@ -348,13 +321,7 @@ def _find_reasonable_step_size(vag, z, logp, grad, inv_mass, rng, init: float) -
     dim = z.shape[0]
     r = rng.standard_normal(dim) / np.sqrt(inv_mass)
     h0 = logp - _kinetic(r, inv_mass)
-
-    def delta_h(step: float) -> float:
-        _, r1, _, logp1 = _leapfrog(vag, z, r, grad, step, inv_mass)
-        dh = (logp1 - _kinetic(r1, inv_mass)) - h0
-        return -math.inf if math.isnan(dh) else dh
-
-    dh = delta_h(eps)
+    dh = _leapfrog(vag, z, r, grad, eps, inv_mass, h0)[1]
     direction = 1.0 if dh > math.log(0.5) else -1.0
     for _ in range(100):
         if not direction * dh > -direction * math.log(2.0):
@@ -362,7 +329,7 @@ def _find_reasonable_step_size(vag, z, logp, grad, inv_mass, rng, init: float) -
         eps *= 2.0 ** direction
         if not 1e-10 < eps < 1e7:
             break
-        dh = delta_h(eps)
+        dh = _leapfrog(vag, z, r, grad, eps, inv_mass, h0)[1]
     return eps
 
 
@@ -376,23 +343,15 @@ def _run_nuts_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
     eps = _find_reasonable_step_size(vag, z, logp, grad, inv_mass, rng, cfg.step_size_init)
     averaging = _DualAveraging(eps, cfg.target_accept)
 
-    windows = _adaptation_windows(cfg.warmup_draws)
-    window_index = 0
-    welford = _Welford(dim)
-
+    variance = _WindowedVariance(cfg.warmup_draws, dim)
     for m in range(cfg.warmup_draws):
         z, logp, grad, accept, _, _ = _nuts_transition(
             vag, z, logp, grad, averaging.current, inv_mass, rng, cfg.max_tree_depth
         )
         averaging.update(accept)
-        if window_index < len(windows):
-            start, end = windows[window_index]
-            if start <= m < end:
-                welford.add(z)
-            if m + 1 == end:
-                inv_mass = welford.regularized_variance()
-                welford = _Welford(dim)
-                window_index += 1
+        window_var = variance.observe(m, z)
+        if window_var is not None:
+            inv_mass = window_var
 
     eps = averaging.averaged if cfg.warmup_draws > 0 else eps
 
@@ -437,9 +396,7 @@ def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
     multiplier = 2.38 / math.sqrt(dim)
     averaging = _DualAveraging(multiplier, _RWM_TARGET_ACCEPT)
 
-    windows = _adaptation_windows(cfg.warmup_draws)
-    window_index = 0
-    welford = _Welford(dim)
+    variance = _WindowedVariance(cfg.warmup_draws, dim)
 
     def step(z, logp, scale):
         proposal = z + scale * rng.standard_normal(dim)
@@ -456,15 +413,10 @@ def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
     for m in range(cfg.warmup_draws):
         z, logp, alpha, _ = step(z, logp, averaging.current * base_scale)
         averaging.update(alpha)
-        if window_index < len(windows):
-            start, end = windows[window_index]
-            if start <= m < end:
-                welford.add(z)
-            if m + 1 == end:
-                base_scale = np.sqrt(welford.regularized_variance())
-                welford = _Welford(dim)
-                window_index += 1
-                averaging = _DualAveraging(averaging.current, _RWM_TARGET_ACCEPT)
+        window_var = variance.observe(m, z)
+        if window_var is not None:
+            base_scale = np.sqrt(window_var)
+            averaging = _DualAveraging(averaging.current, _RWM_TARGET_ACCEPT)
 
     multiplier = averaging.averaged if cfg.warmup_draws > 0 else multiplier
     scale = multiplier * base_scale
@@ -570,9 +522,12 @@ def load_trace(csv_path, stats_path=None) -> Trace:
             if len(cells) != len(columns):
                 raise MalformedTrace(f"{csv_path}:{lineno}: expected {len(columns)} cells, got {len(cells)}")
             try:
-                rows.append((int(cells[0]), int(cells[1]), [float(v) for v in cells[2:]]))
+                chain, draw = int(cells[0]), int(cells[1])
+                rows.append((chain, draw, [float(v) for v in cells[2:]]))
             except ValueError as exc:
                 raise MalformedTrace(f"{csv_path}:{lineno}: {exc}") from None
+            if chain < 0 or draw < 0:
+                raise MalformedTrace(f"{csv_path}:{lineno}: negative chain or draw id")
     if not rows:
         raise MalformedTrace(f"{csv_path}: no draws")
 
@@ -595,13 +550,18 @@ def load_trace(csv_path, stats_path=None) -> Trace:
     if stats_path is not None:
         with open(stats_path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict) or not isinstance(payload.get("stats", {}), dict):
+            raise MalformedTrace(f"{stats_path}: expected a JSON object with a 'stats' object")
         sidecar_names = payload.get("param_names")
         if sidecar_names is not None and list(sidecar_names) != param_names:
             raise MalformedTrace(
                 f"{stats_path}: sidecar parameters {sidecar_names} do not match trace header {param_names}"
             )
         if payload.get("config") is not None:
-            config = SamplerConfig(**payload["config"])
+            try:
+                config = SamplerConfig(**payload["config"])
+            except TypeError as exc:
+                raise MalformedTrace(f"{stats_path}: bad sampler config: {exc}") from None
         for name, values in payload.get("stats", {}).items():
             arr = np.asarray(values)
             if arr.shape[:2] != (n_chains, n_draws):

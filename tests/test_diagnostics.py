@@ -1,11 +1,17 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
+from scipy.stats import rankdata
 
 from plainbayes.data_io import make_rng
 from plainbayes.diagnostics import (
+    _average_ranks,
+    _next_fast_len,
     ess_bulk,
     hdi,
     mode_estimate,
@@ -85,6 +91,30 @@ class TestEssBulk:
     def test_capped_at_superefficiency(self):
         chains = make_rng(9).standard_normal((4, 250))
         assert ess_bulk(chains) <= 1.5 * 1000
+
+
+class TestScipyReplacements:
+    def test_average_ranks_match_rankdata_on_ties(self):
+        # rejected RWM proposals repeat draws, so tied values are the common case
+        rng = make_rng(5)
+        for _ in range(200):
+            shape = (int(rng.integers(1, 6)), int(rng.integers(1, 200)))
+            arr = rng.integers(0, int(rng.integers(1, 20)), size=shape).astype(float)
+            expected = rankdata(arr, method="average").reshape(shape)
+            assert _average_ranks(arr).tobytes() == expected.tobytes()
+
+    def test_average_ranks_propagate_nan(self):
+        arr = np.array([[1.0, math.nan], [2.0, 2.0]])
+        assert np.all(np.isnan(_average_ranks(arr)))
+        assert np.all(np.isnan(rankdata(arr, method="average")))
+
+    def test_next_fast_len_matches_scipy(self):
+        assert [_next_fast_len(n) for n in range(1, 30001)] == [next_fast_len(n) for n in range(1, 30001)]
+
+    def test_cli_import_skips_scipy_stats_and_fft(self):
+        code = "import sys, plainbayes.cli; print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.fft'))))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestHdi:

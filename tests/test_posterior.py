@@ -23,10 +23,16 @@ from plainbayes.spec_schema import (
 from conftest import EXPERIMENT_MODEL_JSON
 
 
-def _experiment_pf(dataset, **kwargs):
+def _experiment_pf(dataset):
     spec = parse_model_json(EXPERIMENT_MODEL_JSON)
     vm = validate_model(spec, dataset.column_names())
-    return build_posterior(vm, dataset, **kwargs)
+    return build_posterior(vm, dataset)
+
+
+def _experiment_prior_plus_jacobian(z):
+    """Prior plus log-Jacobian of the experiment model, straight from the distributions."""
+    priors = [Uniform(-25, 25), Exponential(0.5), HalfNormal(15)]
+    return sum(d.log_pdf(d.transform().forward(zi)) + d.transform().log_jacobian(zi) for d, zi in zip(priors, z))
 
 
 class TestLogDensity:
@@ -48,18 +54,6 @@ class TestLogDensity:
             + Normal(0.0, 15.0).log_pdf(0.0)  # y=0 given mu = alpha + beta*0 = 0
         )
         assert pf.log_density(z) == pytest.approx(expected, rel=1e-14)
-
-    def test_prior_only_hook(self, experiment_dataset):
-        pf_full = _experiment_pf(experiment_dataset)
-        pf_prior = _experiment_pf(experiment_dataset, include_likelihood=False)
-        z = np.array([0.3, -0.2, 0.5])
-        priors = [Uniform(-25, 25), Exponential(0.5), HalfNormal(15)]
-        expected = sum(
-            d.log_pdf(d.transform().forward(zi)) + d.transform().log_jacobian(zi)
-            for d, zi in zip(priors, z)
-        )
-        assert pf_prior.log_density(z) == pytest.approx(expected, rel=1e-14)
-        assert pf_full.log_density(z) != pf_prior.log_density(z)
 
     def test_deterministic_bit_for_bit(self, experiment_dataset):
         pf = _experiment_pf(experiment_dataset)
@@ -139,21 +133,18 @@ class TestLogDensity:
         def logp(ds):
             return build_posterior(validate_model(spec, ds.column_names()), ds).log_density(z)
 
-        prior = build_posterior(
-            validate_model(spec, both.column_names()), both, include_likelihood=False
-        ).log_density(z)
+        prior = _experiment_prior_plus_jacobian(z)
         assert logp(both) - logp(a) - logp(b) == pytest.approx(-prior, rel=1e-12)
 
     def test_prior_dominates_at_huge_sigma(self, experiment_dataset):
         # with sigma pushed to ~1e8 the likelihood is flat: density differences
         # between two points approach the prior+Jacobian differences
         pf = _experiment_pf(experiment_dataset)
-        pf_prior = _experiment_pf(experiment_dataset, include_likelihood=False)
         z_sigma = 18.5
         z1 = np.array([0.2, 0.1, z_sigma])
         z2 = np.array([-0.4, 0.6, z_sigma])
         full_diff = pf.log_density(z1) - pf.log_density(z2)
-        prior_diff = pf_prior.log_density(z1) - pf_prior.log_density(z2)
+        prior_diff = _experiment_prior_plus_jacobian(z1) - _experiment_prior_plus_jacobian(z2)
         assert abs(full_diff - prior_diff) < 1e-3
 
 
@@ -240,6 +231,15 @@ class TestGradient:
             pf = build_posterior(vm, data)
             z = rng.normal(scale=0.8, size=pf.dimension)
             gradient_check(pf, z)
+
+    def test_value_matches_value_and_grad_exactly(self):
+        # RWM reads log_density and NUTS log_density_and_grad: the two must agree bit for bit
+        rng = np.random.default_rng(2718)
+        for _ in range(100):
+            spec, data = _random_model_and_data(rng)
+            pf = build_posterior(validate_model(spec, data.column_names()), data)
+            z = rng.normal(scale=0.8, size=pf.dimension)
+            assert pf.log_density(z) == pf.log_density_and_grad(z)[0]
 
     def test_experiment_model_gradient(self, experiment_dataset):
         pf = _experiment_pf(experiment_dataset)

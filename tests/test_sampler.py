@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from scipy import stats
 
 from plainbayes.data_io import Dataset, SimConfig, simulate_linear
 from plainbayes.distributions import LogisticIntervalTransform
-from plainbayes.errors import AllDivergent, NonFiniteDensity, SamplerError
+from plainbayes.errors import AllDivergent, BadInitialPoint, MalformedTrace, NonFiniteDensity, SamplerError
 from plainbayes.posterior import PosteriorFn, build_posterior
 from plainbayes.sampler import (
     SamplerConfig,
@@ -237,6 +238,18 @@ class TestNonFiniteGradient:
             nuts_sample(pf, SamplerConfig(chains=1, warmup_draws=50, kept_draws=10, seed=0))
 
 
+class TestBadInitialPoint:
+    @pytest.mark.parametrize("sample", [nuts_sample, rwm_sample])
+    def test_no_finite_start_raises(self, sample):
+        pf = PosteriorFn(
+            param_names=["a", "b"],
+            log_density_and_grad=lambda z: (-math.inf, np.zeros_like(z)),
+            log_density=lambda z: -math.inf,
+        )
+        with pytest.raises(BadInitialPoint, match="100 jittered"):
+            sample(pf, SamplerConfig(chains=1, warmup_draws=10, kept_draws=10, seed=0))
+
+
 class TestNonFiniteDensity:
     RATIO_MODEL = """
     {"priors": {"alpha": {"distribution": "Normal", "params": {"mu": 0, "sigma": 25}},
@@ -320,9 +333,33 @@ class TestTraceSerialization:
         assert first == "chain,draw,a,b"
 
     def test_empty_file_rejected(self, tmp_path):
-        from plainbayes.errors import MalformedTrace
-
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(MalformedTrace):
             load_trace(path)
+
+    @pytest.mark.parametrize("bad_row", ["-2,0,1.0", "0,-1,1.0"])
+    def test_negative_ids_rejected(self, tmp_path, bad_row):
+        # negative indexing would map -2 onto chain 0 and load a 2 x 2 trace
+        path = tmp_path / "t.csv"
+        path.write_text(f"chain,draw,a\n{bad_row}\n0,1,2.0\n1,0,3.0\n1,1,4.0\n")
+        with pytest.raises(MalformedTrace, match=r"t\.csv:2: negative"):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"param_names": ["a"], "config": {"chains": 2, "thinning": 2}, "stats": {}},
+            {"param_names": ["a"], "config": [1, 2], "stats": {}},
+            ["a"],
+            {"param_names": ["a"], "stats": [1, 2]},
+        ],
+        ids=["unknown-config-key", "config-not-object", "payload-not-object", "stats-not-object"],
+    )
+    def test_malformed_sidecar_rejected(self, tmp_path, payload):
+        trace = Trace(param_names=["a"], draws=np.zeros((2, 3, 1)), stats={})
+        csv_path, stats_path = tmp_path / "t.csv", tmp_path / "stats.json"
+        save_trace(trace, csv_path)
+        stats_path.write_text(json.dumps(payload))
+        with pytest.raises(MalformedTrace, match="stats.json"):
+            load_trace(csv_path, stats_path)
