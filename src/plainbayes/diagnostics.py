@@ -166,10 +166,15 @@ def _ess_core(arr: np.ndarray) -> float:
 
 
 def ess_bulk(chains) -> float:
-    """Bulk effective sample size: rank-normalized, split-chain ESS."""
+    """Bulk effective sample size: rank-normalized, split-chain ESS.
+
+    NaN if any draw is not finite: the ranks, and so the ESS, are undefined.
+    """
     arr = _as_chain_matrix(chains)
     if arr.shape[1] < 4:
         raise InsufficientSamples(f"ess_bulk needs >= 4 draws per chain, got {arr.shape[1]}")
+    if not np.isfinite(arr).all():
+        return math.nan
     if float(np.var(arr)) == 0.0:
         warnings.warn("all samples are identical; ess_bulk is undefined", ZeroVarianceWarning, stacklevel=2)
         return math.nan
@@ -179,7 +184,8 @@ def ess_bulk(chains) -> float:
 def hdi(samples, prob: float) -> tuple[float, float]:
     """Narrowest interval of ``ceil(prob*n)`` consecutive sorted samples.
 
-    Ties are broken toward the lowest left endpoint.
+    Ties are broken toward the lowest left endpoint.  NaN at both ends if
+    any sample is not finite.
     """
     if not 0.0 < prob < 1.0:
         raise PlainbayesError(f"hdi prob must be in (0, 1), got {prob}")
@@ -187,6 +193,8 @@ def hdi(samples, prob: float) -> tuple[float, float]:
     n = sorted_samples.shape[0]
     if n < 2:
         raise InsufficientSamples(f"hdi needs >= 2 samples, got {n}")
+    if not np.isfinite(sorted_samples).all():
+        return math.nan, math.nan
     width = min(n, max(2, math.ceil(prob * n)))
     spans = sorted_samples[width - 1 :] - sorted_samples[: n - width + 1]
     best = int(np.argmin(spans))  # argmin returns the first (lowest) minimizer

@@ -1,4 +1,4 @@
-"""The likelihood-mean expression language: lexer, parser, evaluator, derivatives.
+"""The likelihood-mean expression language: lexer, parser, compiler, derivatives.
 
 Grammar (EBNF)::
 
@@ -14,14 +14,18 @@ that out-of-contract model formulas fail fast instead of misparsing.
 
 Evaluation environments may bind numpy arrays as well as scalars; arithmetic
 then broadcasts element-wise, which is how the posterior module applies one
-scalar formula across every data row.
+scalar formula across every data row.  :func:`compile_formula` turns an
+expression with its data bound into a function of the parameter values,
+once; :func:`evaluate` runs the same compiled arithmetic with every name
+bound.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -44,6 +48,8 @@ __all__ = [
     "parse",
     "parse_formula",
     "free_vars",
+    "check_finite",
+    "compile_formula",
     "evaluate",
     "differentiate",
     "simplify",
@@ -239,36 +245,80 @@ def free_vars(ast: FormulaAst) -> set[str]:
 
 
 def _all_finite(value) -> bool:
-    return bool(np.all(np.isfinite(value)))
+    return bool(np.isfinite(value).all())
 
 
-def _eval(node: FormulaAst, env: Mapping[str, object]):
-    if isinstance(node, NumberLiteral):
-        return node.value
-    if isinstance(node, Variable):
+def check_finite(value) -> None:
+    """Raise :class:`NonFiniteResult` unless every element of ``value`` is finite."""
+    if not _all_finite(value):
+        raise NonFiniteResult("expression evaluated to a non-finite value", value=value)
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _operation(node: Binary) -> Callable:
+    """The node's arithmetic as ``f(left, right)``."""
+    if node.op != "/":
+        return _ARITHMETIC[node.op]
+
+    def divide(left, right):
+        # Non-finite quotients are an error, not IEEE propagation.
         try:
-            return env[node.name]
-        except KeyError:
-            raise UnboundVariable(node.name) from None
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = left / right
+        except ZeroDivisionError:
+            raise NonFiniteResult(f"division by zero in {to_source(node)!r}") from None
+        if not _all_finite(out):
+            raise NonFiniteResult(f"non-finite quotient in {to_source(node)!r}", value=out)
+        return out
+
+    return divide
+
+
+def _compile(node: FormulaAst, index: Mapping[str, int], data: Mapping[str, object]):
+    """``(value, None)`` for a parameter-free subtree that evaluates cleanly, else ``(None, fn)``."""
+    if isinstance(node, NumberLiteral):
+        return node.value, None
+    if isinstance(node, Variable):
+        if node.name in index:
+            return None, operator.itemgetter(index[node.name])
+        if node.name in data:
+            return data[node.name], None
+
+        def unbound(values):
+            raise UnboundVariable(node.name)
+
+        return None, unbound
     if isinstance(node, Negate):
-        return -_eval(node.child, env)
-    left = _eval(node.left, env)
-    right = _eval(node.right, env)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    # Division: non-finite quotients are an error, not IEEE propagation.
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = left / right
-    except ZeroDivisionError:
-        raise NonFiniteResult(f"division by zero in {to_source(node)!r}") from None
-    if not _all_finite(out):
-        raise NonFiniteResult(f"non-finite quotient in {to_source(node)!r}", value=out)
-    return out
+        value, fn = _compile(node.child, index, data)
+        return (-value, None) if fn is None else (None, lambda values: -fn(values))
+    op = _operation(node)
+    left, left_fn = _compile(node.left, index, data)
+    right, right_fn = _compile(node.right, index, data)
+    if left_fn is None and right_fn is None:
+        try:
+            return op(left, right), None
+        except NonFiniteResult:
+            return None, lambda values: op(left, right)  # raises again at every call
+    if left_fn is None:
+        return None, lambda values: op(left, right_fn(values))
+    if right_fn is None:
+        return None, lambda values: op(left_fn(values), right)
+    return None, lambda values: op(left_fn(values), right_fn(values))
+
+
+def compile_formula(ast: FormulaAst, params: Sequence[str], data: Mapping[str, object]):
+    """Compile the expression, with ``data`` bound, into ``fn(values)`` of the ``params`` values.
+
+    ``fn`` does the numpy or float operations of :func:`evaluate`, in the
+    same order, less its final :func:`check_finite`.  Parameter-free
+    subtrees are computed here, once; a parameter-free expression returns
+    its value in place of ``fn``.  A subtree that raises (a non-finite
+    quotient, an unbound name) raises when ``fn`` is called, as evaluation does.
+    """
+    value, fn = _compile(ast, {name: i for i, name in enumerate(params)}, data)
+    return value if fn is None else fn
 
 
 def evaluate(ast: FormulaAst, env: Mapping[str, object]):
@@ -279,9 +329,10 @@ def evaluate(ast: FormulaAst, env: Mapping[str, object]):
     names and :class:`NonFiniteResult` if any (intermediate quotient or
     final) value is not finite.
     """
-    value = _eval(ast, env)
-    if not _all_finite(value):
-        raise NonFiniteResult("expression evaluated to a non-finite value", value=value)
+    value, fn = _compile(ast, {}, env)
+    if fn is not None:  # a subtree raised while compiling: raise it here
+        value = fn(())
+    check_finite(value)
     return value
 
 
@@ -409,13 +460,3 @@ def _print(node: FormulaAst) -> tuple[str, int]:
 def to_source(ast: FormulaAst) -> str:
     """Render the AST as formula source; ``parse_formula(to_source(a)) == a``."""
     return _print(ast)[0]
-
-
-def iter_nodes(ast: FormulaAst) -> Iterator[FormulaAst]:
-    """Pre-order traversal of every node in the tree."""
-    yield ast
-    if isinstance(ast, Negate):
-        yield from iter_nodes(ast.child)
-    elif isinstance(ast, Binary):
-        yield from iter_nodes(ast.left)
-        yield from iter_nodes(ast.right)

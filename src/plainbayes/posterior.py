@@ -11,9 +11,12 @@ likelihood-mean formula evaluated on row r, and sigma is the constrained
 noise parameter.  Gradients are exact: symbolic formula partials chained
 with analytic distribution and transform derivatives.
 
-The formula is evaluated once per call with data columns bound as arrays;
-numpy broadcasting makes this identical to evaluating the scalar formula
-row by row.
+The formula and its partials are compiled once with the data columns bound
+as arrays, so a call repeats only the parameter-dependent operations, those
+of evaluating the formula in the same order; numpy broadcasting makes this
+identical to evaluating the scalar formula row by row.  The mean is checked
+through the likelihood's own ``t . t``; only if that is not finite are the
+rows scanned for the first offending one.
 
 Density policy: proposals outside a prior's support (or with a degenerate
 noise scale) get -inf so samplers can reject them; a non-finite likelihood
@@ -23,7 +26,7 @@ mean raises :class:`NonFiniteDensity`; NaN anywhere is a hard error.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -98,6 +101,18 @@ class PosteriorFn:
         return dict(zip(self.param_names, map(float, z)))
 
 
+def _rows(value, n_rows: int) -> np.ndarray:
+    """``value`` as an n-vector of floats; an array already is one (data columns are n-vectors)."""
+    if isinstance(value, np.ndarray):
+        return value
+    return np.broadcast_to(np.asarray(value, dtype=float), (n_rows,))
+
+
+def _at(compiled, x, n_rows: int) -> np.ndarray:
+    """A compiled expression's n-vector at the parameter values ``x``."""
+    return _rows(compiled(x), n_rows) if callable(compiled) else compiled
+
+
 def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: str = "y") -> PosteriorFn:
     """Compile a model + dataset into a PosteriorFn."""
     spec = model.spec
@@ -119,17 +134,21 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             raise UnresolvedVariable(v, "dataset does not provide this column")
     fixed_env = {v: data.columns[v] for v in column_vars}
 
-    ast = model.formula_ast
-    partials = [formula.differentiate(ast, name) for name in names]
+    def compile_rows(ast):
+        """``ast`` compiled over the parameters; if parameter-free, its n-vector, computed once."""
+        compiled = formula.compile_formula(ast, names, fixed_env)
+        return compiled if callable(compiled) else np.ascontiguousarray(_rows(compiled, n_rows))
 
-    def _mu(env: Mapping[str, object]) -> np.ndarray:
-        try:
-            value = formula.evaluate(ast, env)
-        except NonFiniteResult as exc:
-            bad = np.broadcast_to(np.asarray(exc.value, dtype=float), (n_rows,)) if exc.value is not None else None
-            row = int(np.argmin(np.isfinite(bad))) if bad is not None else None
-            raise NonFiniteDensity(f"likelihood mean is non-finite: {exc}", row=row) from None
-        return np.broadcast_to(np.asarray(value, dtype=float), (n_rows,))
+    mean = compile_rows(model.formula_ast)
+    # (i, d mu / d x_i) for each parameter whose partial is not the literal 0,
+    # which would add exactly +0.0; the noise scale always, with None for 0.
+    partials = []
+    for i, name in enumerate(names):
+        partial = formula.differentiate(model.formula_ast, name)
+        if partial != formula.NumberLiteral(0.0):
+            partials.append((i, compile_rows(partial)))
+        elif i == noise_index:
+            partials.append((i, None))
 
     def density(z: np.ndarray, with_grad: bool):
         """Log density at ``z``; with ``with_grad``, the pair (value, gradient)."""
@@ -143,10 +162,17 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
         sigma = x[noise_index]
         loglik = -math.inf  # outside a prior's support, or noise-scale underflow/overflow
         if total > -math.inf and sigma > 0.0 and math.isfinite(sigma):
-            env = dict(zip(names, x), **fixed_env)
-            resid = y - _mu(env)
-            t = resid / sigma
-            loglik = -0.5 * float(np.dot(t, t)) - n_rows * math.log(sigma) - 0.5 * n_rows * _LOG_2PI
+            try:
+                resid = y - _at(mean, x, n_rows)
+                t = resid / sigma
+                tt = float(np.dot(t, t))
+                if not math.isfinite(tt):  # a non-finite mean makes t.t non-finite
+                    formula.check_finite(_at(mean, x, n_rows))
+            except NonFiniteResult as exc:
+                bad = np.broadcast_to(np.asarray(exc.value, dtype=float), (n_rows,)) if exc.value is not None else None
+                row = int(np.argmin(np.isfinite(bad))) if bad is not None else None
+                raise NonFiniteDensity(f"likelihood mean is non-finite: {exc}", row=row) from None
+            loglik = -0.5 * tt - n_rows * math.log(sigma) - 0.5 * n_rows * _LOG_2PI
             if math.isnan(loglik):
                 raise NonFiniteDensity("likelihood log density is NaN")
         if loglik == -math.inf:
@@ -161,20 +187,30 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
         dprior = np.array([dist.dlogpdf_dx(xi) for dist, xi in zip(dists, x)], dtype=float)
         grad = dprior * dfwd + dljk
 
-        inv_var = 1.0 / (sigma * sigma)
+        # d loglik / d x_i = w * (r . d mu / d x_i), plus dsigma for the noise scale
+        cube = sigma * sigma * sigma
+        if cube > 0.0:
+            r, w = resid, 1.0 / (sigma * sigma)
+            dsigma = float(np.dot(resid, resid)) / cube - n_rows / sigma
+        else:
+            # sigma^3 underflows to 0: the same derivatives through t = resid / sigma,
+            # only here, so that every other sigma keeps the arithmetic the draws depend on
+            r, w = t, 1.0 / sigma
+            dsigma = (tt - n_rows) * w
         try:
-            for i, partial in enumerate(partials):
-                dmu = np.broadcast_to(np.asarray(formula.evaluate(partial, env), dtype=float), (n_rows,))
-                s = inv_var * float(np.dot(resid, dmu))
+            for i, dmu in partials:
+                s = 0.0 if dmu is None else w * float(np.dot(r, _at(dmu, x, n_rows)))
                 if i == noise_index:
-                    s += float(np.dot(resid, resid)) / (sigma * sigma * sigma) - n_rows / sigma
+                    s += dsigma
                 grad[i] += s * dfwd[i]
         except NonFiniteResult:
             # derivative overflow (e.g. near a division singularity) while
-            # the density itself is fine: same policy as non-finite grad
+            # the density itself is fine: same policy as non-finite grad.
+            # A non-finite partial that raises nothing makes its component
+            # non-finite, which the same check catches.
             grad[:] = math.nan
 
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             # Overflow in the chain rule at an astronomically improbable point
             # is a rejection, not a bug; the sampler will flag it divergent.
             if total < _GRADIENT_OVERFLOW_FLOOR:

@@ -549,7 +549,10 @@ def load_trace(csv_path, stats_path=None) -> Trace:
     config = None
     if stats_path is not None:
         with open(stats_path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise MalformedTrace(f"{stats_path}: not valid JSON: {exc}") from None
         if not isinstance(payload, dict) or not isinstance(payload.get("stats", {}), dict):
             raise MalformedTrace(f"{stats_path}: expected a JSON object with a 'stats' object")
         sidecar_names = payload.get("param_names")

@@ -1,10 +1,18 @@
+import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import plainbayes
 from plainbayes.cli import main
 from plainbayes.data_io import load_csv
+from plainbayes.errors import SummaryCellWarning
 from plainbayes.sampler import load_trace
 
 EXAMPLES = resources.files("plainbayes") / "resources" / "examples"
@@ -153,6 +161,21 @@ class TestSummarize:
         assert run_cli("summarize", "--trace", empty) != 0
         assert "MalformedTrace" in capsys.readouterr().err
 
+    def test_nan_draw_gives_nan_cells(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        values = ["0.1", "0.4", "nan", "0.3", "0.9", "0.2", "0.6", "0.5"]
+        trace.write_text("chain,draw,a\n" + "".join(f"0,{d},{v}\n" for d, v in enumerate(values)))
+        with pytest.warns(SummaryCellWarning):  # mode_estimate needs 10 draws
+            assert run_cli("summarize", "--trace", trace, "--format", "json") == 0
+        row = json.loads(capsys.readouterr().out)["parameters"]["a"]
+        assert all(math.isnan(row[k]) for k in ("mean", "hdi_low", "hdi_high", "ess_bulk"))
+
+    def test_stats_sidecar_not_json(self, fit_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"stats": ')
+        assert run_cli("summarize", "--trace", fit_dir / "trace.csv", "--stats", bad) != 0
+        assert "MalformedTrace" in capsys.readouterr().err
+
 
 class TestPlot:
     def test_single_trace(self, fit_dir, tmp_path):
@@ -177,6 +200,56 @@ class TestPlot:
                        "--out-dir", tmp_path / "p")
         assert code != 0
         assert "PlotMismatch" in capsys.readouterr().err
+
+
+RECIP_MODEL = {
+    "priors": {
+        "alpha": {"distribution": "Normal", "params": {"mu": 0, "sigma": 25}},
+        "tau": {"distribution": "Exponential", "params": {"lam": 1}},
+        "sigma": {"distribution": "HalfNormal", "params": {"sigma": 25}},
+    },
+    "likelihood": {"distribution": "Normal", "formula": "alpha + X / tau"},
+}
+
+
+class TestDrawsLocked:
+    """Short fixed-seed fits must keep writing the same ``trace.csv``.
+
+    The hashes were recorded on x86-64 Linux (Python 3.11.7, numpy 2.4.6,
+    OpenBLAS single-threaded) at the commit before the formula compiler
+    replaced AST evaluation in the density, which kept every draw.  A change
+    that moves the draws updates them and names the change in CHANGES.md.
+    Another BLAS build may sum dot products in another order, so the hashes
+    hold only where they were recorded.
+    """
+
+    HASHES = {
+        "nuts-linear": "82c39359c5d514bbf31f553edd8af9ab1677fde42ad4416b547ac4bede2ff8fc",
+        "nuts-recip": "da5c08168d1c5804a80a0c2ff4425e6ba624f459bfcec363a40224713e70d02a",
+        "rwm-linear": "5dcd905412301041a28b86ef0a32d2ec383def8a213f5ad7a626b0231a0afb71",
+    }
+
+    @pytest.mark.parametrize("case", sorted(HASHES))
+    def test_trace_hash(self, tmp_path, case):
+        data = tmp_path / "data.csv"
+        assert run_cli("simulate", "--n", 40, "--seed", 42, "--out", data) == 0
+        algorithm, model = case.split("-")
+        if model == "linear":
+            model_json = EXAMPLES / "manual_priors_model.json"
+        else:
+            model_json = tmp_path / "model.json"
+            model_json.write_text(json.dumps(RECIP_MODEL))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
+        subprocess.run(
+            [
+                sys.executable, "-m", "plainbayes", "fit", "--model", str(model_json), "--data", str(data),
+                "--algorithm", algorithm, "--chains", "2", "--warmup", "150", "--draws", "100",
+                "--seed", "11", "--out-dir", str(tmp_path / "fit"),
+            ],
+            env=env, check=True, capture_output=True,
+        )
+        digest = hashlib.sha256((tmp_path / "fit" / "trace.csv").read_bytes()).hexdigest()
+        assert digest == self.HASHES[case]
 
 
 class TestRun:

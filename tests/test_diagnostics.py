@@ -92,6 +92,12 @@ class TestEssBulk:
         chains = make_rng(9).standard_normal((4, 250))
         assert ess_bulk(chains) <= 1.5 * 1000
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_draw_gives_nan(self, bad):
+        chains = make_rng(12).standard_normal((2, 50))
+        chains[1, 17] = bad
+        assert math.isnan(ess_bulk(chains))
+
 
 class TestScipyReplacements:
     def test_average_ranks_match_rankdata_on_ties(self):
@@ -154,6 +160,12 @@ class TestHdi:
     def test_insufficient(self):
         with pytest.raises(InsufficientSamples):
             hdi(np.array([1.0]), 0.94)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_sample_gives_nan(self, bad):
+        samples = make_rng(13).standard_normal(40)
+        samples[5] = bad
+        assert all(math.isnan(v) for v in hdi(samples, 0.94))
 
 
 class TestMode:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plainbayes import formula
 from plainbayes.errors import (
     IllegalCharacter,
     NonFiniteResult,
@@ -16,6 +15,8 @@ from plainbayes.formula import (
     Negate,
     NumberLiteral,
     Variable,
+    check_finite,
+    compile_formula,
     differentiate,
     evaluate,
     free_vars,
@@ -177,6 +178,53 @@ def _random_ast(rng, variables, depth):
     return Binary(op, _random_ast(rng, variables, depth - 1), _random_ast(rng, variables, depth - 1))
 
 
+class TestCompile:
+    X = np.array([1.5, 0.0, -2.0, 4.0])
+
+    def test_parameter_free_expression_is_its_value(self):
+        value = compile_formula(parse_formula("2 * X - 1"), ["a"], {"X": self.X})
+        assert not callable(value)
+        np.testing.assert_array_equal(value, 2 * self.X - 1)
+
+    def test_raising_constant_subtree_raises_at_call(self):
+        fn = compile_formula(parse_formula("a + X / (X * X)"), ["a"], {"X": self.X})
+        for _ in range(2):
+            with pytest.raises(NonFiniteResult, match=r"non-finite quotient in 'X / \(X \* X\)'"):
+                fn([1.0])
+
+    def test_unbound_name_raises_at_call(self):
+        fn = compile_formula(parse_formula("a + c"), ["a"], {"X": self.X})
+        with pytest.raises(UnboundVariable):
+            fn([1.0])
+
+    def test_random_asts_match_evaluate(self):
+        rng = np.random.default_rng(99)
+        for _ in range(500):
+            ast = _random_ast(rng, ["a", "b", "X"], depth=4)
+            values = [float(rng.uniform(-3, 3)), 0.0 if rng.random() < 0.2 else float(rng.uniform(-3, 3))]
+            env = {"a": values[0], "b": values[1], "X": self.X}
+            outcomes = []
+            for run in (
+                lambda: evaluate(ast, env),
+                lambda: _checked(compile_formula(ast, ["a", "b"], {"X": self.X}), values),
+            ):
+                try:
+                    outcomes.append(("ok", run()))
+                except NonFiniteResult as exc:
+                    outcomes.append((str(exc), exc.value))
+            (kind, value), (other_kind, other_value) = outcomes
+            assert kind == other_kind, to_source(ast)
+            assert (value is None) == (other_value is None), to_source(ast)
+            if value is not None:
+                assert np.array_equal(value, other_value, equal_nan=True), to_source(ast)
+
+
+def _checked(compiled, values):
+    value = compiled(values) if callable(compiled) else compiled
+    check_finite(value)
+    return value
+
+
 class TestFiniteDifferenceProperty:
     def test_derivative_matches_central_differences(self):
         rng = np.random.default_rng(2024)
@@ -207,10 +255,14 @@ class TestFiniteDifferenceProperty:
 
 
 def _assert_away_from_singularity(ast, env):
-    for node in formula.iter_nodes(ast):
-        if isinstance(node, Binary) and node.op == "/":
-            denom = evaluate(node.right, env)
-            if abs(denom) < 1e-3:
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Negate):
+            stack.append(node.child)
+        elif isinstance(node, Binary):
+            stack += [node.left, node.right]
+            if node.op == "/" and abs(evaluate(node.right, env)) < 1e-3:
                 raise NonFiniteResult("near-singular denominator")
 
 

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from plainbayes import formula
 from plainbayes.data_io import Dataset
-from plainbayes.distributions import Exponential, HalfNormal, Normal, Uniform
+from plainbayes.distributions import Exponential, HalfNormal, Normal, Uniform, from_spec
 from plainbayes.errors import (
     DimensionMismatch,
     MissingResponseColumn,
     NonFiniteDensity,
+    NonFiniteGradient,
+    NonFiniteResult,
     UnresolvedVariable,
 )
-from plainbayes.posterior import build_posterior
+from plainbayes.formula import Binary, Negate, NumberLiteral, Variable
+from plainbayes.posterior import _GRADIENT_OVERFLOW_FLOOR, build_posterior
 from plainbayes.spec_schema import (
     DistributionSpec,
     LikelihoodSpec,
@@ -148,6 +152,28 @@ class TestLogDensity:
         assert abs(full_diff - prior_diff) < 1e-3
 
 
+class TestTinyNoiseScale:
+    """sigma^3 underflows to 0 below sigma of about 1.7e-108 (z_sigma below about -248)."""
+
+    @pytest.mark.parametrize("z_sigma", [-300.0, -400.0, -700.0])
+    def test_gradient_finite_where_value_is(self, z_sigma):
+        spec = ModelSpec(
+            priors={
+                "beta": DistributionSpec("Normal", {"mu": 0, "sigma": 1}),
+                "sigma": DistributionSpec("HalfNormal", {"sigma": 1}),
+            },
+            likelihood=LikelihoodSpec(formula_source="beta * X"),
+        )
+        data = Dataset({"X": np.zeros(5), "y": np.zeros(5)})
+        pf = build_posterior(validate_model(spec, data.column_names()), data)
+        z = np.array([0.0, z_sigma])
+        value, grad = pf.log_density_and_grad(z)
+        assert math.isfinite(value) and value == pf.log_density(z)
+        # d/dz_sigma: 1 - sigma^2 from the HalfNormal(1) prior and its Jacobian, -n from the likelihood
+        assert grad[0] == 0.0
+        assert grad[1] == pytest.approx(1.0 - 5, rel=1e-12)
+
+
 class TestConstrain:
     def test_zero_vector(self, experiment_dataset):
         pf = _experiment_pf(experiment_dataset)
@@ -246,3 +272,156 @@ class TestGradient:
         rng = np.random.default_rng(11)
         for _ in range(20):
             gradient_check(pf, rng.normal(scale=1.0, size=3))
+
+
+# ---------------------------------------------------------------------------
+# The compiled density against a reference: the formula walked as an AST at
+# every call, the way the density evaluated it before it was compiled.
+
+
+def _reference_eval(node, env):
+    if isinstance(node, NumberLiteral):
+        return node.value
+    if isinstance(node, Variable):
+        return env[node.name]
+    if isinstance(node, Negate):
+        return -_reference_eval(node.child, env)
+    left = _reference_eval(node.left, env)
+    right = _reference_eval(node.right, env)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = left / right
+    except ZeroDivisionError:
+        raise NonFiniteResult(f"division by zero in {formula.to_source(node)!r}") from None
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteResult(f"non-finite quotient in {formula.to_source(node)!r}", value=out)
+    return out
+
+
+def _reference_evaluate(ast, env):
+    value = _reference_eval(ast, env)
+    if not np.all(np.isfinite(value)):
+        raise NonFiniteResult("expression evaluated to a non-finite value", value=value)
+    return value
+
+
+def _reference_density(vm, data, z, with_grad):
+    spec = vm.spec
+    names = list(spec.priors)
+    dists = [from_spec(spec.priors[name]) for name in names]
+    transforms = [dist.transform() for dist in dists]
+    noise_index = names.index(spec.likelihood.noise_param)
+    y = data.columns["y"]
+    n_rows = data.n_rows
+    fixed_env = {v: data.columns[v] for v, role in vm.variable_roles.items() if role == "column"}
+    partials = [formula.differentiate(vm.formula_ast, name) for name in names]
+
+    x = [tf.forward(zi) for tf, zi in zip(transforms, z)]
+    total = 0.0
+    for zi, xi, dist, tf in zip(z, x, dists, transforms):
+        total += dist.log_pdf(xi) + tf.log_jacobian(zi)
+    if math.isnan(total):
+        raise NonFiniteDensity("prior log density is NaN")
+    sigma = x[noise_index]
+    loglik = -math.inf
+    if total > -math.inf and sigma > 0.0 and math.isfinite(sigma):
+        env = dict(zip(names, x), **fixed_env)
+        try:
+            mu = np.broadcast_to(np.asarray(_reference_evaluate(vm.formula_ast, env), dtype=float), (n_rows,))
+        except NonFiniteResult as exc:
+            bad = np.broadcast_to(np.asarray(exc.value, dtype=float), (n_rows,)) if exc.value is not None else None
+            row = int(np.argmin(np.isfinite(bad))) if bad is not None else None
+            raise NonFiniteDensity(f"likelihood mean is non-finite: {exc}", row=row) from None
+        resid = y - mu
+        t = resid / sigma
+        loglik = -0.5 * float(np.dot(t, t)) - n_rows * math.log(sigma) - 0.5 * n_rows * math.log(2.0 * math.pi)
+        if math.isnan(loglik):
+            raise NonFiniteDensity("likelihood log density is NaN")
+    if loglik == -math.inf:
+        return (-math.inf, np.zeros(len(z))) if with_grad else -math.inf
+    total += loglik
+    if not with_grad:
+        return total
+    dljk = np.array([tf.dlog_jacobian_dz(zi) for tf, zi in zip(transforms, z)], dtype=float)
+    dfwd = np.array([tf.dforward_dz(zi) for tf, zi in zip(transforms, z)], dtype=float)
+    dprior = np.array([dist.dlogpdf_dx(xi) for dist, xi in zip(dists, x)], dtype=float)
+    grad = dprior * dfwd + dljk
+    inv_var = 1.0 / (sigma * sigma)
+    try:
+        for i, partial in enumerate(partials):
+            dmu = np.broadcast_to(np.asarray(_reference_evaluate(partial, env), dtype=float), (n_rows,))
+            s = inv_var * float(np.dot(resid, dmu))
+            if i == noise_index:
+                s += float(np.dot(resid, resid)) / (sigma * sigma * sigma) - n_rows / sigma
+            grad[i] += s * dfwd[i]
+    except NonFiniteResult:
+        grad[:] = math.nan
+    if not np.all(np.isfinite(grad)):
+        if total < _GRADIENT_OVERFLOW_FLOOR:
+            return total, np.zeros(len(z))
+        raise NonFiniteGradient("gradient contains non-finite components", z=z)
+    return total, grad
+
+
+def _outcome(fn, z):
+    """A call's result, or its exception as (type, message, row)."""
+    try:
+        return fn(z)
+    except (NonFiniteDensity, NonFiniteGradient) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+
+
+def _assert_same_as_reference(vm, data, z):
+    pf = build_posterior(vm, data)
+    with np.errstate(over="ignore"):  # as the sampler runs it
+        value = _outcome(pf.log_density, z)
+        assert value == _outcome(lambda v: _reference_density(vm, data, v, False), z)
+        pair = _outcome(pf.log_density_and_grad, z)
+        expected = _outcome(lambda v: _reference_density(vm, data, v, True), z)
+    if isinstance(expected[1], np.ndarray):
+        assert pair[0] == expected[0] and np.array_equal(pair[1], expected[1])
+    else:
+        assert pair == expected
+
+
+class TestCompiledMatchesReference:
+    def test_random_models_bit_for_bit(self):
+        rng = np.random.default_rng(31415)
+        for _ in range(200):
+            spec, data = _random_model_and_data(rng)
+            vm = validate_model(spec, data.column_names())
+            for scale in (0.8, 6.0):
+                _assert_same_as_reference(vm, data, rng.normal(scale=scale, size=len(spec.priors)))
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "a / X",  # X = 0 on one row: a non-finite quotient at that row
+            "a + X / (X * X)",  # a parameter-free subtree that raises at every call
+            "X / a",  # a = 0 at z_a = 0
+            "a / (b - b)",  # a zero denominator for every z
+            "a * X / (b * X) + s",  # 0 / 0 on the X = 0 row
+            "a + b / s",  # the noise scale in the mean; s near 0 in z-space far below 0
+            "a * (b / b)",  # a finite mean whose partial for b is 0 / 0 once b * b underflows
+        ],
+    )
+    def test_division_singularities_raise_alike(self, source):
+        spec = ModelSpec(
+            priors={
+                "a": DistributionSpec("Normal", {"mu": 0, "sigma": 2}),
+                "b": DistributionSpec("Exponential", {"lam": 1}),
+                "s": DistributionSpec("HalfNormal", {"sigma": 3}),
+            },
+            likelihood=LikelihoodSpec(formula_source=source, noise_param="s"),
+        )
+        data = Dataset({"X": np.array([1.5, -2.0, 0.0, 3.0]), "y": np.array([0.5, -1.0, 0.0, 2.0])})
+        vm = validate_model(spec, data.column_names())
+        zs = ([0.0, 0.0, 0.0], [1.0, -0.5, 0.3], [0.0, -800.0, 0.2], [0.5, -400.0, 0.2], [2.0, 3.0, -200.0], [0.5, 0.5, -750.0])
+        for z in zs:
+            _assert_same_as_reference(vm, data, np.array(z))

@@ -363,3 +363,11 @@ class TestTraceSerialization:
         stats_path.write_text(json.dumps(payload))
         with pytest.raises(MalformedTrace, match="stats.json"):
             load_trace(csv_path, stats_path)
+
+    def test_sidecar_not_json_rejected(self, tmp_path):
+        trace = Trace(param_names=["a"], draws=np.zeros((2, 3, 1)), stats={})
+        csv_path, stats_path = tmp_path / "t.csv", tmp_path / "stats.json"
+        save_trace(trace, csv_path)
+        stats_path.write_text('{"stats": ')
+        with pytest.raises(MalformedTrace, match="stats.json: not valid JSON"):
+            load_trace(csv_path, stats_path)
