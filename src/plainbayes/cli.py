@@ -201,20 +201,18 @@ def _public_llm_config(cfg: elicitation.LlmConfig) -> dict:
     return obj  # the config holds the key's env-var NAME only, never the key
 
 
-def _fit(model_path, data_path, scfg: sampler.SamplerConfig, response_column: str):
-    spec = spec_schema.parse_model_json(Path(model_path).read_text(encoding="utf-8"))
-    dataset = data_io.load_csv(data_path)
+def _fit(spec, dataset, scfg: sampler.SamplerConfig, response_column: str) -> sampler.Trace:
     validated = spec_schema.validate_model(spec, dataset.column_names())
     pf = build_posterior(validated, dataset, response_column=response_column)
-    trace = sampler.sample(pf, scfg)
-    return trace
+    return sampler.sample(pf, scfg)
 
 
 def _cmd_fit(args) -> int:
     scfg = _sampler_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace = _fit(args.model, args.data, scfg, args.response_column)
+    spec = spec_schema.parse_model_json(Path(args.model).read_text(encoding="utf-8"))
+    trace = _fit(spec, data_io.load_csv(args.data), scfg, args.response_column)
     trace_path = out_dir / "trace.csv"
     stats_path = out_dir / "stats.json"
     sampler.save_trace(trace, trace_path, stats_path)
@@ -337,9 +335,7 @@ def _cmd_run(args) -> int:
 
     traces = {}
     for prefix, job_spec in jobs:
-        validated = spec_schema.validate_model(job_spec, dataset.column_names())
-        pf = build_posterior(validated, dataset, response_column=args.response_column)
-        trace = sampler.sample(pf, scfg)
+        trace = _fit(job_spec, dataset, scfg, args.response_column)
         traces[prefix] = trace
         sampler.save_trace(trace, out_dir / f"{prefix}trace.csv", out_dir / f"{prefix}stats.json")
         manifest.add_output(out_dir / f"{prefix}trace.csv")

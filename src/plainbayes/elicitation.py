@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-
-import requests
 
 from .errors import (
     ElicitationError,
@@ -97,14 +96,16 @@ class LlmConfig:
     def __post_init__(self):
         if self.mode not in ("live", "replay", "record"):
             raise ElicitationError(f"unknown mode {self.mode!r} (expected live, replay, or record)")
-        if self.mode in ("live", "record") and not self.endpoint_url:
-            raise ElicitationError(f"endpoint_url is required in {self.mode} mode")
+        if self.mode in ("live", "record") and not self.endpoint_url.lower().startswith(("http://", "https://")):
+            raise ElicitationError(f"an http(s) endpoint_url is required in {self.mode} mode")
         if self.mode in ("replay", "record") and self.fixtures_dir is None:
             raise ElicitationError(f"fixtures_dir is required in {self.mode} mode")
         if self.temperature < 0:
             raise ElicitationError(f"temperature must be >= 0, got {self.temperature}")
         if self.max_retries < 0:
             raise ElicitationError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ElicitationError(f"timeout must be finite and > 0, got {self.timeout}")
 
 
 class FixtureStore:
@@ -124,7 +125,12 @@ class FixtureStore:
         path = self.path_for(prompt)
         if not path.exists():
             raise FixtureMiss(self.key_for(prompt))
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ElicitationError(f"fixture {path}: not valid JSON: {exc}") from None
+        if not isinstance(payload, dict) or not isinstance(payload.get("response_text"), str):
+            raise ElicitationError(f"fixture {path}: expected a JSON object with a string 'response_text'")
         return payload["response_text"]
 
     def put(self, prompt: str, response_text: str, model_name: str) -> Path:
@@ -199,20 +205,32 @@ def _live_call(prompt: str, cfg: LlmConfig) -> str:
         "messages": [{"role": "user", "content": prompt}],
         "temperature": cfg.temperature,
     }
-    headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+    import http.client
+    import urllib.error
+    import urllib.request  # only live and record modes pay for these imports
+
     try:
-        response = requests.post(cfg.endpoint_url, json=payload, headers=headers, timeout=cfg.timeout)
-    except requests.Timeout:
-        raise LlmTimeout(f"no response within {cfg.timeout}s") from None
-    except requests.RequestException as exc:
+        request = urllib.request.Request(
+            cfg.endpoint_url,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"},
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=cfg.timeout) as response:
+            body = response.read()
+    except urllib.error.HTTPError as exc:  # a non-2xx status; must precede URLError, its base
+        raise HttpError(exc.code, exc.read().decode("utf-8", errors="replace")[:300]) from None
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        # a connect timeout arrives wrapped in URLError, a read timeout bare
+        if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
+            raise LlmTimeout(f"no response within {cfg.timeout}s") from None
         # never interpolate headers/key material into the message
         raise HttpError(0, f"transport failure: {type(exc).__name__}") from None
-    if not 200 <= response.status_code < 300:
-        raise HttpError(response.status_code, response.text[:300])
     try:
-        document = response.json()
+        document = json.loads(body)
     except ValueError:
-        raise LlmProtocolError(f"endpoint did not return JSON: {response.text[:120]!r}") from None
+        excerpt = body.decode("utf-8", errors="replace")[:120]
+        raise LlmProtocolError(f"endpoint did not return JSON: {excerpt!r}") from None
     return _resolve_pointer(document, cfg.response_text_pointer)
 
 

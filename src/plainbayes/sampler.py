@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -333,7 +334,11 @@ def _find_reasonable_step_size(vag, z, logp, grad, inv_mass, rng, init: float) -
     return eps
 
 
+_NUTS_STATS = (("accept_prob", float), ("tree_depth", np.int64), ("divergent", bool), ("step_size", float))
+
+
 def _run_nuts_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
+    """Warm up, then yield ``(z, stats_row)`` per kept transition, ordered as ``_NUTS_STATS``."""
     rng = _chain_rng(cfg.seed, chain_index)
     dim = pf.dimension
     vag = pf.log_density_and_grad
@@ -354,39 +359,27 @@ def _run_nuts_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
             inv_mass = window_var
 
     eps = averaging.averaged if cfg.warmup_draws > 0 else eps
-
-    draws = np.empty((cfg.kept_draws, dim))
-    accept_stats = np.empty(cfg.kept_draws)
-    depths = np.empty(cfg.kept_draws, dtype=np.int64)
-    divergences = np.zeros(cfg.kept_draws, dtype=bool)
-    for d in range(cfg.kept_draws):
+    while True:
         z, logp, grad, accept, depth, divergent = _nuts_transition(
             vag, z, logp, grad, eps, inv_mass, rng, cfg.max_tree_depth
         )
-        constrained = pf.constrain(z)
-        draws[d] = [constrained[name] for name in pf.param_names]
-        accept_stats[d] = accept
-        depths[d] = depth
-        divergences[d] = divergent
-    step_sizes = np.full(cfg.kept_draws, eps)
-    return draws, {
-        "accept_prob": accept_stats,
-        "tree_depth": depths,
-        "divergent": divergences,
-        "step_size": step_sizes,
-    }
+        yield z, (accept, depth, divergent, eps)
 
 
 def nuts_sample(pf: PosteriorFn, cfg: SamplerConfig) -> Trace:
     """Run ``cfg.chains`` independent NUTS chains and collect kept draws."""
-    return _run_chains(_run_nuts_chain, pf, cfg)
+    return _run_chains(_run_nuts_chain, _NUTS_STATS, pf, cfg)
 
 
 # ---------------------------------------------------------------------------
 # Random-walk Metropolis
 
 
+_RWM_STATS = (("accept_prob", float), ("step_accepted", bool), ("divergent", bool), ("step_size", float))
+
+
 def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
+    """Warm up, then yield ``(z, stats_row)`` per kept transition, ordered as ``_RWM_STATS``."""
     rng = _chain_rng(cfg.seed, chain_index)
     dim = pf.dimension
     value = pf.log_density
@@ -420,51 +413,39 @@ def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
 
     multiplier = averaging.averaged if cfg.warmup_draws > 0 else multiplier
     scale = multiplier * base_scale
-
-    draws = np.empty((cfg.kept_draws, dim))
-    accept_stats = np.empty(cfg.kept_draws)
-    accepted = np.zeros(cfg.kept_draws, dtype=bool)
-    for d in range(cfg.kept_draws):
+    while True:
         z, logp, alpha, moved = step(z, logp, scale)
-        constrained = pf.constrain(z)
-        draws[d] = [constrained[name] for name in pf.param_names]
-        accept_stats[d] = alpha
-        accepted[d] = moved
-    return draws, {
-        "accept_prob": accept_stats,
-        "step_accepted": accepted,
-        "divergent": np.zeros(cfg.kept_draws, dtype=bool),
-        "step_size": np.full(cfg.kept_draws, multiplier),
-    }
+        yield z, (alpha, moved, False, multiplier)
 
 
 def rwm_sample(pf: PosteriorFn, cfg: SamplerConfig) -> Trace:
     """Gradient-free fallback: adaptive Gaussian random-walk Metropolis."""
-    return _run_chains(_run_rwm_chain, pf, cfg)
+    return _run_chains(_run_rwm_chain, _RWM_STATS, pf, cfg)
 
 
-def _run_chains(run_chain: Callable, pf: PosteriorFn, cfg: SamplerConfig) -> Trace:
+def _run_chains(run_chain: Callable, stat_types, pf: PosteriorFn, cfg: SamplerConfig) -> Trace:
+    """Pull ``cfg.kept_draws`` kept ``(z, stats_row)`` transitions from each
+    chain's runner and collect the constrained draws and the named stats."""
     if pf.dimension < 1:
         raise SamplerError("posterior must have dimension >= 1")
+    draws = np.empty((cfg.chains, cfg.kept_draws, pf.dimension))
+    stats = {name: np.empty((cfg.chains, cfg.kept_draws), dtype) for name, dtype in stat_types}
     with np.errstate(over="ignore"):
-        per_chain = [run_chain(pf, cfg, c) for c in range(cfg.chains)]
-    trace = _assemble(pf, cfg, per_chain)
-    divergent_fraction = float(np.mean(trace.stats["divergent"]))
+        for c in range(cfg.chains):
+            for d, (z, stats_row) in enumerate(islice(run_chain(pf, cfg, c), cfg.kept_draws)):
+                constrained = pf.constrain(z)
+                draws[c, d] = [constrained[name] for name in pf.param_names]
+                for column, value in zip(stats.values(), stats_row):
+                    column[c, d] = value
+    divergent_fraction = float(np.mean(stats["divergent"]))
     if divergent_fraction > 0.5:
         raise AllDivergent(divergent_fraction)
-    return trace
+    return Trace(param_names=list(pf.param_names), draws=draws, stats=stats, config=cfg)
 
 
 def sample(pf: PosteriorFn, cfg: SamplerConfig) -> Trace:
     """Dispatch on ``cfg.algorithm``."""
     return nuts_sample(pf, cfg) if cfg.algorithm == "nuts" else rwm_sample(pf, cfg)
-
-
-def _assemble(pf: PosteriorFn, cfg: SamplerConfig, per_chain) -> Trace:
-    draws = np.stack([chain_draws for chain_draws, _ in per_chain])
-    stat_names = per_chain[0][1].keys()
-    stats = {name: np.stack([chain_stats[name] for _, chain_stats in per_chain]) for name in stat_names}
-    return Trace(param_names=list(pf.param_names), draws=draws, stats=stats, config=cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 import plainbayes
 from plainbayes.cli import main
 from plainbayes.data_io import load_csv
+from plainbayes.elicitation import FixtureStore, render_model_prompt
 from plainbayes.errors import SummaryCellWarning
 from plainbayes.sampler import load_trace
 
@@ -106,6 +107,27 @@ class TestElicit:
         )
         assert code != 0
         assert "MissingApiKey" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ['{"response_text": ', '{"x": 1}'])
+    def test_corrupt_fixture_fails_in_one_line(self, tmp_path, capsys, body):
+        description = EXAMPLES / "linear_regression_description.txt"
+        prompt = render_model_prompt(description.read_text(encoding="utf-8"))
+        fixture = FixtureStore(tmp_path).path_for(prompt)
+        fixture.write_text(body, encoding="utf-8")
+        code = run_cli("elicit-model", "--description-file", description, "--fixtures-dir", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("elicit-model: ElicitationError: ") and str(fixture) in err
+        assert err.count("\n") == 1
+
+    def test_nonpositive_timeout_fails_in_one_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        code = run_cli(
+            "elicit-model", "--description-file", EXAMPLES / "linear_regression_description.txt",
+            "--llm-mode", "live", "--endpoint-url", "http://127.0.0.1:9/x", "--timeout", -1,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "elicit-model: ElicitationError: timeout must be finite and > 0, got -1.0\n"
 
 
 class TestFit:
@@ -213,20 +235,28 @@ RECIP_MODEL = {
 
 
 class TestDrawsLocked:
-    """Short fixed-seed fits must keep writing the same ``trace.csv``.
+    """Short fixed-seed fits must keep writing the same ``trace.csv`` and
+    ``stats.json``.
 
     The hashes were recorded on x86-64 Linux (Python 3.11.7, numpy 2.4.6,
-    OpenBLAS single-threaded) at the commit before the formula compiler
-    replaced AST evaluation in the density, which kept every draw.  A change
-    that moves the draws updates them and names the change in CHANGES.md.
-    Another BLAS build may sum dot products in another order, so the hashes
-    hold only where they were recorded.
+    OpenBLAS single-threaded): the trace hashes at the commit before the
+    formula compiler replaced AST evaluation in the density, the stats hashes
+    (which also pin the stat names, their order and their dtypes) at the
+    commit before the chain runners' kept-draw loops became one.  Both
+    changes kept every draw.  A change that moves the draws updates them and
+    names the change in CHANGES.md.  Another BLAS build may sum dot products
+    in another order, so the hashes hold only where they were recorded.
     """
 
     HASHES = {
         "nuts-linear": "82c39359c5d514bbf31f553edd8af9ab1677fde42ad4416b547ac4bede2ff8fc",
         "nuts-recip": "da5c08168d1c5804a80a0c2ff4425e6ba624f459bfcec363a40224713e70d02a",
         "rwm-linear": "5dcd905412301041a28b86ef0a32d2ec383def8a213f5ad7a626b0231a0afb71",
+    }
+    STATS_HASHES = {
+        "nuts-linear": "ead6054507afe78ab1904dc4505578602d805f04ea9e9fad14d36ae501cbd436",
+        "nuts-recip": "d7eb119480ef2ee369c1ea4a5f04f146e614db93aa0d6ded6e5b42a030899e24",
+        "rwm-linear": "bef057caa293b5c956530fa0f3b6b819231819e7180d6db680d89effa27ee7b0",
     }
 
     @pytest.mark.parametrize("case", sorted(HASHES))
@@ -250,6 +280,8 @@ class TestDrawsLocked:
         )
         digest = hashlib.sha256((tmp_path / "fit" / "trace.csv").read_bytes()).hexdigest()
         assert digest == self.HASHES[case]
+        digest = hashlib.sha256((tmp_path / "fit" / "stats.json").read_bytes()).hexdigest()
+        assert digest == self.STATS_HASHES[case]
 
 
 class TestRun:

@@ -6,12 +6,14 @@ import sys
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
+from scipy.special import ndtri
 from scipy.stats import rankdata
 
 from plainbayes.data_io import make_rng
 from plainbayes.diagnostics import (
     _average_ranks,
     _next_fast_len,
+    _rank_normalize,
     ess_bulk,
     hdi,
     mode_estimate,
@@ -117,8 +119,20 @@ class TestScipyReplacements:
     def test_next_fast_len_matches_scipy(self):
         assert [_next_fast_len(n) for n in range(1, 30001)] == [next_fast_len(n) for n in range(1, 30001)]
 
+    @pytest.mark.parametrize("n_draws", [4_000, 40_000])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_rank_normalize_matches_ndtri(self, n_draws, tied):
+        rng = make_rng(8)
+        arr = rng.standard_normal((8, n_draws // 8))
+        if tied:  # rejected RWM proposals repeat draws
+            arr = np.round(arr, 1)
+        expected = ndtri((rankdata(arr, method="average").reshape(arr.shape) - 0.5) / arr.size)
+        np.testing.assert_allclose(_rank_normalize(arr), expected, rtol=2e-15, atol=0)
+
     def test_cli_import_skips_scipy_stats_and_fft(self):
-        code = "import sys, plainbayes.cli; print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.fft'))))"
+        # the runtime is numpy and the standard library alone
+        packages = ("scipy", "requests", "urllib3")
+        code = f"import sys, plainbayes.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 

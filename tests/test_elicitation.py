@@ -1,9 +1,12 @@
 import hashlib
+import io
 import json
+import math
+import urllib.error
+import urllib.request
 
 import pytest
 
-from plainbayes import elicitation
 from plainbayes.elicitation import (
     FixtureStore,
     LlmConfig,
@@ -90,6 +93,12 @@ class TestConfig:
         with pytest.raises(ElicitationError):
             LlmConfig(mode="live")
 
+    @pytest.mark.parametrize("url", ["chat.example/v1", "file:///etc/hostname", "ftp://chat.example/v1"])
+    def test_live_requires_http_endpoint(self, url):
+        # urllib would also open file: and ftp: URLs
+        with pytest.raises(ElicitationError, match="http"):
+            LlmConfig(mode="live", endpoint_url=url)
+
     def test_replay_requires_fixtures(self):
         with pytest.raises(ElicitationError):
             LlmConfig(mode="replay", fixtures_dir=None)
@@ -97,6 +106,11 @@ class TestConfig:
     def test_unknown_mode(self):
         with pytest.raises(ElicitationError):
             LlmConfig(mode="cached", fixtures_dir=".")
+
+    @pytest.mark.parametrize("timeout", [-1.0, 0.0, math.nan])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        with pytest.raises(ElicitationError, match="timeout must be finite and > 0"):
+            LlmConfig(mode="live", endpoint_url="http://127.0.0.1:9/x", timeout=timeout)
 
 
 class TestReplay:
@@ -111,6 +125,22 @@ class TestReplay:
     def test_miss(self, tmp_path):
         with pytest.raises(FixtureMiss):
             call_llm("unseen prompt", replay_cfg(tmp_path))
+
+    @pytest.mark.parametrize(
+        "body, problem",
+        [
+            ('{"response_text": ', "not valid JSON"),
+            ('["response_text"]', "expected a JSON object"),
+            ('{"x": 1}', "expected a JSON object"),
+            ('{"response_text": 7}', "expected a JSON object"),
+        ],
+    )
+    def test_corrupt_fixture_names_the_file(self, tmp_path, body, problem):
+        store = FixtureStore(tmp_path)
+        store.path_for("p").write_text(body, encoding="utf-8")
+        with pytest.raises(ElicitationError, match=problem) as err:
+            store.get("p")
+        assert str(store.path_for("p")) in str(err.value)
 
     def test_shipped_prior_fixtures(self, shipped, beliefs):
         spec = elicit_prior("beta", beliefs["beta"], shipped)
@@ -163,16 +193,27 @@ class TestReplay:
             elicit_model("desc", replay_cfg(tmp_path))
 
 
-class _FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text or (json.dumps(payload) if payload is not None else "")
+class _FakeResponse(io.BytesIO):
+    """What ``urllib.request.urlopen`` returns for a 2xx answer."""
 
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
+
+def _http_error(status, text):
+    return urllib.error.HTTPError("https://chat.example/v1", status, "error", {}, io.BytesIO(text.encode()))
+
+
+def _fake_urlopen(monkeypatch, answer):
+    """Patch ``urlopen`` to return ``answer`` (a payload to serialize, or raw
+    bytes) or to raise it (an exception); returns what each call was given."""
+    calls = []
+
+    def urlopen(request, timeout=None):
+        calls.append((request, timeout))
+        if isinstance(answer, BaseException):
+            raise answer
+        return _FakeResponse(answer if isinstance(answer, bytes) else json.dumps(answer).encode())
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return calls
 
 
 def _chat_payload(text):
@@ -184,75 +225,77 @@ class TestLiveTransport:
 
     def test_missing_api_key_before_any_network(self, monkeypatch):
         monkeypatch.delenv("LLM_API_KEY", raising=False)
-
-        def explode(*a, **k):  # any transport use would be a bug
-            raise AssertionError("network should not be touched")
-
-        monkeypatch.setattr(elicitation.requests, "post", explode)
+        calls = _fake_urlopen(monkeypatch, AssertionError("network should not be touched"))
         with pytest.raises(MissingApiKey):
             call_llm("p", LlmConfig(**self.LIVE))
+        assert calls == []
 
     def test_live_extracts_first_candidate(self, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "k-123")
-        captured = {}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            captured.update(url=url, body=json, headers=headers, timeout=timeout)
-            return _FakeResponse(payload=_chat_payload("hello"))
-
-        monkeypatch.setattr(elicitation.requests, "post", fake_post)
-        out = call_llm("the prompt", LlmConfig(**self.LIVE, temperature=0.25))
+        calls = _fake_urlopen(monkeypatch, _chat_payload("hello"))
+        out = call_llm("the prompt", LlmConfig(**self.LIVE, temperature=0.25, timeout=7.5))
         assert out == "hello"
-        assert captured["body"] == {
+        (request, timeout), = calls
+        assert (request.full_url, request.get_method(), timeout) == ("https://chat.example/v1", "POST", 7.5)
+        assert json.loads(request.data) == {
             "model": "m1",
             "messages": [{"role": "user", "content": "the prompt"}],
             "temperature": 0.25,
         }
-        assert captured["headers"]["Authorization"] == "Bearer k-123"
+        assert request.get_header("Authorization") == "Bearer k-123"
+        assert request.get_header("Content-type") == "application/json"
 
     def test_http_error_excerpt_has_no_key(self, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "sk-super-secret")
-        monkeypatch.setattr(
-            elicitation.requests, "post",
-            lambda *a, **k: _FakeResponse(status_code=503, text="upstream unavailable"),
-        )
+        _fake_urlopen(monkeypatch, _http_error(503, "upstream unavailable"))
         with pytest.raises(HttpError) as err:
             call_llm("p", LlmConfig(**self.LIVE))
         assert err.value.status == 503
+        assert "upstream unavailable" in str(err.value)
         assert "sk-super-secret" not in str(err.value)
 
     def test_timeout(self, monkeypatch):
-        import requests as requests_module
-
+        # a connect timeout: urllib wraps the socket's TimeoutError in URLError
         monkeypatch.setenv("LLM_API_KEY", "k")
-
-        def raise_timeout(*a, **k):
-            raise requests_module.Timeout()
-
-        monkeypatch.setattr(elicitation.requests, "post", raise_timeout)
+        _fake_urlopen(monkeypatch, urllib.error.URLError(TimeoutError("timed out")))
         with pytest.raises(LlmTimeout):
             call_llm("p", LlmConfig(**self.LIVE, timeout=0.01))
 
+    def test_read_timeout(self, monkeypatch):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        _fake_urlopen(monkeypatch, TimeoutError("timed out"))
+        with pytest.raises(LlmTimeout):
+            call_llm("p", LlmConfig(**self.LIVE, timeout=0.01))
+
+    def test_transport_failure_has_no_key(self, monkeypatch):
+        monkeypatch.setenv("LLM_API_KEY", "sk-super-secret")
+        _fake_urlopen(monkeypatch, urllib.error.URLError(ConnectionRefusedError(111, "refused")))
+        with pytest.raises(HttpError) as err:
+            call_llm("p", LlmConfig(**self.LIVE))
+        assert err.value.status == 0
+        assert str(err.value) == "HTTP 0: transport failure: URLError"
+
+    def test_body_not_json(self, monkeypatch):
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        _fake_urlopen(monkeypatch, b"<html>gateway</html>")
+        with pytest.raises(LlmProtocolError, match="did not return JSON"):
+            call_llm("p", LlmConfig(**self.LIVE))
+
     def test_unexpected_shape(self, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "k")
-        monkeypatch.setattr(
-            elicitation.requests, "post", lambda *a, **k: _FakeResponse(payload={"data": []})
-        )
+        _fake_urlopen(monkeypatch, {"data": []})
         with pytest.raises(LlmProtocolError):
             call_llm("p", LlmConfig(**self.LIVE))
 
     def test_custom_pointer(self, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "k")
-        payload = {"candidates": [{"content": {"parts": [{"text": "alt-shape"}]}}]}
-        monkeypatch.setattr(elicitation.requests, "post", lambda *a, **k: _FakeResponse(payload=payload))
+        _fake_urlopen(monkeypatch, {"candidates": [{"content": {"parts": [{"text": "alt-shape"}]}}]})
         cfg = LlmConfig(**self.LIVE, response_text_pointer="/candidates/0/content/parts/0/text")
         assert call_llm("p", cfg) == "alt-shape"
 
     def test_record_mode_persists_fixture(self, monkeypatch, tmp_path):
         monkeypatch.setenv("LLM_API_KEY", "key-abc")
-        monkeypatch.setattr(
-            elicitation.requests, "post", lambda *a, **k: _FakeResponse(payload=_chat_payload("rec"))
-        )
+        _fake_urlopen(monkeypatch, _chat_payload("rec"))
         cfg = LlmConfig(**{**self.LIVE, "mode": "record"}, fixtures_dir=tmp_path)
         assert call_llm("record me", cfg) == "rec"
         # replay now works offline, and nothing on disk contains the key
