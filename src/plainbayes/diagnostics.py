@@ -5,7 +5,9 @@ Implements every column of the standard summary table:
 * ``mean`` — arithmetic mean of the pooled post-warmup draws.
 * ``mode`` — argmax of a Gaussian KDE (Silverman bandwidth
   ``0.9 * min(sd, IQR/1.34) * n^(-1/5)``) on a 512-point grid over
-  ``[min, max]``.
+  ``[min, max]``.  The grid is screened with a kernel truncated at 9
+  bandwidths, and only the points that could still be the argmax are summed
+  in full, so the reported grid point is the full sum's argmax, bit for bit.
 * ``sd`` — sample standard deviation (denominator n-1).
 * ``hdi_3%`` / ``hdi_97%`` — the narrowest window of ``ceil(prob*n)``
   consecutive sorted samples (94% interval by default).
@@ -16,7 +18,8 @@ Implements every column of the standard summary table:
   ``sqrt(((n-1)/n * W + B/n) / W)`` over half-chains.
 
 Degenerate inputs (zero variance, too few samples) produce warnings and
-NaN cells rather than aborting, so a broken model still yields a report.
+NaN cells rather than aborting, so a broken model still yields a report; a
+non-finite draw makes every cell but the mean NaN, without numpy warnings.
 """
 
 from __future__ import annotations
@@ -64,11 +67,14 @@ def split_rhat(chains) -> float:
     """Split potential scale reduction factor over half-chains.
 
     Returns NaN (with a :class:`ZeroVarianceWarning`) when all samples are
-    identical, rather than crashing on a degenerate model.
+    identical, rather than crashing on a degenerate model, and NaN if any
+    draw is not finite.
     """
     arr = _as_chain_matrix(chains)
     if arr.shape[1] < 4:
         raise InsufficientSamples(f"split_rhat needs >= 4 draws per chain, got {arr.shape[1]}")
+    if not np.isfinite(arr).all():
+        return math.nan
     halves = _split_chains(arr)
     n = halves.shape[1]
     within = float(np.mean(np.var(halves, axis=1, ddof=1)))
@@ -191,41 +197,92 @@ def hdi(samples, prob: float) -> tuple[float, float]:
     """
     if not 0.0 < prob < 1.0:
         raise PlainbayesError(f"hdi prob must be in (0, 1), got {prob}")
-    sorted_samples = np.sort(np.asarray(samples, dtype=float).reshape(-1))
-    n = sorted_samples.shape[0]
+    return _sorted_hdi(np.sort(np.asarray(samples, dtype=float).reshape(-1)), prob)
+
+
+def _finite_sorted(ordered: np.ndarray) -> bool:
+    """Whether sorted samples are all finite: -inf sorts first, +inf and NaN last."""
+    return math.isfinite(ordered[0]) and math.isfinite(ordered[-1])
+
+
+def _sorted_hdi(ordered: np.ndarray, prob: float) -> tuple[float, float]:
+    n = ordered.shape[0]
     if n < 2:
         raise InsufficientSamples(f"hdi needs >= 2 samples, got {n}")
-    if not np.isfinite(sorted_samples).all():
+    if not _finite_sorted(ordered):
         return math.nan, math.nan
     width = min(n, max(2, math.ceil(prob * n)))
-    spans = sorted_samples[width - 1 :] - sorted_samples[: n - width + 1]
+    spans = ordered[width - 1 :] - ordered[: n - width + 1]
     best = int(np.argmin(spans))  # argmin returns the first (lowest) minimizer
-    return float(sorted_samples[best]), float(sorted_samples[best + width - 1])
+    return float(ordered[best]), float(ordered[best + width - 1])
+
+
+_GRID_POINTS = 512
+_KDE_CHUNK = 4096  # draws per kernel matrix in the full sum
+_SCREEN_REACH = 9.0  # bandwidths: a farther draw adds under exp(-40.5) to a grid point
+_SCREEN_BLOCK = 256  # sorted draws per kernel matrix in the screen
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def mode_estimate(samples) -> float:
-    """KDE-based mode: Gaussian kernel, Silverman bandwidth, 512-point grid."""
+    """KDE-based mode: Gaussian kernel, Silverman bandwidth, 512-point grid.
+
+    NaN if any sample is not finite.
+    """
     values = np.asarray(samples, dtype=float).reshape(-1)
+    return _kde_mode(values, np.sort(values))
+
+
+def _kde_mode(values: np.ndarray, ordered: np.ndarray) -> float:
+    """``mode_estimate`` of ``values``, given them also sorted as ``ordered``."""
     n = values.shape[0]
     if n < 10:
         raise InsufficientSamples(f"mode_estimate needs >= 10 samples, got {n}")
-    lo, hi = float(values.min()), float(values.max())
+    if not _finite_sorted(ordered):
+        return math.nan
+    lo, hi = float(ordered[0]), float(ordered[-1])
     if lo == hi:
         return lo
     sd = float(np.std(values, ddof=1))
-    q75, q25 = np.percentile(values, [75.0, 25.0])
+    q75, q25 = np.percentile(ordered, [75.0, 25.0])
     iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd  # bandwidth floor for spiky samples
     bandwidth = 0.9 * spread * n ** (-0.2)
     if bandwidth <= 0:
         return float(np.median(values))
-    grid = np.linspace(lo, hi, 512)
-    density = np.zeros(512)
-    # chunk over samples so the (n x 512) kernel matrix stays small
-    for start in range(0, n, 4096):
-        chunk = values[start : start + 4096, None]
-        density += np.exp(-0.5 * ((grid[None, :] - chunk) / bandwidth) ** 2).sum(axis=0)
-    return float(grid[int(np.argmax(density))])
+    grid = np.linspace(lo, hi, _GRID_POINTS)
+
+    # Screen: each block of sorted draws adds its kernel to the grid points
+    # within reach of it.  At every grid point, the screen and the full sum
+    # below are each within ``error`` of the exact KDE: n terms each off by
+    # at most 16 roundoffs u (the argument and exp), summation off by at most
+    # n * u * (their total), and for the screen the skipped terms, each under
+    # exp(-40) (the reach, less rounding).  So the full sum's argmax is among
+    # the points the screen puts within 2 * 2 * error of its maximum.
+    screened = np.zeros(_GRID_POINTS)
+    reach = _SCREEN_REACH * bandwidth
+    for start in range(0, n, _SCREEN_BLOCK):
+        block = ordered[start : start + _SCREEN_BLOCK, None]
+        first = int(np.searchsorted(grid, block[0, 0] - reach))
+        stop = int(np.searchsorted(grid, block[-1, 0] + reach, "right"))
+        screened[first:stop] += np.exp(-0.5 * ((grid[None, first:stop] - block) / bandwidth) ** 2).sum(axis=0)
+    top = float(screened.max())
+    error = n * (math.exp(-40.0) + 16 * _UNIT_ROUNDOFF) + 1.01 * n * _UNIT_ROUNDOFF * (top + 1.0)
+    candidates = np.flatnonzero(screened >= top - 4.0 * error) if math.isfinite(top) else np.arange(_GRID_POINTS)
+    if candidates.size == 1:
+        # numpy sums a one-column kernel matrix pairwise, not row by row as
+        # it sums wider ones, so certify a neighbour too
+        first = max(int(candidates[0]) - 1, 0)
+        candidates = np.array([first, first + 1])
+
+    # Certify: the full sum at the candidates only, in the same order of
+    # chunks and rows and with the same expression as over the whole grid.
+    density = np.zeros(candidates.size)
+    points = grid[None, candidates]
+    for start in range(0, n, _KDE_CHUNK):
+        chunk = values[start : start + _KDE_CHUNK, None]
+        density += np.exp(-0.5 * ((points - chunk) / bandwidth) ** 2).sum(axis=0)
+    return float(grid[candidates[int(np.argmax(density))]])
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +330,14 @@ def summarize(trace: Trace, hdi_prob: float = 0.94) -> SummaryTable:
     for name in trace.param_names:
         per_chain = trace.chains_for(name)
         pooled = per_chain.reshape(-1)
-        mean = float(np.mean(pooled))
-        sd = float(np.std(pooled, ddof=1)) if pooled.size > 1 else math.nan
-        mode = _guarded(mode_estimate, pooled, cell="mode", param=name)
+        ordered = np.sort(pooled)
+        with np.errstate(invalid="ignore"):  # +inf and -inf draws average to NaN
+            mean = float(np.mean(pooled))
+        sd = float(np.std(pooled, ddof=1)) if pooled.size > 1 and _finite_sorted(ordered) else math.nan
+        mode = _guarded(_kde_mode, pooled, ordered, cell="mode", param=name)
         low, high = (math.nan, math.nan)
         try:
-            low, high = hdi(pooled, hdi_prob)
+            low, high = _sorted_hdi(ordered, hdi_prob)
         except InsufficientSamples as exc:
             warnings.warn(f"{name}/hdi: {exc}", SummaryCellWarning, stacklevel=2)
         ess = _guarded(ess_bulk, per_chain, cell="ess_bulk", param=name)

@@ -262,6 +262,14 @@ class MalformedTrace(PlainbayesError):
     pass
 
 
+class NonFiniteDraws(PlainbayesError):
+    """A parameter's draws hold NaN or an infinity, which no histogram bin holds."""
+
+    def __init__(self, param: str):
+        super().__init__(f"parameter {param!r} has non-finite draws; cannot bin them")
+        self.param = param
+
+
 class PlotMismatch(PlainbayesError):
     def __init__(self, params_a, params_b):
         super().__init__(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PlainbayesError, PlotMismatch
+from .errors import NonFiniteDraws, PlainbayesError, PlotMismatch
 from .sampler import Trace
 
 __all__ = ["plot_trace", "histogram_counts", "write_histogram_csv", "render_histogram_svg"]
@@ -101,6 +101,13 @@ def render_histogram_svg(path, title: str, edges: np.ndarray, series: dict[str, 
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
+def _finite_draws(trace: Trace, name: str) -> np.ndarray:
+    values = trace.pooled(name)
+    if not np.isfinite(values).all():
+        raise NonFiniteDraws(name)
+    return values
+
+
 def plot_trace(
     trace: Trace,
     out_dir,
@@ -112,7 +119,8 @@ def plot_trace(
     """Write per-parameter histogram CSV + SVG files; returns the paths.
 
     With ``compare``, both traces must expose the same parameter set and are
-    binned over their combined range so the overlays share edges.
+    binned over their combined range so the overlays share edges.  Draws
+    must be finite: a NaN or an infinity raises :class:`NonFiniteDraws`.
     """
     if bins < 1:
         raise PlainbayesError(f"bins must be >= 1, got {bins}")
@@ -123,12 +131,12 @@ def plot_trace(
 
     written: list[Path] = []
     for name in trace.param_names:
-        main = trace.pooled(name)
+        main = _finite_draws(trace, name)
         if compare is None:
             edges, counts = histogram_counts(main, bins)
             series = {label: counts}
         else:
-            other = compare.pooled(name)
+            other = _finite_draws(compare, name)
             lo = min(main.min(), other.min())
             hi = max(main.max(), other.max())
             edges, counts = histogram_counts(main, bins, (lo, hi))

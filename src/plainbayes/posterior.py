@@ -32,7 +32,7 @@ import numpy as np
 
 from . import formula
 from .data_io import Dataset
-from .distributions import from_spec
+from .distributions import IdentityTransform, from_spec
 from .errors import (
     DimensionMismatch,
     MissingResponseColumn,
@@ -56,8 +56,12 @@ class PosteriorFn:
     """A pure, immutable log density over unconstrained coordinates.
 
     ``log_density_and_grad`` is the primitive; ``log_density`` derives from
-    it unless a cheaper value-only callable is supplied.  Instances are safe
-    to share across chains.
+    it unless a cheaper value-only callable is supplied.  ``transforms`` map
+    each unconstrained coordinate onto its parameter's support (identities
+    when None).  The samplers constrain their kept draws through them, and
+    so does ``constrain`` unless given a callable, which must agree with
+    them and so needs them given too.  Instances are safe to share across
+    chains.
     """
 
     def __init__(
@@ -69,7 +73,11 @@ class PosteriorFn:
         transforms=None,
     ):
         self.param_names = tuple(param_names)
-        self.transforms = tuple(transforms) if transforms is not None else None
+        if transforms is None:
+            if constrain is not None:
+                raise TypeError("a constrain callable needs the transforms it applies: the samplers use those")
+            transforms = [IdentityTransform()] * len(self.param_names)
+        self.transforms = tuple(transforms)
         self._value_and_grad = log_density_and_grad
         self._value = log_density
         self._constrain = constrain
@@ -98,7 +106,7 @@ class PosteriorFn:
         z = self._check(z)
         if self._constrain is not None:
             return self._constrain(z)
-        return dict(zip(self.param_names, map(float, z)))
+        return {name: tf.forward(zi) for name, tf, zi in zip(self.param_names, self.transforms, z.tolist())}
 
 
 def _rows(value, n_rows: int) -> np.ndarray:
@@ -218,13 +226,9 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             raise NonFiniteGradient("gradient contains non-finite components", z=z)
         return total, grad
 
-    def constrain(z: np.ndarray) -> dict[str, float]:
-        return {name: tf.forward(zi) for name, tf, zi in zip(names, transforms, z)}
-
     return PosteriorFn(
         param_names=names,
         log_density_and_grad=lambda z: density(z, True),
         log_density=lambda z: density(z, False),
-        constrain=constrain,
         transforms=transforms,
     )

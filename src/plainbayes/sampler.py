@@ -428,15 +428,20 @@ def _run_chains(run_chain: Callable, stat_types, pf: PosteriorFn, cfg: SamplerCo
     chain's runner and collect the constrained draws and the named stats."""
     if pf.dimension < 1:
         raise SamplerError("posterior must have dimension >= 1")
-    draws = np.empty((cfg.chains, cfg.kept_draws, pf.dimension))
+    unconstrained = np.empty((cfg.chains, cfg.kept_draws, pf.dimension))
     stats = {name: np.empty((cfg.chains, cfg.kept_draws), dtype) for name, dtype in stat_types}
     with np.errstate(over="ignore"):
         for c in range(cfg.chains):
             for d, (z, stats_row) in enumerate(islice(run_chain(pf, cfg, c), cfg.kept_draws)):
-                constrained = pf.constrain(z)
-                draws[c, d] = [constrained[name] for name in pf.param_names]
+                unconstrained[c, d] = z
                 for column, value in zip(stats.values(), stats_row):
                     column[c, d] = value
+    # Each column through its own transform's scalar forward: the floats and
+    # the function a per-draw pf.constrain would use, so the same bits.
+    draws = np.empty_like(unconstrained)
+    for i, tf in enumerate(pf.transforms):
+        column = unconstrained[:, :, i]
+        draws[:, :, i] = np.reshape([tf.forward(v) for v in column.ravel().tolist()], column.shape)
     divergent_fraction = float(np.mean(stats["divergent"]))
     if divergent_fraction > 0.5:
         raise AllDivergent(divergent_fraction)
@@ -456,32 +461,52 @@ def save_trace(trace: Trace, csv_path, stats_path=None) -> None:
     """Write draws as CSV (``chain,draw,<params...>``) and stats as sidecar JSON.
 
     Floats are rendered with ``repr`` so a load reproduces them bit for bit.
+    The sidecar is what ``json.dump(payload, fh, indent=2)`` writes; each
+    chain's list is rendered by the C encoder and indented by separators.
     """
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(["chain", "draw"] + list(trace.param_names)) + "\n")
         for c in range(trace.n_chains):
-            for d in range(trace.n_draws):
-                cells = [str(c), str(d)] + [repr(float(v)) for v in trace.draws[c, d]]
-                fh.write(",".join(cells) + "\n")
+            chain = np.ascontiguousarray(trace.draws[c], dtype=float)
+            # a rejected RWM proposal repeats the previous row bit for bit
+            # (-0.0 and 0.0 differ): render such a row's cells once
+            repeats = [False] + (chain[1:].view(np.int64) == chain[:-1].view(np.int64)).all(axis=1).tolist()
+            lines = []
+            for d, (row, repeat) in enumerate(zip(chain.tolist(), repeats)):
+                if not repeat:
+                    cells = "".join("," + repr(v) for v in row)
+                lines.append(f"{c},{d}{cells}\n")
+            fh.write("".join(lines))
     if stats_path is not None:
         payload = {
             "param_names": list(trace.param_names),
             "config": asdict(trace.config) if trace.config is not None else None,
-            "stats": {
-                name: [[_json_scalar(v) for v in chain] for chain in values]
-                for name, values in trace.stats.items()
-            },
+            "stats": {name: np.asarray(values).tolist() for name, values in trace.stats.items()},
         }
         with open(stats_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            for piece in _indented_json(payload):
+                fh.write(piece)
 
 
-def _json_scalar(v):
-    if isinstance(v, (np.bool_, bool)):
-        return bool(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    return float(v)
+def _indented_json(value, depth: int = 0):
+    """Yield in pieces the text ``json.dump(value, fh, indent=2)`` writes for a
+    value ``depth`` levels deep.  A list of scalars (one chain's stat) is one
+    piece, rendered by the C encoder with the indentation as its separator."""
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict) and value:
+        for k, (key, item) in enumerate(value.items()):
+            yield ("{" if k == 0 else ",") + pad + json.dumps(key) + ": "
+            yield from _indented_json(item, depth + 1)
+        yield pad[:-2] + "}"
+    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        for k, item in enumerate(value):
+            yield ("[" if k == 0 else ",") + pad
+            yield from _indented_json(item, depth + 1)
+        yield pad[:-2] + "]"
+    elif isinstance(value, list) and value:
+        yield "[" + pad + json.dumps(value, separators=("," + pad, ": "))[1:-1] + pad[:-2] + "]"
+    else:
+        yield json.dumps(value)
 
 
 def load_trace(csv_path, stats_path=None) -> Trace:

@@ -159,6 +159,15 @@ class TestFit:
         assert "step_accepted" in trace.stats
 
 
+def _trace_with_one_bad_cell(tmp_path, bad: str) -> Path:
+    """A 50-draw, one-parameter trace CSV whose 18th draw is ``bad``."""
+    values = [repr(0.01 * d) for d in range(50)]
+    values[17] = bad
+    trace = tmp_path / "t.csv"
+    trace.write_text("chain,draw,a\n" + "".join(f"0,{d},{v}\n" for d, v in enumerate(values)))
+    return trace
+
+
 class TestSummarize:
     def test_text_output(self, fit_dir, capsys):
         assert run_cli("summarize", "--trace", fit_dir / "trace.csv") == 0
@@ -192,6 +201,13 @@ class TestSummarize:
         row = json.loads(capsys.readouterr().out)["parameters"]["a"]
         assert all(math.isnan(row[k]) for k in ("mean", "hdi_low", "hdi_high", "ess_bulk"))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_draw_prints_nan_cells(self, tmp_path, capsys, bad):
+        assert run_cli("summarize", "--trace", _trace_with_one_bad_cell(tmp_path, bad)) == 0
+        cells = capsys.readouterr().out.splitlines()[1].split()
+        assert cells == ["a", bad] + ["nan"] * 6
+
     def test_stats_sidecar_not_json(self, fit_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"stats": ')
@@ -214,6 +230,12 @@ class TestPlot:
         lines = (plots / "hist_beta.csv").read_text().strip().splitlines()
         total = sum(int(line.split(",")[2]) for line in lines[1:])
         assert total == 2 * 150
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_draw_fails_in_one_line(self, tmp_path, capsys, bad):
+        assert run_cli("plot", "--trace", _trace_with_one_bad_cell(tmp_path, bad), "--out-dir", tmp_path / "p") == 1
+        err = capsys.readouterr().err
+        assert err == "plot: NonFiniteDraws: parameter 'a' has non-finite draws; cannot bin them\n"
 
     def test_mismatched_params_fail(self, fit_dir, tmp_path, capsys):
         other = tmp_path / "other.csv"
@@ -282,6 +304,48 @@ class TestDrawsLocked:
         assert digest == self.HASHES[case]
         digest = hashlib.sha256((tmp_path / "fit" / "stats.json").read_bytes()).hexdigest()
         assert digest == self.STATS_HASHES[case]
+
+
+class TestReportsLocked:
+    """A short fixed-seed Experiment I run must keep writing the same summaries
+    and histograms, for the elicited model and the manual baseline.
+
+    The hashes were recorded where TestDrawsLocked's were (x86-64 Linux,
+    Python 3.11.7, numpy 2.4.6, OpenBLAS single-threaded) at the commit
+    before the summary's mode was screened, the trace writer sped up and the
+    kept draws constrained column by column.  5 000 pooled draws per fit
+    make the mode's kernel sum span two chunks of 4 096.
+    """
+
+    HASHES = {
+        "summary.txt": "926cebeb8c787254aa015cfdea95724c378a528d12bc034d105007bfaf027000",
+        "summary.json": "7427d24ce37e88e757b6e11fea2385c0a6b13658592d89773ef6187fc3cf9e01",
+        "summary.csv": "f76b9a2754075c60b1fd743415b214e7e498ddda2003fb55d26e9d3746494ddc",
+        "compare_summary.txt": "e66125e60833aac6f7d5fa568b412a4dd0c3bd7ddb26301d540efccce24b8198",
+        "compare_summary.json": "0bfbe12663ef2fb7b5006a175dfea930d5ab5c85c4c70db107df42f0cd410418",
+        "compare_summary.csv": "653e5cf9c52191fe1233f09e128fe9d8f67a737afae0008532b6dd2e99e3c06d",
+        "plots/hist_alpha.csv": "59c2bec02b7cdcb0f36237712b54097d6fc7813a805f2b2ab1c63b3dcaf064e3",
+        "plots/hist_alpha.svg": "6185bebc6b0b24adf5f483961f938c57393b764b7730eb58817a114278bc0f3a",
+        "plots/hist_beta.csv": "80fa9e267995de56579d5209b9a2f22b0ed7dc95e17908ffd66bb74f28ba5169",
+        "plots/hist_beta.svg": "03837cf67d350a80e7cb3dc111ca8db2fce9841aa7c659ed1028cfe2abd49915",
+        "plots/hist_sigma.csv": "62cc48c2650631f88038b2ffdbf784ef90d04a90f84a4799ebdb123c2036f182",
+        "plots/hist_sigma.svg": "8deb15cbc78dfa77472492ee196ffabcab9154e56c7e561a9098e4e6a99c0d24",
+    }
+
+    def test_report_hashes(self, tmp_path):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
+        subprocess.run(
+            [
+                sys.executable, "-m", "plainbayes", "run",
+                "--beliefs-file", str(EXAMPLES / "linear_regression_beliefs.json"),
+                "--compare-model", str(EXAMPLES / "manual_priors_model.json"), "--algorithm", "rwm",
+                "--n", "40", "--seed", "42", "--chains", "2", "--warmup", "500", "--draws", "2500",
+                "--out-dir", str(tmp_path),
+            ],
+            env=env, check=True, capture_output=True,
+        )
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.HASHES}
+        assert digests == self.HASHES
 
 
 class TestRun:

@@ -198,6 +198,62 @@ class TestMode:
         with pytest.raises(InsufficientSamples):
             mode_estimate(np.arange(5.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_sample_gives_nan(self, bad):
+        draws = make_rng(8).standard_normal(50)
+        draws[17] = bad
+        assert math.isnan(mode_estimate(draws))
+
+
+def _full_sum_mode_estimate(samples) -> float:
+    """``mode_estimate`` before the screen: the whole n x 512 kernel summed in
+    chunks of 4096 draws.  The fast path must return its grid point exactly."""
+    values = np.asarray(samples, dtype=float).reshape(-1)
+    n = values.shape[0]
+    lo, hi = float(values.min()), float(values.max())
+    if lo == hi:
+        return lo
+    sd = float(np.std(values, ddof=1))
+    q75, q25 = np.percentile(values, [75.0, 25.0])
+    iqr = float(q75 - q25)
+    spread = min(sd, iqr / 1.34) if iqr > 0 else sd
+    bandwidth = 0.9 * spread * n ** (-0.2)
+    if bandwidth <= 0:
+        return float(np.median(values))
+    grid = np.linspace(lo, hi, 512)
+    density = np.zeros(512)
+    for start in range(0, n, 4096):
+        chunk = values[start : start + 4096, None]
+        density += np.exp(-0.5 * ((grid[None, :] - chunk) / bandwidth) ** 2).sum(axis=0)
+    return float(grid[int(np.argmax(density))])
+
+
+_MODE_SAMPLERS = {
+    "normal": lambda rng, n: rng.normal(rng.uniform(-5, 5), rng.uniform(0.01, 10), n),
+    "student-t2": lambda rng, n: rng.standard_t(2, n),
+    "cauchy": lambda rng, n: rng.standard_cauchy(n),
+    "bimodal": lambda rng, n: np.where(rng.random(n) < rng.uniform(0.2, 0.8), rng.normal(-2, 1, n), rng.normal(2, 1, n)),
+    "exponential": lambda rng, n: rng.exponential(rng.uniform(0.1, 5), n),
+    "rounded-ties": lambda rng, n: np.round(rng.normal(0, rng.uniform(0.2, 3), n), 1),
+}
+
+
+class TestModeMatchesFullSum:
+    """The screened mode is the full sum's grid point on 6 x 170 seeded samples."""
+
+    @pytest.mark.parametrize("seed, kind", enumerate(_MODE_SAMPLERS))
+    def test_same_grid_point(self, seed, kind):
+        rng = make_rng(700 + seed)
+        # one sample of 25 000 draws, the rest from 10 to 25 000, most of them small
+        sizes = [25_000] + [round(10 * 2500 ** (u * u)) for u in rng.random(169)]
+        differ = []
+        for n in sizes:
+            draws = _MODE_SAMPLERS[kind](rng, n)
+            if mode_estimate(draws) != _full_sum_mode_estimate(draws):
+                differ.append(n)
+        assert differ == []
+
 
 def _iid_trace(seed=100, chains=4, draws=1000):
     values = make_rng(seed).standard_normal((chains, draws, 1))
@@ -226,6 +282,21 @@ class TestSummarize:
             table = summarize(trace)
         row = table.rows["a"]
         assert math.isnan(row.ess_bulk) and math.isnan(row.mode)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_draw_gives_nan_cells_without_warnings(self, bad):
+        trace = _iid_trace(chains=2, draws=25)
+        trace.draws[1, 7, 0] = bad
+        row = summarize(trace).rows["theta"]
+        assert row.mean == bad or (math.isnan(bad) and math.isnan(row.mean))
+        assert all(math.isnan(v) for v in (row.mode, row.sd, row.hdi_low, row.hdi_high, row.ess_bulk, row.r_hat))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_opposite_infinities_give_nan_mean_without_warnings(self):
+        trace = _iid_trace(chains=2, draws=25)
+        trace.draws[0, 3, 0], trace.draws[1, 7, 0] = math.inf, -math.inf
+        assert math.isnan(summarize(trace).rows["theta"].mean)
 
     def test_hdi_prob_flows_through(self):
         table = summarize(_iid_trace(), hdi_prob=0.5)

@@ -15,7 +15,7 @@ from plainbayes.errors import (
     UnresolvedVariable,
 )
 from plainbayes.formula import Binary, Negate, NumberLiteral, Variable
-from plainbayes.posterior import _GRADIENT_OVERFLOW_FLOOR, build_posterior
+from plainbayes.posterior import _GRADIENT_OVERFLOW_FLOOR, PosteriorFn, build_posterior
 from plainbayes.spec_schema import (
     DistributionSpec,
     LikelihoodSpec,
@@ -188,6 +188,11 @@ class TestConstrain:
         constrained = pf.constrain(z)
         back = [tf.inverse(constrained[name]) for name, tf in zip(pf.param_names, pf.transforms)]
         np.testing.assert_allclose(back, z, atol=1e-12)
+
+    def test_constrain_callable_needs_transforms(self):
+        # the samplers constrain through the transforms and would ignore it
+        with pytest.raises(TypeError, match="transforms"):
+            PosteriorFn(param_names=["u"], log_density_and_grad=lambda z: (0.0, z), constrain=lambda z: {"u": 1.0})
 
     def test_uniform_saturation(self, experiment_dataset):
         pf = _experiment_pf(experiment_dataset)

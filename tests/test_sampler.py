@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -139,7 +140,7 @@ class TestRwm:
         pf = PosteriorFn(
             param_names=["u"],
             log_density_and_grad=vag,
-            constrain=lambda z: {"u": tf.forward(float(z[0]))},
+            transforms=[tf],
         )
         cfg = SamplerConfig(algorithm="rwm", chains=2, warmup_draws=300, kept_draws=500, seed=5)
         trace = rwm_sample(pf, cfg)
@@ -307,7 +308,71 @@ class TestAllDivergent:
             nuts_sample(pf, cfg)
 
 
+def _reference_save_trace(trace, csv_path, stats_path=None):
+    """``save_trace`` as it was before its fast path: one ``repr`` per cell and
+    ``json.dump(indent=2)``.  The fast path must write the same bytes."""
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["chain", "draw"] + list(trace.param_names)) + "\n")
+        for c in range(trace.n_chains):
+            for d in range(trace.n_draws):
+                cells = [str(c), str(d)] + [repr(float(v)) for v in trace.draws[c, d]]
+                fh.write(",".join(cells) + "\n")
+    if stats_path is not None:
+
+        def scalar(v):
+            if isinstance(v, (np.bool_, bool)):
+                return bool(v)
+            if isinstance(v, (np.integer, int)):
+                return int(v)
+            return float(v)
+
+        payload = {
+            "param_names": list(trace.param_names),
+            "config": dataclasses.asdict(trace.config) if trace.config is not None else None,
+            "stats": {name: [[scalar(v) for v in chain] for chain in values] for name, values in trace.stats.items()},
+        }
+        with open(stats_path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+
+
+_EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, -1e-300, 0.1, 1.0 / 3.0]
+
+
+def _edge_trace(config):
+    rng = np.random.default_rng(4)
+    draws = rng.choice(_EDGE_VALUES, size=(3, 40, 2))
+    draws[:, 10:20] = draws[:, 9:10]  # a run of repeated rows
+    draws[1, 21], draws[1, 22] = [0.0, 1.0], [-0.0, 1.0]  # equal as floats, not as text
+    draws[2, 30:33] = [math.nan, 5e-324]
+    stats = {
+        "accept_prob": rng.choice(_EDGE_VALUES, size=(3, 40)),
+        "tree_depth": rng.integers(0, 2**40, size=(3, 40), dtype=np.int64),
+        "divergent": rng.random((3, 40)) < 0.5,
+    }
+    return Trace(param_names=["a", "b"], draws=draws, stats=stats, config=config)
+
+
 class TestTraceSerialization:
+    @pytest.mark.parametrize(
+        "make_trace",
+        [
+            lambda: _edge_trace(SamplerConfig(algorithm="rwm", chains=3, kept_draws=40, seed=7)),
+            lambda: _edge_trace(None),
+            lambda: Trace(param_names=["x"], draws=np.arange(6.0).reshape(2, 3, 1), stats={}),
+            lambda: Trace(param_names=["x"], draws=np.full((1, 1, 1), -0.0), stats={"n": np.array([[3]])}),
+            lambda: rwm_sample(  # rejections repeat rows
+                std_normal_posterior(3), SamplerConfig(algorithm="rwm", chains=2, warmup_draws=100, kept_draws=300, seed=3)
+            ),
+        ],
+        ids=["edge-values", "no-config", "no-stats", "one-draw", "rwm-run"],
+    )
+    def test_same_bytes_as_reference_writer(self, tmp_path, make_trace):
+        trace = make_trace()
+        save_trace(trace, tmp_path / "fast.csv", tmp_path / "fast.json")
+        _reference_save_trace(trace, tmp_path / "ref.csv", tmp_path / "ref.json")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = SamplerConfig(chains=3, warmup_draws=150, kept_draws=80, seed=13)
         trace = nuts_sample(std_normal_posterior(2), cfg)
