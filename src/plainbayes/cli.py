@@ -113,6 +113,9 @@ def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--max-tree-depth", type=int, default=10)
     g.add_argument("--step-size-init", type=float, default=1.0)
     g.add_argument("--response-column", default="y")
+    g.add_argument("--jobs", type=int, default=None,
+                   help="worker processes for the chains (default: one per usable CPU, at most one per chain); "
+                        "1 runs them in process. Draws do not depend on it")
 
 
 def _sampler_config(args) -> sampler.SamplerConfig:
@@ -201,18 +204,19 @@ def _public_llm_config(cfg: elicitation.LlmConfig) -> dict:
     return obj  # the config holds the key's env-var NAME only, never the key
 
 
-def _fit(spec, dataset, scfg: sampler.SamplerConfig, response_column: str) -> sampler.Trace:
+def _fit(spec, dataset, scfg: sampler.SamplerConfig, response_column: str, workers: int) -> sampler.Trace:
     validated = spec_schema.validate_model(spec, dataset.column_names())
     pf = build_posterior(validated, dataset, response_column=response_column)
-    return sampler.sample(pf, scfg)
+    return sampler.sample(pf, scfg, jobs=workers)
 
 
 def _cmd_fit(args) -> int:
     scfg = _sampler_config(args)
+    workers = sampler.worker_count(scfg.chains, args.jobs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = spec_schema.parse_model_json(Path(args.model).read_text(encoding="utf-8"))
-    trace = _fit(spec, data_io.load_csv(args.data), scfg, args.response_column)
+    trace = _fit(spec, data_io.load_csv(args.data), scfg, args.response_column, workers)
     trace_path = out_dir / "trace.csv"
     stats_path = out_dir / "stats.json"
     sampler.save_trace(trace, trace_path, stats_path)
@@ -280,6 +284,7 @@ def _cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     llm_cfg = _llm_config(args)
     scfg = _sampler_config(args)
+    workers = sampler.worker_count(scfg.chains, args.jobs)
     manifest = _Manifest(
         "run",
         {"sampler": asdict(scfg), "llm": _public_llm_config(llm_cfg), "hdi": args.hdi, "bins": args.bins},
@@ -335,7 +340,7 @@ def _cmd_run(args) -> int:
 
     traces = {}
     for prefix, job_spec in jobs:
-        trace = _fit(job_spec, dataset, scfg, args.response_column)
+        trace = _fit(job_spec, dataset, scfg, args.response_column, workers)
         traces[prefix] = trace
         sampler.save_trace(trace, out_dir / f"{prefix}trace.csv", out_dir / f"{prefix}stats.json")
         manifest.add_output(out_dir / f"{prefix}trace.csv")

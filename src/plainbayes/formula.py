@@ -353,7 +353,10 @@ def simplify(node: FormulaAst) -> FormulaAst:
 
     Applied rules: fold binary/unary operations on finite literals (division
     by a literal zero is left intact), 0+e -> e, e-0 -> e, 0-e -> -e,
-    1*e -> e, 0*e -> 0, e/1 -> e, and double-negation elimination.
+    1*e -> e, 0*e -> 0, 0/e -> 0 (e not the literal 0), e/1 -> e, and
+    double-negation elimination.  Like 0*e -> 0, 0/e -> 0 assumes e finite
+    and non-zero: where e evaluates to 0, the folded node is 0, not the
+    division's non-finite error.
     """
     if isinstance(node, (NumberLiteral, Variable)):
         return node
@@ -399,6 +402,8 @@ def simplify(node: FormulaAst) -> FormulaAst:
         if _is_literal(right, 1.0):
             return left
     elif op == "/":
+        if _is_literal(left, 0.0) and not _is_literal(right, 0.0):
+            return _ZERO
         if _is_literal(right, 1.0):
             return left
     return Binary(op, left, right)

@@ -16,7 +16,9 @@ as arrays, so a call repeats only the parameter-dependent operations, those
 of evaluating the formula in the same order; numpy broadcasting makes this
 identical to evaluating the scalar formula row by row.  The mean is checked
 through the likelihood's own ``t . t``; only if that is not finite are the
-rows scanned for the first offending one.
+rows scanned for the first offending one.  Sums over the rows are dot
+products taken in fixed blocks, so the density has the same bits under any
+BLAS thread count.
 
 Density policy: proposals outside a prior's support (or with a degenerate
 noise scale) get -inf so samplers can reject them; a non-finite likelihood
@@ -51,6 +53,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # point (reject gracefully); above it, it is a bug (hard error).
 _GRADIENT_OVERFLOW_FLOOR = -1e10
 
+# OpenBLAS sums a dot product of up to 10 000 elements on one thread, and of
+# more on as many threads as it has, in an order that depends on that count.
+_DOT_BLOCK = 8192
+
 
 class PosteriorFn:
     """A pure, immutable log density over unconstrained coordinates.
@@ -61,7 +67,9 @@ class PosteriorFn:
     when None).  The samplers constrain their kept draws through them, and
     so does ``constrain`` unless given a callable, which must agree with
     them and so needs them given too.  Instances are safe to share across
-    chains.
+    chains.  ``fork_safe`` marks callables whose only effect is their result,
+    as ``build_posterior``'s are: the samplers may then run chains in forked
+    worker processes, where any other effect would be lost to the caller.
     """
 
     def __init__(
@@ -71,8 +79,11 @@ class PosteriorFn:
         log_density: Callable[[np.ndarray], float] | None = None,
         constrain: Callable[[np.ndarray], dict[str, float]] | None = None,
         transforms=None,
+        *,
+        fork_safe: bool = False,
     ):
         self.param_names = tuple(param_names)
+        self.fork_safe = fork_safe
         if transforms is None:
             if constrain is not None:
                 raise TypeError("a constrain callable needs the transforms it applies: the samplers use those")
@@ -114,6 +125,18 @@ def _rows(value, n_rows: int) -> np.ndarray:
     if isinstance(value, np.ndarray):
         return value
     return np.broadcast_to(np.asarray(value, dtype=float), (n_rows,))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` for n-vectors, the same bits under any BLAS thread count:
+    ``np.dot`` over blocks of ``_DOT_BLOCK`` rows, the block sums added in
+    order.  Up to one block, that is ``np.dot`` itself."""
+    if a.shape[0] <= _DOT_BLOCK:
+        return float(np.dot(a, b))
+    total = 0.0
+    for start in range(0, a.shape[0], _DOT_BLOCK):
+        total += float(np.dot(a[start:start + _DOT_BLOCK], b[start:start + _DOT_BLOCK]))
+    return total
 
 
 def _at(compiled, x, n_rows: int) -> np.ndarray:
@@ -173,7 +196,7 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             try:
                 resid = y - _at(mean, x, n_rows)
                 t = resid / sigma
-                tt = float(np.dot(t, t))
+                tt = _dot(t, t)
                 if not math.isfinite(tt):  # a non-finite mean makes t.t non-finite
                     formula.check_finite(_at(mean, x, n_rows))
             except NonFiniteResult as exc:
@@ -199,7 +222,7 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
         cube = sigma * sigma * sigma
         if cube > 0.0:
             r, w = resid, 1.0 / (sigma * sigma)
-            dsigma = float(np.dot(resid, resid)) / cube - n_rows / sigma
+            dsigma = _dot(resid, resid) / cube - n_rows / sigma
         else:
             # sigma^3 underflows to 0: the same derivatives through t = resid / sigma,
             # only here, so that every other sigma keeps the arithmetic the draws depend on
@@ -207,7 +230,7 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             dsigma = (tt - n_rows) * w
         try:
             for i, dmu in partials:
-                s = 0.0 if dmu is None else w * float(np.dot(r, _at(dmu, x, n_rows)))
+                s = 0.0 if dmu is None else w * _dot(r, _at(dmu, x, n_rows))
                 if i == noise_index:
                     s += dsigma
                 grad[i] += s * dfwd[i]
@@ -231,4 +254,5 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
         log_density_and_grad=lambda z: density(z, True),
         log_density=lambda z: density(z, False),
         transforms=transforms,
+        fork_safe=True,
     )

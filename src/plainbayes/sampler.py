@@ -7,9 +7,16 @@ statistic, and windowed estimation of a diagonal mass matrix during warmup
 terminal step-size-only phase).  Transitions whose Hamiltonian error exceeds
 1000 are flagged divergent and their subtree is discarded.
 
-Chains run one after another, each drawing from its own Philox stream keyed
-by ``seed + chain_index``, so results are reproducible bit for bit.  Warmup
-draws are discarded; adaptation is frozen after warmup so the kept chain is
+Each chain draws from its own Philox stream keyed by ``seed + chain_index``,
+so the chains are independent and results reproducible bit for bit.  They
+run in parallel in forked worker processes, by default one per usable CPU
+and never more than chains (``jobs`` sets the number).  Each worker runs its
+chains in order and sends their unconstrained draws and stats back over a
+pipe; the parent constrains the draws as it does for chains run in process,
+so the trace is the same bytes with any number of workers.  With one worker,
+or a density not marked ``fork_safe`` (its side effects must reach the
+caller), the chains run one after another in process.  Warmup draws are
+discarded; adaptation is frozen after warmup so the kept chain is
 Markovian.  Past the initial point, a non-finite density (say, a positive
 parameter underflowing to 0 under a division) is log density -inf: NUTS marks
 the step divergent and RWM rejects it; numpy overflow there is not warned.
@@ -19,16 +26,21 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
+import threading
+import warnings
 from dataclasses import asdict, dataclass
 from itertools import islice
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
 from .errors import AllDivergent, BadInitialPoint, MalformedTrace, NonFiniteDensity, SamplerError
 from .posterior import PosteriorFn
 
-__all__ = ["SamplerConfig", "Trace", "nuts_sample", "rwm_sample", "save_trace", "load_trace"]
+__all__ = ["SamplerConfig", "Trace", "nuts_sample", "rwm_sample", "sample", "worker_count", "save_trace", "load_trace"]
 
 _DIVERGENCE_THRESHOLD = 1000.0  # Hamiltonian error that flags a divergence
 _INIT_JITTER_SD = math.sqrt(0.1)  # initial z ~ N(0, 0.1 I)
@@ -366,9 +378,10 @@ def _run_nuts_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
         yield z, (accept, depth, divergent, eps)
 
 
-def nuts_sample(pf: PosteriorFn, cfg: SamplerConfig) -> Trace:
-    """Run ``cfg.chains`` independent NUTS chains and collect kept draws."""
-    return _run_chains(_run_nuts_chain, _NUTS_STATS, pf, cfg)
+def nuts_sample(pf: PosteriorFn, cfg: SamplerConfig, *, jobs: int | None = None) -> Trace:
+    """Run ``cfg.chains`` independent NUTS chains and collect kept draws;
+    ``jobs`` caps the worker processes (see ``worker_count``)."""
+    return _run_chains(_run_nuts_chain, _NUTS_STATS, pf, cfg, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -418,24 +431,43 @@ def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
         yield z, (alpha, moved, False, multiplier)
 
 
-def rwm_sample(pf: PosteriorFn, cfg: SamplerConfig) -> Trace:
+def rwm_sample(pf: PosteriorFn, cfg: SamplerConfig, *, jobs: int | None = None) -> Trace:
     """Gradient-free fallback: adaptive Gaussian random-walk Metropolis."""
-    return _run_chains(_run_rwm_chain, _RWM_STATS, pf, cfg)
+    return _run_chains(_run_rwm_chain, _RWM_STATS, pf, cfg, jobs)
 
 
-def _run_chains(run_chain: Callable, stat_types, pf: PosteriorFn, cfg: SamplerConfig) -> Trace:
+def worker_count(chains: int, jobs: int | None = None) -> int:
+    """Worker processes for ``chains`` chains: ``jobs``, by default one per
+    usable CPU, and never more than there are chains."""
+    if jobs is None:
+        try:
+            jobs = len(os.sched_getaffinity(0))
+        except AttributeError:  # a platform without CPU affinity
+            jobs = os.cpu_count() or 1
+    elif jobs < 1:
+        raise SamplerError(f"jobs must be >= 1, got {jobs}")
+    return min(chains, jobs)
+
+
+def _run_chains(run_chain: Callable, stat_types, pf: PosteriorFn, cfg: SamplerConfig, jobs: int | None) -> Trace:
     """Pull ``cfg.kept_draws`` kept ``(z, stats_row)`` transitions from each
-    chain's runner and collect the constrained draws and the named stats."""
+    chain's runner and collect the constrained draws and the named stats.
+
+    The chains run in ``worker_count(cfg.chains, jobs)`` forked processes
+    when there is more than one, ``pf`` is fork-safe, the platform forks and
+    this is the main thread (which alone receives signals); else one after
+    another here."""
     if pf.dimension < 1:
         raise SamplerError("posterior must have dimension >= 1")
     unconstrained = np.empty((cfg.chains, cfg.kept_draws, pf.dimension))
     stats = {name: np.empty((cfg.chains, cfg.kept_draws), dtype) for name, dtype in stat_types}
-    with np.errstate(over="ignore"):
+    workers = worker_count(cfg.chains, jobs)
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if workers > 1 and pf.fork_safe and hasattr(os, "fork") and on_main_thread:
+        _run_in_workers(run_chain, pf, cfg, workers, unconstrained, stats)
+    else:
         for c in range(cfg.chains):
-            for d, (z, stats_row) in enumerate(islice(run_chain(pf, cfg, c), cfg.kept_draws)):
-                unconstrained[c, d] = z
-                for column, value in zip(stats.values(), stats_row):
-                    column[c, d] = value
+            _run_chain_into(run_chain, pf, cfg, c, unconstrained, stats)
     # Each column through its own transform's scalar forward: the floats and
     # the function a per-draw pf.constrain would use, so the same bits.
     draws = np.empty_like(unconstrained)
@@ -448,9 +480,132 @@ def _run_chains(run_chain: Callable, stat_types, pf: PosteriorFn, cfg: SamplerCo
     return Trace(param_names=list(pf.param_names), draws=draws, stats=stats, config=cfg)
 
 
-def sample(pf: PosteriorFn, cfg: SamplerConfig) -> Trace:
+def _run_chain_into(run_chain: Callable, pf: PosteriorFn, cfg: SamplerConfig, c: int, unconstrained, stats) -> None:
+    """Write chain ``c``'s kept draws and stats into row ``c`` of the outputs."""
+    columns = [column[c] for column in stats.values()]
+    with np.errstate(over="ignore"):
+        for d, (z, stats_row) in enumerate(islice(run_chain(pf, cfg, c), cfg.kept_draws)):
+            unconstrained[c, d] = z
+            for column, value in zip(columns, stats_row):
+                column[d] = value
+
+
+# ---------------------------------------------------------------------------
+# Chains in forked workers
+
+
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+def _run_in_workers(run_chain: Callable, pf: PosteriorFn, cfg: SamplerConfig, n_workers: int, unconstrained, stats) -> None:
+    """Fill the outputs from ``n_workers`` forked processes, worker ``w``
+    running chains w, w + n_workers, ... in order, each through
+    ``_run_chain_into`` as in process, and sending back its rows.
+
+    The caller gets the exception of the lowest-index chain that raised.
+    Whatever ends this call stops and reaps every worker first: a return, an
+    exception, Ctrl-C, or SIGTERM while its action is the default one (it
+    then ends the process with status 128 + SIGTERM, as SystemExit)."""
+    relay = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+    if relay:
+        signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    pids, pipes = [], []
+    try:
+        for w in range(n_workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(read_fd)
+            # Hold SIGINT and SIGTERM until the new worker is on the list the cleanup stops.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
+            try:
+                pid = _fork()
+                if pid == 0:
+                    _worker(run_chain, pf, cfg, range(w, cfg.chains, n_workers), unconstrained, stats, write_fd, mask)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        failures = []
+        for pid, read_fd in zip(pids, pipes):
+            with open(read_fd, "rb", closefd=False) as pipe:
+                try:
+                    done, failure = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise SamplerError(f"chain worker {pid} exited without sending its draws") from None
+            for c, rows, columns in done:
+                unconstrained[c] = rows
+                for column, values in zip(stats.values(), columns):
+                    column[c] = values
+            if failure is not None:
+                failures.append(failure)
+        if failures:
+            _, cls, args, attrs = min(failures, key=lambda failure: failure[0])
+            exc = cls.__new__(cls)
+            exc.args = args
+            exc.__dict__.update(attrs)
+            raise exc
+    finally:
+        for read_fd in pipes:
+            os.close(read_fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # one that sent its rows is only exiting
+            os.waitpid(pid, 0)
+        if relay:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _fork() -> int:
+    with warnings.catch_warnings():
+        # Python 3.12+ warns when it forks a process that has other threads,
+        # such as OpenBLAS's pool, since one may hold a lock the child then
+        # waits on forever.  OpenBLAS joins its pool before a fork (it
+        # registers pthread_atfork), so none of its threads holds one.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        return os.fork()
+
+
+def _worker(run_chain: Callable, pf: PosteriorFn, cfg: SamplerConfig, chains, unconstrained, stats, fd: int, mask) -> NoReturn:
+    """A forked worker: run ``chains`` in order, stopping at the first that
+    raises, and send the parent ``(done, failure)``, the finished chains'
+    ``(c, rows, stat columns)`` and ``(c, type, args, attributes)`` of the
+    failing chain's exception or None.  It leaves only through ``os._exit``,
+    so nothing of the parent's (buffers, atexit hooks, callers' cleanup) runs
+    twice."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        done, failure = [], None
+        for c in chains:
+            try:
+                _run_chain_into(run_chain, pf, cfg, c, unconstrained, stats)
+            except Exception as exc:
+                failure = (c, *_portable(exc))
+                break
+            done.append((c, unconstrained[c], [column[c] for column in stats.values()]))
+        with open(fd, "wb") as pipe:
+            pickle.dump((done, failure), pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _portable(exc: Exception) -> tuple:
+    """``exc`` as (type, args, attributes), rebuilt in the parent without
+    ``__init__``: pickling the exception itself calls ``__init__`` with
+    ``args``, which some of ours do not take (``AllDivergent``)."""
+    parts = (type(exc), exc.args, vars(exc))
+    try:
+        pickle.dumps(parts)
+    except Exception:  # a class or an attribute pickle cannot carry
+        return SamplerError, (f"{type(exc).__name__}: {exc}",), {}
+    return parts
+
+
+def sample(pf: PosteriorFn, cfg: SamplerConfig, *, jobs: int | None = None) -> Trace:
     """Dispatch on ``cfg.algorithm``."""
-    return nuts_sample(pf, cfg) if cfg.algorithm == "nuts" else rwm_sample(pf, cfg)
+    return nuts_sample(pf, cfg, jobs=jobs) if cfg.algorithm == "nuts" else rwm_sample(pf, cfg, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -61,5 +61,23 @@ def experiment_model(experiment_dataset):
 
 
 @pytest.fixture()
+def worker_pids(monkeypatch) -> list[int]:
+    """Record, in the parent, the pid of each chain worker the sampler forks."""
+    from plainbayes import sampler
+
+    pids = []
+    fork = sampler._fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(sampler, "_fork", recorded)
+    return pids
+
+
+@pytest.fixture()
 def tiny_dataset() -> Dataset:
     return Dataset({"X": np.array([0.0]), "y": np.array([0.0])})

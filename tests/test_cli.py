@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -346,6 +348,127 @@ class TestReportsLocked:
         )
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.HASHES}
         assert digests == self.HASHES
+
+
+class TestDrawsIndependentOfBlasThreads:
+    def test_large_n_trace_same_with_one_and_two_threads(self, tmp_path):
+        # over 10 000 rows, OpenBLAS sums a plain dot product in an order set by its thread count
+        data = tmp_path / "data.csv"
+        assert run_cli("simulate", "--n", 20000, "--seed", 3, "--out", data) == 0
+        model_json = tmp_path / "model.json"
+        model_json.write_text(json.dumps(RECIP_MODEL))
+        traces = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
+            subprocess.run(
+                [
+                    sys.executable, "-m", "plainbayes", "fit", "--model", str(model_json), "--data", str(data),
+                    "--chains", "2", "--warmup", "30", "--draws", "20", "--seed", "5",
+                    "--out-dir", str(tmp_path / threads),
+                ],
+                env=env, check=True, capture_output=True,
+            )
+            traces.append((tmp_path / threads / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+
+
+# Runs the CLI with each chain worker's pid appended to the file argv[1].
+_LOGGED_FORK_MAIN = """
+import sys
+from plainbayes import cli, sampler
+
+fork = sampler._fork
+
+def logged_fork():
+    pid = fork()
+    if pid:
+        with open(sys.argv[1], "a") as fh:
+            fh.write(f"{pid}\\n")
+    return pid
+
+sampler._fork = logged_fork
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+class TestChainWorkers:
+    """``--jobs`` sets how many forked workers run the chains and changes no output byte."""
+
+    @pytest.mark.parametrize("algorithm", ["nuts", "rwm"])
+    @pytest.mark.parametrize("chains,jobs", [(3, 2), (2, 5)])
+    def test_same_bytes_as_in_process(self, tmp_path, data_csv, worker_pids, algorithm, chains, jobs):
+        args = [
+            "fit", "--model", EXAMPLES / "manual_priors_model.json", "--data", data_csv, "--algorithm", algorithm,
+            "--chains", chains, "--warmup", 150, "--draws", 100, "--seed", 11,
+        ]
+        assert run_cli(*args, "--jobs", 1, "--out-dir", tmp_path / "serial") == 0
+        assert worker_pids == []
+        assert run_cli(*args, "--jobs", jobs, "--out-dir", tmp_path / "workers") == 0
+        assert len(worker_pids) == min(chains, jobs)
+        for name in ("trace.csv", "stats.json"):
+            assert (tmp_path / "workers" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+    def test_one_chain_never_forks(self, tmp_path, data_csv, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked a worker for one chain")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        code = run_cli(
+            "fit", "--model", EXAMPLES / "manual_priors_model.json", "--data", data_csv,
+            "--chains", 1, "--warmup", 50, "--draws", 20, "--out-dir", tmp_path / "fit",
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize("command", ["fit", "run"])
+    def test_zero_jobs_is_a_one_line_error(self, tmp_path, data_csv, capsys, command):
+        if command == "fit":
+            args = ["--model", EXAMPLES / "manual_priors_model.json", "--data", data_csv]
+        else:
+            args = ["--description-file", EXAMPLES / "linear_regression_description.txt"]
+        out_dir = tmp_path / "out"
+        assert run_cli(command, *args, "--jobs", 0, "--out-dir", out_dir) == 1
+        assert capsys.readouterr().err == f"{command}: SamplerError: jobs must be >= 1, got 0\n"
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize(
+        "signum,returncode",
+        [
+            (signal.SIGINT, -signal.SIGINT),  # KeyboardInterrupt, re-raised as the signal at exit
+            (signal.SIGTERM, 128 + signal.SIGTERM),
+        ],
+    )
+    def test_signal_to_the_command_stops_its_workers(self, tmp_path, data_csv, signum, returncode):
+        # the signal goes to the command's pid alone, as a benchmark or a job runner sends it
+        log = tmp_path / "workers"
+        env = {**os.environ, "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
+        argv = [
+            sys.executable, "-c", _LOGGED_FORK_MAIN, str(log),
+            "fit", "--model", str(EXAMPLES / "manual_priors_model.json"), "--data", str(data_csv),
+            "--algorithm", "rwm", "--chains", "2", "--warmup", "10000000", "--draws", "10",
+            "--out-dir", str(tmp_path / "fit"),
+        ]
+        pids = []
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        try:
+            deadline = time.monotonic() + 60
+            while len(pids) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+                pids = [int(pid) for pid in log.read_text().split()] if log.exists() else []
+            proc.send_signal(signum)
+            assert proc.wait(timeout=30) == returncode
+            for pid in pids:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 class TestRun:

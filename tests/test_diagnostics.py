@@ -130,8 +130,9 @@ class TestScipyReplacements:
         np.testing.assert_allclose(_rank_normalize(arr), expected, rtol=2e-15, atol=0)
 
     def test_cli_import_skips_scipy_stats_and_fft(self):
-        # the runtime is numpy and the standard library alone
-        packages = ("scipy", "requests", "urllib3")
+        # the runtime is numpy and the standard library alone, and chain
+        # workers are bare forks, with no multiprocessing or executor start-up
+        packages = ("scipy", "requests", "urllib3", "multiprocessing", "concurrent")
         code = f"import sys, plainbayes.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"

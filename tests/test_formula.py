@@ -22,6 +22,7 @@ from plainbayes.formula import (
     free_vars,
     parse,
     parse_formula,
+    simplify,
     to_source,
     tokenize,
 )
@@ -164,6 +165,32 @@ class TestDifferentiate:
     def test_free_vars_shrink(self):
         ast = parse_formula("a + b * X")
         assert free_vars(differentiate(ast, "b")) <= free_vars(ast)
+
+    def test_reciprocal_partials_fold_to_literals(self):
+        # the quotient rule gives 0 / (tau * tau) for a parameter absent from X / tau
+        ast = parse_formula("alpha + X / tau")
+        assert differentiate(ast, "alpha") == NumberLiteral(1.0)
+        assert differentiate(ast, "sigma") == NumberLiteral(0.0)
+        assert differentiate(ast, "tau") == Binary(
+            "/", Negate(Variable("X")), Binary("*", Variable("tau"), Variable("tau"))
+        )
+
+
+class TestSimplifyZeroNumerator:
+    def test_zero_over_expression_folds(self):
+        assert simplify(parse_formula("0 / tau")) == NumberLiteral(0.0)
+        assert simplify(parse_formula("0 / (tau * tau)")) == NumberLiteral(0.0)
+
+    def test_zero_over_literal_zero_stays(self):
+        ast = parse_formula("0 / 0")
+        assert simplify(ast) == ast
+
+    def test_folded_node_ignores_a_zero_denominator(self):
+        # unfolded, 0 / e raises where e is 0; folded, it is 0 there too
+        ast = parse_formula("0 / (tau * tau)")
+        with pytest.raises(NonFiniteResult):
+            evaluate(ast, {"tau": 0.0})
+        assert evaluate(simplify(ast), {"tau": 0.0}) == 0.0
 
 
 def _random_ast(rng, variables, depth):

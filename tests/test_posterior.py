@@ -174,6 +174,44 @@ class TestTinyNoiseScale:
         assert grad[1] == pytest.approx(1.0 - 5, rel=1e-12)
 
 
+class TestZeroDenominatorGradient:
+    """On ``alpha + X / tau``, ``formula.simplify`` folds alpha's partial to 1 and
+    sigma's to 0, so only tau's own partial, -X / (tau * tau), divides by tau^2."""
+
+    Y = np.array([0.5, -1.0, 0.0, 2.0])
+
+    def _pf(self):
+        spec = ModelSpec(
+            priors={
+                "alpha": DistributionSpec("Normal", {"mu": 0, "sigma": 1}),
+                "tau": DistributionSpec("Exponential", {"lam": 1}),
+                "sigma": DistributionSpec("HalfNormal", {"sigma": 1}),
+            },
+            likelihood=LikelihoodSpec(formula_source="alpha + X / tau"),
+        )
+        data = Dataset({"X": np.zeros(4), "y": self.Y})
+        return build_posterior(validate_model(spec, data.column_names()), data)
+
+    def test_underflowing_denominator_still_fails_the_gradient(self):
+        # tau = e^-400: X / tau is 0 and the density finite, but tau * tau is 0,
+        # so tau's partial is 0 / 0 and the gradient a hard error, as before the fold
+        pf = self._pf()
+        z = np.array([0.3, -400.0, 0.2])
+        assert math.isfinite(pf.log_density(z))
+        with pytest.raises(NonFiniteGradient):
+            pf.log_density_and_grad(z)
+
+    def test_folded_components(self):
+        pf = self._pf()
+        alpha, sigma = 0.3, math.exp(0.2)
+        _, grad = pf.log_density_and_grad(np.array([alpha, 0.0, 0.2]))
+        # N(0, 1) prior on alpha, and d loglik / d alpha = sum(resid) / sigma^2
+        assert grad[0] == pytest.approx(-alpha + float(np.sum(self.Y - alpha)) / sigma**2, rel=1e-12)
+        # X = 0 leaves the likelihood flat in tau: -tau + 1 from the Exponential(1)
+        # prior and the log-Jacobian, 0 at tau = 1
+        assert grad[1] == pytest.approx(0.0, abs=1e-12)
+
+
 class TestConstrain:
     def test_zero_vector(self, experiment_dataset):
         pf = _experiment_pf(experiment_dataset)

@@ -1,14 +1,28 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import plainbayes
+from plainbayes import sampler
 from plainbayes.data_io import Dataset, SimConfig, simulate_linear
 from plainbayes.distributions import LogisticIntervalTransform
-from plainbayes.errors import AllDivergent, BadInitialPoint, MalformedTrace, NonFiniteDensity, SamplerError
+from plainbayes.errors import (
+    AllDivergent,
+    BadInitialPoint,
+    MalformedTrace,
+    NonFiniteDensity,
+    NonFiniteGradient,
+    SamplerError,
+)
 from plainbayes.posterior import PosteriorFn, build_posterior
 from plainbayes.sampler import (
     SamplerConfig,
@@ -18,6 +32,7 @@ from plainbayes.sampler import (
     nuts_sample,
     rwm_sample,
     save_trace,
+    worker_count,
 )
 from plainbayes.diagnostics import ess_bulk, split_rhat
 from plainbayes.spec_schema import parse_model_json, validate_model
@@ -306,6 +321,122 @@ class TestAllDivergent:
         cfg = SamplerConfig(chains=2, warmup_draws=0, kept_draws=50, seed=2)
         with pytest.raises(AllDivergent):
             nuts_sample(pf, cfg)
+
+
+class TestWorkerCount:
+    def test_default_is_usable_cpus_capped_by_chains(self):
+        assert worker_count(64) == min(64, len(os.sched_getaffinity(0)))
+        assert worker_count(1) == 1
+
+    def test_jobs_above_chains_clamp(self):
+        assert worker_count(2, 5) == 2
+
+    def test_rejects_nonpositive_jobs(self):
+        with pytest.raises(SamplerError, match="jobs must be >= 1, got 0"):
+            worker_count(3, 0)
+
+
+def _failing_posterior(make_exc, failing_chains, seed, dim=2):
+    """A fork-safe standard normal that raises ``make_exc(c)`` at chain ``c``'s
+    first initial point, for each ``c`` in ``failing_chains``."""
+    starts = {}
+    for c in failing_chains:
+        z = math.sqrt(0.1) * np.random.Generator(np.random.Philox(key=seed + c)).standard_normal(dim)
+        starts[z.tobytes()] = c
+
+    def vag(z):
+        if z.tobytes() in starts:
+            raise make_exc(starts[z.tobytes()])
+        return -0.5 * float(np.dot(z, z)), -z
+
+    return PosteriorFn(param_names=[f"x{i}" for i in range(dim)], log_density_and_grad=vag, fork_safe=True)
+
+
+class TestChainWorkers:
+    """Chains in forked workers fail as chains run in process do; no worker outlives the call."""
+
+    CFG = SamplerConfig(chains=3, warmup_draws=30, kept_draws=20, seed=4)
+
+    @staticmethod
+    def _raised(pf, cfg, jobs):
+        with pytest.raises(Exception) as err:
+            nuts_sample(pf, cfg, jobs=jobs)
+        return type(err.value), str(err.value), vars(err.value)
+
+    @pytest.mark.parametrize(
+        "make_exc",
+        [
+            lambda c: NonFiniteDensity("likelihood mean is non-finite", row=10 + c),
+            lambda c: AllDivergent(0.5 + c / 10),  # its __init__ does not take its args
+            lambda c: NonFiniteGradient("gradient contains non-finite components", z=np.full(2, float(c))),
+        ],
+    )
+    def test_lowest_failing_chain_wins(self, worker_pids, make_exc):
+        # chain 0 runs to the end; workers: {0, 2} and {1}, so chain 2's failure arrives first
+        pf = _failing_posterior(make_exc, failing_chains=(1, 2), seed=self.CFG.seed)
+        serial = self._raised(pf, self.CFG, jobs=1)
+        assert worker_pids == []
+        parallel = self._raised(pf, self.CFG, jobs=2)
+        assert len(worker_pids) == 2
+        assert parallel[:2] == serial[:2] and parallel[2].keys() == serial[2].keys()
+        for name, value in serial[2].items():
+            assert np.array_equal(parallel[2][name], value) if isinstance(value, np.ndarray) else parallel[2][name] == value
+        if serial[0] is NonFiniteDensity:
+            assert serial[2]["row"] == 11
+
+    def test_exception_pickle_cannot_carry(self):
+        pf = _failing_posterior(lambda c: type("Unnamed", (Exception,), {})(f"chain {c}"), (0,), self.CFG.seed)
+        with pytest.raises(SamplerError, match="^Unnamed: chain 0$"):
+            nuts_sample(pf, self.CFG, jobs=2)
+
+    def test_workers_reaped_after_a_failure(self, worker_pids):
+        pf = _failing_posterior(lambda c: NonFiniteDensity("bad", row=c), (0, 1, 2), self.CFG.seed)
+        with pytest.raises(NonFiniteDensity):
+            nuts_sample(pf, self.CFG, jobs=2)
+        assert len(worker_pids) == 2
+        for pid in worker_pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_density_not_fork_safe_runs_in_process(self, worker_pids):
+        # its side effects, here a call count, must land in the caller
+        calls = []
+
+        def vag(z):
+            calls.append(1)
+            return -0.5 * float(np.dot(z, z)), -z
+
+        pf = PosteriorFn(param_names=["a"], log_density_and_grad=vag)
+        nuts_sample(pf, self.CFG, jobs=2)
+        assert worker_pids == [] and len(calls) > self.CFG.chains * (self.CFG.warmup_draws + self.CFG.kept_draws)
+
+    def test_fork_warning_does_not_leak(self, monkeypatch):
+        # Python 3.12+ warns when forking a process that has other threads
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks", DeprecationWarning)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        pf = PosteriorFn(param_names=["a"], log_density_and_grad=lambda z: (-0.5 * float(z @ z), -z), fork_safe=True)
+        nuts_sample(pf, self.CFG, jobs=2)  # the suite turns a leaked warning into an error
+
+    def test_workers_leave_through_os_exit(self, tmp_path):
+        # an atexit hook (or any cleanup of the parent's) must run in the parent alone
+        marker = tmp_path / "exits"
+        code = (
+            "import atexit, os\n"
+            "from plainbayes.posterior import PosteriorFn\n"
+            "from plainbayes.sampler import SamplerConfig, nuts_sample\n"
+            f"atexit.register(lambda: open({str(marker)!r}, 'a').write(f'{{os.getpid()}}\\n'))\n"
+            "pf = PosteriorFn(['a'], lambda z: (-0.5 * float(z @ z), -z), fork_safe=True)\n"
+            "nuts_sample(pf, SamplerConfig(chains=2, warmup_draws=20, kept_draws=10), jobs=2)\n"
+            "print(os.getpid())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert marker.read_text().split() == [out.stdout.strip()]
 
 
 def _reference_save_trace(trace, csv_path, stats_path=None):
