@@ -280,6 +280,8 @@ def _load_beliefs(path) -> dict[str, str]:
 
 def _cmd_run(args) -> int:
     started = time.time()
+    diagnostics.check_hdi_prob(args.hdi)  # before any work: these stages come last
+    plotting.check_bins(args.bins)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     llm_cfg = _llm_config(args)

@@ -108,7 +108,7 @@ def load_csv(path) -> Dataset:
     Errors carry 1-based line numbers.  Ragged rows and non-numeric cells
     are rejected; so are duplicate or empty header names.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # spreadsheets may write a byte-order mark
         reader = csv.reader(fh)
         try:
             header = next(reader)

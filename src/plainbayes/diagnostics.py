@@ -41,6 +41,7 @@ __all__ = [
     "ess_bulk",
     "hdi",
     "mode_estimate",
+    "check_hdi_prob",
     "summarize",
     "render_text",
     "render_csv",
@@ -320,10 +321,15 @@ def _guarded(fn, *args, cell: str, param: str):
         return math.nan
 
 
-def summarize(trace: Trace, hdi_prob: float = 0.94) -> SummaryTable:
-    """Per-parameter summary over the pooled post-warmup draws."""
+def check_hdi_prob(hdi_prob: float) -> None:
+    """Raise unless ``hdi_prob`` is a probability strictly between 0 and 1."""
     if not 0.0 < hdi_prob < 1.0:
         raise PlainbayesError(f"hdi prob must be in (0, 1), got {hdi_prob}")
+
+
+def summarize(trace: Trace, hdi_prob: float = 0.94) -> SummaryTable:
+    """Per-parameter summary over the pooled post-warmup draws."""
+    check_hdi_prob(hdi_prob)
     if trace.draws.size == 0:
         raise InsufficientSamples("trace holds no draws")
     rows: dict[str, SummaryRow] = {}

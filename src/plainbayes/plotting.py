@@ -14,7 +14,7 @@ import numpy as np
 from .errors import NonFiniteDraws, PlainbayesError, PlotMismatch
 from .sampler import Trace
 
-__all__ = ["plot_trace", "histogram_counts", "write_histogram_csv", "render_histogram_svg"]
+__all__ = ["check_bins", "plot_trace", "histogram_counts", "write_histogram_csv", "render_histogram_svg"]
 
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 70, 20, 40, 50
@@ -108,6 +108,12 @@ def _finite_draws(trace: Trace, name: str) -> np.ndarray:
     return values
 
 
+def check_bins(bins: int) -> None:
+    """Raise unless a histogram can have ``bins`` bins."""
+    if bins < 1:
+        raise PlainbayesError(f"bins must be >= 1, got {bins}")
+
+
 def plot_trace(
     trace: Trace,
     out_dir,
@@ -122,8 +128,7 @@ def plot_trace(
     binned over their combined range so the overlays share edges.  Draws
     must be finite: a NaN or an infinity raises :class:`NonFiniteDraws`.
     """
-    if bins < 1:
-        raise PlainbayesError(f"bins must be >= 1, got {bins}")
+    check_bins(bins)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if compare is not None and set(trace.param_names) != set(compare.param_names):

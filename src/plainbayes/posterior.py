@@ -57,12 +57,17 @@ _GRADIENT_OVERFLOW_FLOOR = -1e10
 # more on as many threads as it has, in an order that depends on that count.
 _DOT_BLOCK = 8192
 
+np_dot = getattr(np.dot, "_implementation", np.dot)  # np.dot less its __array_function__ dispatch
+
 
 class PosteriorFn:
     """A pure, immutable log density over unconstrained coordinates.
 
     ``log_density_and_grad`` is the primitive; ``log_density`` derives from
-    it unless a cheaper value-only callable is supplied.  ``transforms`` map
+    it unless a cheaper value-only callable is supplied.  Both check ``z``;
+    ``unchecked_value_and_grad`` and ``unchecked_value`` are the callables
+    themselves, for callers that pass a float64 array of shape
+    ``(dimension,)`` (the samplers).  ``transforms`` map
     each unconstrained coordinate onto its parameter's support (identities
     when None).  The samplers constrain their kept draws through them, and
     so does ``constrain`` unless given a callable, which must agree with
@@ -89,8 +94,8 @@ class PosteriorFn:
                 raise TypeError("a constrain callable needs the transforms it applies: the samplers use those")
             transforms = [IdentityTransform()] * len(self.param_names)
         self.transforms = tuple(transforms)
-        self._value_and_grad = log_density_and_grad
-        self._value = log_density
+        self.unchecked_value_and_grad = log_density_and_grad
+        self.unchecked_value = log_density if log_density is not None else lambda z: log_density_and_grad(z)[0]
         self._constrain = constrain
 
     @property
@@ -104,14 +109,10 @@ class PosteriorFn:
         return z
 
     def log_density(self, z) -> float:
-        z = self._check(z)
-        if self._value is not None:
-            return self._value(z)
-        return self._value_and_grad(z)[0]
+        return self.unchecked_value(self._check(z))
 
     def log_density_and_grad(self, z) -> tuple[float, np.ndarray]:
-        z = self._check(z)
-        return self._value_and_grad(z)
+        return self.unchecked_value_and_grad(self._check(z))
 
     def constrain(self, z) -> dict[str, float]:
         z = self._check(z)
@@ -132,16 +133,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     ``np.dot`` over blocks of ``_DOT_BLOCK`` rows, the block sums added in
     order.  Up to one block, that is ``np.dot`` itself."""
     if a.shape[0] <= _DOT_BLOCK:
-        return float(np.dot(a, b))
+        return float(np_dot(a, b))
     total = 0.0
     for start in range(0, a.shape[0], _DOT_BLOCK):
-        total += float(np.dot(a[start:start + _DOT_BLOCK], b[start:start + _DOT_BLOCK]))
+        total += float(np_dot(a[start:start + _DOT_BLOCK], b[start:start + _DOT_BLOCK]))
     return total
-
-
-def _at(compiled, x, n_rows: int) -> np.ndarray:
-    """A compiled expression's n-vector at the parameter values ``x``."""
-    return _rows(compiled(x), n_rows) if callable(compiled) else compiled
 
 
 def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: str = "y") -> PosteriorFn:
@@ -165,10 +161,18 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             raise UnresolvedVariable(v, "dataset does not provide this column")
     fixed_env = {v: data.columns[v] for v in column_vars}
 
+    dot = np_dot if n_rows <= _DOT_BLOCK else _dot  # the same bits as _dot, less its call
+
     def compile_rows(ast):
-        """``ast`` compiled over the parameters; if parameter-free, its n-vector, computed once."""
+        """``ast`` compiled into a function of the parameter values giving its
+        n-vector; a parameter-free one computed once, here."""
         compiled = formula.compile_formula(ast, names, fixed_env)
-        return compiled if callable(compiled) else np.ascontiguousarray(_rows(compiled, n_rows))
+        if not callable(compiled):
+            vector = np.ascontiguousarray(_rows(compiled, n_rows))
+            return lambda x: vector
+        if formula.free_vars(ast) & fixed_env.keys():
+            return compiled  # a data column in it makes every value an n-vector
+        return lambda x: _rows(compiled(x), n_rows)
 
     mean = compile_rows(model.formula_ast)
     # (i, d mu / d x_i) for each parameter whose partial is not the literal 0,
@@ -194,11 +198,11 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
         loglik = -math.inf  # outside a prior's support, or noise-scale underflow/overflow
         if total > -math.inf and sigma > 0.0 and math.isfinite(sigma):
             try:
-                resid = y - _at(mean, x, n_rows)
+                resid = y - mean(x)
                 t = resid / sigma
-                tt = _dot(t, t)
+                tt = float(dot(t, t))
                 if not math.isfinite(tt):  # a non-finite mean makes t.t non-finite
-                    formula.check_finite(_at(mean, x, n_rows))
+                    formula.check_finite(mean(x))
             except NonFiniteResult as exc:
                 bad = np.broadcast_to(np.asarray(exc.value, dtype=float), (n_rows,)) if exc.value is not None else None
                 row = int(np.argmin(np.isfinite(bad))) if bad is not None else None
@@ -212,17 +216,19 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
         if not with_grad:
             return total
 
-        # d log|J_i| / dz_i, d x_i / dz_i and d log prior_i / dx_i (one-sided at support edges)
-        dljk = np.array([tf.dlog_jacobian_dz(zi) for tf, zi in zip(transforms, z)], dtype=float)
-        dfwd = np.array([tf.dforward_dz(zi) for tf, zi in zip(transforms, z)], dtype=float)
-        dprior = np.array([dist.dlogpdf_dx(xi) for dist, xi in zip(dists, x)], dtype=float)
-        grad = dprior * dfwd + dljk
+        # d log prior_i / dx_i (one-sided at support edges) * d x_i / dz_i + d log|J_i| / dz_i,
+        # in Python floats: the same IEEE operations as on arrays, at a fraction of the cost
+        dfwd = [tf.dforward_dz(zi) for tf, zi in zip(transforms, z)]
+        grad = [
+            dist.dlogpdf_dx(xi) * dfwd_i + tf.dlog_jacobian_dz(zi)
+            for dist, xi, dfwd_i, tf, zi in zip(dists, x, dfwd, transforms, z)
+        ]
 
         # d loglik / d x_i = w * (r . d mu / d x_i), plus dsigma for the noise scale
         cube = sigma * sigma * sigma
         if cube > 0.0:
             r, w = resid, 1.0 / (sigma * sigma)
-            dsigma = _dot(resid, resid) / cube - n_rows / sigma
+            dsigma = float(dot(resid, resid)) / cube - n_rows / sigma
         else:
             # sigma^3 underflows to 0: the same derivatives through t = resid / sigma,
             # only here, so that every other sigma keeps the arithmetic the draws depend on
@@ -230,7 +236,7 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             dsigma = (tt - n_rows) * w
         try:
             for i, dmu in partials:
-                s = 0.0 if dmu is None else w * _dot(r, _at(dmu, x, n_rows))
+                s = 0.0 if dmu is None else w * float(dot(r, dmu(x)))
                 if i == noise_index:
                     s += dsigma
                 grad[i] += s * dfwd[i]
@@ -239,15 +245,15 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             # the density itself is fine: same policy as non-finite grad.
             # A non-finite partial that raises nothing makes its component
             # non-finite, which the same check catches.
-            grad[:] = math.nan
+            grad = [math.nan] * dim
 
-        if not np.isfinite(grad).all():
+        if not all(map(math.isfinite, grad)):
             # Overflow in the chain rule at an astronomically improbable point
             # is a rejection, not a bug; the sampler will flag it divergent.
             if total < _GRADIENT_OVERFLOW_FLOOR:
                 return total, np.zeros(dim)
             raise NonFiniteGradient("gradient contains non-finite components", z=z)
-        return total, grad
+        return total, np.array(grad)
 
     return PosteriorFn(
         param_names=names,

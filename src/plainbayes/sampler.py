@@ -20,6 +20,12 @@ discarded; adaptation is frozen after warmup so the kept chain is
 Markovian.  Past the initial point, a non-finite density (say, a positive
 parameter underflowing to 0 under a division) is log density -inf: NUTS marks
 the step divergent and RWM rejects it; numpy overflow there is not warned.
+
+The samplers call the density's callables unchecked (their z is always float64
+of shape (dim,)).  A NUTS state is the tuple (z, r, grad, logp, v, half_grad):
+v = inv_mass * r, once per leapfrog step for the kinetic energy and the U-turn
+test, and half_grad = 0.5 * eps * grad, shared with the next step in its
+direction.  Sharing them changes no operation, so every draw keeps its bits.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import Callable, NoReturn
 import numpy as np
 
 from .errors import AllDivergent, BadInitialPoint, MalformedTrace, NonFiniteDensity, SamplerError
-from .posterior import PosteriorFn
+from .posterior import PosteriorFn, np_dot
 
 __all__ = ["SamplerConfig", "Trace", "nuts_sample", "rwm_sample", "sample", "worker_count", "save_trace", "load_trace"]
 
@@ -71,8 +77,8 @@ class SamplerConfig:
             raise SamplerError(f"target_accept must be in (0, 1), got {self.target_accept}")
         if self.max_tree_depth < 1:
             raise SamplerError(f"max_tree_depth must be >= 1, got {self.max_tree_depth}")
-        if not self.step_size_init > 0:
-            raise SamplerError(f"step_size_init must be > 0, got {self.step_size_init}")
+        if not 0.0 < self.step_size_init < math.inf:
+            raise SamplerError(f"step_size_init must be finite and > 0, got {self.step_size_init}")
         if self.seed < 0:
             raise SamplerError(f"seed must be a non-negative integer, got {self.seed}")
 
@@ -139,12 +145,13 @@ class _DualAveraging:
 
 
 class _WindowedVariance:
-    """Streaming per-coordinate variance of the warm-up draws in each adaptation window."""
+    """Streaming per-coordinate variance of the warm-up draws in each adaptation
+    window, in Python floats: the array operations coordinate by coordinate,
+    so the same bits, at a fraction of their cost for a few coordinates."""
 
     def __init__(self, warmup: int, dim: int):
         self.windows = _adaptation_windows(warmup)
-        self.zeros = np.zeros(dim)  # shared: mean and m2 are rebound, never updated in place
-        self.n, self.mean, self.m2 = 0, self.zeros, self.zeros
+        self.n, self.mean, self.m2 = 0, [0.0] * dim, [0.0] * dim
 
     def observe(self, m: int, z: np.ndarray) -> np.ndarray | None:
         """Add the state after warm-up iteration ``m``; if ``m`` closes a
@@ -154,16 +161,18 @@ class _WindowedVariance:
         start, end = self.windows[0]
         if start <= m < end:
             self.n += 1
-            delta = z - self.mean
-            self.mean = self.mean + delta / self.n
-            self.m2 = self.m2 + delta * (z - self.mean)
+            n, mean, m2 = self.n, self.mean, self.m2
+            for j, zj in enumerate(z.tolist()):
+                delta = zj - mean[j]
+                mean[j] += delta / n
+                m2[j] += delta * (zj - mean[j])
         if m + 1 != end:
             return None
         # Shrink toward 1e-3 like Stan does, so short windows stay sane.
         w = self.n / (self.n + 5.0)
-        var = w * (self.m2 / max(self.n - 1, 1)) + 1e-3 * (1.0 - w)
+        var = w * (np.array(self.m2) / max(self.n - 1, 1)) + 1e-3 * (1.0 - w)
         del self.windows[0]
-        self.n, self.mean, self.m2 = 0, self.zeros, self.zeros
+        self.n, self.mean, self.m2 = 0, [0.0] * len(self.mean), [0.0] * len(self.mean)
         return var
 
 
@@ -207,93 +216,93 @@ def _initial_point(value_fn: Callable, rng: np.random.Generator, dim: int, attem
 # NUTS
 
 
-@dataclass
-class _Tree:
-    # Each state is a (z, r, grad, logp) tuple, as _leapfrog returns it;
-    # ends[direction > 0] is the edge a doubling in that direction extends.
-    ends: list[tuple]  # [minus, plus]
-    prop: tuple  # the state proposed from this subtree
-    log_weight: float
-    alpha_sum: float
-    n_alpha: int
-    divergent: bool
-    ok: bool
-
-
-def _kinetic(r: np.ndarray, inv_mass: np.ndarray) -> float:
-    return 0.5 * float(np.dot(r, inv_mass * r))
-
-
-def _leapfrog(vag, z, r, grad, eps, inv_mass, h0):
-    """One leapfrog step: the new (z, r, grad, logp) state and its change in
-    log joint density from ``h0`` (NaN counts as -inf)."""
-    r_half = r + 0.5 * eps * grad
-    z_new = z + eps * inv_mass * r_half
+def _leapfrog(vag, state, half_step, mass_step, inv_mass, h0):
+    """One leapfrog step of signed size ``eps`` from ``state``: the new state
+    and its change in log joint density from ``h0`` (NaN counts as -inf).
+    ``half_step`` is ``0.5 * eps`` in every coordinate, ``mass_step`` is
+    ``eps * inv_mass``, and ``state``'s half_grad is ``half_step * grad``.
+    (A product of arrays costs about half that of a float and an array, and
+    has the same bits, so the samplers spread a float into an array.)"""
+    r_half = state[1] + state[5]
+    z = state[0] + mass_step * r_half
     try:
-        logp_new, grad_new = vag(z_new)
+        logp, grad = vag(z)
     except NonFiniteDensity:
-        logp_new, grad_new = -math.inf, np.zeros_like(z_new)
-    r_new = r_half + 0.5 * eps * grad_new
-    delta_h = (logp_new - _kinetic(r_new, inv_mass)) - h0
-    return (z_new, r_new, grad_new, logp_new), -math.inf if math.isnan(delta_h) else delta_h
+        logp, grad = -math.inf, np.zeros_like(z)
+    half_grad = half_step * grad
+    r = r_half + half_grad
+    v = inv_mass * r
+    delta_h = (logp - 0.5 * float(np_dot(r, v))) - h0
+    return (z, r, grad, logp, v, half_grad), -math.inf if math.isnan(delta_h) else delta_h
 
 
-def _is_turning(ends, inv_mass) -> bool:
-    (z_minus, r_minus, _, _), (z_plus, r_plus, _, _) = ends
-    dz = z_plus - z_minus
-    return (
-        float(np.dot(dz, inv_mass * r_minus)) < 0.0
-        or float(np.dot(dz, inv_mass * r_plus)) < 0.0
-    )
+def _steps(eps: float, inv_mass: np.ndarray) -> list:
+    """``_leapfrog``'s (half_step, mass_step) backward and forward at step size ``eps``."""
+    n = inv_mass.shape[0]
+    return [(np.array([0.5 * signed] * n), np.array([signed] * n) * inv_mass) for signed in (-eps, eps)]
 
 
-def _build_tree(vag, edge, direction, depth, eps, inv_mass, h0, rng) -> _Tree:
-    """Build a subtree of 2**depth leapfrog steps from ``edge`` in ``direction``."""
+def _momentum(z, logp, inv_mass, rng):
+    """A fresh momentum ``r`` at ``z``, ``inv_mass * r`` and the log joint density."""
+    r = rng.standard_normal(z.shape[0]) / np.sqrt(inv_mass)
+    v = inv_mass * r
+    return r, v, logp - 0.5 * float(np_dot(r, v))
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """``np.logaddexp`` of two floats, by numpy's formula and libm calls, bit for bit."""
+    if x == y:
+        return x + math.log(2.0)
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0:
+        return y + math.log1p(math.exp(d))
+    return d  # NaN
+
+
+def _is_turning(minus, plus) -> bool:
+    dz = plus[0] - minus[0]
+    return np_dot(dz, minus[4]) < 0.0 or np_dot(dz, plus[4]) < 0.0
+
+
+def _build_tree(vag, edge, side, depth, half_step, mass_step, inv_mass, h0, random) -> list:
+    """Build a subtree of 2**depth leapfrog steps from ``edge``, forward if
+    ``side`` else backward, as the list [minus edge, plus edge, proposed state,
+    log weight, acceptance sum, acceptance count, divergent, ok]; ``tree[side]``
+    is the edge a doubling toward ``side`` extends."""
     if depth == 0:
-        leaf, delta_h = _leapfrog(vag, *edge[:3], direction * eps, inv_mass, h0)
+        leaf, delta_h = _leapfrog(vag, edge, half_step, mass_step, inv_mass, h0)
         divergent = delta_h < -_DIVERGENCE_THRESHOLD
-        return _Tree(
-            ends=[leaf, leaf],
-            prop=leaf,
-            log_weight=delta_h,
-            alpha_sum=min(1.0, math.exp(min(0.0, delta_h))),
-            n_alpha=1,
-            divergent=divergent,
-            ok=not divergent,
-        )
+        return [leaf, leaf, leaf, delta_h, math.exp(min(0.0, delta_h)), 1, divergent, not divergent]
 
-    first = _build_tree(vag, edge, direction, depth - 1, eps, inv_mass, h0, rng)
-    if not first.ok:
-        return first
-
-    side = direction > 0
-    second = _build_tree(vag, first.ends[side], direction, depth - 1, eps, inv_mass, h0, rng)
-    first.ends[side] = second.ends[side]
-    first.alpha_sum += second.alpha_sum
-    first.n_alpha += second.n_alpha
-    first.divergent = first.divergent or second.divergent
-    if not second.ok:
-        first.ok = False
-        return first
+    tree = _build_tree(vag, edge, side, depth - 1, half_step, mass_step, inv_mass, h0, random)
+    if not tree[7]:
+        return tree
+    second = _build_tree(vag, tree[side], side, depth - 1, half_step, mass_step, inv_mass, h0, random)
+    tree[side] = second[side]
+    tree[4] += second[4]
+    tree[5] += second[5]
+    tree[6] = tree[6] or second[6]
+    if not second[7]:
+        tree[7] = False
+        return tree
 
     # Multinomial selection between the two sibling subtrees.
-    total = np.logaddexp(first.log_weight, second.log_weight)
-    p_second = math.exp(min(0.0, second.log_weight - total))
-    if rng.random() < p_second:
-        first.prop = second.prop
-    first.log_weight = float(total)
-
-    if _is_turning(first.ends, inv_mass):
-        first.ok = False
-    return first
+    total = _logaddexp(tree[3], second[3])
+    if random() < math.exp(min(0.0, second[3] - total)):
+        tree[2] = second[2]
+    tree[3] = total
+    if _is_turning(tree[0], tree[1]):
+        tree[7] = False
+    return tree
 
 
-def _nuts_transition(vag, z, logp, grad, eps, inv_mass, rng, max_depth):
-    dim = z.shape[0]
-    r0 = rng.standard_normal(dim) / np.sqrt(inv_mass)
-    h0 = logp - _kinetic(r0, inv_mass)
-
-    ends = [(z, r0, grad, logp)] * 2  # [minus, plus]
+def _nuts_transition(vag, z, logp, grad, steps, inv_mass, rng, max_depth):
+    """One NUTS transition from ``z`` with ``steps = _steps(eps, inv_mass)``."""
+    r, v, h0 = _momentum(z, logp, inv_mass, rng)
+    random = rng.random
+    ends = [(z, r, grad, logp, v, half_step * grad) for half_step, _ in steps]  # [minus, plus]
     prop = ends[0]
     log_weight = 0.0  # weight of the initial point relative to itself
     alpha_sum = 0.0
@@ -302,39 +311,39 @@ def _nuts_transition(vag, z, logp, grad, eps, inv_mass, rng, max_depth):
     depth = 0
 
     while depth < max_depth:
-        direction = 1 if rng.random() < 0.5 else -1
-        side = direction > 0
-        sub = _build_tree(vag, ends[side], direction, depth, eps, inv_mass, h0, rng)
-        ends[side] = sub.ends[side]
+        side = random() < 0.5
+        sub = _build_tree(vag, ends[side], side, depth, *steps[side], inv_mass, h0, random)
+        ends[side] = sub[side]
 
-        alpha_sum += sub.alpha_sum
-        n_alpha += sub.n_alpha
-        divergent = divergent or sub.divergent
-        if not sub.ok:
+        alpha_sum += sub[4]
+        n_alpha += sub[5]
+        divergent = divergent or sub[6]
+        if not sub[7]:
             break
 
         # Biased progressive sampling: favor the fresh subtree.
-        p_new = math.exp(min(0.0, sub.log_weight - log_weight))
-        if rng.random() < p_new:
-            prop = sub.prop
-        log_weight = float(np.logaddexp(log_weight, sub.log_weight))
+        if random() < math.exp(min(0.0, sub[3] - log_weight)):
+            prop = sub[2]
+        log_weight = _logaddexp(log_weight, sub[3])
 
         depth += 1
-        if _is_turning(ends, inv_mass):
+        if _is_turning(*ends):
             break
 
-    accept_stat = alpha_sum / max(n_alpha, 1)
-    z, _, grad, logp = prop
-    return z, logp, grad, accept_stat, depth, divergent
+    z, _, grad, logp = prop[:4]
+    return z, logp, grad, alpha_sum / max(n_alpha, 1), depth, divergent
 
 
 def _find_reasonable_step_size(vag, z, logp, grad, inv_mass, rng, init: float) -> float:
     """Double/halve the step size until the one-step acceptance crosses 1/2."""
+    r, v, h0 = _momentum(z, logp, inv_mass, rng)
+
+    def delta_h(eps):
+        half_step, mass_step = _steps(eps, inv_mass)[1]
+        return _leapfrog(vag, (z, r, grad, logp, v, half_step * grad), half_step, mass_step, inv_mass, h0)[1]
+
     eps = init
-    dim = z.shape[0]
-    r = rng.standard_normal(dim) / np.sqrt(inv_mass)
-    h0 = logp - _kinetic(r, inv_mass)
-    dh = _leapfrog(vag, z, r, grad, eps, inv_mass, h0)[1]
+    dh = delta_h(eps)
     direction = 1.0 if dh > math.log(0.5) else -1.0
     for _ in range(100):
         if not direction * dh > -direction * math.log(2.0):
@@ -342,7 +351,7 @@ def _find_reasonable_step_size(vag, z, logp, grad, inv_mass, rng, init: float) -
         eps *= 2.0 ** direction
         if not 1e-10 < eps < 1e7:
             break
-        dh = _leapfrog(vag, z, r, grad, eps, inv_mass, h0)[1]
+        dh = delta_h(eps)
     return eps
 
 
@@ -353,7 +362,7 @@ def _run_nuts_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
     """Warm up, then yield ``(z, stats_row)`` per kept transition, ordered as ``_NUTS_STATS``."""
     rng = _chain_rng(cfg.seed, chain_index)
     dim = pf.dimension
-    vag = pf.log_density_and_grad
+    vag = pf.unchecked_value_and_grad
 
     z, (logp, grad) = _initial_point(vag, rng, dim)
     inv_mass = np.ones(dim)
@@ -363,7 +372,7 @@ def _run_nuts_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
     variance = _WindowedVariance(cfg.warmup_draws, dim)
     for m in range(cfg.warmup_draws):
         z, logp, grad, accept, _, _ = _nuts_transition(
-            vag, z, logp, grad, averaging.current, inv_mass, rng, cfg.max_tree_depth
+            vag, z, logp, grad, _steps(averaging.current, inv_mass), inv_mass, rng, cfg.max_tree_depth
         )
         averaging.update(accept)
         window_var = variance.observe(m, z)
@@ -371,9 +380,10 @@ def _run_nuts_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
             inv_mass = window_var
 
     eps = averaging.averaged if cfg.warmup_draws > 0 else eps
+    steps = _steps(eps, inv_mass)
     while True:
         z, logp, grad, accept, depth, divergent = _nuts_transition(
-            vag, z, logp, grad, eps, inv_mass, rng, cfg.max_tree_depth
+            vag, z, logp, grad, steps, inv_mass, rng, cfg.max_tree_depth
         )
         yield z, (accept, depth, divergent, eps)
 
@@ -395,7 +405,8 @@ def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
     """Warm up, then yield ``(z, stats_row)`` per kept transition, ordered as ``_RWM_STATS``."""
     rng = _chain_rng(cfg.seed, chain_index)
     dim = pf.dimension
-    value = pf.log_density
+    value = pf.unchecked_value
+    normal, random = rng.standard_normal, rng.random
 
     z, logp = _initial_point(value, rng, dim)
     base_scale = np.ones(dim)
@@ -405,19 +416,19 @@ def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
     variance = _WindowedVariance(cfg.warmup_draws, dim)
 
     def step(z, logp, scale):
-        proposal = z + scale * rng.standard_normal(dim)
+        proposal = z + scale * normal(dim)
         try:
             logp_new = value(proposal)
         except NonFiniteDensity:
             logp_new = -math.inf
         delta = logp_new - logp
         alpha = 1.0 if delta >= 0 else math.exp(delta)
-        if rng.random() < alpha:
+        if random() < alpha:
             return proposal, logp_new, alpha, True
         return z, logp, alpha, False
 
     for m in range(cfg.warmup_draws):
-        z, logp, alpha, _ = step(z, logp, averaging.current * base_scale)
+        z, logp, alpha, _ = step(z, logp, np.array([averaging.current] * dim) * base_scale)
         averaging.update(alpha)
         window_var = variance.observe(m, z)
         if window_var is not None:
@@ -482,12 +493,11 @@ def _run_chains(run_chain: Callable, stat_types, pf: PosteriorFn, cfg: SamplerCo
 
 def _run_chain_into(run_chain: Callable, pf: PosteriorFn, cfg: SamplerConfig, c: int, unconstrained, stats) -> None:
     """Write chain ``c``'s kept draws and stats into row ``c`` of the outputs."""
-    columns = [column[c] for column in stats.values()]
     with np.errstate(over="ignore"):
-        for d, (z, stats_row) in enumerate(islice(run_chain(pf, cfg, c), cfg.kept_draws)):
-            unconstrained[c, d] = z
-            for column, value in zip(columns, stats_row):
-                column[d] = value
+        kept = list(islice(run_chain(pf, cfg, c), cfg.kept_draws))
+    unconstrained[c] = [z for z, _ in kept]
+    for column, values in zip(stats.values(), zip(*[stats_row for _, stats_row in kept])):
+        column[c] = values
 
 
 # ---------------------------------------------------------------------------

@@ -546,6 +546,21 @@ class TestFlagValidation:
         assert code != 0
         assert "bins" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--hdi", 1.5, "hdi prob must be in (0, 1), got 1.5"), ("--bins", 0, "bins must be >= 1, got 0")],
+    )
+    def test_run_rejects_report_flags_before_any_work(self, tmp_path, capsys, flag, value, message):
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        code = run_cli(
+            "run", "--description-file", EXAMPLES / "linear_regression_description.txt",
+            "--n", 30, "--chains", 1, "--warmup", 20, "--draws", 10, flag, value, "--out-dir", out_dir,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"run: PlainbayesError: {message}\n"
+        assert list(out_dir.iterdir()) == []
+
     def test_stats_sidecar_mismatch(self, fit_dir, tmp_path, capsys):
         import json as json_module
 

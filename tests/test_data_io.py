@@ -115,3 +115,11 @@ class TestCsv:
         path = tmp_path / "crlf.csv"
         path.write_bytes(b"X,y\r\n1,2\r\n3,4\r\n")
         assert load_csv(path).n_rows == 2
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # spreadsheet programs export "UTF-8 CSV" with a leading U+FEFF
+        path = tmp_path / "bom.csv"
+        path.write_bytes("X,y\r\n1,2\r\n3,4\r\n".encode("utf-8-sig"))
+        data = load_csv(path)
+        assert data.column_names() == ["X", "y"]
+        np.testing.assert_array_equal(data.columns["X"], [1.0, 3.0])

@@ -37,6 +37,8 @@ from plainbayes.sampler import (
 from plainbayes.diagnostics import ess_bulk, split_rhat
 from plainbayes.spec_schema import parse_model_json, validate_model
 
+from conftest import EXPERIMENT_MODEL_JSON
+
 
 def std_normal_posterior(dim):
     def vag(z):
@@ -63,6 +65,7 @@ class TestConfig:
             {"kept_draws": 0},
             {"target_accept": 1.0},
             {"step_size_init": 0.0},
+            {"step_size_init": math.inf},
             {"seed": -1},
         ],
     )
@@ -321,6 +324,133 @@ class TestAllDivergent:
         cfg = SamplerConfig(chains=2, warmup_draws=0, kept_draws=50, seed=2)
         with pytest.raises(AllDivergent):
             nuts_sample(pf, cfg)
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def _np_logaddexp(x, y):
+    with np.errstate(all="ignore"):  # numpy warns on overflow and NaN; _logaddexp need not
+        return np.logaddexp(x, y)
+
+
+class TestLogAddExp:
+    """``_logaddexp`` replaces ``np.logaddexp`` on two floats in the NUTS tree."""
+
+    def test_random_pairs_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for scale in (1e-6, 1e-2, 1.0, 40.0, 1e4, 1e300):
+            for x, y in (rng.standard_normal((4000, 2)) * scale).tolist():
+                assert _bits(sampler._logaddexp(x, y)) == _bits(_np_logaddexp(x, y)), (x, y)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [(0.0, 0.0), (-0.0, 0.0), (-3.5, -3.5), (1e308, 1e308), (math.inf, math.inf), (-math.inf, -math.inf),
+         (math.inf, -math.inf), (-math.inf, math.inf), (-math.inf, 2.0), (2.0, -math.inf), (math.inf, 2.0),
+         (-1e308, 1e308), (5e-324, -5e-324)],
+    )
+    def test_edges_bit_for_bit(self, x, y):
+        assert _bits(sampler._logaddexp(x, y)) == _bits(_np_logaddexp(x, y))
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (math.nan, -math.inf)])
+    def test_nan_propagates(self, x, y):
+        assert math.isnan(sampler._logaddexp(x, y)) and math.isnan(_np_logaddexp(x, y))
+
+
+class _ArrayWindowedVariance:
+    """``_WindowedVariance`` as it was before it moved to Python floats: the
+    same recurrences on arrays.  The float version must give the same bits."""
+
+    def __init__(self, warmup, dim):
+        self.windows = sampler._adaptation_windows(warmup)
+        self.n, self.mean, self.m2 = 0, np.zeros(dim), np.zeros(dim)
+
+    def observe(self, m, z):
+        if not self.windows:
+            return None
+        start, end = self.windows[0]
+        if start <= m < end:
+            self.n += 1
+            delta = z - self.mean
+            self.mean = self.mean + delta / self.n
+            self.m2 = self.m2 + delta * (z - self.mean)
+        if m + 1 != end:
+            return None
+        w = self.n / (self.n + 5.0)
+        var = w * (self.m2 / max(self.n - 1, 1)) + 1e-3 * (1.0 - w)
+        del self.windows[0]
+        self.n, self.mean, self.m2 = 0, np.zeros(self.mean.shape), np.zeros(self.mean.shape)
+        return var
+
+
+class TestWindowedVariance:
+    @pytest.mark.parametrize("warmup, dim", [(150, 1), (1000, 3), (5000, 4)])
+    def test_same_bits_as_array_recurrence(self, warmup, dim):
+        rng = np.random.default_rng(warmup)
+        draws = rng.standard_normal((warmup, dim)) * np.logspace(-8, 8, dim) + 1e3 * rng.standard_normal(dim)
+        draws[1::3] = draws[0::3][: len(draws[1::3])]  # repeated rows, as rejected RWM proposals give
+        fast, reference = sampler._WindowedVariance(warmup, dim), _ArrayWindowedVariance(warmup, dim)
+        closed = 0
+        for m, z in enumerate(draws):
+            got, want = fast.observe(m, z), reference.observe(m, z)
+            assert (got is None) == (want is None)
+            if got is not None:
+                closed += 1
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert closed == len(sampler._adaptation_windows(warmup)) > 0
+
+
+class TestUncheckedCalls:
+    """The samplers call the callables a PosteriorFn was built with, without
+    ``_check`` on each call: their z is always float64 of shape (dim,)."""
+
+    @pytest.mark.parametrize("algorithm", ["nuts", "rwm"])
+    def test_fit_never_checks(self, experiment_dataset, monkeypatch, algorithm):
+        def refuse(self, z):
+            raise AssertionError("PosteriorFn._check called during a fit")
+
+        model = validate_model(parse_model_json(EXPERIMENT_MODEL_JSON), experiment_dataset.column_names())
+        pf = build_posterior(model, experiment_dataset)
+        monkeypatch.setattr(PosteriorFn, "_check", refuse)
+        cfg = SamplerConfig(algorithm=algorithm, chains=2, warmup_draws=200, kept_draws=100, seed=4)
+        trace = sampler.sample(pf, cfg, jobs=1)
+        assert np.all(np.isfinite(trace.draws))
+        with pytest.raises(AssertionError, match="_check called"):
+            pf.log_density(np.zeros(3))  # the public methods still check
+
+    @pytest.mark.parametrize("algorithm", ["nuts", "rwm"])
+    def test_wrapping_counter_sees_every_call(self, algorithm):
+        # perfbench/traced.py counts density calls by wrapping a built
+        # PosteriorFn's public methods in a new one, as here
+        evaluated, counted = [], []
+
+        def vag(z):
+            evaluated.append(z)
+            return -0.5 * float(np.dot(z, z)), -z
+
+        def value(z):
+            evaluated.append(z)
+            return -0.5 * float(np.dot(z, z))
+
+        def counter(fn):
+            def count(z):
+                counted.append(z)
+                return fn(z)
+
+            return count
+
+        inner = PosteriorFn(["a", "b"], vag, value)
+        pf = PosteriorFn(
+            inner.param_names, counter(inner.log_density_and_grad), counter(inner.log_density), transforms=inner.transforms
+        )
+        cfg = SamplerConfig(algorithm=algorithm, chains=2, warmup_draws=200, kept_draws=100, seed=4)
+        sampler.sample(pf, cfg, jobs=2)  # not fork-safe: in process, so the counts land here
+        assert len(counted) == len(evaluated) > cfg.chains * (cfg.warmup_draws + cfg.kept_draws)
+        assert all(a is b for a, b in zip(counted, evaluated))
+        assert all(z.dtype == np.float64 and z.shape == (2,) for z in evaluated)
+        if algorithm == "rwm":  # one call at the initial point, then one per iteration
+            assert len(counted) == cfg.chains * (1 + cfg.warmup_draws + cfg.kept_draws)
 
 
 class TestWorkerCount:
