@@ -22,7 +22,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__, data_io, diagnostics, elicitation, plotting, sampler, spec_schema
@@ -70,75 +70,66 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _write_text(path, text: str, manifest: _Manifest | None = None) -> None:
+    """Write a text output ending in one newline, and list it on ``manifest``."""
+    Path(path).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+    if manifest is not None:
+        manifest.add_output(path)
+
+
 # ---------------------------------------------------------------------------
 # Shared flag groups
 
 
+def _config(cls, args, **fallbacks):
+    """A ``cls`` from the flags given for its fields: a flag named after a
+    field has it as its dest and no default, so a missing flag leaves the
+    field to ``fallbacks``, then to its dataclass default."""
+    given = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**{**fallbacks, **given})
+
+
 def _add_llm_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("llm")
-    g.add_argument("--llm-mode", choices=("live", "replay", "record"), default="replay")
-    g.add_argument("--fixtures-dir", default=None, help="fixture directory (default: packaged fixtures)")
-    g.add_argument("--endpoint-url", default="")
-    g.add_argument("--model-name", default="")
-    g.add_argument("--api-key-env", default=elicitation.DEFAULT_API_KEY_ENV)
-    g.add_argument("--temperature", type=float, default=0.0)
-    g.add_argument("--timeout", type=float, default=60.0)
-    g.add_argument("--max-retries", type=int, default=2)
+    g = p.add_argument_group("llm", argument_default=argparse.SUPPRESS)
+    g.add_argument("--llm-mode", dest="mode", choices=("live", "replay", "record"))
+    g.add_argument("--fixtures-dir", help="fixture directory (default: packaged fixtures)")
+    g.add_argument("--endpoint-url")
+    g.add_argument("--model-name")
+    g.add_argument("--api-key-env")
+    g.add_argument("--temperature", type=float)
+    g.add_argument("--timeout", type=float)
+    g.add_argument("--max-retries", type=int)
 
 
 def _llm_config(args) -> elicitation.LlmConfig:
-    fixtures = args.fixtures_dir
-    if fixtures is None and args.llm_mode in ("replay", "record"):
-        fixtures = elicitation.packaged_fixtures_dir()
-    return elicitation.LlmConfig(
-        mode=args.llm_mode,
-        endpoint_url=args.endpoint_url,
-        model_name=args.model_name,
-        api_key_env=args.api_key_env,
-        temperature=args.temperature,
-        timeout=args.timeout,
-        max_retries=args.max_retries,
-        fixtures_dir=fixtures,
-    )
+    live = getattr(args, "mode", elicitation.LlmConfig.mode) == "live"
+    return _config(elicitation.LlmConfig, args, fixtures_dir=None if live else elicitation.packaged_fixtures_dir())
 
 
 def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("sampler")
-    g.add_argument("--algorithm", choices=("nuts", "rwm"), default="nuts")
-    g.add_argument("--chains", type=int, default=4)
-    g.add_argument("--warmup", type=int, default=1000)
-    g.add_argument("--draws", type=int, default=1000)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--target-accept", type=float, default=0.8)
-    g.add_argument("--max-tree-depth", type=int, default=10)
-    g.add_argument("--step-size-init", type=float, default=1.0)
+    g = p.add_argument_group("sampler", argument_default=argparse.SUPPRESS)
+    g.add_argument("--algorithm", choices=("nuts", "rwm"))
+    g.add_argument("--chains", type=int)
+    g.add_argument("--warmup", dest="warmup_draws", metavar="WARMUP", type=int)
+    g.add_argument("--draws", dest="kept_draws", metavar="DRAWS", type=int)
+    g.add_argument("--seed", type=int)
+    g.add_argument("--target-accept", type=float)
+    g.add_argument("--max-tree-depth", type=int)
+    g.add_argument("--step-size-init", type=float)
     g.add_argument("--response-column", default="y")
     g.add_argument("--jobs", type=int, default=None,
                    help="worker processes for the chains (default: one per usable CPU, at most one per chain); "
                         "1 runs them in process. Draws do not depend on it")
 
 
-def _sampler_config(args) -> sampler.SamplerConfig:
-    return sampler.SamplerConfig(
-        algorithm=args.algorithm,
-        chains=args.chains,
-        warmup_draws=args.warmup,
-        kept_draws=args.draws,
-        seed=args.seed,
-        target_accept=args.target_accept,
-        max_tree_depth=args.max_tree_depth,
-        step_size_init=args.step_size_init,
-    )
-
-
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("simulate")
+    g = p.add_argument_group("simulate", argument_default=argparse.SUPPRESS)
     g.add_argument("--alpha", type=float, default=2.5)
     g.add_argument("--beta", type=float, default=1.8)
     g.add_argument("--sigma", type=float, default=15.0)
     g.add_argument("--n", type=int, default=100)
-    g.add_argument("--x-low", type=float, default=0.0)
-    g.add_argument("--x-high", type=float, default=100.0)
+    g.add_argument("--x-low", type=float)
+    g.add_argument("--x-high", type=float)
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +137,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = data_io.SimConfig(
-        alpha=args.alpha, beta=args.beta, sigma=args.sigma,
-        n=args.n, x_low=args.x_low, x_high=args.x_high, seed=args.seed,
-    )
+    cfg = _config(data_io.SimConfig, args)
     dataset = data_io.simulate_linear(cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -176,9 +164,8 @@ def _cmd_elicit_prior(args) -> int:
     text = json.dumps(spec_schema.prior_to_obj(spec), indent=2)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
         manifest = _Manifest("elicit-prior", {"param": args.param, "llm": _public_llm_config(cfg)})
-        manifest.add_output(args.out)
+        _write_text(args.out, text, manifest)
         manifest.write(Path(args.out).with_suffix(".manifest.json"))
     return 0
 
@@ -190,10 +177,9 @@ def _cmd_elicit_model(args) -> int:
     text = spec_schema.model_to_json(spec)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
         manifest = _Manifest("elicit-model", {"llm": _public_llm_config(cfg)})
         manifest.add_input(args.description_file)
-        manifest.add_output(args.out)
+        _write_text(args.out, text, manifest)
         manifest.write(Path(args.out).with_suffix(".manifest.json"))
     return 0
 
@@ -204,30 +190,33 @@ def _public_llm_config(cfg: elicitation.LlmConfig) -> dict:
     return obj  # the config holds the key's env-var NAME only, never the key
 
 
-def _fit(spec, dataset, scfg: sampler.SamplerConfig, response_column: str, workers: int) -> sampler.Trace:
+def _fit(args, scfg: sampler.SamplerConfig, workers: int, manifest: _Manifest, spec, dataset, prefix: str = "") -> sampler.Trace:
+    """Validate and sample ``spec`` on ``dataset``, and write and list
+    ``{prefix}trace.csv`` and ``{prefix}stats.json`` in ``--out-dir``."""
     validated = spec_schema.validate_model(spec, dataset.column_names())
-    pf = build_posterior(validated, dataset, response_column=response_column)
-    return sampler.sample(pf, scfg, jobs=workers)
+    pf = build_posterior(validated, dataset, response_column=args.response_column)
+    trace = sampler.sample(pf, scfg, jobs=workers)
+    del pf  # free its data-sized arrays before the trace is written
+    paths = Path(args.out_dir) / f"{prefix}trace.csv", Path(args.out_dir) / f"{prefix}stats.json"
+    sampler.save_trace(trace, *paths)
+    for path in paths:
+        manifest.add_output(path)
+    return trace
 
 
 def _cmd_fit(args) -> int:
-    scfg = _sampler_config(args)
+    scfg = _config(sampler.SamplerConfig, args)
     workers = sampler.worker_count(scfg.chains, args.jobs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = spec_schema.parse_model_json(Path(args.model).read_text(encoding="utf-8"))
-    trace = _fit(spec, data_io.load_csv(args.data), scfg, args.response_column, workers)
-    trace_path = out_dir / "trace.csv"
-    stats_path = out_dir / "stats.json"
-    sampler.save_trace(trace, trace_path, stats_path)
     manifest = _Manifest("fit", {"sampler": asdict(scfg), "response_column": args.response_column})
+    trace = _fit(args, scfg, workers, manifest, spec, data_io.load_csv(args.data))
     manifest.add_input(args.model)
     manifest.add_input(args.data)
-    manifest.add_output(trace_path)
-    manifest.add_output(stats_path)
     manifest.write(out_dir / "manifest.json")
     n_div = int(trace.stats["divergent"].sum())
-    print(f"wrote {trace.n_chains}x{trace.n_draws} draws to {trace_path} ({n_div} divergent)")
+    print(f"wrote {trace.n_chains}x{trace.n_draws} draws to {out_dir / 'trace.csv'} ({n_div} divergent)")
     return 0
 
 
@@ -245,7 +234,7 @@ def _cmd_summarize(args) -> int:
     text = _render_summary(table, args.format)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + ("\n" if not text.endswith("\n") else ""), encoding="utf-8")
+        _write_text(args.out, text)
     return 0
 
 
@@ -285,7 +274,7 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     llm_cfg = _llm_config(args)
-    scfg = _sampler_config(args)
+    scfg = _config(sampler.SamplerConfig, args)
     workers = sampler.worker_count(scfg.chains, args.jobs)
     manifest = _Manifest(
         "run",
@@ -298,10 +287,7 @@ def _cmd_run(args) -> int:
         dataset = data_io.load_csv(data_path)
         manifest.add_input(data_path)
     else:
-        sim = data_io.SimConfig(
-            alpha=args.alpha, beta=args.beta, sigma=args.sigma,
-            n=args.n, x_low=args.x_low, x_high=args.x_high, seed=args.seed,
-        )
+        sim = _config(data_io.SimConfig, args, seed=scfg.seed)
         dataset = data_io.simulate_linear(sim)
         data_path = out_dir / "data.csv"
         data_io.save_csv(dataset, data_path)
@@ -326,33 +312,22 @@ def _cmd_run(args) -> int:
         spec = spec_schema.ModelSpec(priors=priors, likelihood=likelihood)
     else:
         raise PlainbayesError("provide --description-file or --beliefs-file")
-    model_path = out_dir / "model.json"
-    model_path.write_text(spec_schema.model_to_json(spec) + "\n", encoding="utf-8")
-    manifest.add_output(model_path)
+    _write_text(out_dir / "model.json", spec_schema.model_to_json(spec), manifest)
 
     # --- fit + report for the elicited model (and optionally a baseline)
     jobs = [("", spec)]
     if args.compare_model:
         compare_spec = spec_schema.parse_model_json(Path(args.compare_model).read_text(encoding="utf-8"))
         manifest.add_input(args.compare_model)
-        compare_path = out_dir / "compare_model.json"
-        compare_path.write_text(spec_schema.model_to_json(compare_spec) + "\n", encoding="utf-8")
-        manifest.add_output(compare_path)
+        _write_text(out_dir / "compare_model.json", spec_schema.model_to_json(compare_spec), manifest)
         jobs.append(("compare_", compare_spec))
 
     traces = {}
     for prefix, job_spec in jobs:
-        trace = _fit(job_spec, dataset, scfg, args.response_column, workers)
-        traces[prefix] = trace
-        sampler.save_trace(trace, out_dir / f"{prefix}trace.csv", out_dir / f"{prefix}stats.json")
-        manifest.add_output(out_dir / f"{prefix}trace.csv")
-        manifest.add_output(out_dir / f"{prefix}stats.json")
+        trace = traces[prefix] = _fit(args, scfg, workers, manifest, job_spec, dataset, prefix)
         table = diagnostics.summarize(trace, hdi_prob=args.hdi)
         for fmt, suffix in (("text", "txt"), ("json", "json"), ("csv", "csv")):
-            path = out_dir / f"{prefix}summary.{suffix}"
-            text = _render_summary(table, fmt)
-            path.write_text(text + ("\n" if not text.endswith("\n") else ""), encoding="utf-8")
-            manifest.add_output(path)
+            _write_text(out_dir / f"{prefix}summary.{suffix}", _render_summary(table, fmt), manifest)
         label = "baseline" if prefix else "elicited"
         print(f"--- {label} model ---")
         print(diagnostics.render_text(table))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from statistics import NormalDist
 
 import numpy as np
@@ -196,8 +196,7 @@ def hdi(samples, prob: float) -> tuple[float, float]:
     Ties are broken toward the lowest left endpoint.  NaN at both ends if
     any sample is not finite.
     """
-    if not 0.0 < prob < 1.0:
-        raise PlainbayesError(f"hdi prob must be in (0, 1), got {prob}")
+    check_hdi_prob(prob)
     return _sorted_hdi(np.sort(np.asarray(samples, dtype=float).reshape(-1)), prob)
 
 
@@ -358,23 +357,21 @@ def summarize(trace: Trace, hdi_prob: float = 0.94) -> SummaryTable:
 # Renderers
 
 
-def _cells(name: str, row: SummaryRow) -> list[str]:
-    return [
-        name,
-        f"{row.mean:.3f}",
-        f"{row.mode:.3f}",
-        f"{row.sd:.3f}",
-        f"{row.hdi_low:.3f}",
-        f"{row.hdi_high:.3f}",
-        f"{row.ess_bulk:.0f}",
-        f"{row.r_hat:.2f}",
-    ]
+_TEXT_FORMATS = {"ess_bulk": ".0f", "r_hat": ".2f"}  # every other column: ".3f"
+
+
+def _header(table: SummaryTable) -> list[str]:
+    """The column names: ``SummaryRow``'s fields, the HDI ends labelled by their probability."""
+    labels = dict(zip(("hdi_low", "hdi_high"), table.hdi_labels()))
+    return ["parameter"] + [labels.get(f.name, f.name) for f in fields(SummaryRow)]
 
 
 def render_text(table: SummaryTable) -> str:
-    lo_label, hi_label = table.hdi_labels()
-    header = ["parameter", "mean", "mode", "sd", lo_label, hi_label, "ess_bulk", "r_hat"]
-    body = [_cells(name, row) for name, row in table.rows.items()]
+    header = _header(table)
+    body = [
+        [name] + [format(v, _TEXT_FORMATS.get(k, ".3f")) for k, v in asdict(row).items()]
+        for name, row in table.rows.items()
+    ]
     widths = [max(len(line[i]) for line in [header] + body) for i in range(len(header))]
     lines = []
     for line in [header] + body:
@@ -383,31 +380,13 @@ def render_text(table: SummaryTable) -> str:
 
 
 def render_csv(table: SummaryTable) -> str:
-    lo_label, hi_label = table.hdi_labels()
-    lines = [",".join(["parameter", "mean", "mode", "sd", lo_label, hi_label, "ess_bulk", "r_hat"])]
-    for name, row in table.rows.items():
-        lines.append(
-            ",".join(
-                [name]
-                + [repr(v) for v in (row.mean, row.mode, row.sd, row.hdi_low, row.hdi_high, row.ess_bulk, row.r_hat)]
-            )
-        )
+    lines = [",".join(_header(table))]
+    lines += [",".join([name] + [repr(v) for v in astuple(row)]) for name, row in table.rows.items()]
     return "\n".join(lines) + "\n"
 
 
 def to_json_obj(table: SummaryTable) -> dict:
     return {
         "hdi_prob": table.hdi_prob,
-        "parameters": {
-            name: {
-                "mean": row.mean,
-                "mode": row.mode,
-                "sd": row.sd,
-                "hdi_low": row.hdi_low,
-                "hdi_high": row.hdi_high,
-                "ess_bulk": row.ess_bulk,
-                "r_hat": row.r_hat,
-            }
-            for name, row in table.rows.items()
-        },
+        "parameters": {name: asdict(row) for name, row in table.rows.items()},
     }

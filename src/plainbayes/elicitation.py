@@ -63,8 +63,6 @@ __all__ = [
 ]
 
 _RETRY_NOTE = "Previous response was invalid: {error}. Respond with only the JSON object."
-DEFAULT_API_KEY_ENV = "LLM_API_KEY"
-DEFAULT_RESPONSE_POINTER = "/choices/0/message/content"
 
 
 def _resource_root():
@@ -86,12 +84,12 @@ class LlmConfig:
     mode: str = "replay"  # "live" | "replay" | "record"
     endpoint_url: str = ""
     model_name: str = ""
-    api_key_env: str = DEFAULT_API_KEY_ENV
+    api_key_env: str = "LLM_API_KEY"
     temperature: float = 0.0
     timeout: float = 60.0
     max_retries: int = 2
     fixtures_dir: str | Path | None = None
-    response_text_pointer: str = DEFAULT_RESPONSE_POINTER
+    response_text_pointer: str = "/choices/0/message/content"
 
     def __post_init__(self):
         if self.mode not in ("live", "replay", "record"):
@@ -100,8 +98,8 @@ class LlmConfig:
             raise ElicitationError(f"an http(s) endpoint_url is required in {self.mode} mode")
         if self.mode in ("replay", "record") and self.fixtures_dir is None:
             raise ElicitationError(f"fixtures_dir is required in {self.mode} mode")
-        if self.temperature < 0:
-            raise ElicitationError(f"temperature must be >= 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ElicitationError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_retries < 0:
             raise ElicitationError(f"max_retries must be >= 0, got {self.max_retries}")
         if not (math.isfinite(self.timeout) and self.timeout > 0):

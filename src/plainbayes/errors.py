@@ -36,6 +36,12 @@ class UnexpectedToken(FormulaSyntax):
         self.position = position
 
 
+class LiteralOverflow(FormulaSyntax):
+    def __init__(self, position: int, text: str):
+        super().__init__(f"number at position {position} overflows a float: {text}")
+        self.position = position
+
+
 class UnexpectedEnd(FormulaSyntax):
     def __init__(self, detail: str = "expression ended unexpectedly"):
         super().__init__(detail)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (
     IllegalCharacter,
+    LiteralOverflow,
     NonFiniteResult,
     UnboundVariable,
     UnexpectedEnd,
@@ -127,7 +128,10 @@ def tokenize(source: str) -> list[Token]:
             continue
         m = _NUMBER_RE.match(source, i)
         if m:
-            tokens.append(Token("number", m.group(), i, value=float(m.group())))
+            value = float(m.group())
+            if value == float("inf"):
+                raise LiteralOverflow(i, m.group())
+            tokens.append(Token("number", m.group(), i, value=value))
             i = m.end()
             continue
         m = _IDENT_RE.match(source, i)

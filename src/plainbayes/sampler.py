@@ -37,12 +37,13 @@ import pickle
 import signal
 import threading
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import islice
 from typing import Callable, NoReturn
 
 import numpy as np
 
+from .data_io import make_rng
 from .errors import AllDivergent, BadInitialPoint, MalformedTrace, NonFiniteDensity, SamplerError
 from .posterior import PosteriorFn, np_dot
 
@@ -196,10 +197,6 @@ def _adaptation_windows(warmup: int, init_buffer: int = 75, term_buffer: int = 5
     return windows
 
 
-def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed + chain_index))
-
-
 def _initial_point(value_fn: Callable, rng: np.random.Generator, dim: int, attempts: int = 100):
     for _ in range(attempts):
         z = _INIT_JITTER_SD * rng.standard_normal(dim)
@@ -342,7 +339,7 @@ def _find_reasonable_step_size(vag, z, logp, grad, inv_mass, rng, init: float) -
         half_step, mass_step = _steps(eps, inv_mass)[1]
         return _leapfrog(vag, (z, r, grad, logp, v, half_step * grad), half_step, mass_step, inv_mass, h0)[1]
 
-    eps = init
+    eps = min(max(init, 1e-10), 1e7)  # a start outside the search range begins at its nearer end
     dh = delta_h(eps)
     direction = 1.0 if dh > math.log(0.5) else -1.0
     for _ in range(100):
@@ -360,7 +357,7 @@ _NUTS_STATS = (("accept_prob", float), ("tree_depth", np.int64), ("divergent", b
 
 def _run_nuts_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
     """Warm up, then yield ``(z, stats_row)`` per kept transition, ordered as ``_NUTS_STATS``."""
-    rng = _chain_rng(cfg.seed, chain_index)
+    rng = make_rng(cfg.seed + chain_index)
     dim = pf.dimension
     vag = pf.unchecked_value_and_grad
 
@@ -391,7 +388,7 @@ def _run_nuts_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
 def nuts_sample(pf: PosteriorFn, cfg: SamplerConfig, *, jobs: int | None = None) -> Trace:
     """Run ``cfg.chains`` independent NUTS chains and collect kept draws;
     ``jobs`` caps the worker processes (see ``worker_count``)."""
-    return _run_chains(_run_nuts_chain, _NUTS_STATS, pf, cfg, jobs)
+    return _run_chains(_run_nuts_chain, _NUTS_STATS, pf, replace(cfg, algorithm="nuts"), jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +400,7 @@ _RWM_STATS = (("accept_prob", float), ("step_accepted", bool), ("divergent", boo
 
 def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
     """Warm up, then yield ``(z, stats_row)`` per kept transition, ordered as ``_RWM_STATS``."""
-    rng = _chain_rng(cfg.seed, chain_index)
+    rng = make_rng(cfg.seed + chain_index)
     dim = pf.dimension
     value = pf.unchecked_value
     normal, random = rng.standard_normal, rng.random
@@ -444,7 +441,7 @@ def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
 
 def rwm_sample(pf: PosteriorFn, cfg: SamplerConfig, *, jobs: int | None = None) -> Trace:
     """Gradient-free fallback: adaptive Gaussian random-walk Metropolis."""
-    return _run_chains(_run_rwm_chain, _RWM_STATS, pf, cfg, jobs)
+    return _run_chains(_run_rwm_chain, _RWM_STATS, pf, replace(cfg, algorithm="rwm"), jobs)
 
 
 def worker_count(chains: int, jobs: int | None = None) -> int:

@@ -66,8 +66,11 @@ def _is_identifier(name: object) -> bool:
 def _check_real(distribution: str, name: str, value: object) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidParamValue(f"{distribution}: parameter {name!r} must be a number, got {value!r}")
-    value = float(value)
-    if value != value or value in (float("inf"), float("-inf")):
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
         raise InvalidParamValue(f"{distribution}: parameter {name!r} must be finite, got {value!r}")
     return value
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,11 +13,12 @@ from pathlib import Path
 import pytest
 
 import plainbayes
+from plainbayes import sampler
 from plainbayes.cli import main
-from plainbayes.data_io import load_csv
-from plainbayes.elicitation import FixtureStore, render_model_prompt
+from plainbayes.data_io import SimConfig, load_csv
+from plainbayes.elicitation import FixtureStore, LlmConfig, packaged_fixtures_dir, render_model_prompt
 from plainbayes.errors import SummaryCellWarning
-from plainbayes.sampler import load_trace
+from plainbayes.sampler import SamplerConfig, load_trace
 
 EXAMPLES = resources.files("plainbayes") / "resources" / "examples"
 
@@ -79,6 +81,8 @@ class TestSimulate:
         run_cli("simulate", "--n", 500, "--seed", 1, "--out", out)
         x = load_csv(out).columns["X"]
         assert x.min() >= 0.0 and x.max() <= 100.0 and x.max() > 90.0
+        manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
+        assert (manifest["config"]["x_low"], manifest["config"]["x_high"]) == (SimConfig.x_low, SimConfig.x_high)
 
 
 class TestElicit:
@@ -149,6 +153,17 @@ class TestFit:
         assert code != 0
         assert "UnresolvedVariable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ('"alpha + beta * X"', '"alpha + 1e999 * X"', "LiteralOverflow: number at position 8 overflows a float: 1e999"),
+        ('"sigma": 100', '"sigma": 1' + "0" * 400, "InvalidParamValue: Normal: parameter 'sigma' must be finite, got inf"),
+    ])
+    def test_number_beyond_float_range_fails_in_one_line(self, tmp_path, data_csv, capsys, old, new, message):
+        bad = tmp_path / "bad_model.json"
+        bad.write_text((EXAMPLES / "manual_priors_model.json").read_text().replace(old, new, 1))
+        code = run_cli("fit", "--model", bad, "--data", data_csv, "--out-dir", tmp_path / "f")
+        assert code == 1
+        assert capsys.readouterr().err == f"fit: {message}\n"
+
     def test_rwm_same_contract(self, tmp_path, data_csv, model_json):
         out_dir = tmp_path / "rwm"
         code = run_cli(
@@ -159,6 +174,43 @@ class TestFit:
         trace = load_trace(out_dir / "trace.csv", out_dir / "stats.json")
         assert trace.draws.shape == (2, 100, 3)
         assert "step_accepted" in trace.stats
+
+
+class TestConfigDefaults:
+    """With no sampler or LLM flags, a command runs and records the config
+    dataclasses' own defaults."""
+
+    @pytest.fixture()
+    def sampled_configs(self, monkeypatch):
+        configs = []
+        sample = sampler.sample
+
+        def short_sample(pf, cfg, *, jobs=None):  # the given config, recorded; a short fit
+            configs.append(cfg)
+            return sample(pf, SamplerConfig(chains=2, warmup_draws=20, kept_draws=10), jobs=1)
+
+        monkeypatch.setattr(sampler, "sample", short_sample)
+        return configs
+
+    def test_fit(self, tmp_path, data_csv, sampled_configs):
+        out_dir = tmp_path / "fit"
+        assert run_cli("fit", "--model", EXAMPLES / "manual_priors_model.json", "--data", data_csv,
+                       "--out-dir", out_dir) == 0
+        assert sampled_configs == [SamplerConfig()]
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["config"] == {"sampler": dataclasses.asdict(SamplerConfig()), "response_column": "y"}
+
+    def test_run(self, tmp_path, sampled_configs):
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--description-file", EXAMPLES / "linear_regression_description.txt",
+                       "--out-dir", out_dir) == 0
+        assert sampled_configs == [SamplerConfig()]
+        config = json.loads((out_dir / "manifest.json").read_text())["config"]
+        assert config["sampler"] == dataclasses.asdict(SamplerConfig())
+        llm = dataclasses.asdict(LlmConfig(fixtures_dir=str(packaged_fixtures_dir())))
+        assert config["llm"] == llm
+        sim = SimConfig(alpha=2.5, beta=1.8, sigma=15.0, n=100, seed=SamplerConfig.seed)
+        assert config["simulate"] == dataclasses.asdict(sim)
 
 
 def _trace_with_one_bad_cell(tmp_path, bad: str) -> Path:

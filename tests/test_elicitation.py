@@ -113,6 +113,12 @@ class TestConfig:
             LlmConfig(mode="live", endpoint_url="http://127.0.0.1:9/x", timeout=timeout)
 
 
+    @pytest.mark.parametrize("temperature", [-1.0, math.nan, math.inf])
+    def test_temperature_must_be_finite_and_nonnegative(self, temperature):
+        with pytest.raises(ElicitationError, match="temperature must be finite and >= 0"):
+            LlmConfig(mode="live", endpoint_url="http://127.0.0.1:9/x", temperature=temperature)
+
+
 class TestReplay:
     def test_round_trip_store(self, tmp_path):
         store = FixtureStore(tmp_path)
@@ -185,6 +191,21 @@ class TestReplay:
         store.put(retry_prompt, '{"distribution":"Normal","params":{"mu":0,"sigma":1}}', "m")
         spec = elicit_prior("beta", "retry belief", replay_cfg(tmp_path))
         assert spec == DistributionSpec("Normal", {"mu": 0.0, "sigma": 1.0})
+
+    def test_overflowing_literal_is_retried(self, tmp_path):
+        store = FixtureStore(tmp_path)
+        prompt = render_model_prompt("overflow")
+        model = '{"priors": {"a": {"distribution": "Normal", "params": {"mu": 0, "sigma": 1}}}, ' \
+                '"likelihood": {"distribution": "Normal", "formula": "a + %s * X"}}'
+        store.put(prompt, model % "1e999", "m")
+        retry_prompt = (
+            prompt
+            + "\nPrevious response was invalid: number at position 4 overflows a float: 1e999. "
+            + "Respond with only the JSON object."
+        )
+        store.put(retry_prompt, model % "2", "m")
+        spec = elicit_model("overflow", replay_cfg(tmp_path))
+        assert spec.likelihood.formula_source == "a + 2 * X"
 
     def test_model_fixture_missing_likelihood_fails(self, tmp_path):
         store = FixtureStore(tmp_path)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from plainbayes.errors import (
     IllegalCharacter,
+    LiteralOverflow,
     NonFiniteResult,
     UnboundVariable,
     UnexpectedEnd,
@@ -55,6 +56,12 @@ class TestTokenize:
     def test_stray_character(self):
         with pytest.raises(IllegalCharacter, match="position 4"):
             tokenize("a + $b")
+
+    @pytest.mark.parametrize("source", ["a + 1e999", "a + 1" + "0" * 400])
+    def test_overflowing_literal_is_a_syntax_error(self, source):
+        with pytest.raises(LiteralOverflow, match="position 4") as err:
+            parse_formula(source)
+        assert err.value.position == 4
 
     def test_whitespace_skipped(self):
         assert [t.kind for t in tokenize("  a\t+\n b ")] == ["ident", "+", "ident"]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,28 @@ class TestNonFiniteDensity:
         with pytest.raises(NonFiniteDensity) as err:
             sample(pf, SamplerConfig(chains=1, warmup_draws=10, kept_draws=10, seed=0))
         assert err.value.row == 1
+
+
+class TestStepSizeSearch:
+    def test_start_above_search_range(self):
+        # the search used to stop after one halving, outside its range: from
+        # 1e300, every transition diverged and the prior sum warned on -inf + inf
+        data = simulate_linear(SimConfig(alpha=2.5, beta=1.8, sigma=15.0, n=100, seed=1))
+        model = (resources.files("plainbayes") / "resources" / "examples" / "manual_priors_model.json").read_text()
+        pf = build_posterior(validate_model(parse_model_json(model), data.column_names()), data)
+        cfg = SamplerConfig(chains=2, warmup_draws=300, kept_draws=200, step_size_init=1e300)
+        trace = nuts_sample(pf, cfg, jobs=1)
+        assert int(trace.stats["divergent"].sum()) == 0
+
+
+class TestRecordedAlgorithm:
+    @pytest.mark.parametrize("sample, algorithm", [(nuts_sample, "nuts"), (rwm_sample, "rwm")])
+    def test_trace_names_the_sampler_that_ran(self, tmp_path, sample, algorithm):
+        cfg = SamplerConfig(algorithm="rwm" if algorithm == "nuts" else "nuts", chains=1, warmup_draws=20, kept_draws=10)
+        trace = sample(std_normal_posterior(2), cfg)
+        assert trace.config == dataclasses.replace(cfg, algorithm=algorithm)
+        save_trace(trace, tmp_path / "trace.csv", tmp_path / "stats.json")
+        assert json.loads((tmp_path / "stats.json").read_text())["config"]["algorithm"] == algorithm
 
 
 class TestAllDivergent:

@@ -108,6 +108,12 @@ class TestParsePriorJson:
         with pytest.raises(InvalidParamValue):
             parse_prior_json('{"distribution":"Exponential","params":{"lam":true}}')
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_param_beyond_float_range_rejected(self, sign):
+        value = sign + "1" + "0" * 400
+        with pytest.raises(InvalidParamValue, match=f"'lam' must be finite, got {sign}inf$"):
+            parse_prior_json('{"distribution":"Exponential","params":{"lam":%s}}' % value)
+
     def test_string_param_rejected(self):
         with pytest.raises(InvalidParamValue):
             parse_prior_json('{"distribution":"Exponential","params":{"lam":"0.5"}}')
@@ -187,6 +193,11 @@ class TestParseModelJson:
     def test_truncated_formula(self):
         bad = EXPERIMENT_MODEL.replace("alpha + beta * X", "alpha + beta *")
         with pytest.raises(FormulaSyntax):
+            parse_model_json(bad)
+
+    def test_overflowing_formula_literal(self):
+        bad = EXPERIMENT_MODEL.replace("alpha + beta * X", "alpha + 1e999 * X")
+        with pytest.raises(FormulaSyntax, match="position 8 overflows a float: 1e999"):
             parse_model_json(bad)
 
     def test_duplicate_prior_key(self):
