@@ -71,7 +71,9 @@ def _utc_now() -> str:
 
 
 def _write_text(path, text: str, manifest: _Manifest | None = None) -> None:
-    """Write a text output ending in one newline, and list it on ``manifest``."""
+    """Write a text output ending in one newline, making its directory, and
+    list it on ``manifest``."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
     if manifest is not None:
         manifest.add_output(path)

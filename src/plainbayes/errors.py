@@ -42,6 +42,12 @@ class LiteralOverflow(FormulaSyntax):
         self.position = position
 
 
+class FormulaTooDeep(FormulaSyntax):
+    def __init__(self, position: int, limit: int):
+        super().__init__(f"formula nests deeper than {limit} levels at position {position}")
+        self.position = position
+
+
 class UnexpectedEnd(FormulaSyntax):
     def __init__(self, detail: str = "expression ended unexpectedly"):
         super().__init__(detail)

@@ -22,6 +22,7 @@ bound.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from .errors import (
+    FormulaTooDeep,
     IllegalCharacter,
     LiteralOverflow,
     NonFiniteResult,
@@ -147,6 +149,11 @@ def tokenize(source: str) -> list[Token]:
 # Parser (recursive descent)
 
 
+# The deepest AST the parser builds (and its parentheses and negations): the
+# walkers recurse, and a partial's partial is a few times as deep as a formula.
+_MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, tokens: Sequence[Token]):
         self.tokens = list(tokens)
@@ -162,21 +169,27 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse_expr(self) -> FormulaAst:
-        node = self.parse_term()
-        while (tok := self.peek()) is not None and tok.kind in "+-":
-            self.advance()
-            node = Binary(tok.kind, node, self.parse_term())
-        return node
+    def deeper(self, depth: int, tok: Token) -> int:
+        """``depth + 1``, the depth of a node made at ``tok``, within _MAX_DEPTH."""
+        if depth >= _MAX_DEPTH:
+            raise FormulaTooDeep(tok.pos, _MAX_DEPTH)
+        return depth + 1
 
-    def parse_term(self) -> FormulaAst:
-        node = self.parse_unary()
-        while (tok := self.peek()) is not None and tok.kind in "*/":
-            self.advance()
-            node = Binary(tok.kind, node, self.parse_unary())
-        return node
+    # each parse_* method returns (node, its depth); ``level`` counts the parentheses
+    # and negations open, which bounds the parser's own recursion
+    def parse_expr(self, level: int = 0):
+        return self.parse_chain("+-", lambda lv: self.parse_chain("*/", self.parse_unary, lv), level)
 
-    def parse_unary(self) -> FormulaAst:
+    def parse_chain(self, ops: str, operand, level: int):
+        """Operands joined by the left-associative operators ``ops``."""
+        node, depth = operand(level)
+        while (tok := self.peek()) is not None and tok.kind in ops:
+            self.advance()
+            right, right_depth = operand(level)
+            node, depth = Binary(tok.kind, node, right), self.deeper(max(depth, right_depth), tok)
+        return node, depth
+
+    def parse_unary(self, level: int):
         tok = self.peek()
         if tok is None:
             raise UnexpectedEnd()
@@ -186,17 +199,18 @@ class _Parser:
             # "-3" is one negative literal; "-(3)" stays an explicit negation.
             if nxt is not None and nxt.kind == "number":
                 self.advance()
-                return NumberLiteral(-nxt.value)
-            return Negate(self.parse_unary())
-        return self.parse_primary()
+                return NumberLiteral(-nxt.value), 1
+            child, depth = self.parse_unary(self.deeper(level, tok))
+            return Negate(child), self.deeper(depth, tok)
+        return self.parse_primary(level)
 
-    def parse_primary(self) -> FormulaAst:
+    def parse_primary(self, level: int):
         tok = self.peek()
         if tok is None:
             raise UnexpectedEnd()
         if tok.kind == "number":
             self.advance()
-            return NumberLiteral(tok.value)
+            return NumberLiteral(tok.value), 1
         if tok.kind == "ident":
             self.advance()
             nxt = self.peek()
@@ -204,24 +218,24 @@ class _Parser:
                 raise UnexpectedToken(
                     nxt.pos, f"'(' after {tok.text!r}; function calls are not supported"
                 )
-            return Variable(tok.text)
+            return Variable(tok.text), 1
         if tok.kind == "(":
             self.advance()
-            node = self.parse_expr()
+            node, depth = self.parse_expr(self.deeper(level, tok))
             closing = self.peek()
             if closing is None:
                 raise UnexpectedEnd("missing closing parenthesis")
             if closing.kind != ")":
                 raise UnexpectedToken(closing.pos, f"{closing.text!r} (expected ')')")
             self.advance()
-            return node
+            return node, depth
         raise UnexpectedToken(tok.pos, repr(tok.text))
 
 
 def parse(tokens: Sequence[Token]) -> FormulaAst:
     """Parse a token sequence into an AST, requiring all tokens be consumed."""
     parser = _Parser(tokens)
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     tok = parser.peek()
     if tok is not None:
         raise UnexpectedToken(tok.pos, repr(tok.text))
@@ -249,7 +263,7 @@ def free_vars(ast: FormulaAst) -> set[str]:
 
 
 def _all_finite(value) -> bool:
-    return bool(np.isfinite(value).all())
+    return math.isfinite(value) if type(value) is float else bool(np.isfinite(value).all())
 
 
 def check_finite(value) -> None:
@@ -269,8 +283,11 @@ def _operation(node: Binary) -> Callable:
     def divide(left, right):
         # Non-finite quotients are an error, not IEEE propagation.
         try:
-            with np.errstate(divide="ignore", invalid="ignore"):
+            if type(left) is float and type(right) is float:  # the same quotient, less numpy's cost
                 out = left / right
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    out = left / right
         except ZeroDivisionError:
             raise NonFiniteResult(f"division by zero in {to_source(node)!r}") from None
         if not _all_finite(out):

@@ -11,14 +11,18 @@ likelihood-mean formula evaluated on row r, and sigma is the constrained
 noise parameter.  Gradients are exact: symbolic formula partials chained
 with analytic distribution and transform derivatives.
 
-The formula and its partials are compiled once with the data columns bound
-as arrays, so a call repeats only the parameter-dependent operations, those
-of evaluating the formula in the same order; numpy broadcasting makes this
-identical to evaluating the scalar formula row by row.  The mean is checked
-through the likelihood's own ``t . t``; only if that is not finite are the
-rows scanned for the first offending one.  Sums over the rows are dot
-products taken in fixed blocks, so the density has the same bits under any
-BLAS thread count.
+The sums over rows take one of two paths.  *Rows*, the reference: the
+formula and its partials, compiled once with the data columns bound as
+arrays, repeat per call only the parameter-dependent operations, in the
+order of evaluating the scalar formula row by row; a non-finite ``t . t``
+scans the rows for the first bad mean; dot products are taken in fixed
+blocks, so the bits do not depend on the BLAS thread count.  *Factorisation*,
+for a mean affine in the data, mu = c_0 + sum_k c_k X_k: with
+B = [1, X_1, ..., X_K] = QR factored once and b = Q^T y - R c,
+sum (y - mu)^2 = b . b + |y - Q Q^T y|^2 and sum (y - mu) d mu / d x_i =
+(R^T b) . d c / d x_i, in O(K^2) Python floats.  A B that is rank-deficient
+or has n <= K + 1 rows, and any call with a non-finite c_k, partial or
+gradient, or an underflowing sigma^3, take the rows.
 
 Density policy: proposals outside a prior's support (or with a degenerate
 noise scale) get -inf so samplers can reject them; a non-finite likelihood
@@ -28,6 +32,7 @@ mean raises :class:`NonFiniteDensity`; NaN anywhere is a hard error.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -56,6 +61,8 @@ _GRADIENT_OVERFLOW_FLOOR = -1e10
 # OpenBLAS sums a dot product of up to 10 000 elements on one thread, and of
 # more on as many threads as it has, in an order that depends on that count.
 _DOT_BLOCK = 8192
+
+_RANK_TOL = 1e-8  # a column this close to the span of those before it makes B rank-deficient
 
 np_dot = getattr(np.dot, "_implementation", np.dot)  # np.dot less its __array_function__ dispatch
 
@@ -140,6 +147,26 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
+def _thin_qr(columns, y: np.ndarray, dot):
+    """``(R, Q^T y, |y - Q Q^T y|^2)`` in Python floats (R a list of rows) for the thin QR
+    of the n-vector ``columns`` by classical Gram-Schmidt run twice; None if rank-deficient."""
+    m = len(columns)
+    q, R = [], [[0.0] * m for _ in range(m)]
+    for j, v in enumerate(columns):
+        scale = math.sqrt(float(dot(v, v)))
+        for _ in range(2):
+            for i, a in enumerate([float(dot(qi, v)) for qi in q]):
+                v = v - a * q[i]
+                R[i][j] += a
+        R[j][j] = math.sqrt(float(dot(v, v)))
+        if not R[j][j] > _RANK_TOL * scale:
+            return None
+        q.append(v / R[j][j])
+    qty = [float(dot(qi, y)) for qi in q]
+    rest = y - sum(a * qi for a, qi in zip(qty, q))
+    return R, qty, float(dot(rest, rest))
+
+
 def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: str = "y") -> PosteriorFn:
     """Compile a model + dataset into a PosteriorFn."""
     spec = model.spec
@@ -174,19 +201,34 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             return compiled  # a data column in it makes every value an n-vector
         return lambda x: _rows(compiled(x), n_rows)
 
+    # mu = c_0 + sum_k c_k X_k when each slope c_k (its partial in a column) has no column
+    # in it; c_0 is mu at every column 0, and d c_0 / d x_i is d mu / d x_i there
+    slopes = [formula.differentiate(model.formula_ast, v) for v in column_vars]
+    affine = not any(formula.free_vars(slope) & fixed_env.keys() for slope in slopes)
+
+    def coefficients(ast, slopes):
+        zeros = dict.fromkeys(column_vars, 0.0)
+        compiled = [formula.compile_formula(a, names, env) for a, env in [(ast, zeros), *((s, {}) for s in slopes)]]
+        return [c if callable(c) else (lambda x, c=c: c) for c in compiled]
+
     mean = compile_rows(model.formula_ast)
-    # (i, d mu / d x_i) for each parameter whose partial is not the literal 0,
-    # which would add exactly +0.0; the noise scale always, with None for 0.
+    mean_coefs = affine and coefficients(model.formula_ast, slopes)
+    # (i, d mu / d x_i, its coefficients) for each parameter whose partial is not
+    # the literal 0, which would add exactly +0.0; the noise scale always, with None for 0.
     partials = []
     for i, name in enumerate(names):
         partial = formula.differentiate(model.formula_ast, name)
         if partial != formula.NumberLiteral(0.0):
-            partials.append((i, compile_rows(partial)))
+            dc = affine and coefficients(partial, [formula.differentiate(slope, name) for slope in slopes])
+            partials.append((i, compile_rows(partial), dc))
         elif i == noise_index:
-            partials.append((i, None))
+            partials.append((i, None, None))
+    qr = affine and n_rows > len(slopes) + 1 and _thin_qr([np.ones(n_rows)] + list(fixed_env.values()), y, dot)
+    R, qty, rho = qr or (None, None, None)
 
-    def density(z: np.ndarray, with_grad: bool):
-        """Log density at ``z``; with ``with_grad``, the pair (value, gradient)."""
+    def density(z: np.ndarray, with_grad: bool, rows: bool = not qr):
+        """Log density at ``z``; with ``with_grad``, the pair (value, gradient);
+        with ``rows``, or where the factorisation cannot vouch for them, row sums."""
         x = [tf.forward(zi) for tf, zi in zip(transforms, z)]
         total = 0.0
         for zi, xi, dist, tf in zip(z, x, dists, transforms):
@@ -197,16 +239,29 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
         sigma = x[noise_index]
         loglik = -math.inf  # outside a prior's support, or noise-scale underflow/overflow
         if total > -math.inf and sigma > 0.0 and math.isfinite(sigma):
-            try:
-                resid = y - mean(x)
-                t = resid / sigma
-                tt = float(dot(t, t))
-                if not math.isfinite(tt):  # a non-finite mean makes t.t non-finite
-                    formula.check_finite(mean(x))
-            except NonFiniteResult as exc:
-                bad = np.broadcast_to(np.asarray(exc.value, dtype=float), (n_rows,)) if exc.value is not None else None
-                row = int(np.argmin(np.isfinite(bad))) if bad is not None else None
-                raise NonFiniteDensity(f"likelihood mean is non-finite: {exc}", row=row) from None
+            cube = sigma * sigma * sigma
+            if not rows:
+                xf = list(map(float, x))  # Python floats: a fraction of numpy scalars' cost
+                try:
+                    c = [f(xf) for f in mean_coefs]
+                    b = [qy - sum(map(mul, row, c)) for qy, row in zip(qty, R)]
+                    ss = sum(map(mul, b, b)) + rho  # not finite if a c_k is not
+                except NonFiniteResult:
+                    ss = math.nan
+                rows = not (cube > 0.0 and math.isfinite(ss))
+            if not rows:
+                tt = ss / (sigma * sigma)
+            else:
+                try:
+                    resid = y - mean(x)
+                    t = resid / sigma
+                    tt = float(dot(t, t))
+                    if not math.isfinite(tt):  # a non-finite mean makes t.t non-finite
+                        formula.check_finite(mean(x))
+                except NonFiniteResult as exc:
+                    bad = np.broadcast_to(np.asarray(exc.value, dtype=float), (n_rows,)) if exc.value is not None else None
+                    row = int(np.argmin(np.isfinite(bad))) if bad is not None else None
+                    raise NonFiniteDensity(f"likelihood mean is non-finite: {exc}", row=row) from None
             loglik = -0.5 * tt - n_rows * math.log(sigma) - 0.5 * n_rows * _LOG_2PI
             if math.isnan(loglik):
                 raise NonFiniteDensity("likelihood log density is NaN")
@@ -224,19 +279,23 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             for dist, xi, dfwd_i, tf, zi in zip(dists, x, dfwd, transforms, z)
         ]
 
-        # d loglik / d x_i = w * (r . d mu / d x_i), plus dsigma for the noise scale
-        cube = sigma * sigma * sigma
+        # d loglik / d x_i = w * (r . d mu / d x_i), plus dsigma for the noise scale;
+        # from the factorisation, r . d mu / d x_i = (R^T b) . d c / d x_i
         if cube > 0.0:
-            r, w = resid, 1.0 / (sigma * sigma)
-            dsigma = float(dot(resid, resid)) / cube - n_rows / sigma
+            if rows:
+                r, ss = resid, float(dot(resid, resid))
+            w = 1.0 / (sigma * sigma)
+            dsigma = ss / cube - n_rows / sigma
         else:
             # sigma^3 underflows to 0: the same derivatives through t = resid / sigma,
             # only here, so that every other sigma keeps the arithmetic the draws depend on
             r, w = t, 1.0 / sigma
             dsigma = (tt - n_rows) * w
+        btr = rows or [sum(map(mul, col, b)) for col in zip(*R)]
         try:
-            for i, dmu in partials:
-                s = 0.0 if dmu is None else w * float(dot(r, dmu(x)))
+            for i, dmu, dc in partials:
+                s = 0.0 if dmu is None else w * (
+                    float(dot(r, dmu(x))) if rows else sum(map(mul, btr, [f(xf) for f in dc])))
                 if i == noise_index:
                     s += dsigma
                 grad[i] += s * dfwd[i]
@@ -248,6 +307,8 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             grad = [math.nan] * dim
 
         if not all(map(math.isfinite, grad)):
+            if not rows:
+                return density(z, True, rows=True)
             # Overflow in the chain rule at an astronomically improbable point
             # is a rejection, not a bug; the sampler will flag it divergent.
             if total < _GRADIENT_OVERFLOW_FLOOR:

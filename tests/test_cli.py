@@ -315,24 +315,24 @@ class TestDrawsLocked:
     ``stats.json``.
 
     The hashes were recorded on x86-64 Linux (Python 3.11.7, numpy 2.4.6,
-    OpenBLAS single-threaded): the trace hashes at the commit before the
-    formula compiler replaced AST evaluation in the density, the stats hashes
-    (which also pin the stat names, their order and their dtypes) at the
-    commit before the chain runners' kept-draw loops became one.  Both
-    changes kept every draw.  A change that moves the draws updates them and
-    names the change in CHANGES.md.  Another BLAS build may sum dot products
-    in another order, so the hashes hold only where they were recorded.
+    OpenBLAS single-threaded) when means affine in the data began to take
+    their sums from a QR factorisation of the data columns, which moved
+    every draw of these three fits.  The stats hashes also pin the stat
+    names, their order and their dtypes.  A change that moves the draws
+    updates them and names the change in CHANGES.md.  Another BLAS build
+    may sum dot products in another order, so the hashes hold only where
+    they were recorded.
     """
 
     HASHES = {
-        "nuts-linear": "82c39359c5d514bbf31f553edd8af9ab1677fde42ad4416b547ac4bede2ff8fc",
-        "nuts-recip": "da5c08168d1c5804a80a0c2ff4425e6ba624f459bfcec363a40224713e70d02a",
-        "rwm-linear": "5dcd905412301041a28b86ef0a32d2ec383def8a213f5ad7a626b0231a0afb71",
+        "nuts-linear": "3f9cde34f489c698aa717544a7bc42e8ed38ac3cc465c88030d8ccd36114ba3a",
+        "nuts-recip": "a1a93ba6b35fe35d945b4df9f6a908f1365e4c13ad7e0f3390b23012e9bf6b34",
+        "rwm-linear": "cf838035a454ca7e5ebdafc8f716dfb949ca5fc3f15cb24d65fe7687461e3a40",
     }
     STATS_HASHES = {
-        "nuts-linear": "ead6054507afe78ab1904dc4505578602d805f04ea9e9fad14d36ae501cbd436",
-        "nuts-recip": "d7eb119480ef2ee369c1ea4a5f04f146e614db93aa0d6ded6e5b42a030899e24",
-        "rwm-linear": "bef057caa293b5c956530fa0f3b6b819231819e7180d6db680d89effa27ee7b0",
+        "nuts-linear": "07b48cbb08b84609e0b81d62e6a42566f926f1db950cf383b987f538286f5889",
+        "nuts-recip": "a8cd427a98ccba7daa290140ae4476c853acfeba88a1abba64990f8d6f593bb1",
+        "rwm-linear": "680986c1b17c9e3a3a0f3e53d666538c88924ea8ae7672ceafb19d338f16b7cf",
     }
 
     @pytest.mark.parametrize("case", sorted(HASHES))
@@ -365,25 +365,24 @@ class TestReportsLocked:
     and histograms, for the elicited model and the manual baseline.
 
     The hashes were recorded where TestDrawsLocked's were (x86-64 Linux,
-    Python 3.11.7, numpy 2.4.6, OpenBLAS single-threaded) at the commit
-    before the summary's mode was screened, the trace writer sped up and the
-    kept draws constrained column by column.  5 000 pooled draws per fit
-    make the mode's kernel sum span two chunks of 4 096.
+    Python 3.11.7, numpy 2.4.6, OpenBLAS single-threaded) with them, when
+    the affine means' factorisation moved the draws of both fits.  5 000
+    pooled draws per fit make the mode's kernel sum span two chunks of 4 096.
     """
 
     HASHES = {
         "summary.txt": "926cebeb8c787254aa015cfdea95724c378a528d12bc034d105007bfaf027000",
-        "summary.json": "7427d24ce37e88e757b6e11fea2385c0a6b13658592d89773ef6187fc3cf9e01",
-        "summary.csv": "f76b9a2754075c60b1fd743415b214e7e498ddda2003fb55d26e9d3746494ddc",
-        "compare_summary.txt": "e66125e60833aac6f7d5fa568b412a4dd0c3bd7ddb26301d540efccce24b8198",
-        "compare_summary.json": "0bfbe12663ef2fb7b5006a175dfea930d5ab5c85c4c70db107df42f0cd410418",
-        "compare_summary.csv": "653e5cf9c52191fe1233f09e128fe9d8f67a737afae0008532b6dd2e99e3c06d",
-        "plots/hist_alpha.csv": "59c2bec02b7cdcb0f36237712b54097d6fc7813a805f2b2ab1c63b3dcaf064e3",
-        "plots/hist_alpha.svg": "6185bebc6b0b24adf5f483961f938c57393b764b7730eb58817a114278bc0f3a",
-        "plots/hist_beta.csv": "80fa9e267995de56579d5209b9a2f22b0ed7dc95e17908ffd66bb74f28ba5169",
-        "plots/hist_beta.svg": "03837cf67d350a80e7cb3dc111ca8db2fce9841aa7c659ed1028cfe2abd49915",
-        "plots/hist_sigma.csv": "62cc48c2650631f88038b2ffdbf784ef90d04a90f84a4799ebdb123c2036f182",
-        "plots/hist_sigma.svg": "8deb15cbc78dfa77472492ee196ffabcab9154e56c7e561a9098e4e6a99c0d24",
+        "summary.json": "7aca806d505911f1e15142431b73fdb7f0a7e91dbff5ccbd22ed25cffccc8ac6",
+        "summary.csv": "cfa2f1cd9156ae728223a2cb79eac5ba39228be89a25cac22c5f49849ce199e9",
+        "compare_summary.txt": "4c3a2609c4a9a8f54e4ab29d034ca223476a5fb1f4df639e814362d31cb60ae9",
+        "compare_summary.json": "2f28ae4a2edd043c6d9b8f48fd88ea187633d7f368fb051f9d0f1eb78f2cc909",
+        "compare_summary.csv": "fea43dea4dac25d80083a0b4f01ab1032cebf3b77dd37b668d7c44843a47d2ee",
+        "plots/hist_alpha.csv": "187fa1facb7ad9126a5704bfc4212cd7ea0d1e5600eac2c4efe6914143169355",
+        "plots/hist_alpha.svg": "861327d49391ffbc7e4c07ed22acd012197344bab8bfb9096d85b1b3af02190c",
+        "plots/hist_beta.csv": "8b5426346c831a0b1fdc0ad73d82c30ea71841fcb7bb68166449a589a89c84bf",
+        "plots/hist_beta.svg": "629dc02afa242a71c7c9c23e059a27d179db69e520d08f8abee64eda93ff2fb3",
+        "plots/hist_sigma.csv": "91a01b31f4b37dd077dae3443e3eb9d4d40da412073db58df9a499b20601ecee",
+        "plots/hist_sigma.svg": "e64a727cc59196792f286039cab8f9a245f1a27e900176915deaddd6a75a220b",
     }
 
     def test_report_hashes(self, tmp_path):
@@ -416,6 +415,28 @@ class TestDrawsIndependentOfBlasThreads:
                 [
                     sys.executable, "-m", "plainbayes", "fit", "--model", str(model_json), "--data", str(data),
                     "--chains", "2", "--warmup", "30", "--draws", "20", "--seed", "5",
+                    "--out-dir", str(tmp_path / threads),
+                ],
+                env=env, check=True, capture_output=True,
+            )
+            traces.append((tmp_path / threads / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+
+    def test_large_n_row_sums_same_with_one_and_two_threads(self, tmp_path):
+        # the mean above is affine in X and takes its sums over the rows once, to
+        # factorise [1, X]; this one is not, and sums over the rows at every call
+        # (shallow trees: each of its calls costs O(n))
+        data = tmp_path / "data.csv"
+        assert run_cli("simulate", "--n", 20000, "--seed", 3, "--out", data) == 0
+        model_json = tmp_path / "model.json"
+        model_json.write_text(json.dumps({**RECIP_MODEL, "likelihood": {"distribution": "Normal", "formula": "alpha / (X + tau)"}}))
+        traces = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
+            subprocess.run(
+                [
+                    sys.executable, "-m", "plainbayes", "fit", "--model", str(model_json), "--data", str(data),
+                    "--chains", "2", "--warmup", "10", "--draws", "10", "--max-tree-depth", "3", "--seed", "5",
                     "--out-dir", str(tmp_path / threads),
                 ],
                 env=env, check=True, capture_output=True,
@@ -588,6 +609,52 @@ class TestRun:
         assert "beliefs file" in capsys.readouterr().err
 
 
+class TestOutputsIntoMissingDirectories:
+    """Every command makes the directory its outputs go into, before writing them."""
+
+    FIT = ("--chains", 1, "--warmup", 20, "--draws", 10, "--jobs", 1)
+
+    def test_simulate(self, tmp_path):
+        out = tmp_path / "new" / "deeper" / "d.csv"
+        assert run_cli("simulate", "--n", 5, "--out", out) == 0
+        assert load_csv(out).n_rows == 5
+
+    def test_elicit_prior(self, tmp_path, capsys):
+        out = tmp_path / "new" / "deeper" / "prior.json"
+        beliefs = json.loads((EXAMPLES / "linear_regression_beliefs.json").read_text())
+        assert run_cli("elicit-prior", "--param", "beta", "--belief", beliefs["beta"], "--out", out) == 0
+        assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
+
+    def test_elicit_model(self, tmp_path, capsys):
+        out = tmp_path / "new" / "deeper" / "model.json"
+        description = EXAMPLES / "linear_regression_description.txt"
+        assert run_cli("elicit-model", "--description-file", description, "--out", out) == 0
+        assert out.read_text() == capsys.readouterr().out
+        assert out.with_suffix(".manifest.json").exists()
+
+    def test_fit(self, tmp_path, data_csv):
+        out_dir = tmp_path / "new" / "deeper"
+        assert run_cli("fit", "--model", EXAMPLES / "manual_priors_model.json", "--data", data_csv,
+                       *self.FIT, "--out-dir", out_dir) == 0
+        assert load_trace(out_dir / "trace.csv").n_draws == 10
+
+    def test_summarize(self, tmp_path, capsys):
+        out = tmp_path / "new" / "deeper" / "s.txt"
+        assert run_cli("summarize", "--trace", _trace_with_one_bad_cell(tmp_path, "0.5"), "--out", out) == 0
+        assert out.read_text() == capsys.readouterr().out
+
+    def test_plot(self, tmp_path):
+        out_dir = tmp_path / "new" / "deeper"
+        assert run_cli("plot", "--trace", _trace_with_one_bad_cell(tmp_path, "0.5"), "--out-dir", out_dir) == 0
+        assert (out_dir / "hist_a.svg").exists()
+
+    def test_run(self, tmp_path):
+        out_dir = tmp_path / "new" / "deeper"
+        assert run_cli("run", "--description-file", EXAMPLES / "linear_regression_description.txt",
+                       "--n", 30, *self.FIT, "--out-dir", out_dir) == 0
+        assert (out_dir / "summary.txt").exists() and (out_dir / "manifest.json").exists()
+
+
 class TestFlagValidation:
     def test_hdi_out_of_range(self, fit_dir, capsys):
         assert run_cli("summarize", "--trace", fit_dir / "trace.csv", "--hdi", 1.5) != 0
@@ -612,6 +679,17 @@ class TestFlagValidation:
         assert code == 1
         assert capsys.readouterr().err == f"run: PlainbayesError: {message}\n"
         assert list(out_dir.iterdir()) == []
+
+    def test_too_deep_formula_fails_in_one_line(self, tmp_path, data_csv, capsys):
+        # a sum of 1000 terms used to end in a RecursionError traceback
+        model = json.loads((EXAMPLES / "manual_priors_model.json").read_text())
+        model["likelihood"]["formula"] = " + ".join(["alpha + beta * X"] * 500)
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(model))
+        code = run_cli("fit", "--model", path, "--data", data_csv, "--out-dir", tmp_path / "fit")
+        assert code == 1
+        # after the first "+" the chain is 3 levels deep; its 99th "+", at 6 + 19 * 49, makes the 101st
+        assert capsys.readouterr().err == "fit: FormulaTooDeep: formula nests deeper than 100 levels at position 937\n"
 
     def test_stats_sidecar_mismatch(self, fit_dir, tmp_path, capsys):
         import json as json_module

@@ -207,6 +207,21 @@ class TestReplay:
         spec = elicit_model("overflow", replay_cfg(tmp_path))
         assert spec.likelihood.formula_source == "a + 2 * X"
 
+    def test_too_deep_formula_is_retried(self, tmp_path):
+        store = FixtureStore(tmp_path)
+        prompt = render_model_prompt("deep")
+        model = '{"priors": {"a": {"distribution": "Normal", "params": {"mu": 0, "sigma": 1}}}, ' \
+                '"likelihood": {"distribution": "Normal", "formula": "%s"}}'
+        store.put(prompt, model % ("(" * 300 + "a * X" + ")" * 300), "m")
+        retry_prompt = (
+            prompt
+            + "\nPrevious response was invalid: formula nests deeper than 100 levels at position 100. "
+            + "Respond with only the JSON object."
+        )
+        store.put(retry_prompt, model % "a * X", "m")
+        spec = elicit_model("deep", replay_cfg(tmp_path))
+        assert spec.likelihood.formula_source == "a * X"
+
     def test_model_fixture_missing_likelihood_fails(self, tmp_path):
         store = FixtureStore(tmp_path)
         store.put(render_model_prompt("desc"), '{"priors": {}}', "m")

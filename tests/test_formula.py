@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plainbayes.errors import (
+    FormulaSyntax,
+    FormulaTooDeep,
     IllegalCharacter,
     LiteralOverflow,
     NonFiniteResult,
@@ -104,6 +106,35 @@ class TestParse:
     def test_close_paren_alone(self):
         with pytest.raises(UnexpectedToken):
             parse_formula(")")
+
+    @pytest.mark.parametrize(
+        "source, position",
+        [
+            ("(" * 300 + "a" + ")" * 300, 100),  # the 101st parenthesis
+            ("-(" * 300 + "a" + ")" * 300, 100),  # a negation and a parenthesis are a level each
+            # "a * X" is 2 levels, so the 99th "+", at 8 * 98 + 6, makes the 101st
+            (" + ".join(["a * X"] * 1000), 790),
+        ],
+        ids=["parentheses", "negations", "sum-of-1000-terms"],
+    )
+    def test_too_deep_is_a_syntax_error_with_its_position(self, source, position):
+        # these used to raise RecursionError, in the parser or in differentiate
+        with pytest.raises(FormulaTooDeep) as err:
+            parse_formula(source)
+        assert isinstance(err.value, FormulaSyntax)
+        assert err.value.position == position
+        assert str(err.value) == f"formula nests deeper than 100 levels at position {position}"
+
+    def test_deepest_accepted_formula_differentiates_twice(self):
+        chain = " + ".join(["a * X"] * 50 + ["a"] * 49)  # a 2-level term and 98 operators: 100 levels
+        nested = "(" * 100 + "a * X" + ")" * 100
+        for source in (chain, nested):
+            slope = differentiate(parse_formula(source), "X")
+            assert differentiate(slope, "a") is not None
+        with pytest.raises(FormulaTooDeep):
+            parse_formula(chain + " + a")
+        with pytest.raises(FormulaTooDeep):
+            parse_formula("(" + nested + ")")
 
 
 class TestFreeVars:
@@ -230,6 +261,27 @@ class TestCompile:
         fn = compile_formula(parse_formula("a + c"), ["a"], {"X": self.X})
         with pytest.raises(UnboundVariable):
             fn([1.0])
+
+    def test_float_quotients_as_numpy_scalars(self):
+        # Python floats skip numpy's errstate: the same quotients, and the same errors
+        divide = compile_formula(parse_formula("a / b"), ["a", "b"], {})
+        rng = np.random.default_rng(8)
+        pairs = [(float(a), float(b)) for a, b in rng.normal(scale=1e3, size=(200, 2))]
+        pairs += [(1e300, 1e-300), (-1e300, 1e-300), (1e-300, 1e300), (5e-324, 2.0), (0.0, 3.0), (-0.0, -3.0)]
+        for a, b in pairs:
+            try:
+                with np.errstate(over="ignore"):  # which numpy scalars warn of, and Python floats do not
+                    expected = divide([np.float64(a), np.float64(b)])
+            except NonFiniteResult as exc:
+                with pytest.raises(NonFiniteResult, match="non-finite quotient") as err:
+                    divide([a, b])
+                assert err.value.value == exc.value
+            else:
+                out = divide([a, b])
+                assert type(out) is float and np.float64(out).tobytes() == expected.tobytes()
+        for a in (0.0, 1.0, -2.0):
+            with pytest.raises(NonFiniteResult, match="division by zero"):
+                divide([a, 0.0])
 
     def test_random_asts_match_evaluate(self):
         rng = np.random.default_rng(99)

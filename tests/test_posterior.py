@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from plainbayes import formula
+from plainbayes import formula, posterior
 from plainbayes.data_io import Dataset
 from plainbayes.distributions import Exponential, HalfNormal, Normal, Uniform, from_spec
 from plainbayes.errors import (
@@ -25,6 +25,12 @@ from plainbayes.spec_schema import (
 )
 
 from conftest import EXPERIMENT_MODEL_JSON
+
+
+@pytest.fixture()
+def rows_only(monkeypatch):
+    """Every posterior built in the test sums over its rows, the reference path."""
+    monkeypatch.setattr(posterior, "_thin_qr", lambda *args: None)
 
 
 def _experiment_pf(dataset):
@@ -125,20 +131,31 @@ class TestLogDensity:
             pf.log_density(np.array([0.5, 0.0]))
         assert err.value.row == 1
 
-    def test_row_contributions_additive(self, experiment_dataset):
+    @staticmethod
+    def _split_log_densities(experiment_dataset, z):
+        """The log density at ``z`` on all rows, on the first 40 and on the rest."""
         x = experiment_dataset.columns["X"]
         y = experiment_dataset.columns["y"]
-        a = Dataset({"X": x[:40], "y": y[:40]})
-        b = Dataset({"X": x[40:], "y": y[40:]})
-        both = Dataset({"X": x, "y": y})
-        z = np.array([0.4, 0.1, 0.9])
         spec = parse_model_json(EXPERIMENT_MODEL_JSON)
+        out = []
+        for rows in (slice(None), slice(None, 40), slice(40, None)):
+            ds = Dataset({"X": x[rows], "y": y[rows]})
+            out.append(build_posterior(validate_model(spec, ds.column_names()), ds).log_density(z))
+        return out
 
-        def logp(ds):
-            return build_posterior(validate_model(spec, ds.column_names()), ds).log_density(z)
-
+    def test_row_contributions_additive(self, experiment_dataset, rows_only):
+        z = np.array([0.4, 0.1, 0.9])
+        both, a, b = self._split_log_densities(experiment_dataset, z)
         prior = _experiment_prior_plus_jacobian(z)
-        assert logp(both) - logp(a) - logp(b) == pytest.approx(-prior, rel=1e-12)
+        assert both - a - b == pytest.approx(-prior, rel=1e-12)
+
+    def test_row_contributions_additive_factorised(self, experiment_dataset):
+        # the factorisation's sums are accurate to a few ulps of each log
+        # density (about 1.8e-12 here), not of their 4.6 difference
+        z = np.array([0.4, 0.1, 0.9])
+        both, a, b = self._split_log_densities(experiment_dataset, z)
+        prior = _experiment_prior_plus_jacobian(z)
+        assert both - a - b == pytest.approx(-prior, abs=1e-14 * (abs(both) + abs(a) + abs(b)))
 
     def test_prior_dominates_at_huge_sigma(self, experiment_dataset):
         # with sigma pushed to ~1e8 the likelihood is flat: density differences
@@ -242,7 +259,7 @@ class TestConstrain:
 # Gradient suite
 
 
-def _random_model_and_data(rng):
+def _random_model_and_data(rng, *, affine_only=False, n=None):
     n_priors = int(rng.integers(1, 5))
     names = [f"p{i}" for i in range(n_priors)]
     priors = {}
@@ -262,18 +279,21 @@ def _random_model_and_data(rng):
     noise = str(rng.choice(names))
     priors[noise] = DistributionSpec("HalfNormal", {"sigma": float(rng.uniform(1, 10))})
 
-    # linear-ish random formula over priors and the data column (no division,
+    # a random formula over priors and the data column, from terms affine in
+    # X and, unless affine_only, terms that are not (X + 5 stays clear of 0,
     # so no singular surfaces confound the finite differences)
-    terms = []
-    for name in names:
-        form = int(rng.integers(0, 3))
-        terms.append((name, f"{name} * X", f"{name} * {name}")[form])
+    forms = ("{p} * X", "{p} * {p}", "{p}") if affine_only else ("{p} * X", "{p} * {p}", "{p} * X * X", "{p} / (X + 5)")
+    terms = [forms[int(rng.integers(0, len(forms)))].format(p=name) for name in names]
     formula_source = " + ".join(terms) if rng.random() < 0.8 else " - ".join(terms)
 
-    n = int(rng.integers(3, 12))
+    n = int(rng.integers(3, 12)) if n is None else n
     data = Dataset({"X": rng.uniform(-3, 3, n), "y": rng.uniform(-5, 5, n)})
     spec = ModelSpec(priors=priors, likelihood=LikelihoodSpec(formula_source=formula_source, noise_param=noise))
     return spec, data
+
+
+def _is_affine(vm):
+    return "X" not in formula.free_vars(formula.differentiate(vm.formula_ast, "X"))
 
 
 def gradient_check(pf, z, rel_tol=1e-6, abs_tol=1e-4):
@@ -420,41 +440,126 @@ def _outcome(fn, z):
         return type(exc), str(exc), getattr(exc, "row", None)
 
 
-def _assert_same_as_reference(vm, data, z):
+def _outcomes(vm, data, z):
+    """(value, value and gradient) of the posterior and of the reference at ``z``."""
     pf = build_posterior(vm, data)
     with np.errstate(over="ignore"):  # as the sampler runs it
-        value = _outcome(pf.log_density, z)
-        assert value == _outcome(lambda v: _reference_density(vm, data, v, False), z)
-        pair = _outcome(pf.log_density_and_grad, z)
-        expected = _outcome(lambda v: _reference_density(vm, data, v, True), z)
+        return (
+            (_outcome(pf.log_density, z), _outcome(pf.log_density_and_grad, z)),
+            (
+                _outcome(lambda v: _reference_density(vm, data, v, False), z),
+                _outcome(lambda v: _reference_density(vm, data, v, True), z),
+            ),
+        )
+
+
+def _assert_same_as_reference(vm, data, z):
+    (value, pair), (expected_value, expected) = _outcomes(vm, data, z)
+    assert value == expected_value
     if isinstance(expected[1], np.ndarray):
         assert pair[0] == expected[0] and np.array_equal(pair[1], expected[1])
     else:
         assert pair == expected
 
 
+def _assert_close_to_reference(vm, data, z):
+    """Values and gradients within 1e-10 relative; the same exceptions, messages and rows."""
+    (value, pair), (expected_value, expected) = _outcomes(vm, data, z)
+    if isinstance(expected_value, tuple):
+        assert value == expected_value
+    else:
+        assert value == pytest.approx(expected_value, rel=1e-10)
+    if isinstance(expected[1], np.ndarray):
+        assert pair[0] == pytest.approx(expected[0], rel=1e-10)
+        scale = max(1.0, float(np.max(np.abs(expected[1]))))
+        np.testing.assert_allclose(pair[1], expected[1], rtol=1e-10, atol=1e-10 * scale)
+        assert pair[0] == value  # the value call and the gradient call agree bit for bit
+    else:
+        assert pair == expected
+
+
 class TestCompiledMatchesReference:
-    def test_random_models_bit_for_bit(self):
+    def test_random_models_bit_for_bit(self, monkeypatch):
+        # the rows, forced on every model, and the default path on every mean
+        # that is not affine in X, bit for bit
         rng = np.random.default_rng(31415)
+        n_not_affine = 0
         for _ in range(200):
             spec, data = _random_model_and_data(rng)
             vm = validate_model(spec, data.column_names())
-            for scale in (0.8, 6.0):
-                _assert_same_as_reference(vm, data, rng.normal(scale=scale, size=len(spec.priors)))
+            zs = [rng.normal(scale=scale, size=len(spec.priors)) for scale in (0.8, 6.0)]
+            with monkeypatch.context() as m:
+                m.setattr(posterior, "_thin_qr", lambda *args: None)
+                for z in zs:
+                    _assert_same_as_reference(vm, data, z)
+            if not _is_affine(vm):
+                n_not_affine += 1
+                for z in zs:
+                    _assert_same_as_reference(vm, data, z)
+        assert n_not_affine >= 100
 
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "a / X",  # X = 0 on one row: a non-finite quotient at that row
-            "a + X / (X * X)",  # a parameter-free subtree that raises at every call
-            "X / a",  # a = 0 at z_a = 0
-            "a / (b - b)",  # a zero denominator for every z
-            "a * X / (b * X) + s",  # 0 / 0 on the X = 0 row
-            "a + b / s",  # the noise scale in the mean; s near 0 in z-space far below 0
-            "a * (b / b)",  # a finite mean whose partial for b is 0 / 0 once b * b underflows
-        ],
-    )
-    def test_division_singularities_raise_alike(self, source):
+    @pytest.mark.parametrize("n", [7, 9000, 100_000])
+    def test_random_affine_models_close(self, n):
+        # n = 9000 and 100 000 rows make the blocked dot products sum 2 and 13 blocks
+        rng = np.random.default_rng(27182 + n)
+        for _ in range(100 if n < 1000 else 10):
+            spec, data = _random_model_and_data(rng, affine_only=True, n=n)
+            vm = validate_model(spec, data.column_names())
+            assert _is_affine(vm)
+            for scale in (0.8, 6.0):
+                _assert_close_to_reference(vm, data, rng.normal(scale=scale, size=len(spec.priors)))
+
+    @pytest.mark.parametrize("n", [3, 4, 50])
+    def test_two_columns_close(self, n):
+        # B = [1, X, Z]: n = 3 is square (the rows serve it), 4 and 50 factorise
+        rng = np.random.default_rng(n)
+        data = Dataset({"X": rng.uniform(-3, 3, n), "Z": rng.uniform(0, 5, n), "y": rng.normal(size=n)})
+        spec = ModelSpec(
+            priors={
+                "a": DistributionSpec("Normal", {"mu": 0, "sigma": 2}),
+                "b": DistributionSpec("Exponential", {"lam": 1}),
+                "s": DistributionSpec("HalfNormal", {"sigma": 3}),
+            },
+            likelihood=LikelihoodSpec(formula_source="a + b * X - Z / (b + a * a) + a * Z", noise_param="s"),
+        )
+        vm = validate_model(spec, data.column_names())
+        for _ in range(20):
+            _assert_close_to_reference(vm, data, rng.normal(scale=1.5, size=3))
+
+    def test_near_collinear_column_to_rounding(self):
+        # X's part apart from the constant column is 3e-8 of its norm, just above the
+        # rank tolerance: the second Gram-Schmidt pass keeps Q orthonormal to rounding
+        rng = np.random.default_rng(1)
+        x = 1000.0 + rng.uniform(0.0, 1e-4, 50)
+        data = Dataset({"X": x, "y": 2.0 + 3e4 * (x - 1000.0) + rng.normal(size=50)})
+        spec = ModelSpec(
+            priors={
+                "a": DistributionSpec("Normal", {"mu": 0, "sigma": 10}),
+                "b": DistributionSpec("Normal", {"mu": 0, "sigma": 10}),
+                "s": DistributionSpec("HalfNormal", {"sigma": 3}),
+            },
+            likelihood=LikelihoodSpec(formula_source="a + b * X", noise_param="s"),
+        )
+        vm = validate_model(spec, data.column_names())
+        assert posterior._thin_qr([np.ones(50), x], data.columns["y"], np.dot) is not None
+        z = np.array([0.5, 0.3, 0.2])
+        value, grad = build_posterior(vm, data).log_density_and_grad(z)
+        expected_value, expected_grad = _reference_density(vm, data, z, True)
+        assert value == pytest.approx(expected_value, rel=1e-13)
+        np.testing.assert_allclose(grad, expected_grad, rtol=1e-13)
+
+    SOURCES = [
+        "a / X",  # X = 0 on one row: a non-finite quotient at that row
+        "a + X / (X * X)",  # a parameter-free subtree that raises at every call
+        "X / a",  # a = 0 at z_a = 0
+        "a / (b - b)",  # a zero denominator for every z
+        "a * X / (b * X) + s",  # 0 / 0 on the X = 0 row
+        "a + b / s",  # the noise scale in the mean; s near 0 in z-space far below 0
+        "a * (b / b)",  # a finite mean whose partial for b is 0 / 0 once b * b underflows
+    ]
+
+    @staticmethod
+    def _singular_model(source):
         spec = ModelSpec(
             priors={
                 "a": DistributionSpec("Normal", {"mu": 0, "sigma": 2}),
@@ -464,7 +569,111 @@ class TestCompiledMatchesReference:
             likelihood=LikelihoodSpec(formula_source=source, noise_param="s"),
         )
         data = Dataset({"X": np.array([1.5, -2.0, 0.0, 3.0]), "y": np.array([0.5, -1.0, 0.0, 2.0])})
-        vm = validate_model(spec, data.column_names())
-        zs = ([0.0, 0.0, 0.0], [1.0, -0.5, 0.3], [0.0, -800.0, 0.2], [0.5, -400.0, 0.2], [2.0, 3.0, -200.0], [0.5, 0.5, -750.0])
+        return validate_model(spec, data.column_names()), data
+
+    SINGULAR_ZS = ([0.0, 0.0, 0.0], [1.0, -0.5, 0.3], [0.0, -800.0, 0.2], [0.5, -400.0, 0.2], [2.0, 3.0, -200.0], [0.5, 0.5, -750.0])
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_division_singularities_raise_alike(self, source, rows_only):
+        vm, data = self._singular_model(source)
+        for z in self.SINGULAR_ZS:
+            _assert_same_as_reference(vm, data, np.array(z))
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_division_singularities_by_default_path(self, source):
+        # the affine means among them ("X / a", "a / (b - b)", "a + b / s",
+        # "a * (b / b)") take the factorisation wherever it vouches for a call
+        vm, data = self._singular_model(source)
+        for z in self.SINGULAR_ZS:
+            _assert_close_to_reference(vm, data, np.array(z))
+
+
+class TestAffineFallback:
+    """Where the factorisation cannot serve, the rows do, to the bit."""
+
+    @staticmethod
+    def _vm(source, data, a_sigma=2.0):
+        spec = ModelSpec(
+            priors={
+                "a": DistributionSpec("Normal", {"mu": 0, "sigma": a_sigma}),
+                "b": DistributionSpec("Exponential", {"lam": 1}),
+                "s": DistributionSpec("HalfNormal", {"sigma": 3}),
+            },
+            likelihood=LikelihoodSpec(formula_source=source, noise_param="s"),
+        )
+        return validate_model(spec, data.column_names())
+
+    def _assert_rows(self, vm, data, zs):
         for z in zs:
             _assert_same_as_reference(vm, data, np.array(z))
+
+    ZS = ([0.3, -0.2, 0.1], [-1.2, 0.7, 1.5], [2.0, -1.0, -0.5])
+
+    def test_constant_column(self):
+        data = Dataset({"X": np.full(6, 3.0), "y": np.linspace(-1.0, 2.0, 6)})
+        self._assert_rows(self._vm("a + b * X", data), data, self.ZS)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_no_more_rows_than_coefficients(self, n):
+        data = Dataset({"X": np.array([0.5, -1.5])[:n], "y": np.array([1.0, 0.25])[:n]})
+        self._assert_rows(self._vm("a + b * X", data), data, self.ZS)
+
+    def test_quotient_at_zero_raises_with_its_row(self):
+        # X / a at a = 0: the coefficient 1 / a raises, and the rows report row 0
+        data = Dataset({"X": np.array([0.0, 1.5, -2.0]), "y": np.array([0.5, -1.0, 2.0])})
+        vm = self._vm("X / a + b", data)
+        with pytest.raises(NonFiniteDensity) as err:
+            build_posterior(vm, data).log_density(np.array([0.0, 0.0, 0.0]))
+        assert err.value.row == 0
+        self._assert_rows(vm, data, [[0.0, 0.0, 0.0], [0.0, 1.0, -1.0]])
+
+    def test_overflowing_coefficient(self):
+        # X's coefficient a * 1e300 * 1e-300 overflows at a = 1e10, while every
+        # row's ((X * a) * 1e300) * 1e-300 is finite: the rows give the density
+        data = Dataset({"X": np.array([1.0, 1.5, 2.0, 1.2]) * 1e-20, "y": np.array([0.1, -0.2, 0.3, 0.0])})
+        vm = self._vm("X * a * 1e300 * 1e-300 + b", data, a_sigma=1e12)
+        z = np.array([1e10, 0.2, 0.1])
+        assert math.isfinite(build_posterior(vm, data).log_density(z))
+        self._assert_rows(vm, data, [z])
+
+    def test_coefficient_partial_underflow(self):
+        # at a = 1e-100 X's coefficient a / (a * a) is finite but its partial
+        # divides by (a * a) * (a * a) = 0, while the rows' -X / (a * a) is finite
+        data = Dataset({"X": np.array([1.0, 1.5, -2.0, 3.0]), "y": np.array([0.5, -1.0, 0.0, 2.0])})
+        vm = self._vm("X / a + b", data)
+        z = np.array([1e-100, 0.2, 0.1])
+        pair = build_posterior(vm, data).log_density_and_grad(z)
+        expected = _reference_density(vm, data, z, True)
+        assert np.all(np.isfinite(pair[1])) and pair[1][0] != 0.0
+        assert pair[0] == expected[0] and np.array_equal(pair[1], expected[1])
+
+    def test_noise_scale_cube_underflow(self, monkeypatch):
+        # y = 0 = a * X + a fits exactly at a = 0, so every sum is 0 and the value
+        # finite where sigma^3 underflows to 0 (and at e^-400 sigma^2 too)
+        data = Dataset({"X": np.array([1.0, 2.0, 3.0, 4.0, 5.0]), "y": np.zeros(5)})
+        vm = self._vm("a * X + a + 0 * b", data)
+        pf = build_posterior(vm, data)
+        with monkeypatch.context() as m:
+            m.setattr(posterior, "_thin_qr", lambda *args: None)
+            rows = build_posterior(vm, data)
+        for z_s in (-300.0, -400.0):
+            z = np.array([0.0, 0.0, z_s])
+            value, grad = pf.log_density_and_grad(z)
+            assert value == pf.log_density(z) == rows.log_density(z)
+            assert np.all(np.isfinite(grad)) and np.array_equal(grad, rows.log_density_and_grad(z)[1])
+
+    @pytest.mark.parametrize("source, row_sums", [("a + X / b", False), ("a / (X + b)", True)])
+    def test_affine_mean_sums_no_rows_per_call(self, monkeypatch, source, row_sums):
+        # every sum over the rows goes through np_dot; the factorisation takes
+        # its sums once, at build time, and a mean that is not affine every call
+        calls = []
+        monkeypatch.setattr(posterior, "np_dot", lambda a, b: calls.append(a.shape) or np.dot(a, b))
+        rng = np.random.default_rng(5)
+        data = Dataset({"X": rng.uniform(0, 10, 50), "y": rng.normal(size=50)})
+        pf = build_posterior(self._vm(source, data), data)
+        assert bool(calls) == (not row_sums)
+        calls.clear()
+        z = np.array([0.4, -0.3, 0.2])
+        pf.log_density(z)
+        pf.log_density_and_grad(z)
+        assert bool(calls) == row_sums
