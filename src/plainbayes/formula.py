@@ -286,7 +286,7 @@ def _operation(node: Binary) -> Callable:
             if type(left) is float and type(right) is float:  # the same quotient, less numpy's cost
                 out = left / right
             else:
-                with np.errstate(divide="ignore", invalid="ignore"):
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                     out = left / right
         except ZeroDivisionError:
             raise NonFiniteResult(f"division by zero in {to_source(node)!r}") from None

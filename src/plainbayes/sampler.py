@@ -2,9 +2,10 @@
 
 The NUTS implementation uses multinomial state selection over the implicit
 trajectory tree, dual averaging of the step size toward a target acceptance
-statistic, and windowed estimation of a diagonal mass matrix during warmup
+statistic, and windowed estimation of a dense inverse metric during warmup
 (a short initial step-size-only phase, doubling estimation windows, and a
-terminal step-size-only phase).  Transitions whose Hamiltonian error exceeds
+terminal step-size-only phase); RWM scales its proposals by the same
+windows' variances.  Transitions whose Hamiltonian error exceeds
 1000 are flagged divergent and their subtree is discarded.
 
 Each chain draws from its own Philox stream keyed by ``seed + chain_index``,
@@ -22,10 +23,13 @@ parameter underflowing to 0 under a division) is log density -inf: NUTS marks
 the step divergent and RWM rejects it; numpy overflow there is not warned.
 
 The samplers call the density's callables unchecked (their z is always float64
-of shape (dim,)).  A NUTS state is the tuple (z, r, grad, logp, v, half_grad):
-v = inv_mass * r, once per leapfrog step for the kinetic energy and the U-turn
-test, and half_grad = 0.5 * eps * grad, shared with the next step in its
-direction.  Sharing them changes no operation, so every draw keeps its bits.
+of shape (dim,)).  A NUTS state is the tuple (z, r, grad, logp, half_grad),
+half_grad = 0.5 * eps * grad being shared with the next step in its
+direction.  The U-turn test projects z+ - z- on the momenta r, not on the
+velocities inv_mass r, so it judges a trajectory in the coordinates the
+metric makes isotropic, as Stan's sum-of-momenta test does for small steps.
+The metric is factored in Python floats, so the draws do not depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -145,36 +149,40 @@ class _DualAveraging:
         return math.exp(self.log_step_avg)
 
 
-class _WindowedVariance:
-    """Streaming per-coordinate variance of the warm-up draws in each adaptation
-    window, in Python floats: the array operations coordinate by coordinate,
-    so the same bits, at a fraction of their cost for a few coordinates."""
+class _WindowedCovariance:
+    """Streaming covariance of the warm-up draws in each adaptation window, by
+    Welford's recurrences in Python floats (the upper triangle, mirrored when
+    a window closes).  Its diagonal has the bits of the per-coordinate array
+    recurrences, at a fraction of their cost for a few coordinates."""
 
     def __init__(self, warmup: int, dim: int):
-        self.windows = _adaptation_windows(warmup)
-        self.n, self.mean, self.m2 = 0, [0.0] * dim, [0.0] * dim
+        self.windows, self.dim = _adaptation_windows(warmup), dim
 
-    def observe(self, m: int, z: np.ndarray) -> np.ndarray | None:
+    def observe(self, m: int, z: np.ndarray) -> tuple[np.ndarray, float] | None:
         """Add the state after warm-up iteration ``m``; if ``m`` closes a
-        window, return that window's regularized variance, else None."""
+        window, return that window's sample covariance matrix and shrinkage
+        weight, else None."""
         if not self.windows:
             return None
         start, end = self.windows[0]
+        if m == start:
+            self.n, self.mean, self.m2 = 0, [0.0] * self.dim, [[0.0] * self.dim for _ in range(self.dim)]
         if start <= m < end:
             self.n += 1
-            n, mean, m2 = self.n, self.mean, self.m2
-            for j, zj in enumerate(z.tolist()):
-                delta = zj - mean[j]
-                mean[j] += delta / n
-                m2[j] += delta * (zj - mean[j])
+            n, mean, z = self.n, self.mean, z.tolist()
+            delta = [zj - mj for zj, mj in zip(z, mean)]
+            for j, dj in enumerate(delta):
+                mean[j] += dj / n
+            after = [zj - mj for zj, mj in zip(z, mean)]
+            for i, (row, di) in enumerate(zip(self.m2, delta)):
+                for j in range(i, self.dim):
+                    row[j] += di * after[j]
         if m + 1 != end:
             return None
-        # Shrink toward 1e-3 like Stan does, so short windows stay sane.
-        w = self.n / (self.n + 5.0)
-        var = w * (np.array(self.m2) / max(self.n - 1, 1)) + 1e-3 * (1.0 - w)
+        m2 = np.array(self.m2)
+        m2 += np.triu(m2, 1).T
         del self.windows[0]
-        self.n, self.mean, self.m2 = 0, [0.0] * len(self.mean), [0.0] * len(self.mean)
-        return var
+        return m2 / max(self.n - 1, 1), self.n / (self.n + 5.0)
 
 
 def _adaptation_windows(warmup: int, init_buffer: int = 75, term_buffer: int = 50, base: int = 25):
@@ -216,34 +224,56 @@ def _initial_point(value_fn: Callable, rng: np.random.Generator, dim: int, attem
 def _leapfrog(vag, state, half_step, mass_step, inv_mass, h0):
     """One leapfrog step of signed size ``eps`` from ``state``: the new state
     and its change in log joint density from ``h0`` (NaN counts as -inf).
-    ``half_step`` is ``0.5 * eps`` in every coordinate, ``mass_step`` is
-    ``eps * inv_mass``, and ``state``'s half_grad is ``half_step * grad``.
-    (A product of arrays costs about half that of a float and an array, and
-    has the same bits, so the samplers spread a float into an array.)"""
-    r_half = state[1] + state[5]
-    z = state[0] + mass_step * r_half
+    ``inv_mass`` is the dense inverse metric, ``mass_step`` the matrix
+    ``eps * inv_mass``, ``half_step`` is ``0.5 * eps`` in every coordinate,
+    and ``state``'s half_grad is ``half_step * grad``.  (A product of arrays
+    costs about half that of a float and an array, and has the same bits, so
+    the samplers spread a float into an array.)"""
+    r_half = state[1] + state[4]
+    z = state[0] + np_dot(mass_step, r_half)
     try:
         logp, grad = vag(z)
     except NonFiniteDensity:
         logp, grad = -math.inf, np.zeros_like(z)
     half_grad = half_step * grad
     r = r_half + half_grad
-    v = inv_mass * r
-    delta_h = (logp - 0.5 * float(np_dot(r, v))) - h0
-    return (z, r, grad, logp, v, half_grad), -math.inf if math.isnan(delta_h) else delta_h
+    delta_h = (logp - 0.5 * float(np_dot(r, np_dot(inv_mass, r)))) - h0
+    return (z, r, grad, logp, half_grad), -math.inf if math.isnan(delta_h) else delta_h
 
 
 def _steps(eps: float, inv_mass: np.ndarray) -> list:
-    """``_leapfrog``'s (half_step, mass_step) backward and forward at step size ``eps``."""
-    n = inv_mass.shape[0]
-    return [(np.array([0.5 * signed] * n), np.array([signed] * n) * inv_mass) for signed in (-eps, eps)]
+    """``_leapfrog``'s (half_step, mass_step) backward and forward at step
+    size ``eps``: ``0.5 * eps`` in every coordinate and ``eps * inv_mass``."""
+    return [(np.array([0.5 * signed] * inv_mass.shape[0]), signed * inv_mass) for signed in (-eps, eps)]
 
 
-def _momentum(z, logp, inv_mass, rng):
-    """A fresh momentum ``r`` at ``z``, ``inv_mass * r`` and the log joint density."""
-    r = rng.standard_normal(z.shape[0]) / np.sqrt(inv_mass)
-    v = inv_mass * r
-    return r, v, logp - 0.5 * float(np_dot(r, v))
+def _metric(inv_mass: np.ndarray):
+    """``(inv_mass, L⁻ᵀ)`` with ``inv_mass = L Lᵀ``, both factors found in
+    Python floats, so in the same bits under any BLAS; None if ``inv_mass``
+    is not numerically positive definite."""
+    a, dim = inv_mass.tolist(), inv_mass.shape[0]
+    low, inv = [[0.0] * dim for _ in range(dim)], [[0.0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1):
+            s = a[i][j] - math.fsum(low[i][k] * low[j][k] for k in range(j))
+            if i > j:
+                low[i][j] = s / low[j][j]
+            elif 0.0 < s < math.inf:
+                low[i][i] = math.sqrt(s)
+            else:
+                return None
+    for c in range(dim):  # L⁻¹ by forward substitution, column by column
+        for i in range(c, dim):
+            inv[i][c] = (float(i == c) - math.fsum(low[i][k] * inv[k][c] for k in range(c, i))) / low[i][i]
+    return inv_mass, np.array(inv).T.copy()
+
+
+def _momentum(z, logp, metric, rng):
+    """A fresh momentum ``r = L⁻ᵀ ξ`` at ``z`` for ``metric = _metric(inv_mass)``
+    (so ``r ~ N(0, inv_mass⁻¹)``) and the log joint density."""
+    inv_mass, root = metric
+    r = np_dot(root, rng.standard_normal(z.shape[0]))
+    return r, logp - 0.5 * float(np_dot(r, np_dot(inv_mass, r)))
 
 
 def _logaddexp(x: float, y: float) -> float:
@@ -259,8 +289,9 @@ def _logaddexp(x: float, y: float) -> float:
 
 
 def _is_turning(minus, plus) -> bool:
+    """Whether the span from ``minus`` to ``plus`` shrinks at either end, in the metric's own geometry."""
     dz = plus[0] - minus[0]
-    return np_dot(dz, minus[4]) < 0.0 or np_dot(dz, plus[4]) < 0.0
+    return np_dot(dz, minus[1]) < 0.0 or np_dot(dz, plus[1]) < 0.0
 
 
 def _build_tree(vag, edge, side, depth, half_step, mass_step, inv_mass, h0, random) -> list:
@@ -295,11 +326,11 @@ def _build_tree(vag, edge, side, depth, half_step, mass_step, inv_mass, h0, rand
     return tree
 
 
-def _nuts_transition(vag, z, logp, grad, steps, inv_mass, rng, max_depth):
-    """One NUTS transition from ``z`` with ``steps = _steps(eps, inv_mass)``."""
-    r, v, h0 = _momentum(z, logp, inv_mass, rng)
+def _nuts_transition(vag, z, logp, grad, steps, metric, rng, max_depth):
+    """One NUTS transition from ``z`` with ``steps = _steps(eps, metric[0])``."""
+    r, h0 = _momentum(z, logp, metric, rng)
     random = rng.random
-    ends = [(z, r, grad, logp, v, half_step * grad) for half_step, _ in steps]  # [minus, plus]
+    ends = [(z, r, grad, logp, half_step * grad) for half_step, _ in steps]  # [minus, plus]
     prop = ends[0]
     log_weight = 0.0  # weight of the initial point relative to itself
     alpha_sum = 0.0
@@ -309,7 +340,7 @@ def _nuts_transition(vag, z, logp, grad, steps, inv_mass, rng, max_depth):
 
     while depth < max_depth:
         side = random() < 0.5
-        sub = _build_tree(vag, ends[side], side, depth, *steps[side], inv_mass, h0, random)
+        sub = _build_tree(vag, ends[side], side, depth, *steps[side], metric[0], h0, random)
         ends[side] = sub[side]
 
         alpha_sum += sub[4]
@@ -331,13 +362,13 @@ def _nuts_transition(vag, z, logp, grad, steps, inv_mass, rng, max_depth):
     return z, logp, grad, alpha_sum / max(n_alpha, 1), depth, divergent
 
 
-def _find_reasonable_step_size(vag, z, logp, grad, inv_mass, rng, init: float) -> float:
+def _find_reasonable_step_size(vag, z, logp, grad, metric, rng, init: float) -> float:
     """Double/halve the step size until the one-step acceptance crosses 1/2."""
-    r, v, h0 = _momentum(z, logp, inv_mass, rng)
+    r, h0 = _momentum(z, logp, metric, rng)
 
     def delta_h(eps):
-        half_step, mass_step = _steps(eps, inv_mass)[1]
-        return _leapfrog(vag, (z, r, grad, logp, v, half_step * grad), half_step, mass_step, inv_mass, h0)[1]
+        half_step, mass_step = _steps(eps, metric[0])[1]
+        return _leapfrog(vag, (z, r, grad, logp, half_step * grad), half_step, mass_step, metric[0], h0)[1]
 
     eps = min(max(init, 1e-10), 1e7)  # a start outside the search range begins at its nearer end
     dh = delta_h(eps)
@@ -362,25 +393,29 @@ def _run_nuts_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
     vag = pf.unchecked_value_and_grad
 
     z, (logp, grad) = _initial_point(vag, rng, dim)
-    inv_mass = np.ones(dim)
-    eps = _find_reasonable_step_size(vag, z, logp, grad, inv_mass, rng, cfg.step_size_init)
+    metric = _metric(np.eye(dim))
+    eps = _find_reasonable_step_size(vag, z, logp, grad, metric, rng, cfg.step_size_init)
     averaging = _DualAveraging(eps, cfg.target_accept)
 
-    variance = _WindowedVariance(cfg.warmup_draws, dim)
+    covariance = _WindowedCovariance(cfg.warmup_draws, dim)
     for m in range(cfg.warmup_draws):
         z, logp, grad, accept, _, _ = _nuts_transition(
-            vag, z, logp, grad, _steps(averaging.current, inv_mass), inv_mass, rng, cfg.max_tree_depth
+            vag, z, logp, grad, _steps(averaging.current, metric[0]), metric, rng, cfg.max_tree_depth
         )
         averaging.update(accept)
-        window_var = variance.observe(m, z)
-        if window_var is not None:
-            inv_mass = window_var
+        window = covariance.observe(m, z)
+        if window is not None:
+            # Shrink the correlations toward 0, not the matrix toward 1e-3 I as Stan
+            # does, which swamps a posterior variance far below 1e-3; a window too
+            # degenerate to factor keeps the last metric.
+            cov, w = window
+            metric = _metric(w * cov + (1.0 - w) * np.diag(np.diagonal(cov))) or metric
 
     eps = averaging.averaged if cfg.warmup_draws > 0 else eps
-    steps = _steps(eps, inv_mass)
+    steps = _steps(eps, metric[0])
     while True:
         z, logp, grad, accept, depth, divergent = _nuts_transition(
-            vag, z, logp, grad, steps, inv_mass, rng, cfg.max_tree_depth
+            vag, z, logp, grad, steps, metric, rng, cfg.max_tree_depth
         )
         yield z, (accept, depth, divergent, eps)
 
@@ -410,7 +445,7 @@ def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
     multiplier = 2.38 / math.sqrt(dim)
     averaging = _DualAveraging(multiplier, _RWM_TARGET_ACCEPT)
 
-    variance = _WindowedVariance(cfg.warmup_draws, dim)
+    covariance = _WindowedCovariance(cfg.warmup_draws, dim)
 
     def step(z, logp, scale):
         proposal = z + scale * normal(dim)
@@ -427,9 +462,10 @@ def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
     for m in range(cfg.warmup_draws):
         z, logp, alpha, _ = step(z, logp, np.array([averaging.current] * dim) * base_scale)
         averaging.update(alpha)
-        window_var = variance.observe(m, z)
-        if window_var is not None:
-            base_scale = np.sqrt(window_var)
+        window = covariance.observe(m, z)
+        if window is not None:  # the variances alone, shrunk toward 1e-3 as Stan does
+            cov, w = window
+            base_scale = np.sqrt(w * np.diagonal(cov) + 1e-3 * (1.0 - w))
             averaging = _DualAveraging(averaging.current, _RWM_TARGET_ACCEPT)
 
     multiplier = averaging.averaged if cfg.warmup_draws > 0 else multiplier

@@ -315,9 +315,11 @@ class TestDrawsLocked:
     ``stats.json``.
 
     The hashes were recorded on x86-64 Linux (Python 3.11.7, numpy 2.4.6,
-    OpenBLAS single-threaded) when means affine in the data began to take
-    their sums from a QR factorisation of the data columns, which moved
-    every draw of these three fits.  The stats hashes also pin the stat
+    OpenBLAS single-threaded): the RWM ones when means affine in the data
+    began to take their sums from a QR factorisation of the data columns,
+    the NUTS ones when NUTS moved to a dense metric, shrunk toward the
+    window's own variances, and a U-turn test on the momenta, which moved
+    every NUTS draw.  The stats hashes also pin the stat
     names, their order and their dtypes.  A change that moves the draws
     updates them and names the change in CHANGES.md.  Another BLAS build
     may sum dot products in another order, so the hashes hold only where
@@ -325,13 +327,13 @@ class TestDrawsLocked:
     """
 
     HASHES = {
-        "nuts-linear": "3f9cde34f489c698aa717544a7bc42e8ed38ac3cc465c88030d8ccd36114ba3a",
-        "nuts-recip": "a1a93ba6b35fe35d945b4df9f6a908f1365e4c13ad7e0f3390b23012e9bf6b34",
+        "nuts-linear": "1e29898459af31ad37783911bbf0bc35e1a392e10aa1303d21e11349d0e920e4",
+        "nuts-recip": "6a378322260e864af5d544ddf355aa8ef773c2d59991cd631a1aa239519542f5",
         "rwm-linear": "cf838035a454ca7e5ebdafc8f716dfb949ca5fc3f15cb24d65fe7687461e3a40",
     }
     STATS_HASHES = {
-        "nuts-linear": "07b48cbb08b84609e0b81d62e6a42566f926f1db950cf383b987f538286f5889",
-        "nuts-recip": "a8cd427a98ccba7daa290140ae4476c853acfeba88a1abba64990f8d6f593bb1",
+        "nuts-linear": "f9b1d6d0ce999de3f7381fd16a13df7adf162552f9408e4efd02a6e809fa01f8",
+        "nuts-recip": "ef7c7445e03ed9db01583f4991d38600134595dd87a0c228421f0bd830df49a1",
         "rwm-linear": "680986c1b17c9e3a3a0f3e53d666538c88924ea8ae7672ceafb19d338f16b7cf",
     }
 
@@ -437,6 +439,25 @@ class TestDrawsIndependentOfBlasThreads:
                 [
                     sys.executable, "-m", "plainbayes", "fit", "--model", str(model_json), "--data", str(data),
                     "--chains", "2", "--warmup", "10", "--draws", "10", "--max-tree-depth", "3", "--seed", "5",
+                    "--out-dir", str(tmp_path / threads),
+                ],
+                env=env, check=True, capture_output=True,
+            )
+            traces.append((tmp_path / threads / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+
+    def test_small_n_dense_metric_same_with_one_and_two_threads(self, tmp_path):
+        # 200 warm-up draws close two metric windows: the dense metric's
+        # factors, its products with the momentum and the momentum's draw
+        data = tmp_path / "data.csv"
+        assert run_cli("simulate", "--n", 100, "--seed", 3, "--out", data) == 0
+        traces = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
+            subprocess.run(
+                [
+                    sys.executable, "-m", "plainbayes", "fit", "--model", str(EXAMPLES / "manual_priors_model.json"),
+                    "--data", str(data), "--chains", "2", "--warmup", "200", "--draws", "100", "--seed", "5",
                     "--out-dir", str(tmp_path / threads),
                 ],
                 env=env, check=True, capture_output=True,

@@ -229,6 +229,26 @@ class TestZeroDenominatorGradient:
         assert grad[1] == pytest.approx(0.0, abs=1e-12)
 
 
+class TestOverflowingQuotient:
+    def test_raises_nonfinite_density_not_a_warning(self):
+        # a / b with Normal priors divides numpy floats: 1e150 / 1e-160 overflows,
+        # which must raise NonFiniteDensity, not numpy's RuntimeWarning
+        spec = ModelSpec(
+            priors={
+                "a": DistributionSpec("Normal", {"mu": 0, "sigma": 1}),
+                "b": DistributionSpec("Normal", {"mu": 0, "sigma": 1}),
+                "sigma": DistributionSpec("HalfNormal", {"sigma": 1}),
+            },
+            likelihood=LikelihoodSpec(formula_source="a / b * X", noise_param="sigma"),
+        )
+        data = Dataset({"X": np.array([0.5, 1.0, 2.0]), "y": np.array([0.1, -0.2, 0.3])})
+        pf = build_posterior(validate_model(spec, data.column_names()), data)
+        z = np.array([1e150, 1e-160, 0.0])
+        for call in (pf.log_density, pf.log_density_and_grad):
+            with pytest.raises(NonFiniteDensity, match="non-finite quotient"):
+                call(z)
+
+
 class TestConstrain:
     def test_zero_vector(self, experiment_dataset):
         pf = _experiment_pf(experiment_dataset)

@@ -142,6 +142,34 @@ class TestNutsOnStandardNormal:
         assert statistic < 1.9495 / math.sqrt(1e4)
 
 
+class TestDenseMetric:
+    def test_correlated_gaussian(self):
+        # alpha and beta of the demo regression correlate at -0.88, which a
+        # diagonal metric cannot absorb (about 1 500 ESS from 51 000 gradients here)
+        cov = np.array([[1.0, -0.88, 0.0], [-0.88, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        precision = np.linalg.inv(cov)
+        evaluations = []
+
+        def vag(z):
+            evaluations.append(1)
+            grad = -np.dot(precision, z)
+            return 0.5 * float(np.dot(z, grad)), grad
+
+        pf = PosteriorFn(param_names=["a", "b", "c"], log_density_and_grad=vag)
+        trace = nuts_sample(pf, SamplerConfig(chains=4, warmup_draws=1000, kept_draws=1000, seed=0), jobs=1)
+        assert min(ess_bulk(trace.chains_for(name)) for name in trace.param_names) >= 3000
+        assert len(evaluations) <= 35_000
+
+    def test_metric_factors(self):
+        inv_mass = np.array([[2.0, -0.9, 0.1], [-0.9, 1.0, 0.0], [0.1, 0.0, 0.5]])
+        _, root = sampler._metric(inv_mass)
+        # root = L^-T with inv_mass = L L^T, so root^T inv_mass root = I and r = root xi ~ N(0, inv_mass^-1)
+        assert np.allclose(root.T @ inv_mass @ root, np.eye(3), atol=1e-14)
+        assert np.array_equal(root, np.triu(root))
+        assert sampler._metric(np.array([[1.0, 1.0], [1.0, 1.0]])) is None
+        assert sampler._metric(np.array([[math.nan]])) is None
+
+
 class TestRwm:
     def test_standard_normal_means(self):
         cfg = SamplerConfig(algorithm="rwm", chains=4, warmup_draws=1000, kept_draws=2000, seed=3)
@@ -382,8 +410,10 @@ class TestLogAddExp:
 
 
 class _ArrayWindowedVariance:
-    """``_WindowedVariance`` as it was before it moved to Python floats: the
-    same recurrences on arrays.  The float version must give the same bits."""
+    """The windowed per-coordinate variance, shrunk toward 1e-3 as Stan does,
+    as it was before it moved to Python floats: the same recurrences on
+    arrays.  RWM's variances from ``sampler._WindowedCovariance`` must give
+    the same bits."""
 
     def __init__(self, warmup, dim):
         self.windows = sampler._adaptation_windows(warmup)
@@ -407,21 +437,43 @@ class _ArrayWindowedVariance:
         return var
 
 
+def _windowed_draws(warmup, dim):
+    rng = np.random.default_rng(warmup)
+    draws = rng.standard_normal((warmup, dim)) * np.logspace(-8, 8, dim) + 1e3 * rng.standard_normal(dim)
+    draws[:, -1] -= 0.9 * draws[:, 0]  # a correlated pair when dim > 1
+    draws[1::3] = draws[0::3][: len(draws[1::3])]  # repeated rows, as rejected RWM proposals give
+    return draws
+
+
 class TestWindowedVariance:
     @pytest.mark.parametrize("warmup, dim", [(150, 1), (1000, 3), (5000, 4)])
     def test_same_bits_as_array_recurrence(self, warmup, dim):
-        rng = np.random.default_rng(warmup)
-        draws = rng.standard_normal((warmup, dim)) * np.logspace(-8, 8, dim) + 1e3 * rng.standard_normal(dim)
-        draws[1::3] = draws[0::3][: len(draws[1::3])]  # repeated rows, as rejected RWM proposals give
-        fast, reference = sampler._WindowedVariance(warmup, dim), _ArrayWindowedVariance(warmup, dim)
+        fast, reference = sampler._WindowedCovariance(warmup, dim), _ArrayWindowedVariance(warmup, dim)
         closed = 0
-        for m, z in enumerate(draws):
+        for m, z in enumerate(_windowed_draws(warmup, dim)):
             got, want = fast.observe(m, z), reference.observe(m, z)
             assert (got is None) == (want is None)
             if got is not None:
                 closed += 1
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                cov, w = got
+                variances = w * np.diagonal(cov) + 1e-3 * (1.0 - w)  # as _run_rwm_chain shrinks them
+                assert variances.dtype == want.dtype and variances.tobytes() == want.tobytes()
         assert closed == len(sampler._adaptation_windows(warmup)) > 0
+
+    @pytest.mark.parametrize("warmup, dim", [(150, 1), (1000, 3), (5000, 4)])
+    def test_matrix_matches_numpy_cov(self, warmup, dim):
+        # each window's np.cov and its shrinkage weight n / (n + 5)
+        draws = _windowed_draws(warmup, dim)
+        estimator, windows = sampler._WindowedCovariance(warmup, dim), sampler._adaptation_windows(warmup)
+        got = [window for m, z in enumerate(draws) if (window := estimator.observe(m, z)) is not None]
+        assert len(got) == len(windows) > 0
+        for (cov, w), (start, end) in zip(got, windows):
+            window, n = draws[start:end], end - start
+            want = np.cov(window.T).reshape(dim, dim)
+            # rounding error in a sum of products scales with the raw second moments
+            moments = np.mean(window * window, axis=0)
+            assert w == n / (n + 5.0) and np.array_equal(cov, cov.T)
+            assert np.all(np.abs(cov - want) <= 1e-13 * np.sqrt(np.outer(moments, moments)))
 
 
 class TestUncheckedCalls:
