@@ -231,6 +231,7 @@ def _render_summary(table: diagnostics.SummaryTable, fmt: str) -> str:
 
 
 def _cmd_summarize(args) -> int:
+    diagnostics.check_hdi_prob(args.hdi)  # before reading the trace
     trace = sampler.load_trace(args.trace, args.stats)
     table = diagnostics.summarize(trace, hdi_prob=args.hdi)
     text = _render_summary(table, args.format)
@@ -241,6 +242,7 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    plotting.check_bins(args.bins)  # before reading the traces
     trace = sampler.load_trace(args.trace)
     compare = sampler.load_trace(args.compare) if args.compare else None
     written = plotting.plot_trace(
@@ -273,11 +275,12 @@ def _cmd_run(args) -> int:
     started = time.time()
     diagnostics.check_hdi_prob(args.hdi)  # before any work: these stages come last
     plotting.check_bins(args.bins)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     llm_cfg = _llm_config(args)
     scfg = _config(sampler.SamplerConfig, args)
+    sim = None if args.data else _config(data_io.SimConfig, args, seed=scfg.seed)
     workers = sampler.worker_count(scfg.chains, args.jobs)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(
         "run",
         {"sampler": asdict(scfg), "llm": _public_llm_config(llm_cfg), "hdi": args.hdi, "bins": args.bins},
@@ -289,7 +292,6 @@ def _cmd_run(args) -> int:
         dataset = data_io.load_csv(data_path)
         manifest.add_input(data_path)
     else:
-        sim = _config(data_io.SimConfig, args, seed=scfg.seed)
         dataset = data_io.simulate_linear(sim)
         data_path = out_dir / "data.csv"
         data_io.save_csv(dataset, data_path)

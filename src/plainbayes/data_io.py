@@ -17,8 +17,11 @@ from .errors import DataError, MalformedCsv, NonNumericCell, RaggedRow
 __all__ = ["Dataset", "SimConfig", "simulate_linear", "load_csv", "save_csv", "make_rng"]
 
 
+SEED_BOUND = 2**128  # Philox takes keys below this
+
+
 def make_rng(seed: int) -> np.random.Generator:
-    """The package-wide RNG: Philox (counter-based), keyed by the seed."""
+    """The package-wide RNG: Philox (counter-based), keyed by the seed (< ``SEED_BOUND``)."""
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -78,8 +81,8 @@ class SimConfig:
             raise DataError(f"n must be >= 1, got {self.n}")
         if not self.x_low < self.x_high:
             raise DataError(f"x_low must be < x_high, got [{self.x_low}, {self.x_high}]")
-        if self.seed < 0:
-            raise DataError(f"seed must be a non-negative integer, got {self.seed}")
+        if not 0 <= self.seed < SEED_BOUND:
+            raise DataError(f"seed must be a non-negative integer below 2**128, got {self.seed}")
 
 
 def simulate_linear(cfg: SimConfig) -> Dataset:

@@ -1,12 +1,12 @@
 """Multi-chain MCMC: No-U-Turn sampler and adaptive random-walk Metropolis.
 
-The NUTS implementation uses multinomial state selection over the implicit
-trajectory tree, dual averaging of the step size toward a target acceptance
-statistic, and windowed estimation of a dense inverse metric during warmup
-(a short initial step-size-only phase, doubling estimation windows, and a
-terminal step-size-only phase); RWM scales its proposals by the same
-windows' variances.  Transitions whose Hamiltonian error exceeds
-1000 are flagged divergent and their subtree is discarded.
+NUTS grows a trajectory by one join, which picks the proposal multinomially
+within subtrees and by biased progressive sampling at the top, with a U-turn
+check at each join.  Warmup adapts the step size by dual averaging toward a
+target acceptance statistic, and a dense inverse metric in doubling windows
+between short step-size-only phases at its start and end; RWM scales its
+proposals by the same windows' variances.  Transitions whose Hamiltonian
+error exceeds 1000 are flagged divergent and their subtree is discarded.
 
 Each chain draws from its own Philox stream keyed by ``seed + chain_index``,
 so the chains are independent and results reproducible bit for bit.  They
@@ -47,7 +47,7 @@ from typing import Callable, NoReturn
 
 import numpy as np
 
-from .data_io import make_rng
+from .data_io import SEED_BOUND, make_rng
 from .errors import AllDivergent, BadInitialPoint, MalformedTrace, NonFiniteDensity, SamplerError
 from .posterior import PosteriorFn, np_dot
 
@@ -84,8 +84,8 @@ class SamplerConfig:
             raise SamplerError(f"max_tree_depth must be >= 1, got {self.max_tree_depth}")
         if not 0.0 < self.step_size_init < math.inf:
             raise SamplerError(f"step_size_init must be finite and > 0, got {self.step_size_init}")
-        if self.seed < 0:
-            raise SamplerError(f"seed must be a non-negative integer, got {self.seed}")
+        if not 0 <= self.seed <= SEED_BOUND - self.chains:  # chain c is keyed seed + c
+            raise SamplerError(f"seed must be >= 0 with seed + chains - 1 below 2**128, got {self.seed}")
 
 
 @dataclass
@@ -294,72 +294,56 @@ def _is_turning(minus, plus) -> bool:
     return np_dot(dz, minus[1]) < 0.0 or np_dot(dz, plus[1]) < 0.0
 
 
+def _join(tree, sub, side, random, biased=False) -> None:
+    """The one join of a trajectory: grow the unfinished ``tree`` toward
+    ``side`` by ``sub``, built from its edge there.  A ``sub`` that ended well
+    adds its weight and gives its proposal with probability w(sub) / w(tree +
+    sub) (multinomial, within subtrees) or, if ``biased``, min(1, w(sub) /
+    w(tree)) (biased progressive, at the top); the joined tree stops if it turns."""
+    tree[side] = sub[side]
+    tree[4] += sub[4]
+    tree[5] += sub[5]
+    tree[6] = tree[6] or sub[6]
+    if sub[7]:
+        total = _logaddexp(tree[3], sub[3])
+        if random() < math.exp(min(0.0, sub[3] - (tree[3] if biased else total))):
+            tree[2] = sub[2]
+        tree[3] = total
+    tree[7] = sub[7] and not _is_turning(tree[0], tree[1])
+
+
 def _build_tree(vag, edge, side, depth, half_step, mass_step, inv_mass, h0, random) -> list:
     """Build a subtree of 2**depth leapfrog steps from ``edge``, forward if
     ``side`` else backward, as the list [minus edge, plus edge, proposed state,
-    log weight, acceptance sum, acceptance count, divergent, ok]; ``tree[side]``
-    is the edge a doubling toward ``side`` extends."""
+    log weight, acceptance sum, acceptance count, divergent, ok]: a leaf, or
+    two halves and one ``_join``; ``tree[side]`` is the edge to extend."""
     if depth == 0:
         leaf, delta_h = _leapfrog(vag, edge, half_step, mass_step, inv_mass, h0)
         divergent = delta_h < -_DIVERGENCE_THRESHOLD
         return [leaf, leaf, leaf, delta_h, math.exp(min(0.0, delta_h)), 1, divergent, not divergent]
-
     tree = _build_tree(vag, edge, side, depth - 1, half_step, mass_step, inv_mass, h0, random)
-    if not tree[7]:
-        return tree
-    second = _build_tree(vag, tree[side], side, depth - 1, half_step, mass_step, inv_mass, h0, random)
-    tree[side] = second[side]
-    tree[4] += second[4]
-    tree[5] += second[5]
-    tree[6] = tree[6] or second[6]
-    if not second[7]:
-        tree[7] = False
-        return tree
-
-    # Multinomial selection between the two sibling subtrees.
-    total = _logaddexp(tree[3], second[3])
-    if random() < math.exp(min(0.0, second[3] - total)):
-        tree[2] = second[2]
-    tree[3] = total
-    if _is_turning(tree[0], tree[1]):
-        tree[7] = False
+    if tree[7]:
+        sub = _build_tree(vag, tree[side], side, depth - 1, half_step, mass_step, inv_mass, h0, random)
+        _join(tree, sub, side, random)
     return tree
 
 
 def _nuts_transition(vag, z, logp, grad, steps, metric, rng, max_depth):
-    """One NUTS transition from ``z`` with ``steps = _steps(eps, metric[0])``."""
+    """One NUTS transition from ``z`` with ``steps = _steps(eps, metric[0])``.
+    The tree of ``z`` alone doubles toward random sides by biased joins; the
+    depth counts the subtrees that ended well."""
     r, h0 = _momentum(z, logp, metric, rng)
     random = rng.random
-    ends = [(z, r, grad, logp, half_step * grad) for half_step, _ in steps]  # [minus, plus]
-    prop = ends[0]
-    log_weight = 0.0  # weight of the initial point relative to itself
-    alpha_sum = 0.0
-    n_alpha = 0
-    divergent = False
+    tree = [(z, r, grad, logp, half_step * grad) for half_step, _ in steps]  # [minus, plus]
+    tree += [tree[0], 0.0, 0.0, 0, False, True]
     depth = 0
-
-    while depth < max_depth:
+    while tree[7] and depth < max_depth:
         side = random() < 0.5
-        sub = _build_tree(vag, ends[side], side, depth, *steps[side], metric[0], h0, random)
-        ends[side] = sub[side]
-
-        alpha_sum += sub[4]
-        n_alpha += sub[5]
-        divergent = divergent or sub[6]
-        if not sub[7]:
-            break
-
-        # Biased progressive sampling: favor the fresh subtree.
-        if random() < math.exp(min(0.0, sub[3] - log_weight)):
-            prop = sub[2]
-        log_weight = _logaddexp(log_weight, sub[3])
-
-        depth += 1
-        if _is_turning(*ends):
-            break
-
-    z, _, grad, logp = prop[:4]
-    return z, logp, grad, alpha_sum / max(n_alpha, 1), depth, divergent
+        sub = _build_tree(vag, tree[side], side, depth, *steps[side], metric[0], h0, random)
+        _join(tree, sub, side, random, biased=True)
+        depth += sub[7]
+    z, _, grad, logp = tree[2][:4]
+    return z, logp, grad, tree[4] / max(tree[5], 1), depth, tree[6]
 
 
 def _find_reasonable_step_size(vag, z, logp, grad, metric, rng, init: float) -> float:

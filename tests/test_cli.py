@@ -85,6 +85,37 @@ class TestSimulate:
         assert (manifest["config"]["x_low"], manifest["config"]["x_high"]) == (SimConfig.x_low, SimConfig.x_high)
 
 
+class TestSeedBeyondPhiloxKeys:
+    """A seed Philox cannot take fails in one line before any work (chain c
+    is keyed seed + c, and ``run`` without ``--data`` simulates from the seed)."""
+
+    SAMPLER_ERROR = "SamplerError: seed must be >= 0 with seed + chains - 1 below 2**128, got "
+
+    def test_simulate(self, tmp_path, capsys):
+        assert run_cli("simulate", "--seed", 2**128, "--out", tmp_path / "d.csv") == 1
+        err = capsys.readouterr().err
+        assert err == f"simulate: DataError: seed must be a non-negative integer below 2**128, got {2**128}\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_fit_with_a_chain_beyond(self, tmp_path, data_csv, capsys):
+        code = run_cli("fit", "--model", EXAMPLES / "manual_priors_model.json", "--data", data_csv,
+                       "--chains", 2, "--seed", 2**128 - 1, "--out-dir", tmp_path / "fit")
+        assert code == 1
+        assert capsys.readouterr().err == f"fit: {self.SAMPLER_ERROR}{2**128 - 1}\n"
+        assert not (tmp_path / "fit").exists()
+
+    def test_run_without_data(self, tmp_path, capsys):
+        args = ["run", "--description-file", EXAMPLES / "linear_regression_description.txt", "--chains", 1]
+        assert run_cli(*args, "--seed", 2**128, "--out-dir", tmp_path / "bad") == 1
+        assert capsys.readouterr().err == f"run: {self.SAMPLER_ERROR}{2**128}\n"
+        assert not (tmp_path / "bad").exists()
+        # the largest seed both configs take
+        small = ["--n", 20, "--warmup", 20, "--draws", 20]
+        assert run_cli(*args, *small, "--seed", 2**128 - 1, "--out-dir", tmp_path / "ok") == 0
+        manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+        assert manifest["config"]["simulate"]["seed"] == manifest["config"]["sampler"]["seed"] == 2**128 - 1
+
+
 class TestElicit:
     def test_prior_to_stdout_and_file(self, tmp_path, capsys):
         beliefs = json.loads((EXAMPLES / "linear_regression_beliefs.json").read_text())
@@ -262,6 +293,10 @@ class TestSummarize:
         cells = capsys.readouterr().out.splitlines()[1].split()
         assert cells == ["a", bad] + ["nan"] * 6
 
+    def test_bad_hdi_fails_before_reading(self, tmp_path, capsys):
+        assert run_cli("summarize", "--trace", tmp_path / "missing.csv", "--hdi", 2) == 1
+        assert capsys.readouterr().err == "summarize: PlainbayesError: hdi prob must be in (0, 1), got 2.0\n"
+
     def test_stats_sidecar_not_json(self, fit_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"stats": ')
@@ -291,6 +326,10 @@ class TestPlot:
         err = capsys.readouterr().err
         assert err == "plot: NonFiniteDraws: parameter 'a' has non-finite draws; cannot bin them\n"
 
+    def test_bad_bins_fail_before_reading(self, tmp_path, capsys):
+        assert run_cli("plot", "--trace", tmp_path / "missing.csv", "--bins", 0, "--out-dir", tmp_path / "p") == 1
+        assert capsys.readouterr().err == "plot: PlainbayesError: bins must be >= 1, got 0\n"
+
     def test_mismatched_params_fail(self, fit_dir, tmp_path, capsys):
         other = tmp_path / "other.csv"
         other.write_text("chain,draw,theta\n0,0,1.0\n0,1,2.0\n")
@@ -319,7 +358,9 @@ class TestDrawsLocked:
     began to take their sums from a QR factorisation of the data columns,
     the NUTS ones when NUTS moved to a dense metric, shrunk toward the
     window's own variances, and a U-turn test on the momenta, which moved
-    every NUTS draw.  The stats hashes also pin the stat
+    every NUTS draw.  ``nuts-linear-depth2`` caps its trees at depth 2,
+    which every kept tree reaches, an exit the other fits seldom take.  The
+    stats hashes also pin the stat
     names, their order and their dtypes.  A change that moves the draws
     updates them and names the change in CHANGES.md.  Another BLAS build
     may sum dot products in another order, so the hashes hold only where
@@ -328,11 +369,13 @@ class TestDrawsLocked:
 
     HASHES = {
         "nuts-linear": "1e29898459af31ad37783911bbf0bc35e1a392e10aa1303d21e11349d0e920e4",
+        "nuts-linear-depth2": "381ce79a6742668a6ecba265ab523c252576f4dc539449e5652d338017ac9ef8",
         "nuts-recip": "6a378322260e864af5d544ddf355aa8ef773c2d59991cd631a1aa239519542f5",
         "rwm-linear": "cf838035a454ca7e5ebdafc8f716dfb949ca5fc3f15cb24d65fe7687461e3a40",
     }
     STATS_HASHES = {
         "nuts-linear": "f9b1d6d0ce999de3f7381fd16a13df7adf162552f9408e4efd02a6e809fa01f8",
+        "nuts-linear-depth2": "53c2e9ac383cd74be11013a594f417e641f6059cbf4c6e011909460797a124bf",
         "nuts-recip": "ef7c7445e03ed9db01583f4991d38600134595dd87a0c228421f0bd830df49a1",
         "rwm-linear": "680986c1b17c9e3a3a0f3e53d666538c88924ea8ae7672ceafb19d338f16b7cf",
     }
@@ -341,7 +384,8 @@ class TestDrawsLocked:
     def test_trace_hash(self, tmp_path, case):
         data = tmp_path / "data.csv"
         assert run_cli("simulate", "--n", 40, "--seed", 42, "--out", data) == 0
-        algorithm, model = case.split("-")
+        algorithm, model = case.split("-")[:2]
+        depth_flags = ["--max-tree-depth", "2"] if case.endswith("-depth2") else []
         if model == "linear":
             model_json = EXAMPLES / "manual_priors_model.json"
         else:
@@ -352,7 +396,7 @@ class TestDrawsLocked:
             [
                 sys.executable, "-m", "plainbayes", "fit", "--model", str(model_json), "--data", str(data),
                 "--algorithm", algorithm, "--chains", "2", "--warmup", "150", "--draws", "100",
-                "--seed", "11", "--out-dir", str(tmp_path / "fit"),
+                "--seed", "11", *depth_flags, "--out-dir", str(tmp_path / "fit"),
             ],
             env=env, check=True, capture_output=True,
         )
@@ -616,6 +660,12 @@ class TestRun:
     def test_missing_description_file(self, tmp_path, capsys):
         code = run_cli("run", "--description-file", tmp_path / "nope.txt", "--out-dir", tmp_path / "r")
         assert code != 0
+
+    def test_bad_simulation_flag_fails_before_any_work(self, tmp_path, capsys):
+        description = EXAMPLES / "linear_regression_description.txt"
+        assert run_cli("run", "--description-file", description, "--n", 0, "--out-dir", tmp_path / "r") == 1
+        assert capsys.readouterr().err == "run: DataError: n must be >= 1, got 0\n"
+        assert not (tmp_path / "r").exists()
 
     def test_requires_some_input(self, tmp_path, capsys):
         code = run_cli("run", "--out-dir", tmp_path / "r")

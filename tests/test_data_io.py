@@ -41,6 +41,9 @@ class TestSimulate:
             SimConfig(alpha=0, beta=0, sigma=1, n=0)
         with pytest.raises(DataError):
             SimConfig(alpha=0, beta=0, sigma=1, n=10, x_low=5, x_high=5)
+        with pytest.raises(DataError, match="below 2"):  # beyond Philox's keys
+            SimConfig(alpha=0, beta=0, sigma=1, n=10, seed=2**128)
+        assert simulate_linear(SimConfig(alpha=0, beta=0, sigma=1, n=10, seed=2**128 - 1)).n_rows == 10
 
 
 class TestDataset:

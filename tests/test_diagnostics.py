@@ -90,9 +90,19 @@ class TestEssBulk:
             value = ess_bulk(np.full((4, 100), 2.5))
         assert math.isnan(value)
 
-    def test_capped_at_superefficiency(self):
-        chains = make_rng(9).standard_normal((4, 250))
-        assert ess_bulk(chains) <= 1.5 * 1000
+    def test_bounded_by_n_log10_n(self):
+        # antithetic chains: the truncated autocorrelation sum tau is below
+        # 1 / log10(N), or not even positive, so the bound is the estimate
+        bound = 4000 * math.log10(4000)
+        for seed in range(5):
+            for phi in (-0.8, -0.9):
+                assert ess_bulk(ar1_chains(make_rng(seed), 4, 1000, phi)) == pytest.approx(bound, rel=1e-12)
+        assert ess_bulk(make_rng(9).standard_normal((4, 250))) <= 1000 * math.log10(1000)
+
+    def test_antithetic_above_draws(self):
+        # theory: n * (1 - phi) / (1 + phi) ~= 7429 at phi = -0.3, above 1.5 n
+        for seed in range(5):
+            assert 7000 <= ess_bulk(ar1_chains(make_rng(seed), 4, 1000, -0.3)) <= 8500
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_draw_gives_nan(self, bad):

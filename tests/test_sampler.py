@@ -68,11 +68,17 @@ class TestConfig:
             {"step_size_init": 0.0},
             {"step_size_init": math.inf},
             {"seed": -1},
+            {"seed": 2**128},
+            {"seed": 2**128 - 1, "chains": 2},  # chain 1 would be keyed 2**128
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(SamplerError):
             SamplerConfig(**kwargs)
+
+    def test_largest_seeds_for_the_chains(self):
+        cfg = SamplerConfig(seed=2**128 - 2, chains=2, warmup_draws=0, kept_draws=5)
+        assert nuts_sample(std_normal_posterior(1), cfg, jobs=1).draws.shape == (2, 5, 1)
 
 
 class TestAdaptationWindows:
@@ -168,6 +174,68 @@ class TestDenseMetric:
         assert np.array_equal(root, np.triu(root))
         assert sampler._metric(np.array([[1.0, 1.0], [1.0, 1.0]])) is None
         assert sampler._metric(np.array([[math.nan]])) is None
+
+
+class TestTrajectory:
+    """The top level of a NUTS trajectory: how it stops and what it reports."""
+
+    def test_nonfinite_everywhere_but_the_start(self):
+        start = np.zeros(2)
+
+        def vag(z):
+            if np.array_equal(z, start):
+                return 0.0, np.zeros(2)
+            raise NonFiniteDensity("off the start")
+
+        rng = sampler.make_rng(0)
+        metric = sampler._metric(np.eye(2))
+        z, logp, grad, accept, depth, divergent = sampler._nuts_transition(
+            vag, start, 0.0, np.zeros(2), sampler._steps(0.5, metric[0]), metric, rng, 10
+        )
+        assert np.array_equal(z, start) and logp == 0.0 and np.array_equal(grad, np.zeros(2))
+        assert (depth, divergent, accept) == (0, True, 0.0)
+
+    def test_depth_bound_of_one(self):
+        cfg = SamplerConfig(chains=2, warmup_draws=200, kept_draws=200, seed=4, max_tree_depth=1)
+        depths = nuts_sample(std_normal_posterior(3), cfg, jobs=1).stats["tree_depth"]
+        assert depths.max() == 1
+
+    @pytest.mark.parametrize("wall", [math.inf, 1.5])
+    def test_failed_subtree_not_counted(self, monkeypatch, wall):
+        # tree_depth counts the subtrees joined: one that diverges (outside the
+        # wall) or turns inside ends the trajectory without adding a level
+        def vag(z):
+            if np.any(np.abs(z) > wall):
+                raise NonFiniteDensity("outside the wall")
+            return -0.5 * float(np.dot(z, z)), -z
+
+        build_tree, level, subtrees = sampler._build_tree, [0], []
+
+        def recording_build_tree(*args):
+            level[0] += 1
+            try:
+                tree = build_tree(*args)
+            finally:
+                level[0] -= 1
+            if level[0] == 0:  # a subtree of the top level, not one of its halves
+                subtrees.append((tree[6], tree[7]))
+            return tree
+
+        monkeypatch.setattr(sampler, "_build_tree", recording_build_tree)
+        rng = sampler.make_rng(5)
+        metric = sampler._metric(np.eye(2))
+        steps = sampler._steps(1.3, metric[0])
+        z = np.zeros(2)
+        logp, grad = vag(z)
+        endings = set()
+        for _ in range(300):
+            subtrees.clear()
+            z, logp, grad, _, depth, divergent = sampler._nuts_transition(vag, z, logp, grad, steps, metric, rng, 10)
+            assert depth == sum(ok for _, ok in subtrees)
+            assert divergent == any(d for d, _ in subtrees)
+            if not subtrees[-1][1]:
+                endings.add("divergent" if subtrees[-1][0] else "turned inside")
+        assert endings == ({"turned inside", "divergent"} if wall < math.inf else {"turned inside"})
 
 
 class TestRwm:
