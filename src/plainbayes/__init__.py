@@ -14,7 +14,6 @@ from .elicitation import LlmConfig, elicit_model, elicit_prior  # noqa: F401
 from .posterior import PosteriorFn, build_posterior  # noqa: F401
 from .sampler import SamplerConfig, Trace, load_trace, nuts_sample, rwm_sample, save_trace  # noqa: F401
 from .spec_schema import (  # noqa: F401
-    DistributionSpec,
     LikelihoodSpec,
     ModelSpec,
     ValidatedModel,

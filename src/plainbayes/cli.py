@@ -192,11 +192,10 @@ def _public_llm_config(cfg: elicitation.LlmConfig) -> dict:
     return obj  # the config holds the key's env-var NAME only, never the key
 
 
-def _fit(args, scfg: sampler.SamplerConfig, workers: int, manifest: _Manifest, spec, dataset, prefix: str = "") -> sampler.Trace:
-    """Validate and sample ``spec`` on ``dataset``, and write and list
+def _fit(args, scfg: sampler.SamplerConfig, workers: int, manifest: _Manifest, model, dataset, prefix: str = "") -> sampler.Trace:
+    """Sample the validated ``model`` on ``dataset``, and write and list
     ``{prefix}trace.csv`` and ``{prefix}stats.json`` in ``--out-dir``."""
-    validated = spec_schema.validate_model(spec, dataset.column_names())
-    pf = build_posterior(validated, dataset, response_column=args.response_column)
+    pf = build_posterior(model, dataset, response_column=args.response_column)
     trace = sampler.sample(pf, scfg, jobs=workers)
     del pf  # free its data-sized arrays before the trace is written
     paths = Path(args.out_dir) / f"{prefix}trace.csv", Path(args.out_dir) / f"{prefix}stats.json"
@@ -209,11 +208,13 @@ def _fit(args, scfg: sampler.SamplerConfig, workers: int, manifest: _Manifest, s
 def _cmd_fit(args) -> int:
     scfg = _config(sampler.SamplerConfig, args)
     workers = sampler.worker_count(scfg.chains, args.jobs)
+    spec = spec_schema.parse_model_json(Path(args.model).read_text(encoding="utf-8"))
+    dataset = data_io.load_csv(args.data)
+    model = spec_schema.validate_model(spec, dataset.column_names())
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = spec_schema.parse_model_json(Path(args.model).read_text(encoding="utf-8"))
     manifest = _Manifest("fit", {"sampler": asdict(scfg), "response_column": args.response_column})
-    trace = _fit(args, scfg, workers, manifest, spec, data_io.load_csv(args.data))
+    trace = _fit(args, scfg, workers, manifest, model, dataset)
     manifest.add_input(args.model)
     manifest.add_input(args.data)
     manifest.write(out_dir / "manifest.json")
@@ -279,26 +280,18 @@ def _cmd_run(args) -> int:
     scfg = _config(sampler.SamplerConfig, args)
     sim = None if args.data else _config(data_io.SimConfig, args, seed=scfg.seed)
     workers = sampler.worker_count(scfg.chains, args.jobs)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(
         "run",
         {"sampler": asdict(scfg), "llm": _public_llm_config(llm_cfg), "hdi": args.hdi, "bins": args.bins},
     )
 
-    # --- data stage
+    # --- inputs: read, parse, elicit and validate everything before writing anything
     if args.data:
-        data_path = Path(args.data)
-        dataset = data_io.load_csv(data_path)
-        manifest.add_input(data_path)
+        dataset = data_io.load_csv(args.data)
+        manifest.add_input(Path(args.data))
     else:
         dataset = data_io.simulate_linear(sim)
-        data_path = out_dir / "data.csv"
-        data_io.save_csv(dataset, data_path)
         manifest.payload["config"]["simulate"] = asdict(sim)
-        manifest.add_output(data_path)
-
-    # --- elicitation stage
     if args.description_file:
         description = Path(args.description_file).read_text(encoding="utf-8")
         manifest.add_input(args.description_file)
@@ -316,19 +309,25 @@ def _cmd_run(args) -> int:
         spec = spec_schema.ModelSpec(priors=priors, likelihood=likelihood)
     else:
         raise PlainbayesError("provide --description-file or --beliefs-file")
-    _write_text(out_dir / "model.json", spec_schema.model_to_json(spec), manifest)
-
-    # --- fit + report for the elicited model (and optionally a baseline)
     jobs = [("", spec)]
     if args.compare_model:
         compare_spec = spec_schema.parse_model_json(Path(args.compare_model).read_text(encoding="utf-8"))
         manifest.add_input(args.compare_model)
-        _write_text(out_dir / "compare_model.json", spec_schema.model_to_json(compare_spec), manifest)
         jobs.append(("compare_", compare_spec))
+    jobs = [(prefix, spec_schema.validate_model(s, dataset.column_names())) for prefix, s in jobs]
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if not args.data:
+        data_io.save_csv(dataset, out_dir / "data.csv")
+        manifest.add_output(out_dir / "data.csv")
+    for prefix, model in jobs:
+        _write_text(out_dir / f"{prefix}model.json", spec_schema.model_to_json(model.spec), manifest)
+
+    # --- fit + report for the elicited model (and optionally a baseline)
     traces = {}
-    for prefix, job_spec in jobs:
-        trace = traces[prefix] = _fit(args, scfg, workers, manifest, job_spec, dataset, prefix)
+    for prefix, model in jobs:
+        trace = traces[prefix] = _fit(args, scfg, workers, manifest, model, dataset, prefix)
         table = diagnostics.summarize(trace, hdi_prob=args.hdi)
         for fmt, suffix in (("text", "txt"), ("json", "json"), ("csv", "csv")):
             _write_text(out_dir / f"{prefix}summary.{suffix}", _render_summary(table, fmt), manifest)

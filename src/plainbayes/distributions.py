@@ -2,9 +2,10 @@
 
 :data:`FAMILIES` maps each prior family's name to its class and is the only
 list of them: the spec schema reads names, parameters, aliases and supports
-from it, and validates parameter values by constructing the family.  Each
-family knows its log density, the analytic derivative of that log density,
-and the bijection that maps an unconstrained real coordinate onto its support
+from it, and a parsed prior is an instance of its family.  Constructing a
+family checks its parameter values, whoever constructs it.  Each family
+knows its log density, the analytic derivative of that log density, and the
+bijection that maps an unconstrained real coordinate onto its support
 (with the log-Jacobian needed for density corrections in unconstrained space).
 
 Conventions:
@@ -117,12 +118,36 @@ Transform = IdentityTransform | ExpTransform | LogisticIntervalTransform
 # Distributions
 
 
+def _check_real(distribution: str, name: str, value: object) -> float:
+    """``value`` as a finite float; a bool, a non-number, NaN, an infinity or an
+    integer beyond the float range raises :class:`InvalidParamValue`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidParamValue(f"{distribution}: parameter {name!r} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise InvalidParamValue(f"{distribution}: parameter {name!r} must be finite, got {value!r}")
+    return value
+
+
 class PriorDistribution:
-    """A prior family: its dataclass fields are its canonical parameters, ``ALIASES``
+    """A prior family: its dataclass fields are its canonical parameters, stored
+    as finite floats, ``POSITIVE`` names those that must be > 0, ``ALIASES``
     maps other lowercase names onto them, ``SUPPORT`` is None if parameters set it."""
 
     ALIASES: ClassVar[Mapping[str, str]]
     SUPPORT: ClassVar[tuple[float, float] | None]
+    POSITIVE: ClassVar[tuple[str, ...]] = ()
+
+    def __post_init__(self):
+        family = type(self).__name__
+        for name in self.param_names():
+            value = _check_real(family, name, getattr(self, name))
+            if name in self.POSITIVE and not value > 0:
+                raise InvalidParamValue(f"{family}: {name} must be > 0, got {value}")
+            object.__setattr__(self, name, value)
 
     @classmethod
     def param_names(cls) -> tuple[str, ...]:
@@ -130,11 +155,6 @@ class PriorDistribution:
 
     def support(self) -> tuple[float, float]:
         return self.SUPPORT
-
-    def _require_positive(self, name: str) -> None:
-        value = getattr(self, name)
-        if not value > 0:
-            raise InvalidParamValue(f"{type(self).__name__}: {name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -144,9 +164,7 @@ class Normal(PriorDistribution):
 
     ALIASES = {"loc": "mu", "mean": "mu", "sd": "sigma", "scale": "sigma"}
     SUPPORT = (-math.inf, math.inf)
-
-    def __post_init__(self):
-        self._require_positive("sigma")
+    POSITIVE = ("sigma",)
 
     def log_pdf(self, x: float) -> float:
         t = (x - self.mu) / self.sigma
@@ -165,9 +183,7 @@ class HalfNormal(PriorDistribution):
 
     ALIASES = {"sd": "sigma", "scale": "sigma"}
     SUPPORT = (0.0, math.inf)
-
-    def __post_init__(self):
-        self._require_positive("sigma")
+    POSITIVE = ("sigma",)
 
     def log_pdf(self, x: float) -> float:
         if x < 0:
@@ -191,6 +207,7 @@ class Uniform(PriorDistribution):
     SUPPORT = None
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.lower < self.upper:
             raise InvalidParamValue(f"Uniform: lower must be < upper, got lower={self.lower}, upper={self.upper}")
 
@@ -215,9 +232,7 @@ class Exponential(PriorDistribution):
 
     ALIASES = {"rate": "lam", "lambda": "lam"}
     SUPPORT = (0.0, math.inf)
-
-    def __post_init__(self):
-        self._require_positive("lam")
+    POSITIVE = ("lam",)
 
     def log_pdf(self, x: float) -> float:
         if x < 0:
@@ -236,16 +251,10 @@ FAMILIES: dict[str, type[PriorDistribution]] = {
 }
 
 
-def from_spec(spec) -> PriorDistribution:
-    """Instantiate the family a validated ``DistributionSpec`` names."""
-    return FAMILIES[spec.name](**spec.params)
-
-
 __all__ = [
     *FAMILIES,
     "FAMILIES",
     "PriorDistribution",
-    "from_spec",
     "IdentityTransform",
     "ExpTransform",
     "LogisticIntervalTransform",

@@ -31,6 +31,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
+from .distributions import PriorDistribution
 from .errors import (
     ElicitationError,
     ElicitationFailed,
@@ -44,7 +45,6 @@ from .errors import (
     SchemaError,
 )
 from .spec_schema import (
-    DistributionSpec,
     ModelSpec,
     parse_model_json,
     parse_prior_json,
@@ -89,7 +89,6 @@ class LlmConfig:
     timeout: float = 60.0
     max_retries: int = 2
     fixtures_dir: str | Path | None = None
-    response_text_pointer: str = "/choices/0/message/content"
 
     def __post_init__(self):
         if self.mode not in ("live", "replay", "record"):
@@ -171,29 +170,6 @@ def render_model_prompt(description: str) -> str:
 # Transport
 
 
-def _resolve_pointer(document, pointer: str):
-    """Minimal RFC 6901 JSON-pointer resolution."""
-    node = document
-    if pointer in ("", "/"):
-        return node
-    for raw in pointer.lstrip("/").split("/"):
-        token = raw.replace("~1", "/").replace("~0", "~")
-        if isinstance(node, list):
-            try:
-                node = node[int(token)]
-            except (ValueError, IndexError):
-                raise LlmProtocolError(f"response has no element {token!r} along pointer {pointer!r}") from None
-        elif isinstance(node, dict):
-            if token not in node:
-                raise LlmProtocolError(f"response has no key {token!r} along pointer {pointer!r}")
-            node = node[token]
-        else:
-            raise LlmProtocolError(f"cannot descend into {type(node).__name__} along pointer {pointer!r}")
-    if not isinstance(node, str):
-        raise LlmProtocolError(f"pointer {pointer!r} did not resolve to text")
-    return node
-
-
 def _live_call(prompt: str, cfg: LlmConfig) -> str:
     api_key = os.environ.get(cfg.api_key_env)
     if not api_key:
@@ -229,7 +205,13 @@ def _live_call(prompt: str, cfg: LlmConfig) -> str:
     except ValueError:
         excerpt = body.decode("utf-8", errors="replace")[:120]
         raise LlmProtocolError(f"endpoint did not return JSON: {excerpt!r}") from None
-    return _resolve_pointer(document, cfg.response_text_pointer)
+    try:
+        text = document["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError):
+        text = None
+    if not isinstance(text, str):
+        raise LlmProtocolError("response has no text at choices[0].message.content")
+    return text
 
 
 def call_llm(prompt: str, cfg: LlmConfig) -> str:
@@ -267,7 +249,7 @@ def _elicit(base_prompt: str, cfg: LlmConfig, parse):
     raise ElicitationFailed(last_error, last_response)
 
 
-def elicit_prior(parameter_name: str, belief_text: str, cfg: LlmConfig) -> DistributionSpec:
+def elicit_prior(parameter_name: str, belief_text: str, cfg: LlmConfig) -> PriorDistribution:
     """Render, call, sanitize, and parse a single-prior elicitation."""
     prompt = render_prior_prompt(parameter_name, belief_text)
     return _elicit(prompt, cfg, lambda text: parse_prior_json(text)[1])

@@ -14,17 +14,11 @@ import numpy as np
 from .errors import NonFiniteDraws, PlainbayesError, PlotMismatch
 from .sampler import Trace
 
-__all__ = ["check_bins", "plot_trace", "histogram_counts", "write_histogram_csv", "render_histogram_svg"]
+__all__ = ["check_bins", "plot_trace", "write_histogram_csv", "render_histogram_svg"]
 
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 70, 20, 40, 50
 _COLORS = ("#4878cf", "#d65f5f")
-
-
-def histogram_counts(values: np.ndarray, bins: int, value_range=None):
-    """Bin counts over ``values``; every sample lands in exactly one bin."""
-    counts, edges = np.histogram(values, bins=bins, range=value_range)
-    return edges, counts
 
 
 def write_histogram_csv(path, edges: np.ndarray, series: dict[str, np.ndarray]) -> None:
@@ -138,14 +132,14 @@ def plot_trace(
     for name in trace.param_names:
         main = _finite_draws(trace, name)
         if compare is None:
-            edges, counts = histogram_counts(main, bins)
+            counts, edges = np.histogram(main, bins=bins)
             series = {label: counts}
         else:
             other = _finite_draws(compare, name)
             lo = min(main.min(), other.min())
             hi = max(main.max(), other.max())
-            edges, counts = histogram_counts(main, bins, (lo, hi))
-            _, other_counts = histogram_counts(other, bins, (lo, hi))
+            counts, edges = np.histogram(main, bins=bins, range=(lo, hi))
+            other_counts, _ = np.histogram(other, bins=bins, range=(lo, hi))
             series = {label: counts, compare_label: other_counts}
         csv_path = out_dir / f"hist_{name}.csv"
         svg_path = out_dir / f"hist_{name}.svg"

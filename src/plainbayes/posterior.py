@@ -39,7 +39,7 @@ import numpy as np
 
 from . import formula
 from .data_io import Dataset
-from .distributions import IdentityTransform, from_spec
+from .distributions import IdentityTransform
 from .errors import (
     DimensionMismatch,
     MissingResponseColumn,
@@ -171,7 +171,7 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
     """Compile a model + dataset into a PosteriorFn."""
     spec = model.spec
     names = list(spec.priors)
-    dists = [from_spec(spec.priors[name]) for name in names]
+    dists = list(spec.priors.values())
     transforms = [dist.transform() for dist in dists]
     noise_name = spec.likelihood.noise_param
     noise_index = names.index(noise_name)
@@ -182,7 +182,8 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
     y = data.columns[response_column]
     n_rows = data.n_rows
 
-    column_vars = [v for v, role in model.variable_roles.items() if role == "column"]
+    column_vars = model.columns
+    mean_ast = spec.likelihood.ast
     for v in column_vars:
         if v not in data.columns:
             raise UnresolvedVariable(v, "dataset does not provide this column")
@@ -203,7 +204,7 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
 
     # mu = c_0 + sum_k c_k X_k when each slope c_k (its partial in a column) has no column
     # in it; c_0 is mu at every column 0, and d c_0 / d x_i is d mu / d x_i there
-    slopes = [formula.differentiate(model.formula_ast, v) for v in column_vars]
+    slopes = [formula.differentiate(mean_ast, v) for v in column_vars]
     affine = not any(formula.free_vars(slope) & fixed_env.keys() for slope in slopes)
 
     def coefficients(ast, slopes):
@@ -211,13 +212,13 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
         compiled = [formula.compile_formula(a, names, env) for a, env in [(ast, zeros), *((s, {}) for s in slopes)]]
         return [c if callable(c) else (lambda x, c=c: c) for c in compiled]
 
-    mean = compile_rows(model.formula_ast)
-    mean_coefs = affine and coefficients(model.formula_ast, slopes)
+    mean = compile_rows(mean_ast)
+    mean_coefs = affine and coefficients(mean_ast, slopes)
     # (i, d mu / d x_i, its coefficients) for each parameter whose partial is not
     # the literal 0, which would add exactly +0.0; the noise scale always, with None for 0.
     partials = []
     for i, name in enumerate(names):
-        partial = formula.differentiate(model.formula_ast, name)
+        partial = formula.differentiate(mean_ast, name)
         if partial != formula.NumberLiteral(0.0):
             dc = affine and coefficients(partial, [formula.differentiate(slope, name) for slope in slopes])
             partials.append((i, compile_rows(partial), dc))

@@ -8,8 +8,8 @@ Two wire shapes are supported:
 
 Prior families, their canonical parameters and the parameter-name aliases
 produced by different LLM runs come from :data:`distributions.FAMILIES`;
-aliases are normalized to canonical names on parse, and parameter values are
-checked by constructing the family.
+aliases are normalized to canonical names on parse, and a parsed prior is
+an instance of its family, whose construction checks the parameter values.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping
 
 from . import formula
-from .distributions import FAMILIES
+from .distributions import FAMILIES, PriorDistribution
 from .errors import (
     ExtraKeyWarning,
     InvalidParamValue,
@@ -38,7 +38,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DistributionSpec",
     "LikelihoodSpec",
     "ModelSpec",
     "ValidatedModel",
@@ -63,68 +62,26 @@ def _is_identifier(name: object) -> bool:
     return isinstance(name, str) and bool(_IDENTIFIER_RE.match(name))
 
 
-def _check_real(distribution: str, name: str, value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidParamValue(f"{distribution}: parameter {name!r} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf if value > 0 else -math.inf
-    if not math.isfinite(value):
-        raise InvalidParamValue(f"{distribution}: parameter {name!r} must be finite, got {value!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class DistributionSpec:
-    """A named distribution with canonical, validated parameters."""
-
-    name: str
-    params: dict[str, float]
-
-    def __post_init__(self):
-        family = FAMILIES.get(self.name)
-        if family is None:
-            raise UnknownDistribution(str(self.name))
-        required = family.param_names()
-        cleaned: dict[str, float] = {}
-        for pname in required:
-            if pname not in self.params:
-                raise MissingParam(self.name, f"required parameter {pname!r} is missing")
-            cleaned[pname] = _check_real(self.name, pname, self.params[pname])
-        extra = set(self.params) - set(required)
-        if extra:
-            raise InvalidParamValue(f"{self.name}: unexpected parameters {sorted(extra)}")
-        family(**cleaned)  # the family's own value checks
-        object.__setattr__(self, "params", cleaned)
-
-    def __str__(self) -> str:
-        inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
-        return f"{self.name}({inner})"
-
-
 @dataclass(frozen=True)
 class LikelihoodSpec:
-    """Observation model: distribution family, mean formula, noise parameter."""
+    """Observation model: a Normal with this mean formula and noise parameter.
+    ``ast`` is the formula parsed once, here."""
 
     formula_source: str
-    distribution: str = "Normal"
     noise_param: str = "sigma"
+    ast: formula.FormulaAst = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.distribution != "Normal":
-            raise UnknownDistribution(str(self.distribution), context="likelihood supports only Normal")
         if not _is_identifier(self.noise_param):
             raise InvalidSpec(f"noise parameter name {self.noise_param!r} is not a valid identifier")
-        # The formula must parse; the AST itself is rebuilt by validate_model.
-        formula.parse_formula(self.formula_source)
+        object.__setattr__(self, "ast", formula.parse_formula(self.formula_source))
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Named priors plus a likelihood: the full model blueprint."""
+    """Named priors (family instances) plus a likelihood: the full model blueprint."""
 
-    priors: dict[str, DistributionSpec]
+    priors: dict[str, PriorDistribution]
     likelihood: LikelihoodSpec
 
     def __post_init__(self):
@@ -138,11 +95,11 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ValidatedModel:
-    """A ModelSpec whose formula variables were resolved against data columns."""
+    """A ModelSpec whose formula variables were resolved: ``columns`` are the
+    formula's data columns, sorted; every other variable is a prior."""
 
     spec: ModelSpec
-    formula_ast: formula.FormulaAst
-    variable_roles: dict[str, str] = field(default_factory=dict)  # name -> "prior" | "column"
+    columns: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +179,7 @@ def _warn_extra_keys(obj: Mapping, known: Iterable[str], context: str) -> None:
         warnings.warn(f"ignoring unknown {context} keys: {sorted(extra)}", ExtraKeyWarning, stacklevel=3)
 
 
-def _parse_prior_obj(obj: Mapping, context: str = "prior") -> DistributionSpec:
+def _parse_prior_obj(obj: Mapping, context: str = "prior") -> PriorDistribution:
     if "distribution" not in obj:
         raise MalformedJson(f"{context}: missing 'distribution'")
     raw_name = obj["distribution"]
@@ -238,7 +195,7 @@ def _parse_prior_obj(obj: Mapping, context: str = "prior") -> DistributionSpec:
         raise MalformedJson(f"{context}: 'params' must be an object")
 
     canonical = family.param_names()
-    params: dict[str, float] = {}
+    params: dict[str, object] = {}
     unknown: list[str] = []
     for key, value in params_raw.items():
         key_str = str(key)
@@ -257,16 +214,19 @@ def _parse_prior_obj(obj: Mapping, context: str = "prior") -> DistributionSpec:
             raise InvalidParamValue(
                 f"{name}: parameter {canon!r} given more than once (aliased as {key_str!r})"
             )
-        params[canon] = _check_real(name, canon, value)
+        params[canon] = value
     if unknown:
         warnings.warn(f"{name}: ignoring unknown parameters {sorted(unknown)}", ExtraKeyWarning, stacklevel=3)
-    return DistributionSpec(name, params)
+    for pname in canonical:
+        if pname not in params:
+            raise MissingParam(name, f"required parameter {pname!r} is missing")
+    return family(**params)  # the family checks the values
 
 
-def parse_prior_json(text: str) -> tuple[str | None, DistributionSpec]:
+def parse_prior_json(text: str) -> tuple[str | None, PriorDistribution]:
     """Parse a single prior JSON object.
 
-    Returns ``(identifier, spec)`` where the identifier comes from an
+    Returns ``(identifier, prior)`` where the identifier comes from an
     optional ``"parameter"``/``"name"`` key (``None`` when absent, as in
     plain elicitation responses).
     """
@@ -292,7 +252,7 @@ def parse_model_json(text: str) -> ModelSpec:
     priors_obj = obj["priors"]
     if not isinstance(priors_obj, Mapping):
         raise MalformedJson("'priors' must be an object")
-    priors: dict[str, DistributionSpec] = {}
+    priors: dict[str, PriorDistribution] = {}
     for pname, pobj in priors_obj.items():
         if not _is_identifier(pname):
             raise MalformedJson(f"prior name {pname!r} is not a valid identifier")
@@ -300,8 +260,6 @@ def parse_model_json(text: str) -> ModelSpec:
             raise MalformedJson(f"prior {pname!r} must be an object")
         _warn_extra_keys(pobj, ("distribution", "params"), f"prior {pname!r}")
         priors[pname] = _parse_prior_obj(pobj, context=f"prior {pname!r}")
-    if not priors:
-        raise InvalidSpec("a model needs at least one prior")
 
     lik_obj = obj["likelihood"]
     if not isinstance(lik_obj, Mapping):
@@ -321,7 +279,7 @@ def parse_model_json(text: str) -> ModelSpec:
     if not _is_identifier(noise):
         raise MalformedJson(f"'noise_param' must be an identifier, got {noise!r}")
 
-    likelihood = LikelihoodSpec(formula_source=formula_source, distribution="Normal", noise_param=noise)
+    likelihood = LikelihoodSpec(formula_source=formula_source, noise_param=noise)
     return ModelSpec(priors=priors, likelihood=likelihood)
 
 
@@ -341,37 +299,34 @@ def validate_model(spec: ModelSpec, data_columns: Iterable[str]) -> ValidatedMod
         if name in columns:
             raise ShadowedColumn(name)
 
-    ast = formula.parse_formula(spec.likelihood.formula_source)
-    roles: dict[str, str] = {}
-    for var in sorted(formula.free_vars(ast)):
-        if var in spec.priors:
-            roles[var] = "prior"
-        elif var in columns:
-            roles[var] = "column"
-        else:
+    formula_columns = []
+    for var in sorted(formula.free_vars(spec.likelihood.ast)):
+        if var in columns:
+            formula_columns.append(var)
+        elif var not in spec.priors:
             raise UnresolvedVariable(var, f"formula {spec.likelihood.formula_source!r}")
 
     noise = spec.likelihood.noise_param
     if noise not in spec.priors:
         raise UnresolvedVariable(noise, "the likelihood noise parameter must name a prior")
-    noise_dist = spec.priors[noise].name
+    noise_dist = type(spec.priors[noise]).__name__
     if noise_dist not in _NOISE_FAMILIES:
         raise NoiseNotPositiveSupport(noise, noise_dist, _NOISE_FAMILIES)
 
-    return ValidatedModel(spec=spec, formula_ast=ast, variable_roles=roles)
+    return ValidatedModel(spec=spec, columns=tuple(formula_columns))
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
 
-def prior_to_obj(spec: DistributionSpec) -> dict:
-    return {"distribution": spec.name, "params": dict(spec.params)}
+def prior_to_obj(prior: PriorDistribution) -> dict:
+    return {"distribution": type(prior).__name__, "params": asdict(prior)}
 
 
 def model_to_obj(spec: ModelSpec) -> dict:
     likelihood: dict = {
-        "distribution": spec.likelihood.distribution,
+        "distribution": "Normal",
         "formula": spec.likelihood.formula_source,
     }
     if spec.likelihood.noise_param != "sigma":
@@ -382,5 +337,5 @@ def model_to_obj(spec: ModelSpec) -> dict:
     }
 
 
-def model_to_json(spec: ModelSpec, indent: int | None = 2) -> str:
-    return json.dumps(model_to_obj(spec), indent=indent)
+def model_to_json(spec: ModelSpec) -> str:
+    return json.dumps(model_to_obj(spec), indent=2)

@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 from plainbayes.data_io import Dataset
+from plainbayes.distributions import Exponential, HalfNormal, Normal
 from plainbayes.posterior import build_posterior
-from plainbayes.spec_schema import DistributionSpec, LikelihoodSpec, ModelSpec, validate_model
+from plainbayes.spec_schema import LikelihoodSpec, ModelSpec, validate_model
 
 MEANS = {
     "alpha + beta * X": "beta",
@@ -38,9 +39,9 @@ def _posterior(source: str, n: int):
     data = Dataset({"X": x, "y": 2.5 + x / 0.5 + rng.normal(0.0, 15.0, n)})
     spec = ModelSpec(
         priors={
-            "alpha": DistributionSpec("Normal", {"mu": 0, "sigma": 25}),
-            MEANS[source]: DistributionSpec("Exponential", {"lam": 1}),
-            "sigma": DistributionSpec("HalfNormal", {"sigma": 25}),
+            "alpha": Normal(mu=0, sigma=25),
+            MEANS[source]: Exponential(lam=1),
+            "sigma": HalfNormal(sigma=25),
         },
         likelihood=LikelihoodSpec(formula_source=source, noise_param="sigma"),
     )

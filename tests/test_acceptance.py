@@ -21,6 +21,7 @@ import conftest
 from plainbayes.cli import main as cli_main
 from plainbayes.data_io import SimConfig, make_rng, simulate_linear, save_csv
 from plainbayes.diagnostics import ess_bulk, hdi, split_rhat
+from plainbayes.distributions import Exponential, HalfNormal, Normal, Uniform
 from plainbayes.errors import (
     FormulaSyntax,
     IllegalCharacter,
@@ -36,7 +37,6 @@ from plainbayes.formula import parse_formula, to_source
 from plainbayes.posterior import PosteriorFn, build_posterior
 from plainbayes.sampler import SamplerConfig, nuts_sample
 from plainbayes.spec_schema import (
-    DistributionSpec,
     parse_model_json,
     parse_prior_json,
     sanitize_llm_text,
@@ -137,9 +137,9 @@ class TestCriterion2:
 
 class TestCriterion3:
     EXPECTED_PRIORS = {
-        "alpha": DistributionSpec("Uniform", {"lower": -25.0, "upper": 25.0}),
-        "beta": DistributionSpec("Exponential", {"lam": 0.5}),
-        "sigma": DistributionSpec("HalfNormal", {"sigma": 15.0}),
+        "alpha": Uniform(lower=-25.0, upper=25.0),
+        "beta": Exponential(lam=0.5),
+        "sigma": HalfNormal(sigma=15.0),
     }
 
     def test_fully_automated_pipeline(self, exp2):
@@ -377,7 +377,7 @@ class TestCriterion9:
                 f"```\n{plain}\n```",
             ):
                 _, spec = parse_prior_json(sanitize_llm_text(wrapped))
-                assert spec == DistributionSpec("Normal", {"mu": 2.0, "sigma": 1.0})
+                assert spec == Normal(mu=2.0, sigma=1.0)
 
             for kind, payload, expected in self.MUTATIONS:
                 with pytest.raises(expected):

@@ -183,6 +183,7 @@ class TestFit:
         code = run_cli("fit", "--model", bad, "--data", data_csv, "--out-dir", tmp_path / "f")
         assert code != 0
         assert "UnresolvedVariable" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()  # validated before the output directory is made
 
     @pytest.mark.parametrize("old, new, message", [
         ('"alpha + beta * X"', '"alpha + 1e999 * X"', "LiteralOverflow: number at position 8 overflows a float: 1e999"),
@@ -724,6 +725,64 @@ class TestOutputsIntoMissingDirectories:
         assert run_cli("run", "--description-file", EXAMPLES / "linear_regression_description.txt",
                        "--n", 30, *self.FIT, "--out-dir", out_dir) == 0
         assert (out_dir / "summary.txt").exists() and (out_dir / "manifest.json").exists()
+
+
+class TestInputsBeforeOutputs:
+    """``fit`` and ``run`` read, parse and elicit every input before they make
+    ``--out-dir``: a missing or malformed one fails in one line, exit 1, and
+    leaves no directory and no ``data.csv`` behind."""
+
+    @pytest.mark.parametrize("bad", ["--model", "--data"])
+    @pytest.mark.parametrize("malformed", [False, True], ids=["missing", "malformed"])
+    def test_fit(self, tmp_path, data_csv, capsys, bad, malformed):
+        nope = tmp_path / "nope"
+        if malformed:
+            nope.write_text("{")
+        inputs = {"--model": EXAMPLES / "manual_priors_model.json", "--data": data_csv, bad: nope}
+        out_dir = tmp_path / "out" / "fit"
+        assert run_cli("fit", *[a for kv in inputs.items() for a in kv], "--out-dir", out_dir) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fit: ") and err.count("\n") == 1
+        if not malformed:
+            assert err == f"fit: [Errno 2] No such file or directory: '{nope}'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--description-file", "NOPE"], "[Errno 2] No such file or directory: 'NOPE'"),
+        (["--beliefs-file", "NOPE"], "[Errno 2] No such file or directory: 'NOPE'"),
+        (["--description-file", EXAMPLES / "linear_regression_description.txt", "--compare-model", "NOPE"],
+         "[Errno 2] No such file or directory: 'NOPE'"),
+        (["--beliefs-file", EXAMPLES / "linear_regression_beliefs.json", "--formula", "alpha + gamma * X"],
+         "UnresolvedVariable: variable 'gamma' is neither a prior parameter nor a data column"),
+    ], ids=["description", "beliefs", "compare-model", "unresolved-formula"])
+    def test_run(self, tmp_path, capsys, flags, error):
+        nope = tmp_path / "nope"
+        out_dir = tmp_path / "out"
+        argv = [nope if f == "NOPE" else f for f in flags]
+        assert run_cli("run", *argv, "--n", 20, "--chains", 1, "--out-dir", out_dir) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run: " + error.replace("NOPE", str(nope))) and err.count("\n") == 1
+        assert not out_dir.exists()
+        assert list(tmp_path.rglob("data.csv")) == []
+
+
+class TestTracedBenchmark:
+    """``perfbench/traced.py`` patches plainbayes functions by name: a fit run
+    through it must still exit 0 and record the spans and counters its
+    per-layer metrics read."""
+
+    def test_traced_fit(self, tmp_path, data_csv):
+        root = Path(__file__).resolve().parent.parent
+        spans = tmp_path / "spans.json"
+        argv = [root / "perfbench" / "traced.py", spans, "fit",
+                "--model", EXAMPLES / "manual_priors_model.json", "--data", data_csv,
+                "--chains", 1, "--warmup", 30, "--draws", 20, "--jobs", 1, "--out-dir", tmp_path / "fit"]
+        proc = subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(spans.read_text())
+        names = {s["name"] for s in doc["spans"]}
+        assert {"spec_schema.validate_model", "posterior.build_posterior"} <= names
+        assert any(c["name"] == "posterior.log_density_and_grad" and c["calls"] > 0 for c in doc["counters"])
 
 
 class TestFlagValidation:

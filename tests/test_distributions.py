@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,10 +13,9 @@ from plainbayes.distributions import (
     LogisticIntervalTransform,
     Normal,
     Uniform,
-    from_spec,
 )
 from plainbayes.errors import InvalidParamValue
-from plainbayes.spec_schema import DistributionSpec
+from plainbayes.spec_schema import parse_prior_json, prior_to_obj
 
 # 5 parameter settings per family, frozen from one seeded draw
 _RNG = np.random.default_rng(99)
@@ -170,11 +170,11 @@ class TestRegistry:
 
 
 class TestFromSpec:
+    """A prior's JSON spec parses to its family instance, and back."""
+
     def test_mapping(self):
-        assert from_spec(DistributionSpec("Normal", {"mu": 1, "sigma": 2})) == Normal(1, 2)
-        assert from_spec(DistributionSpec("HalfNormal", {"sigma": 3})) == HalfNormal(3)
-        assert from_spec(DistributionSpec("Uniform", {"lower": 0, "upper": 2})) == Uniform(0, 2)
-        assert from_spec(DistributionSpec("Exponential", {"lam": 0.5})) == Exponential(0.5)
+        for prior in (Normal(1, 2), HalfNormal(3), Uniform(0, 2), Exponential(0.5)):
+            assert parse_prior_json(json.dumps(prior_to_obj(prior)))[1] == prior
 
     def test_invalid_construction(self):
         with pytest.raises(InvalidParamValue):

@@ -7,6 +7,7 @@ import urllib.request
 
 import pytest
 
+from plainbayes.distributions import Exponential, HalfNormal, Normal, Uniform
 from plainbayes.elicitation import (
     FixtureStore,
     LlmConfig,
@@ -27,7 +28,6 @@ from plainbayes.errors import (
     LlmTimeout,
     MissingApiKey,
 )
-from plainbayes.spec_schema import DistributionSpec
 
 
 def replay_cfg(directory) -> LlmConfig:
@@ -150,18 +150,18 @@ class TestReplay:
 
     def test_shipped_prior_fixtures(self, shipped, beliefs):
         spec = elicit_prior("beta", beliefs["beta"], shipped)
-        assert spec == DistributionSpec("Normal", {"mu": 2.0, "sigma": 1.0})
+        assert spec == Normal(mu=2.0, sigma=1.0)
         spec = elicit_prior("sigma", beliefs["sigma"], shipped)
-        assert spec == DistributionSpec("HalfNormal", {"sigma": 15.0})
+        assert spec == HalfNormal(sigma=15.0)
         spec = elicit_prior("alpha", beliefs["alpha"], shipped)
-        assert spec == DistributionSpec("Normal", {"mu": 0.0, "sigma": 12.5})
+        assert spec == Normal(mu=0.0, sigma=12.5)
 
     def test_shipped_model_fixture(self, shipped, description):
         spec = elicit_model(description, shipped)
         assert list(spec.priors) == ["alpha", "beta", "sigma"]
-        assert spec.priors["alpha"] == DistributionSpec("Uniform", {"lower": -25.0, "upper": 25.0})
-        assert spec.priors["beta"] == DistributionSpec("Exponential", {"lam": 0.5})
-        assert spec.priors["sigma"] == DistributionSpec("HalfNormal", {"sigma": 15.0})
+        assert spec.priors["alpha"] == Uniform(lower=-25.0, upper=25.0)
+        assert spec.priors["beta"] == Exponential(lam=0.5)
+        assert spec.priors["sigma"] == HalfNormal(sigma=15.0)
         assert spec.likelihood.formula_source == "alpha + beta * X"
 
     def test_fenced_fixture_parses(self, tmp_path):
@@ -169,7 +169,7 @@ class TestReplay:
         prompt = render_prior_prompt("beta", "fenced test belief")
         store.put(prompt, '```json\n{"distribution":"Exponential","params":{"rate":0.5}}\n```', "m")
         spec = elicit_prior("beta", "fenced test belief", replay_cfg(tmp_path))
-        assert spec == DistributionSpec("Exponential", {"lam": 0.5})
+        assert spec == Exponential(lam=0.5)
 
     def test_prose_fixture_exhausts_retries(self, tmp_path):
         store = FixtureStore(tmp_path)
@@ -190,7 +190,7 @@ class TestReplay:
         )
         store.put(retry_prompt, '{"distribution":"Normal","params":{"mu":0,"sigma":1}}', "m")
         spec = elicit_prior("beta", "retry belief", replay_cfg(tmp_path))
-        assert spec == DistributionSpec("Normal", {"mu": 0.0, "sigma": 1.0})
+        assert spec == Normal(mu=0.0, sigma=1.0)
 
     def test_overflowing_literal_is_retried(self, tmp_path):
         store = FixtureStore(tmp_path)
@@ -319,15 +319,10 @@ class TestLiveTransport:
 
     def test_unexpected_shape(self, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "k")
-        _fake_urlopen(monkeypatch, {"data": []})
-        with pytest.raises(LlmProtocolError):
-            call_llm("p", LlmConfig(**self.LIVE))
-
-    def test_custom_pointer(self, monkeypatch):
-        monkeypatch.setenv("LLM_API_KEY", "k")
-        _fake_urlopen(monkeypatch, {"candidates": [{"content": {"parts": [{"text": "alt-shape"}]}}]})
-        cfg = LlmConfig(**self.LIVE, response_text_pointer="/candidates/0/content/parts/0/text")
-        assert call_llm("p", cfg) == "alt-shape"
+        for body in ({"data": []}, {"choices": []}, {"choices": [{"message": {"content": 3}}]}, ["x"]):
+            _fake_urlopen(monkeypatch, body)
+            with pytest.raises(LlmProtocolError, match=r"no text at choices\[0\]\.message\.content"):
+                call_llm("p", LlmConfig(**self.LIVE))
 
     def test_record_mode_persists_fixture(self, monkeypatch, tmp_path):
         monkeypatch.setenv("LLM_API_KEY", "key-abc")

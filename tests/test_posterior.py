@@ -5,7 +5,7 @@ import pytest
 
 from plainbayes import formula, posterior
 from plainbayes.data_io import Dataset
-from plainbayes.distributions import Exponential, HalfNormal, Normal, Uniform, from_spec
+from plainbayes.distributions import Exponential, HalfNormal, Normal, Uniform
 from plainbayes.errors import (
     DimensionMismatch,
     MissingResponseColumn,
@@ -17,7 +17,6 @@ from plainbayes.errors import (
 from plainbayes.formula import Binary, Negate, NumberLiteral, Variable
 from plainbayes.posterior import _GRADIENT_OVERFLOW_FLOOR, PosteriorFn, build_posterior
 from plainbayes.spec_schema import (
-    DistributionSpec,
     LikelihoodSpec,
     ModelSpec,
     parse_model_json,
@@ -120,8 +119,8 @@ class TestLogDensity:
         # alpha / X explodes on the X=0 row
         spec = ModelSpec(
             priors={
-                "alpha": DistributionSpec("Normal", {"mu": 0, "sigma": 1}),
-                "sigma": DistributionSpec("HalfNormal", {"sigma": 1}),
+                "alpha": Normal(mu=0, sigma=1),
+                "sigma": HalfNormal(sigma=1),
             },
             likelihood=LikelihoodSpec(formula_source="alpha / X"),
         )
@@ -176,8 +175,8 @@ class TestTinyNoiseScale:
     def test_gradient_finite_where_value_is(self, z_sigma):
         spec = ModelSpec(
             priors={
-                "beta": DistributionSpec("Normal", {"mu": 0, "sigma": 1}),
-                "sigma": DistributionSpec("HalfNormal", {"sigma": 1}),
+                "beta": Normal(mu=0, sigma=1),
+                "sigma": HalfNormal(sigma=1),
             },
             likelihood=LikelihoodSpec(formula_source="beta * X"),
         )
@@ -200,9 +199,9 @@ class TestZeroDenominatorGradient:
     def _pf(self):
         spec = ModelSpec(
             priors={
-                "alpha": DistributionSpec("Normal", {"mu": 0, "sigma": 1}),
-                "tau": DistributionSpec("Exponential", {"lam": 1}),
-                "sigma": DistributionSpec("HalfNormal", {"sigma": 1}),
+                "alpha": Normal(mu=0, sigma=1),
+                "tau": Exponential(lam=1),
+                "sigma": HalfNormal(sigma=1),
             },
             likelihood=LikelihoodSpec(formula_source="alpha + X / tau"),
         )
@@ -235,9 +234,9 @@ class TestOverflowingQuotient:
         # which must raise NonFiniteDensity, not numpy's RuntimeWarning
         spec = ModelSpec(
             priors={
-                "a": DistributionSpec("Normal", {"mu": 0, "sigma": 1}),
-                "b": DistributionSpec("Normal", {"mu": 0, "sigma": 1}),
-                "sigma": DistributionSpec("HalfNormal", {"sigma": 1}),
+                "a": Normal(mu=0, sigma=1),
+                "b": Normal(mu=0, sigma=1),
+                "sigma": HalfNormal(sigma=1),
             },
             likelihood=LikelihoodSpec(formula_source="a / b * X", noise_param="sigma"),
         )
@@ -286,18 +285,16 @@ def _random_model_and_data(rng, *, affine_only=False, n=None):
     for name in names:
         kind = int(rng.integers(0, 4))
         if kind == 0:
-            priors[name] = DistributionSpec(
-                "Normal", {"mu": float(rng.uniform(-5, 5)), "sigma": float(rng.uniform(0.3, 10))}
-            )
+            priors[name] = Normal(mu=float(rng.uniform(-5, 5)), sigma=float(rng.uniform(0.3, 10)))
         elif kind == 1:
-            priors[name] = DistributionSpec("HalfNormal", {"sigma": float(rng.uniform(0.3, 10))})
+            priors[name] = HalfNormal(sigma=float(rng.uniform(0.3, 10)))
         elif kind == 2:
             lo = float(rng.uniform(-20, 0))
-            priors[name] = DistributionSpec("Uniform", {"lower": lo, "upper": lo + float(rng.uniform(1, 30))})
+            priors[name] = Uniform(lower=lo, upper=lo + float(rng.uniform(1, 30)))
         else:
-            priors[name] = DistributionSpec("Exponential", {"lam": float(rng.uniform(0.1, 3))})
+            priors[name] = Exponential(lam=float(rng.uniform(0.1, 3)))
     noise = str(rng.choice(names))
-    priors[noise] = DistributionSpec("HalfNormal", {"sigma": float(rng.uniform(1, 10))})
+    priors[noise] = HalfNormal(sigma=float(rng.uniform(1, 10)))
 
     # a random formula over priors and the data column, from terms affine in
     # X and, unless affine_only, terms that are not (X + 5 stays clear of 0,
@@ -313,7 +310,7 @@ def _random_model_and_data(rng, *, affine_only=False, n=None):
 
 
 def _is_affine(vm):
-    return "X" not in formula.free_vars(formula.differentiate(vm.formula_ast, "X"))
+    return "X" not in formula.free_vars(formula.differentiate(vm.spec.likelihood.ast, "X"))
 
 
 def gradient_check(pf, z, rel_tol=1e-6, abs_tol=1e-4):
@@ -397,13 +394,14 @@ def _reference_evaluate(ast, env):
 def _reference_density(vm, data, z, with_grad):
     spec = vm.spec
     names = list(spec.priors)
-    dists = [from_spec(spec.priors[name]) for name in names]
+    dists = list(spec.priors.values())
     transforms = [dist.transform() for dist in dists]
     noise_index = names.index(spec.likelihood.noise_param)
     y = data.columns["y"]
     n_rows = data.n_rows
-    fixed_env = {v: data.columns[v] for v, role in vm.variable_roles.items() if role == "column"}
-    partials = [formula.differentiate(vm.formula_ast, name) for name in names]
+    fixed_env = {v: data.columns[v] for v in vm.columns}
+    mean_ast = spec.likelihood.ast
+    partials = [formula.differentiate(mean_ast, name) for name in names]
 
     x = [tf.forward(zi) for tf, zi in zip(transforms, z)]
     total = 0.0
@@ -416,7 +414,7 @@ def _reference_density(vm, data, z, with_grad):
     if total > -math.inf and sigma > 0.0 and math.isfinite(sigma):
         env = dict(zip(names, x), **fixed_env)
         try:
-            mu = np.broadcast_to(np.asarray(_reference_evaluate(vm.formula_ast, env), dtype=float), (n_rows,))
+            mu = np.broadcast_to(np.asarray(_reference_evaluate(mean_ast, env), dtype=float), (n_rows,))
         except NonFiniteResult as exc:
             bad = np.broadcast_to(np.asarray(exc.value, dtype=float), (n_rows,)) if exc.value is not None else None
             row = int(np.argmin(np.isfinite(bad))) if bad is not None else None
@@ -536,9 +534,9 @@ class TestCompiledMatchesReference:
         data = Dataset({"X": rng.uniform(-3, 3, n), "Z": rng.uniform(0, 5, n), "y": rng.normal(size=n)})
         spec = ModelSpec(
             priors={
-                "a": DistributionSpec("Normal", {"mu": 0, "sigma": 2}),
-                "b": DistributionSpec("Exponential", {"lam": 1}),
-                "s": DistributionSpec("HalfNormal", {"sigma": 3}),
+                "a": Normal(mu=0, sigma=2),
+                "b": Exponential(lam=1),
+                "s": HalfNormal(sigma=3),
             },
             likelihood=LikelihoodSpec(formula_source="a + b * X - Z / (b + a * a) + a * Z", noise_param="s"),
         )
@@ -554,9 +552,9 @@ class TestCompiledMatchesReference:
         data = Dataset({"X": x, "y": 2.0 + 3e4 * (x - 1000.0) + rng.normal(size=50)})
         spec = ModelSpec(
             priors={
-                "a": DistributionSpec("Normal", {"mu": 0, "sigma": 10}),
-                "b": DistributionSpec("Normal", {"mu": 0, "sigma": 10}),
-                "s": DistributionSpec("HalfNormal", {"sigma": 3}),
+                "a": Normal(mu=0, sigma=10),
+                "b": Normal(mu=0, sigma=10),
+                "s": HalfNormal(sigma=3),
             },
             likelihood=LikelihoodSpec(formula_source="a + b * X", noise_param="s"),
         )
@@ -582,9 +580,9 @@ class TestCompiledMatchesReference:
     def _singular_model(source):
         spec = ModelSpec(
             priors={
-                "a": DistributionSpec("Normal", {"mu": 0, "sigma": 2}),
-                "b": DistributionSpec("Exponential", {"lam": 1}),
-                "s": DistributionSpec("HalfNormal", {"sigma": 3}),
+                "a": Normal(mu=0, sigma=2),
+                "b": Exponential(lam=1),
+                "s": HalfNormal(sigma=3),
             },
             likelihood=LikelihoodSpec(formula_source=source, noise_param="s"),
         )
@@ -615,9 +613,9 @@ class TestAffineFallback:
     def _vm(source, data, a_sigma=2.0):
         spec = ModelSpec(
             priors={
-                "a": DistributionSpec("Normal", {"mu": 0, "sigma": a_sigma}),
-                "b": DistributionSpec("Exponential", {"lam": 1}),
-                "s": DistributionSpec("HalfNormal", {"sigma": 3}),
+                "a": Normal(mu=0, sigma=a_sigma),
+                "b": Exponential(lam=1),
+                "s": HalfNormal(sigma=3),
             },
             likelihood=LikelihoodSpec(formula_source=source, noise_param="s"),
         )

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plainbayes import formula
+from plainbayes.distributions import Exponential, HalfNormal, Normal, Uniform
 from plainbayes.errors import (
     ExtraKeyWarning,
     FormulaSyntax,
@@ -18,13 +20,14 @@ from plainbayes.errors import (
     UnknownDistribution,
     UnresolvedVariable,
 )
+from plainbayes.formula import parse_formula
 from plainbayes.spec_schema import (
-    DistributionSpec,
     LikelihoodSpec,
     ModelSpec,
     model_to_json,
     parse_model_json,
     parse_prior_json,
+    prior_to_obj,
     sanitize_llm_text,
     validate_model,
 )
@@ -66,15 +69,25 @@ class TestSanitize:
         assert sanitize_llm_text(text) == text
 
 
+def _assert_rejected_alike(family, params, match):
+    """Parsing ``params`` as prior JSON and constructing ``family`` from them
+    both raise InvalidParamValue, with one message."""
+    with pytest.raises(InvalidParamValue, match=match) as parsed:
+        parse_prior_json(json.dumps({"distribution": family.__name__, "params": params}))
+    with pytest.raises(InvalidParamValue) as built:
+        family(**params)
+    assert str(built.value) == str(parsed.value)
+
+
 class TestParsePriorJson:
     def test_normal(self):
         name, spec = parse_prior_json('{"distribution":"Normal","params":{"mu":2,"sigma":1}}')
         assert name is None
-        assert spec == DistributionSpec("Normal", {"mu": 2.0, "sigma": 1.0})
+        assert spec == Normal(mu=2.0, sigma=1.0)
 
     def test_halfnormal_scale_alias(self):
         _, spec = parse_prior_json('{"distribution":"HalfNormal","params":{"scale":15}}')
-        assert spec == DistributionSpec("HalfNormal", {"sigma": 15.0})
+        assert spec == HalfNormal(sigma=15.0)
 
     def test_unknown_distribution(self):
         with pytest.raises(UnknownDistribution):
@@ -105,36 +118,33 @@ class TestParsePriorJson:
             parse_prior_json('{"distribution":"Normal","params":{"mu":0,"sigma":1,"sd":2}}')
 
     def test_boolean_param_rejected(self):
-        with pytest.raises(InvalidParamValue):
-            parse_prior_json('{"distribution":"Exponential","params":{"lam":true}}')
+        _assert_rejected_alike(Exponential, {"lam": True}, "'lam' must be a number, got True$")
 
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_param_beyond_float_range_rejected(self, sign):
-        value = sign + "1" + "0" * 400
-        with pytest.raises(InvalidParamValue, match=f"'lam' must be finite, got {sign}inf$"):
-            parse_prior_json('{"distribution":"Exponential","params":{"lam":%s}}' % value)
+        value = int(sign + "1" + "0" * 400)
+        _assert_rejected_alike(Exponential, {"lam": value}, f"'lam' must be finite, got {sign}inf$")
 
     def test_string_param_rejected(self):
-        with pytest.raises(InvalidParamValue):
-            parse_prior_json('{"distribution":"Exponential","params":{"lam":"0.5"}}')
+        _assert_rejected_alike(Exponential, {"lam": "0.5"}, "'lam' must be a number, got '0.5'$")
 
     def test_extra_top_level_key_warns(self):
         with pytest.warns(ExtraKeyWarning):
             _, spec = parse_prior_json(
                 '{"distribution":"Normal","params":{"mu":0,"sigma":1},"confidence":"high"}'
             )
-        assert spec.name == "Normal"
+        assert spec == Normal(0, 1)
 
     def test_extra_param_warns(self):
         with pytest.warns(ExtraKeyWarning):
             _, spec = parse_prior_json(
                 '{"distribution":"Normal","params":{"mu":0,"sigma":1,"skew":0}}'
             )
-        assert spec.params == {"mu": 0.0, "sigma": 1.0}
+        assert spec == Normal(0, 1)
 
     def test_case_insensitive_distribution(self):
         _, spec = parse_prior_json('{"distribution":"halfnormal","params":{"sd":2}}')
-        assert spec == DistributionSpec("HalfNormal", {"sigma": 2.0})
+        assert spec == HalfNormal(sigma=2.0)
 
     def test_named_prior(self):
         name, _ = parse_prior_json(
@@ -148,16 +158,16 @@ class TestParsePriorJson:
 
     def test_lambda_alias(self):
         _, spec = parse_prior_json('{"distribution":"Exponential","params":{"lambda":0.5}}')
-        assert spec.params == {"lam": 0.5}
+        assert spec == Exponential(0.5)
 
     @pytest.mark.parametrize(
         "text,expected",
         [
-            ('{"distribution":"Normal","params":{"loc":1,"scale":2}}', DistributionSpec("Normal", {"mu": 1, "sigma": 2})),
-            ('{"distribution":"Normal","params":{"mean":1,"sd":2}}', DistributionSpec("Normal", {"mu": 1, "sigma": 2})),
-            ('{"distribution":"Uniform","params":{"low":0,"high":2}}', DistributionSpec("Uniform", {"lower": 0, "upper": 2})),
-            ('{"distribution":"Uniform","params":{"a":0,"b":2}}', DistributionSpec("Uniform", {"lower": 0, "upper": 2})),
-            ('{"distribution":"Exponential","params":{"rate":2}}', DistributionSpec("Exponential", {"lam": 2})),
+            ('{"distribution":"Normal","params":{"loc":1,"scale":2}}', Normal(mu=1, sigma=2)),
+            ('{"distribution":"Normal","params":{"mean":1,"sd":2}}', Normal(mu=1, sigma=2)),
+            ('{"distribution":"Uniform","params":{"low":0,"high":2}}', Uniform(lower=0, upper=2)),
+            ('{"distribution":"Uniform","params":{"a":0,"b":2}}', Uniform(lower=0, upper=2)),
+            ('{"distribution":"Exponential","params":{"rate":2}}', Exponential(lam=2)),
         ],
     )
     def test_alias_table(self, text, expected):
@@ -166,7 +176,7 @@ class TestParsePriorJson:
     def test_alias_normalization_idempotent(self):
         canonical = '{"distribution":"Uniform","params":{"lower":-1,"upper":1}}'
         _, spec = parse_prior_json(canonical)
-        _, spec2 = parse_prior_json(json.dumps({"distribution": spec.name, "params": spec.params}))
+        _, spec2 = parse_prior_json(json.dumps(prior_to_obj(spec)))
         assert spec == spec2
 
 
@@ -174,9 +184,9 @@ class TestParseModelJson:
     def test_experiment_model(self):
         spec = parse_model_json(EXPERIMENT_MODEL)
         assert list(spec.priors) == ["alpha", "beta", "sigma"]
-        assert spec.priors["alpha"] == DistributionSpec("Uniform", {"lower": -25.0, "upper": 25.0})
-        assert spec.priors["beta"] == DistributionSpec("Exponential", {"lam": 0.5})
-        assert spec.priors["sigma"] == DistributionSpec("HalfNormal", {"sigma": 15.0})
+        assert spec.priors["alpha"] == Uniform(lower=-25.0, upper=25.0)
+        assert spec.priors["beta"] == Exponential(lam=0.5)
+        assert spec.priors["sigma"] == HalfNormal(sigma=15.0)
         assert spec.likelihood.formula_source == "alpha + beta * X"
         assert spec.likelihood.noise_param == "sigma"
 
@@ -230,7 +240,7 @@ class TestValidateModel:
     def test_experiment_classification(self):
         spec = parse_model_json(EXPERIMENT_MODEL)
         vm = validate_model(spec, {"X", "y"})
-        assert vm.variable_roles == {"alpha": "prior", "beta": "prior", "X": "column"}
+        assert vm.columns == ("X",)
 
     def test_unresolved_variable(self):
         spec = parse_model_json(EXPERIMENT_MODEL.replace("alpha + beta * X", "alpha + gamma * X"))
@@ -271,12 +281,22 @@ class TestConstruction:
             ModelSpec(priors={}, likelihood=LikelihoodSpec(formula_source="a"))
 
     def test_unknown_distribution_at_construction(self):
+        # a prior is an instance of a family FAMILIES names, so a model cannot name another
+        text = EXPERIMENT_MODEL.replace('"Exponential", "params": {"rate": 0.5}', '"Gamma", "params": {"k": 1}')
         with pytest.raises(UnknownDistribution):
-            DistributionSpec("Gamma", {"k": 1.0})
+            parse_model_json(text)
 
     def test_nan_param_rejected(self):
-        with pytest.raises(InvalidParamValue):
-            DistributionSpec("Normal", {"mu": float("nan"), "sigma": 1.0})
+        _assert_rejected_alike(Normal, {"mu": float("nan"), "sigma": 1.0}, "'mu' must be finite, got nan$")
+
+    def test_likelihood_parses_its_formula_once(self, monkeypatch):
+        likelihood = LikelihoodSpec(formula_source="alpha + beta * X")
+        assert likelihood.ast == parse_formula("alpha + beta * X")
+        assert likelihood == LikelihoodSpec(formula_source="alpha + beta * X")  # the AST is not compared
+        spec = ModelSpec(priors={"alpha": Normal(0, 1), "beta": Normal(0, 1), "sigma": HalfNormal(1)},
+                         likelihood=likelihood)
+        monkeypatch.setattr(formula, "parse_formula", None)  # validation reads the AST it has
+        assert validate_model(spec, {"X", "y"}).columns == ("X",)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +306,12 @@ _prior_strategy = st.one_of(
     st.tuples(
         st.floats(-50, 50, allow_nan=False),
         st.floats(0.01, 60, allow_nan=False),
-    ).map(lambda t: DistributionSpec("Normal", {"mu": t[0], "sigma": t[1]})),
-    st.floats(0.01, 60).map(lambda s: DistributionSpec("HalfNormal", {"sigma": s})),
+    ).map(lambda t: Normal(mu=t[0], sigma=t[1])),
+    st.floats(0.01, 60).map(lambda s: HalfNormal(sigma=s)),
     st.tuples(st.floats(-50, 0), st.floats(1, 50)).map(
-        lambda t: DistributionSpec("Uniform", {"lower": t[0], "upper": t[0] + t[1]})
+        lambda t: Uniform(lower=t[0], upper=t[0] + t[1])
     ),
-    st.floats(0.01, 10).map(lambda l: DistributionSpec("Exponential", {"lam": l})),
+    st.floats(0.01, 10).map(lambda l: Exponential(lam=l)),
 )
 
 _names = st.lists(
@@ -306,8 +326,8 @@ def _model_strategy(draw):
     noise = draw(st.sampled_from(names))
     priors[noise] = draw(
         st.one_of(
-            st.floats(0.01, 60).map(lambda s: DistributionSpec("HalfNormal", {"sigma": s})),
-            st.floats(0.01, 10).map(lambda l: DistributionSpec("Exponential", {"lam": l})),
+            st.floats(0.01, 60).map(lambda s: HalfNormal(sigma=s)),
+            st.floats(0.01, 10).map(lambda l: Exponential(lam=l)),
         )
     )
     terms = [f"{name} * X" if draw(st.booleans()) else name for name in names]
@@ -327,7 +347,7 @@ def test_model_json_round_trip(spec):
 @settings(max_examples=120, deadline=None)
 @given(_model_strategy())
 def test_validate_model_accepts_iff_resolvable(spec):
-    from plainbayes.formula import free_vars, parse_formula
+    from plainbayes.formula import free_vars
 
     columns = {"X", "y"}
     resolvable = free_vars(parse_formula(spec.likelihood.formula_source)) <= (
@@ -335,4 +355,4 @@ def test_validate_model_accepts_iff_resolvable(spec):
     )
     vm = validate_model(spec, columns)  # priors built by the strategy are resolvable
     assert resolvable
-    assert set(vm.variable_roles) <= set(spec.priors) | columns
+    assert set(vm.columns) <= columns
