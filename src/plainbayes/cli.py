@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__, data_io, diagnostics, elicitation, plotting, sampler, spec_schema
 from .errors import ElicitationFailed, PlainbayesError
-from .posterior import build_posterior
+from .posterior import PosteriorFn, build_posterior
 
 __all__ = ["main", "build_parser"]
 
@@ -192,12 +192,10 @@ def _public_llm_config(cfg: elicitation.LlmConfig) -> dict:
     return obj  # the config holds the key's env-var NAME only, never the key
 
 
-def _fit(args, scfg: sampler.SamplerConfig, workers: int, manifest: _Manifest, model, dataset, prefix: str = "") -> sampler.Trace:
-    """Sample the validated ``model`` on ``dataset``, and write and list
+def _fit(args, scfg: sampler.SamplerConfig, workers: int, manifest: _Manifest, pf: PosteriorFn, prefix: str = "") -> sampler.Trace:
+    """Sample the built posterior ``pf``, and write and list
     ``{prefix}trace.csv`` and ``{prefix}stats.json`` in ``--out-dir``."""
-    pf = build_posterior(model, dataset, response_column=args.response_column)
     trace = sampler.sample(pf, scfg, jobs=workers)
-    del pf  # free its data-sized arrays before the trace is written
     paths = Path(args.out_dir) / f"{prefix}trace.csv", Path(args.out_dir) / f"{prefix}stats.json"
     sampler.save_trace(trace, *paths)
     for path in paths:
@@ -211,10 +209,11 @@ def _cmd_fit(args) -> int:
     spec = spec_schema.parse_model_json(Path(args.model).read_text(encoding="utf-8"))
     dataset = data_io.load_csv(args.data)
     model = spec_schema.validate_model(spec, dataset.column_names())
+    pf = build_posterior(model, dataset, response_column=args.response_column)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest("fit", {"sampler": asdict(scfg), "response_column": args.response_column})
-    trace = _fit(args, scfg, workers, manifest, model, dataset)
+    trace = _fit(args, scfg, workers, manifest, pf)
     manifest.add_input(args.model)
     manifest.add_input(args.data)
     manifest.write(out_dir / "manifest.json")
@@ -315,6 +314,7 @@ def _cmd_run(args) -> int:
         manifest.add_input(args.compare_model)
         jobs.append(("compare_", compare_spec))
     jobs = [(prefix, spec_schema.validate_model(s, dataset.column_names())) for prefix, s in jobs]
+    posteriors = [build_posterior(model, dataset, response_column=args.response_column) for _, model in jobs]
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -326,8 +326,8 @@ def _cmd_run(args) -> int:
 
     # --- fit + report for the elicited model (and optionally a baseline)
     traces = {}
-    for prefix, model in jobs:
-        trace = traces[prefix] = _fit(args, scfg, workers, manifest, model, dataset, prefix)
+    for (prefix, _), pf in zip(jobs, posteriors):
+        trace = traces[prefix] = _fit(args, scfg, workers, manifest, pf, prefix)
         table = diagnostics.summarize(trace, hdi_prob=args.hdi)
         for fmt, suffix in (("text", "txt"), ("json", "json"), ("csv", "csv")):
             _write_text(out_dir / f"{prefix}summary.{suffix}", _render_summary(table, fmt), manifest)

@@ -20,9 +20,11 @@ __all__ = ["Dataset", "SimConfig", "simulate_linear", "load_csv", "save_csv", "m
 SEED_BOUND = 2**128  # Philox takes keys below this
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """The package-wide RNG: Philox (counter-based), keyed by the seed (< ``SEED_BOUND``)."""
-    return np.random.Generator(np.random.Philox(key=seed))
+def make_rng(seed: int, stream: int | None = None) -> np.random.Generator:
+    """The package-wide RNG: Philox (counter-based), keyed by the seed (< ``SEED_BOUND``),
+    or given a ``stream`` by ``SeedSequence([seed, stream])``, one for each (seed, stream)."""
+    bits = np.random.Philox(key=seed) if stream is None else np.random.Philox(np.random.SeedSequence([seed, stream]))
+    return np.random.Generator(bits)
 
 
 @dataclass(frozen=True)

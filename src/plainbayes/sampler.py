@@ -1,34 +1,37 @@
 """Multi-chain MCMC: No-U-Turn sampler and adaptive random-walk Metropolis.
 
+One Levenberg–Marquardt search per fit, before any chain runs, finds the mode
+and the Laplace approximation Σ₀ = (−H)⁻¹ there; each chain starts at a draw
+from N(mode, Σ₀), or, where the search finds none (no gradient, a non-finite
+value, an indefinite Hessian, too many steps), from N(0, 0.1 I) with Σ₀ = I.
 NUTS grows a trajectory by one join, which picks the proposal multinomially
 within subtrees and by biased progressive sampling at the top, with a U-turn
-check at each join.  Warmup adapts the step size by dual averaging toward a
-target acceptance statistic, and a dense inverse metric in doubling windows
-between short step-size-only phases at its start and end; RWM scales its
-proposals by the same windows' variances.  Transitions whose Hamiltonian
-error exceeds 1000 are flagged divergent and their subtree is discarded.
+check at each join; transitions whose Hamiltonian error exceeds 1000 are
+divergent.  Its warmup adapts the step size by dual averaging toward a target
+acceptance statistic, and a dense inverse metric: Σ₀, then each doubling
+window's covariance.  RWM proposes z + m L ξ, L Lᵀ being Σ₀ and then each
+window's covariance shrunk toward Σ₀, with one dual averaging of m throughout.
 
-Each chain draws from its own Philox stream keyed by ``seed + chain_index``,
-so the chains are independent and results reproducible bit for bit.  They
-run in parallel in forked worker processes, by default one per usable CPU
-and never more than chains (``jobs`` sets the number).  Each worker runs its
-chains in order and sends their unconstrained draws and stats back over a
-pipe; the parent constrains the draws as it does for chains run in process,
-so the trace is the same bytes with any number of workers.  With one worker,
-or a density not marked ``fork_safe`` (its side effects must reach the
-caller), the chains run one after another in process.  Warmup draws are
-discarded; adaptation is frozen after warmup so the kept chain is
-Markovian.  Past the initial point, a non-finite density (say, a positive
-parameter underflowing to 0 under a division) is log density -inf: NUTS marks
-the step divergent and RWM rejects it; numpy overflow there is not warned.
-
-The samplers call the density's callables unchecked (their z is always float64
-of shape (dim,)).  A NUTS state is the tuple (z, r, grad, logp, half_grad),
-half_grad = 0.5 * eps * grad being shared with the next step in its
-direction.  The U-turn test projects z+ - z- on the momenta r, not on the
+Chain c draws from its own Philox stream keyed by ``SeedSequence([seed, c])``,
+so chains, and fits at different seeds, are independent and results
+reproducible bit for bit.  They run in parallel in forked worker processes,
+by default one per usable CPU and never more than chains (``jobs`` sets the
+number).  Each worker runs its chains in order and sends their unconstrained
+draws and stats back over a pipe; the parent constrains the draws as it does
+for chains run in process, so the trace is the same bytes with any number of
+workers.  With one worker, or a density not marked ``fork_safe`` (its side
+effects must reach the caller), the chains run one after another in process.
+Warmup draws are discarded; adaptation is frozen after warmup so the kept
+chain is Markovian.  Past the initial point, a non-finite density (say, a
+positive parameter underflowing to 0 under a division) is log density -inf:
+NUTS marks the step divergent and RWM rejects it; numpy overflow there is not
+warned.  The samplers call the density's callables unchecked (their z is
+always float64 of shape (dim,)).  A NUTS state is the tuple (z, r, grad, logp,
+half_grad), half_grad = 0.5 * eps * grad being shared with the next step in
+its direction.  The U-turn test projects z+ - z- on the momenta r, not on the
 velocities inv_mass r, so it judges a trajectory in the coordinates the
 metric makes isotropic, as Stan's sum-of-momenta test does for small steps.
-The metric is factored in Python floats, so the draws do not depend on the
+Matrices are factored in Python floats, so the draws do not depend on the
 BLAS thread count.
 """
 
@@ -42,13 +45,14 @@ import signal
 import threading
 import warnings
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from itertools import islice
 from typing import Callable, NoReturn
 
 import numpy as np
 
 from .data_io import SEED_BOUND, make_rng
-from .errors import AllDivergent, BadInitialPoint, MalformedTrace, NonFiniteDensity, SamplerError
+from .errors import AllDivergent, BadInitialPoint, MalformedTrace, NonFiniteDensity, NonFiniteGradient, SamplerError
 from .posterior import PosteriorFn, np_dot
 
 __all__ = ["SamplerConfig", "Trace", "nuts_sample", "rwm_sample", "sample", "worker_count", "save_trace", "load_trace"]
@@ -84,8 +88,8 @@ class SamplerConfig:
             raise SamplerError(f"max_tree_depth must be >= 1, got {self.max_tree_depth}")
         if not 0.0 < self.step_size_init < math.inf:
             raise SamplerError(f"step_size_init must be finite and > 0, got {self.step_size_init}")
-        if not 0 <= self.seed <= SEED_BOUND - self.chains:  # chain c is keyed seed + c
-            raise SamplerError(f"seed must be >= 0 with seed + chains - 1 below 2**128, got {self.seed}")
+        if not 0 <= self.seed < SEED_BOUND:
+            raise SamplerError(f"seed must be a non-negative integer below 2**128, got {self.seed}")
 
 
 @dataclass
@@ -205,16 +209,67 @@ def _adaptation_windows(warmup: int, init_buffer: int = 75, term_buffer: int = 5
     return windows
 
 
-def _initial_point(value_fn: Callable, rng: np.random.Generator, dim: int, attempts: int = 100):
+def _laplace(vag: Callable | None, dim: int, max_steps: int = 100):
+    """The Laplace approximation ``(mode, Σ₀, L)``, Σ₀ = (−H)⁻¹ = L Lᵀ (Tierney &
+    Kadane 1986), by Levenberg–Marquardt on −log p from z = 0, with H by central
+    differences of the gradient; None without a gradient, where z = 0 or a
+    difference point is not finite, at a final Σ₀ not positive definite, or
+    after ``max_steps`` trial steps.  Numpy warns of nothing here."""
+    if vag is None:
+        return None
+
+    def minus(z):  # (−log p, −∇log p) at z, or None where either is not finite
+        try:
+            logp, grad = vag(z)
+        except (NonFiniteDensity, NonFiniteGradient):
+            return None
+        return (-logp, -grad) if math.isfinite(logp) and np.isfinite(grad).all() else None
+
+    def hessian(z):  # of −log p, symmetrised, or None
+        h = np.array([1e-5 * max(1.0, abs(v)) for v in z.tolist()])
+        ends = [(minus(z + step), minus(z - step)) for step in np.diag(h)]
+        if any(None in pair for pair in ends):
+            return None
+        columns = np.array([up[1] - down[1] for up, down in ends]) / (2.0 * h[:, None])
+        return 0.5 * (columns + columns.T)
+
+    def newton(damping):  # (R, Rᵀ g) with (H + damping |diag H|)⁻¹ = R Rᵀ, or None
+        metric = _metric(hess + np.diag(damping * np.abs(np.diagonal(hess))))
+        return metric and (metric[1], np_dot(metric[1].T, here[1]))
+
+    with np.errstate(all="ignore"):
+        z, here = np.zeros(dim), minus(np.zeros(dim))
+        hess, damping = here and hessian(z), 1e-3
+        for _ in range(max_steps):
+            if hess is None:
+                return None
+            step = newton(0.0)
+            if step and float(np_dot(step[1], step[1])) < 1e-10:  # the Newton decrement g·H⁻¹g
+                cov = np_dot(step[0], step[0].T)
+                return (z, cov, step[0]) if _metric(cov) else None
+            step = newton(damping)
+            if step:
+                trial_z = z - np_dot(*step)
+                trial = minus(trial_z)
+                if trial and trial[0] < here[0]:
+                    z, here, hess, damping = trial_z, trial, hessian(trial_z), damping / 10.0
+                    continue
+            damping *= 10.0
+    return None
+
+
+def _initial_point(density: Callable, rng: np.random.Generator, dim: int, laplace, attempts: int = 100):
+    """A chain's start, the density's output there and its Σ₀: z ~ N(mode, Σ₀)
+    from the Laplace approximation ``laplace``, or without one z ~ N(0, 0.1 I)
+    and Σ₀ = I; redrawn while the density is not finite."""
     for _ in range(attempts):
-        z = _INIT_JITTER_SD * rng.standard_normal(dim)
-        out = value_fn(z)
+        xi = rng.standard_normal(dim)
+        z = _INIT_JITTER_SD * xi if laplace is None else laplace[0] + np_dot(laplace[2], xi)
+        out = density(z)
         logp = out[0] if isinstance(out, tuple) else out
         if math.isfinite(logp):
-            return z, out
-    raise BadInitialPoint(
-        f"no finite log density found in {attempts} jittered initializations"
-    )
+            return z, out, np.eye(dim) if laplace is None else laplace[1]
+    raise BadInitialPoint(f"no finite log density found in {attempts} jittered initializations")
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +303,7 @@ def _steps(eps: float, inv_mass: np.ndarray) -> list:
 
 
 def _metric(inv_mass: np.ndarray):
-    """``(inv_mass, L⁻ᵀ)`` with ``inv_mass = L Lᵀ``, both factors found in
+    """``(inv_mass, L⁻ᵀ, L)`` with ``inv_mass = L Lᵀ``, the factors found in
     Python floats, so in the same bits under any BLAS; None if ``inv_mass``
     is not numerically positive definite."""
     a, dim = inv_mass.tolist(), inv_mass.shape[0]
@@ -265,13 +320,13 @@ def _metric(inv_mass: np.ndarray):
     for c in range(dim):  # L⁻¹ by forward substitution, column by column
         for i in range(c, dim):
             inv[i][c] = (float(i == c) - math.fsum(low[i][k] * inv[k][c] for k in range(c, i))) / low[i][i]
-    return inv_mass, np.array(inv).T.copy()
+    return inv_mass, np.array(inv).T.copy(), np.array(low)
 
 
 def _momentum(z, logp, metric, rng):
     """A fresh momentum ``r = L⁻ᵀ ξ`` at ``z`` for ``metric = _metric(inv_mass)``
     (so ``r ~ N(0, inv_mass⁻¹)``) and the log joint density."""
-    inv_mass, root = metric
+    inv_mass, root, _ = metric
     r = np_dot(root, rng.standard_normal(z.shape[0]))
     return r, logp - 0.5 * float(np_dot(r, np_dot(inv_mass, r)))
 
@@ -370,14 +425,14 @@ def _find_reasonable_step_size(vag, z, logp, grad, metric, rng, init: float) -> 
 _NUTS_STATS = (("accept_prob", float), ("tree_depth", np.int64), ("divergent", bool), ("step_size", float))
 
 
-def _run_nuts_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
+def _run_nuts_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int, laplace):
     """Warm up, then yield ``(z, stats_row)`` per kept transition, ordered as ``_NUTS_STATS``."""
-    rng = make_rng(cfg.seed + chain_index)
+    rng = make_rng(cfg.seed, chain_index)
     dim = pf.dimension
     vag = pf.unchecked_value_and_grad
 
-    z, (logp, grad) = _initial_point(vag, rng, dim)
-    metric = _metric(np.eye(dim))
+    z, (logp, grad), cov = _initial_point(vag, rng, dim, laplace)
+    metric = _metric(cov)
     eps = _find_reasonable_step_size(vag, z, logp, grad, metric, rng, cfg.step_size_init)
     averaging = _DualAveraging(eps, cfg.target_accept)
 
@@ -417,22 +472,22 @@ def nuts_sample(pf: PosteriorFn, cfg: SamplerConfig, *, jobs: int | None = None)
 _RWM_STATS = (("accept_prob", float), ("step_accepted", bool), ("divergent", bool), ("step_size", float))
 
 
-def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
+def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int, laplace):
     """Warm up, then yield ``(z, stats_row)`` per kept transition, ordered as ``_RWM_STATS``."""
-    rng = make_rng(cfg.seed + chain_index)
+    rng = make_rng(cfg.seed, chain_index)
     dim = pf.dimension
     value = pf.unchecked_value
     normal, random = rng.standard_normal, rng.random
 
-    z, logp = _initial_point(value, rng, dim)
-    base_scale = np.ones(dim)
+    z, logp, cov0 = _initial_point(value, rng, dim, laplace)
+    low = _metric(cov0)[2]
     multiplier = 2.38 / math.sqrt(dim)
     averaging = _DualAveraging(multiplier, _RWM_TARGET_ACCEPT)
 
     covariance = _WindowedCovariance(cfg.warmup_draws, dim)
 
     def step(z, logp, scale):
-        proposal = z + scale * normal(dim)
+        proposal = z + np_dot(scale, normal(dim))
         try:
             logp_new = value(proposal)
         except NonFiniteDensity:
@@ -444,16 +499,16 @@ def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int):
         return z, logp, alpha, False
 
     for m in range(cfg.warmup_draws):
-        z, logp, alpha, _ = step(z, logp, np.array([averaging.current] * dim) * base_scale)
+        z, logp, alpha, _ = step(z, logp, averaging.current * low)
         averaging.update(alpha)
         window = covariance.observe(m, z)
-        if window is not None:  # the variances alone, shrunk toward 1e-3 as Stan does
+        if window is not None:  # a window too degenerate to factor keeps the last L
             cov, w = window
-            base_scale = np.sqrt(w * np.diagonal(cov) + 1e-3 * (1.0 - w))
-            averaging = _DualAveraging(averaging.current, _RWM_TARGET_ACCEPT)
+            shrunk = _metric(w * cov + (1.0 - w) * cov0)
+            low = shrunk[2] if shrunk else low
 
     multiplier = averaging.averaged if cfg.warmup_draws > 0 else multiplier
-    scale = multiplier * base_scale
+    scale = multiplier * low
     while True:
         z, logp, alpha, moved = step(z, logp, scale)
         yield z, (alpha, moved, False, multiplier)
@@ -487,6 +542,7 @@ def _run_chains(run_chain: Callable, stat_types, pf: PosteriorFn, cfg: SamplerCo
     another here."""
     if pf.dimension < 1:
         raise SamplerError("posterior must have dimension >= 1")
+    run_chain = partial(run_chain, laplace=_laplace(pf.unchecked_value_and_grad, pf.dimension))  # before any fork
     unconstrained = np.empty((cfg.chains, cfg.kept_draws, pf.dimension))
     stats = {name: np.empty((cfg.chains, cfg.kept_draws), dtype) for name, dtype in stat_types}
     workers = worker_count(cfg.chains, jobs)

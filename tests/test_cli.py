@@ -86,10 +86,11 @@ class TestSimulate:
 
 
 class TestSeedBeyondPhiloxKeys:
-    """A seed Philox cannot take fails in one line before any work (chain c
-    is keyed seed + c, and ``run`` without ``--data`` simulates from the seed)."""
+    """A seed Philox cannot take fails in one line before any work (``run``
+    without ``--data`` simulates from the seed, and the samplers take the
+    same bound)."""
 
-    SAMPLER_ERROR = "SamplerError: seed must be >= 0 with seed + chains - 1 below 2**128, got "
+    SAMPLER_ERROR = "SamplerError: seed must be a non-negative integer below 2**128, got "
 
     def test_simulate(self, tmp_path, capsys):
         assert run_cli("simulate", "--seed", 2**128, "--out", tmp_path / "d.csv") == 1
@@ -97,11 +98,11 @@ class TestSeedBeyondPhiloxKeys:
         assert err == f"simulate: DataError: seed must be a non-negative integer below 2**128, got {2**128}\n"
         assert not any(tmp_path.iterdir())
 
-    def test_fit_with_a_chain_beyond(self, tmp_path, data_csv, capsys):
+    def test_fit(self, tmp_path, data_csv, capsys):
         code = run_cli("fit", "--model", EXAMPLES / "manual_priors_model.json", "--data", data_csv,
-                       "--chains", 2, "--seed", 2**128 - 1, "--out-dir", tmp_path / "fit")
+                       "--chains", 2, "--seed", 2**128, "--out-dir", tmp_path / "fit")
         assert code == 1
-        assert capsys.readouterr().err == f"fit: {self.SAMPLER_ERROR}{2**128 - 1}\n"
+        assert capsys.readouterr().err == f"fit: {self.SAMPLER_ERROR}{2**128}\n"
         assert not (tmp_path / "fit").exists()
 
     def test_run_without_data(self, tmp_path, capsys):
@@ -355,30 +356,28 @@ class TestDrawsLocked:
     ``stats.json``.
 
     The hashes were recorded on x86-64 Linux (Python 3.11.7, numpy 2.4.6,
-    OpenBLAS single-threaded): the RWM ones when means affine in the data
-    began to take their sums from a QR factorisation of the data columns,
-    the NUTS ones when NUTS moved to a dense metric, shrunk toward the
-    window's own variances, and a U-turn test on the momenta, which moved
-    every NUTS draw.  ``nuts-linear-depth2`` caps its trees at depth 2,
-    which every kept tree reaches, an exit the other fits seldom take.  The
-    stats hashes also pin the stat
-    names, their order and their dtypes.  A change that moves the draws
+    OpenBLAS single-threaded) when every chain began to start from one mode
+    search's Laplace approximation, with its stream keyed by (seed, chain),
+    and RWM to propose densely, which moved every draw.  ``nuts-linear-depth2``
+    caps its trees at depth 2, which most kept trees reach, an exit the other
+    fits seldom take.  The stats hashes also pin the stat names, their order
+    and their dtypes.  A change that moves the draws
     updates them and names the change in CHANGES.md.  Another BLAS build
     may sum dot products in another order, so the hashes hold only where
     they were recorded.
     """
 
     HASHES = {
-        "nuts-linear": "1e29898459af31ad37783911bbf0bc35e1a392e10aa1303d21e11349d0e920e4",
-        "nuts-linear-depth2": "381ce79a6742668a6ecba265ab523c252576f4dc539449e5652d338017ac9ef8",
-        "nuts-recip": "6a378322260e864af5d544ddf355aa8ef773c2d59991cd631a1aa239519542f5",
-        "rwm-linear": "cf838035a454ca7e5ebdafc8f716dfb949ca5fc3f15cb24d65fe7687461e3a40",
+        "nuts-linear": "fe8b7751237e57b063cf58936d73037c16476ad0506aa4547e51f3b4b0623974",
+        "nuts-linear-depth2": "d8af05739df8aacbb5c75ff2ffe94dca9ec69c12917460aa36447e9ebe86cd8c",
+        "nuts-recip": "ec6ef893d06ec3b9374dab219c3db6a1f659121e993cc423df14212ef0d6ac49",
+        "rwm-linear": "a598b3edc4d3fa43bbbf62a0d5d382323244c563f15e9427c44302cc93f2275b",
     }
     STATS_HASHES = {
-        "nuts-linear": "f9b1d6d0ce999de3f7381fd16a13df7adf162552f9408e4efd02a6e809fa01f8",
-        "nuts-linear-depth2": "53c2e9ac383cd74be11013a594f417e641f6059cbf4c6e011909460797a124bf",
-        "nuts-recip": "ef7c7445e03ed9db01583f4991d38600134595dd87a0c228421f0bd830df49a1",
-        "rwm-linear": "680986c1b17c9e3a3a0f3e53d666538c88924ea8ae7672ceafb19d338f16b7cf",
+        "nuts-linear": "7c9644bbfd48483bed446cbe37fd8c9e0315f7a779e1aaf9c364497ca7e05d9d",
+        "nuts-linear-depth2": "19cffa90d9dabd47dd64c76dd6559152cd865b8e6a99d42798783dd927d0b682",
+        "nuts-recip": "51349d0239cf6d03b6d5717cb02e2ba86be4cbcce7af9382010f79a4bc46f1aa",
+        "rwm-linear": "872f803b8775b35031e419229646b4b2813580b1c4d5fec83d6e1ad8027b0abe",
     }
 
     @pytest.mark.parametrize("case", sorted(HASHES))
@@ -413,23 +412,23 @@ class TestReportsLocked:
 
     The hashes were recorded where TestDrawsLocked's were (x86-64 Linux,
     Python 3.11.7, numpy 2.4.6, OpenBLAS single-threaded) with them, when
-    the affine means' factorisation moved the draws of both fits.  5 000
+    the Laplace start moved the draws of both fits.  5 000
     pooled draws per fit make the mode's kernel sum span two chunks of 4 096.
     """
 
     HASHES = {
-        "summary.txt": "926cebeb8c787254aa015cfdea95724c378a528d12bc034d105007bfaf027000",
-        "summary.json": "7aca806d505911f1e15142431b73fdb7f0a7e91dbff5ccbd22ed25cffccc8ac6",
-        "summary.csv": "cfa2f1cd9156ae728223a2cb79eac5ba39228be89a25cac22c5f49849ce199e9",
-        "compare_summary.txt": "4c3a2609c4a9a8f54e4ab29d034ca223476a5fb1f4df639e814362d31cb60ae9",
-        "compare_summary.json": "2f28ae4a2edd043c6d9b8f48fd88ea187633d7f368fb051f9d0f1eb78f2cc909",
-        "compare_summary.csv": "fea43dea4dac25d80083a0b4f01ab1032cebf3b77dd37b668d7c44843a47d2ee",
-        "plots/hist_alpha.csv": "187fa1facb7ad9126a5704bfc4212cd7ea0d1e5600eac2c4efe6914143169355",
-        "plots/hist_alpha.svg": "861327d49391ffbc7e4c07ed22acd012197344bab8bfb9096d85b1b3af02190c",
-        "plots/hist_beta.csv": "8b5426346c831a0b1fdc0ad73d82c30ea71841fcb7bb68166449a589a89c84bf",
-        "plots/hist_beta.svg": "629dc02afa242a71c7c9c23e059a27d179db69e520d08f8abee64eda93ff2fb3",
-        "plots/hist_sigma.csv": "91a01b31f4b37dd077dae3443e3eb9d4d40da412073db58df9a499b20601ecee",
-        "plots/hist_sigma.svg": "e64a727cc59196792f286039cab8f9a245f1a27e900176915deaddd6a75a220b",
+        "summary.txt": "c0ac9d80ca4afc444a466b2abd4c465f3ac2f06a449f1540bc4e61d75957cee2",
+        "summary.json": "dd437af2e0e00444ea6dfde7a78fe71b3cb428a7e8923de7a6c4c3279112732f",
+        "summary.csv": "39afc2827463d43af4e832c48643126fe7f4e4e1d4f25243ba5764a86efef726",
+        "compare_summary.txt": "f50725b3f09627b679630a38838e0751430645b9af6019b811805172d0a59dcb",
+        "compare_summary.json": "a6181936273506f8266ae2df88096c85405d41f843a9d72424adef910e36042c",
+        "compare_summary.csv": "977ab8810b5c5d754cb2cb00ff98fbac7a1bdf08cd3d8b59ce39be2fc91c44d7",
+        "plots/hist_alpha.csv": "94c6b8dd4809b57cb4f5645b778aa8ffa886cbe84aa20c87ed69cf98f2c643bf",
+        "plots/hist_alpha.svg": "b0fcd325d99261bd23b9be3131cfaead18a49cce1f2c9d91ab5a0d8a003ab3ee",
+        "plots/hist_beta.csv": "f795dd64c5fe9a99cfe87a94131a3636fd61ed897b0e35061e4d3306d1891b76",
+        "plots/hist_beta.svg": "c50ca199f9f16fa1317df31347cc172e441c268be477de8a5c60378b0721ba67",
+        "plots/hist_sigma.csv": "6578ca944673804417c1d5a6d0cd589ea0646af6bdd072514446fd8185dbc3de",
+        "plots/hist_sigma.svg": "cf176b34755862d7b151a5c90801ba522f91f1ffc5fea6bb4ba4495869dfc694",
     }
 
     def test_report_hashes(self, tmp_path):
@@ -764,6 +763,24 @@ class TestInputsBeforeOutputs:
         assert err.startswith("run: " + error.replace("NOPE", str(nope))) and err.count("\n") == 1
         assert not out_dir.exists()
         assert list(tmp_path.rglob("data.csv")) == []
+
+    def test_fit_response_column(self, tmp_path, data_csv, capsys):
+        out_dir = tmp_path / "out" / "fit"
+        code = run_cli("fit", "--model", EXAMPLES / "manual_priors_model.json", "--data", data_csv,
+                       "--response-column", "nope", "--out-dir", out_dir)
+        assert code == 1
+        assert capsys.readouterr().err == "fit: MissingResponseColumn: dataset has no response column 'nope'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_run_response_column(self, tmp_path, data_csv, capsys):
+        out_dir = tmp_path / "out"
+        code = run_cli("run", "--beliefs-file", EXAMPLES / "linear_regression_beliefs.json", "--data", data_csv,
+                       "--compare-model", EXAMPLES / "manual_priors_model.json", "--response-column", "nope",
+                       "--chains", 1, "--out-dir", out_dir)
+        assert code == 1
+        assert capsys.readouterr().err == "run: MissingResponseColumn: dataset has no response column 'nope'\n"
+        assert not out_dir.exists()
+        assert list(tmp_path.rglob("data.csv")) == [data_csv]
 
 
 class TestTracedBenchmark:
