@@ -193,9 +193,10 @@ def _public_llm_config(cfg: elicitation.LlmConfig) -> dict:
 
 
 def _fit(args, scfg: sampler.SamplerConfig, workers: int, manifest: _Manifest, pf: PosteriorFn, prefix: str = "") -> sampler.Trace:
-    """Sample the built posterior ``pf``, and write and list
-    ``{prefix}trace.csv`` and ``{prefix}stats.json`` in ``--out-dir``."""
+    """Sample the built posterior ``pf``, free it (the caller keeps no reference), and
+    write and list ``{prefix}trace.csv`` and ``{prefix}stats.json`` in ``--out-dir``."""
     trace = sampler.sample(pf, scfg, jobs=workers)
+    del pf
     paths = Path(args.out_dir) / f"{prefix}trace.csv", Path(args.out_dir) / f"{prefix}stats.json"
     sampler.save_trace(trace, *paths)
     for path in paths:
@@ -209,11 +210,11 @@ def _cmd_fit(args) -> int:
     spec = spec_schema.parse_model_json(Path(args.model).read_text(encoding="utf-8"))
     dataset = data_io.load_csv(args.data)
     model = spec_schema.validate_model(spec, dataset.column_names())
-    pf = build_posterior(model, dataset, response_column=args.response_column)
+    posteriors = [build_posterior(model, dataset, response_column=args.response_column)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest("fit", {"sampler": asdict(scfg), "response_column": args.response_column})
-    trace = _fit(args, scfg, workers, manifest, pf)
+    trace = _fit(args, scfg, workers, manifest, posteriors.pop())
     manifest.add_input(args.model)
     manifest.add_input(args.data)
     manifest.write(out_dir / "manifest.json")
@@ -326,8 +327,8 @@ def _cmd_run(args) -> int:
 
     # --- fit + report for the elicited model (and optionally a baseline)
     traces = {}
-    for (prefix, _), pf in zip(jobs, posteriors):
-        trace = traces[prefix] = _fit(args, scfg, workers, manifest, pf, prefix)
+    for prefix, _ in jobs:
+        trace = traces[prefix] = _fit(args, scfg, workers, manifest, posteriors.pop(0), prefix)
         table = diagnostics.summarize(trace, hdi_prob=args.hdi)
         for fmt, suffix in (("text", "txt"), ("json", "json"), ("csv", "csv")):
             _write_text(out_dir / f"{prefix}summary.{suffix}", _render_summary(table, fmt), manifest)

@@ -10,7 +10,8 @@ check at each join; transitions whose Hamiltonian error exceeds 1000 are
 divergent.  Its warmup adapts the step size by dual averaging toward a target
 acceptance statistic, and a dense inverse metric: Σ₀, then each doubling
 window's covariance.  RWM proposes z + m L ξ, L Lᵀ being Σ₀ and then each
-window's covariance shrunk toward Σ₀, with one dual averaging of m throughout.
+window's covariance shrunk toward Σ₀ (without a mode, toward the window's own
+variances, as NUTS's is), with one dual averaging of m throughout.
 
 Chain c draws from its own Philox stream keyed by ``SeedSequence([seed, c])``,
 so chains, and fits at different seeds, are independent and results
@@ -60,6 +61,7 @@ __all__ = ["SamplerConfig", "Trace", "nuts_sample", "rwm_sample", "sample", "wor
 _DIVERGENCE_THRESHOLD = 1000.0  # Hamiltonian error that flags a divergence
 _INIT_JITTER_SD = math.sqrt(0.1)  # initial z ~ N(0, 0.1 I)
 _RWM_TARGET_ACCEPT = 0.234
+_LAPLACE_MAX_STEPS = 100  # trial steps before the mode search gives up
 
 
 @dataclass(frozen=True)
@@ -209,12 +211,12 @@ def _adaptation_windows(warmup: int, init_buffer: int = 75, term_buffer: int = 5
     return windows
 
 
-def _laplace(vag: Callable | None, dim: int, max_steps: int = 100):
-    """The Laplace approximation ``(mode, Σ₀, L)``, Σ₀ = (−H)⁻¹ = L Lᵀ (Tierney &
-    Kadane 1986), by Levenberg–Marquardt on −log p from z = 0, with H by central
-    differences of the gradient; None without a gradient, where z = 0 or a
-    difference point is not finite, at a final Σ₀ not positive definite, or
-    after ``max_steps`` trial steps.  Numpy warns of nothing here."""
+def _laplace(vag: Callable | None, dim: int):
+    """The Laplace approximation ``(mode, R, _metric(Σ₀))``, Σ₀ = (−H)⁻¹ = R Rᵀ with R = L⁻ᵀ
+    of ``_metric(−H)`` (Tierney & Kadane 1986), by Levenberg–Marquardt on −log p from z = 0,
+    H by central differences of the gradient; None without a gradient, where z = 0 or a
+    difference point is not finite, at a final Σ₀ not positive definite, or after
+    ``_LAPLACE_MAX_STEPS`` trial steps.  Numpy warns of nothing here."""
     if vag is None:
         return None
 
@@ -240,13 +242,13 @@ def _laplace(vag: Callable | None, dim: int, max_steps: int = 100):
     with np.errstate(all="ignore"):
         z, here = np.zeros(dim), minus(np.zeros(dim))
         hess, damping = here and hessian(z), 1e-3
-        for _ in range(max_steps):
+        for _ in range(_LAPLACE_MAX_STEPS):
             if hess is None:
                 return None
             step = newton(0.0)
             if step and float(np_dot(step[1], step[1])) < 1e-10:  # the Newton decrement g·H⁻¹g
-                cov = np_dot(step[0], step[0].T)
-                return (z, cov, step[0]) if _metric(cov) else None
+                metric = _metric(np_dot(step[0], step[0].T))
+                return metric and (z, step[0], metric)
             step = newton(damping)
             if step:
                 trial_z = z - np_dot(*step)
@@ -259,16 +261,16 @@ def _laplace(vag: Callable | None, dim: int, max_steps: int = 100):
 
 
 def _initial_point(density: Callable, rng: np.random.Generator, dim: int, laplace, attempts: int = 100):
-    """A chain's start, the density's output there and its Σ₀: z ~ N(mode, Σ₀)
-    from the Laplace approximation ``laplace``, or without one z ~ N(0, 0.1 I)
-    and Σ₀ = I; redrawn while the density is not finite."""
+    """A chain's start, the density's output there and ``_metric(Σ₀)``: z ~
+    N(mode, Σ₀) from the Laplace approximation ``laplace``, or without one z ~
+    N(0, 0.1 I) and Σ₀ = I; redrawn while the density is not finite."""
     for _ in range(attempts):
         xi = rng.standard_normal(dim)
-        z = _INIT_JITTER_SD * xi if laplace is None else laplace[0] + np_dot(laplace[2], xi)
+        z = _INIT_JITTER_SD * xi if laplace is None else laplace[0] + np_dot(laplace[1], xi)
         out = density(z)
         logp = out[0] if isinstance(out, tuple) else out
         if math.isfinite(logp):
-            return z, out, np.eye(dim) if laplace is None else laplace[1]
+            return z, out, _metric(np.eye(dim)) if laplace is None else laplace[2]
     raise BadInitialPoint(f"no finite log density found in {attempts} jittered initializations")
 
 
@@ -431,8 +433,7 @@ def _run_nuts_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int, lapla
     dim = pf.dimension
     vag = pf.unchecked_value_and_grad
 
-    z, (logp, grad), cov = _initial_point(vag, rng, dim, laplace)
-    metric = _metric(cov)
+    z, (logp, grad), metric = _initial_point(vag, rng, dim, laplace)
     eps = _find_reasonable_step_size(vag, z, logp, grad, metric, rng, cfg.step_size_init)
     averaging = _DualAveraging(eps, cfg.target_accept)
 
@@ -479,8 +480,7 @@ def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int, laplac
     value = pf.unchecked_value
     normal, random = rng.standard_normal, rng.random
 
-    z, logp, cov0 = _initial_point(value, rng, dim, laplace)
-    low = _metric(cov0)[2]
+    z, logp, (cov0, _, low) = _initial_point(value, rng, dim, laplace)
     multiplier = 2.38 / math.sqrt(dim)
     averaging = _DualAveraging(multiplier, _RWM_TARGET_ACCEPT)
 
@@ -504,7 +504,7 @@ def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int, laplac
         window = covariance.observe(m, z)
         if window is not None:  # a window too degenerate to factor keeps the last L
             cov, w = window
-            shrunk = _metric(w * cov + (1.0 - w) * cov0)
+            shrunk = _metric(w * cov + (1.0 - w) * (np.diag(np.diagonal(cov)) if laplace is None else cov0))
             low = shrunk[2] if shrunk else low
 
     multiplier = averaging.averaged if cfg.warmup_draws > 0 else multiplier
