@@ -16,8 +16,8 @@ Evaluation environments may bind numpy arrays as well as scalars; arithmetic
 then broadcasts element-wise, which is how the posterior module applies one
 scalar formula across every data row.  :func:`compile_formula` turns an
 expression with its data bound into a function of the parameter values,
-once; :func:`evaluate` runs the same compiled arithmetic with every name
-bound.
+once, and :func:`emit` writes the same float arithmetic as straight-line
+source; :func:`evaluate` runs the compiled arithmetic with every name bound.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
     "free_vars",
     "check_finite",
     "compile_formula",
+    "emit",
     "evaluate",
     "differentiate",
     "simplify",
@@ -340,6 +341,38 @@ def compile_formula(ast: FormulaAst, params: Sequence[str], data: Mapping[str, o
     """
     value, fn = _compile(ast, {name: i for i, name in enumerate(params)}, data)
     return value if fn is None else fn
+
+
+def emit(ast: FormulaAst, params: Mapping[str, str], data: Mapping[str, object], let: Callable, bind: Callable) -> str:
+    """The name of the expression's value in straight-line source: the float arithmetic of
+    :func:`compile_formula` with ``data`` bound, in the same order, one ``let(expr)`` (which
+    returns a new local's name) per operation.  ``params`` maps each parameter to its local
+    and ``data`` binds every other name; ``bind(value)`` names a value in the source's
+    namespace, and a quotient calls its node's divide.  No name or number of the expression
+    is printed."""
+
+    def walk(node):  # as _compile: (value, None) for a subtree computed here, else (None, its local)
+        if isinstance(node, NumberLiteral):
+            return node.value, None
+        if isinstance(node, Variable):
+            return (None, params[node.name]) if node.name in params else (data[node.name], None)
+        if isinstance(node, Negate):
+            value, name = walk(node.child)
+            return (-value, None) if name is None else (None, let(f"-{name}"))
+        op = _operation(node)
+        (left, left_name), (right, right_name) = walk(node.left), walk(node.right)
+        if left_name is None and right_name is None:
+            try:
+                return op(left, right), None
+            except NonFiniteResult:
+                pass  # raises again at every call
+        left_name, right_name = left_name or bind(left), right_name or bind(right)
+        if node.op == "/":
+            return None, let(f"{bind(op)}({left_name}, {right_name})")
+        return None, let(f"{left_name} {node.op} {right_name}")
+
+    value, name = walk(ast)
+    return name or bind(value)
 
 
 def evaluate(ast: FormulaAst, env: Mapping[str, object]):

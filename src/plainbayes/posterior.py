@@ -20,8 +20,10 @@ blocks, so the bits do not depend on the BLAS thread count.  *Factorisation*,
 for a mean affine in the data, mu = c_0 + sum_k c_k X_k: with
 B = [1, X_1, ..., X_K] = QR factored once and b = Q^T y - R c,
 sum (y - mu)^2 = b . b + |y - Q Q^T y|^2 and sum (y - mu) d mu / d x_i =
-(R^T b) . d c / d x_i, in O(K^2) Python floats.  A B that is rank-deficient
-or has n <= K + 1 rows, and any call with a non-finite c_k, partial or
+(R^T b) . d c / d x_i, in O(K^2) Python floats, by one straight-line function
+generated once per posterior (one assignment per formula node, each sum
+unrolled in ``sum``'s order).  A B that is rank-deficient or has n <= K + 1
+rows, and any call with a c_k or partial that raises, a non-finite b . b or
 gradient, or an underflowing sigma^3, take the rows.
 
 Density policy: proposals outside a prior's support (or with a degenerate
@@ -32,7 +34,6 @@ mean raises :class:`NonFiniteDensity`; NaN anywhere is a hard error.
 from __future__ import annotations
 
 import math
-from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -149,22 +150,81 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def _thin_qr(columns, y: np.ndarray, dot):
     """``(R, Q^T y, |y - Q Q^T y|^2)`` in Python floats (R a list of rows) for the thin QR
-    of the n-vector ``columns`` by classical Gram-Schmidt run twice; None if rank-deficient."""
-    m = len(columns)
-    q, R = [], [[0.0] * m for _ in range(m)]
-    for j, v in enumerate(columns):
-        scale = math.sqrt(float(dot(v, v)))
-        for _ in range(2):
-            for i, a in enumerate([float(dot(qi, v)) for qi in q]):
-                v = v - a * q[i]
-                R[i][j] += a
-        R[j][j] = math.sqrt(float(dot(v, v)))
-        if not R[j][j] > _RANK_TOL * scale:
-            return None
-        q.append(v / R[j][j])
-    qty = [float(dot(qi, y)) for qi in q]
-    rest = y - sum(a * qi for a, qi in zip(qty, q))
-    return R, qty, float(dot(rest, rest))
+    of the n-vector ``columns`` by classical Gram-Schmidt run twice; None if rank-deficient.
+    A sum beyond the float range, unwarned, fails the rank check or makes rho infinite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = len(columns)
+        q, R = [], [[0.0] * m for _ in range(m)]
+        for j, v in enumerate(columns):
+            scale = math.sqrt(float(dot(v, v)))
+            for _ in range(2):
+                for i, a in enumerate([float(dot(qi, v)) for qi in q]):
+                    v = v - a * q[i]
+                    R[i][j] += a
+            R[j][j] = math.sqrt(float(dot(v, v)))
+            if not R[j][j] > _RANK_TOL * scale:
+                return None
+            q.append(v / R[j][j])
+        qty = [float(dot(qi, y)) for qi in q]
+        rest = y - sum(a * qi for a, qi in zip(qty, q))
+        return R, qty, float(dot(rest, rest))
+
+
+def _straight_line(names, dists, transforms, noise_index, n_rows, coefficients, partials, qr, rows):
+    """The factorisation's log density ``density(z, with_grad)``, one straight-line function
+    generated as source: see the module docstring.  ``partials`` holds (i, _, the ASTs of
+    d c / d x_i or None for 0) per gradient term.  Methods and numbers are bound, never printed,
+    and every name is made here, so no blueprint text reaches the source."""
+    R, qty, rho = qr
+    columns_at_0 = dict.fromkeys(formula.free_vars(coefficients[0]) - set(names), 0.0)
+    # a quotient that raises, or a float division by 0 in a prior term (inf on the rows' numpy scalars)
+    env = {"inf": math.inf, "log": math.log, "array": np.array, "zeros": np.zeros, "rows": rows,
+           "Unvouched": (NonFiniteResult, ZeroDivisionError)}
+    z = [f"z{i}" for i in range(len(names))]
+    lines = [f"{', '.join(z)}, = z.tolist()"]
+
+    def bind(value):
+        env[f"k{len(env)}"] = value
+        return f"k{len(env) - 1}"
+
+    def let(expr):
+        lines.append(f"t{len(lines)} = {expr}")
+        return f"t{len(lines) - 1}"
+
+    def dot(a, b):
+        return " + ".join(["0", *(f"{p} * {q}" for p, q in zip(a, b))])
+
+    def emit(asts):
+        return [formula.emit(ast, dict(zip(names, x)), columns_at_0, let, bind) for ast in asts]
+
+    x = [let(f"{bind(tf.forward)}({zi})") for tf, zi in zip(transforms, z)]
+    total = "0.0"
+    for xi, zi, dist, tf in zip(x, z, dists, transforms):
+        total = let(f"{total} + ({bind(dist.log_pdf)}({xi}) + {bind(tf.log_jacobian)}({zi}))")
+    sigma = x[noise_index]
+    lines.append(f"if not ({total} > -inf and 0.0 < {sigma} < inf): return rows(z, with_grad)")
+    cube = let(f"{sigma} * {sigma} * {sigma}")
+    c = emit(coefficients)
+    b = [let(f"{bind(qy)} - ({dot(map(bind, row), c)})") for qy, row in zip(qty, R)]
+    ss = let(f"{dot(b, b)} + {bind(rho)}")
+    lines.append(f"if not ({cube} > 0.0 and {ss} < inf): return rows(z, with_grad)")
+    loglik = let(f"-0.5 * ({ss} / ({sigma} * {sigma})) - {bind(n_rows)} * log({sigma}) - {bind(0.5 * n_rows * _LOG_2PI)}")
+    value = let(f"{total} + {loglik}")
+    lines.append(f"if not with_grad: return -inf if {loglik} == -inf else {value}")
+    lines.append(f"if {loglik} == -inf: return -inf, zeros({bind(len(names))})")
+    d = [let(f"{bind(tf.dforward_dz)}({zi})") for tf, zi in zip(transforms, z)]
+    g = [let(f"{bind(dist.dlogpdf_dx)}({xi}) * {di} + {bind(tf.dlog_jacobian_dz)}({zi})")
+         for dist, xi, di, tf, zi in zip(dists, x, d, transforms, z)]
+    w = let(f"1.0 / ({sigma} * {sigma})")
+    dsigma = let(f"{ss} / {cube} - {bind(n_rows)} / {sigma}")
+    btr = [let(dot(map(bind, col), b)) for col in zip(*R)]
+    for i, _, asts in partials:
+        s = "0.0" if asts is None else f"{w} * ({dot(btr, emit(asts))})"
+        g[i] = let(f"{g[i]} + ({s}{f' + {dsigma}' if i == noise_index else ''}) * {d[i]}")
+    lines.append(f"if {' and '.join(f'-inf < {gi} < inf' for gi in g)}: return {value}, array([{', '.join(g)}])")
+    body = "\n".join(f"        {line}" for line in lines)
+    exec(f"def density(z, with_grad):\n    try:\n{body}\n    except Unvouched:\n        pass\n    return rows(z, with_grad)", env)
+    return env["density"]
 
 
 def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: str = "y") -> PosteriorFn:
@@ -207,29 +267,20 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
     slopes = [formula.differentiate(mean_ast, v) for v in column_vars]
     affine = not any(formula.free_vars(slope) & fixed_env.keys() for slope in slopes)
 
-    def coefficients(ast, slopes):
-        zeros = dict.fromkeys(column_vars, 0.0)
-        compiled = [formula.compile_formula(a, names, env) for a, env in [(ast, zeros), *((s, {}) for s in slopes)]]
-        return [c if callable(c) else (lambda x, c=c: c) for c in compiled]
-
+    qr = affine and n_rows > len(slopes) + 1 and _thin_qr([np.ones(n_rows)] + list(fixed_env.values()), y, dot)
     mean = compile_rows(mean_ast)
-    mean_coefs = affine and coefficients(mean_ast, slopes)
-    # (i, d mu / d x_i, its coefficients) for each parameter whose partial is not
-    # the literal 0, which would add exactly +0.0; the noise scale always, with None for 0.
+    # (i, d mu / d x_i, with the factorisation the ASTs of d c / d x_i) for each parameter whose
+    # partial is not the literal 0, which would add exactly +0.0; the noise scale always, with None for 0.
     partials = []
     for i, name in enumerate(names):
         partial = formula.differentiate(mean_ast, name)
         if partial != formula.NumberLiteral(0.0):
-            dc = affine and coefficients(partial, [formula.differentiate(slope, name) for slope in slopes])
-            partials.append((i, compile_rows(partial), dc))
+            partials.append((i, compile_rows(partial), qr and [partial, *(formula.differentiate(s, name) for s in slopes)]))
         elif i == noise_index:
             partials.append((i, None, None))
-    qr = affine and n_rows > len(slopes) + 1 and _thin_qr([np.ones(n_rows)] + list(fixed_env.values()), y, dot)
-    R, qty, rho = qr or (None, None, None)
 
-    def density(z: np.ndarray, with_grad: bool, rows: bool = not qr):
-        """Log density at ``z``; with ``with_grad``, the pair (value, gradient);
-        with ``rows``, or where the factorisation cannot vouch for them, row sums."""
+    def density(z: np.ndarray, with_grad: bool):
+        """Log density at ``z`` from row sums; with ``with_grad``, the pair (value, gradient)."""
         x = [tf.forward(zi) for tf, zi in zip(transforms, z)]
         total = 0.0
         for zi, xi, dist, tf in zip(z, x, dists, transforms):
@@ -241,28 +292,16 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
         loglik = -math.inf  # outside a prior's support, or noise-scale underflow/overflow
         if total > -math.inf and sigma > 0.0 and math.isfinite(sigma):
             cube = sigma * sigma * sigma
-            if not rows:
-                xf = list(map(float, x))  # Python floats: a fraction of numpy scalars' cost
-                try:
-                    c = [f(xf) for f in mean_coefs]
-                    b = [qy - sum(map(mul, row, c)) for qy, row in zip(qty, R)]
-                    ss = sum(map(mul, b, b)) + rho  # not finite if a c_k is not
-                except NonFiniteResult:
-                    ss = math.nan
-                rows = not (cube > 0.0 and math.isfinite(ss))
-            if not rows:
-                tt = ss / (sigma * sigma)
-            else:
-                try:
-                    resid = y - mean(x)
-                    t = resid / sigma
-                    tt = float(dot(t, t))
-                    if not math.isfinite(tt):  # a non-finite mean makes t.t non-finite
-                        formula.check_finite(mean(x))
-                except NonFiniteResult as exc:
-                    bad = np.broadcast_to(np.asarray(exc.value, dtype=float), (n_rows,)) if exc.value is not None else None
-                    row = int(np.argmin(np.isfinite(bad))) if bad is not None else None
-                    raise NonFiniteDensity(f"likelihood mean is non-finite: {exc}", row=row) from None
+            try:
+                resid = y - mean(x)
+                t = resid / sigma
+                tt = float(dot(t, t))
+                if not math.isfinite(tt):  # a non-finite mean makes t.t non-finite
+                    formula.check_finite(mean(x))
+            except NonFiniteResult as exc:
+                bad = np.broadcast_to(np.asarray(exc.value, dtype=float), (n_rows,)) if exc.value is not None else None
+                row = int(np.argmin(np.isfinite(bad))) if bad is not None else None
+                raise NonFiniteDensity(f"likelihood mean is non-finite: {exc}", row=row) from None
             loglik = -0.5 * tt - n_rows * math.log(sigma) - 0.5 * n_rows * _LOG_2PI
             if math.isnan(loglik):
                 raise NonFiniteDensity("likelihood log density is NaN")
@@ -280,23 +319,18 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             for dist, xi, dfwd_i, tf, zi in zip(dists, x, dfwd, transforms, z)
         ]
 
-        # d loglik / d x_i = w * (r . d mu / d x_i), plus dsigma for the noise scale;
-        # from the factorisation, r . d mu / d x_i = (R^T b) . d c / d x_i
+        # d loglik / d x_i = w * (r . d mu / d x_i), plus dsigma for the noise scale
         if cube > 0.0:
-            if rows:
-                r, ss = resid, float(dot(resid, resid))
-            w = 1.0 / (sigma * sigma)
-            dsigma = ss / cube - n_rows / sigma
+            r, w = resid, 1.0 / (sigma * sigma)
+            dsigma = float(dot(resid, resid)) / cube - n_rows / sigma
         else:
             # sigma^3 underflows to 0: the same derivatives through t = resid / sigma,
             # only here, so that every other sigma keeps the arithmetic the draws depend on
             r, w = t, 1.0 / sigma
             dsigma = (tt - n_rows) * w
-        btr = rows or [sum(map(mul, col, b)) for col in zip(*R)]
         try:
-            for i, dmu, dc in partials:
-                s = 0.0 if dmu is None else w * (
-                    float(dot(r, dmu(x))) if rows else sum(map(mul, btr, [f(xf) for f in dc])))
+            for i, dmu, _ in partials:
+                s = 0.0 if dmu is None else w * float(dot(r, dmu(x)))
                 if i == noise_index:
                     s += dsigma
                 grad[i] += s * dfwd[i]
@@ -308,8 +342,6 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             grad = [math.nan] * dim
 
         if not all(map(math.isfinite, grad)):
-            if not rows:
-                return density(z, True, rows=True)
             # Overflow in the chain rule at an astronomically improbable point
             # is a rejection, not a bug; the sampler will flag it divergent.
             if total < _GRADIENT_OVERFLOW_FLOOR:
@@ -317,6 +349,9 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             raise NonFiniteGradient("gradient contains non-finite components", z=z)
         return total, np.array(grad)
 
+    if qr:
+        density = _straight_line(names, dists, transforms, noise_index, n_rows, [mean_ast, *slopes],
+                                 partials, qr, density)
     return PosteriorFn(
         param_names=names,
         log_density_and_grad=lambda z: density(z, True),

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import plainbayes
-from plainbayes import sampler
+from plainbayes import formula, sampler
 from plainbayes.cli import main
 from plainbayes.data_io import SimConfig, load_csv
 from plainbayes.elicitation import FixtureStore, LlmConfig, packaged_fixtures_dir, render_model_prompt
@@ -207,6 +207,25 @@ class TestFit:
         trace = load_trace(out_dir / "trace.csv", out_dir / "stats.json")
         assert trace.draws.shape == (2, 100, 3)
         assert "step_accepted" in trace.stats
+
+    @pytest.mark.parametrize("algorithm", ["nuts", "rwm"])
+    def test_affine_fit_sums_no_rows(self, tmp_path, monkeypatch, data_csv, model_json, algorithm):
+        # the demo mean alpha + beta * X is affine: every density call of the fit comes
+        # from the factorisation, and no compiled row formula (the mean or a partial) runs
+        row_calls = []
+        compile_formula = formula.compile_formula
+
+        def counted(*args):
+            compiled = compile_formula(*args)
+            return (lambda x: row_calls.append(1) or compiled(x)) if callable(compiled) else compiled
+
+        monkeypatch.setattr(formula, "compile_formula", counted)
+        code = run_cli(
+            "fit", "--model", model_json, "--data", data_csv, "--algorithm", algorithm,
+            "--chains", 2, "--warmup", 200, "--draws", 100, "--jobs", 1, "--seed", 3,
+            "--out-dir", tmp_path / "fit",
+        )
+        assert code == 0 and not row_calls
 
 
 class TestConfigDefaults:

@@ -8,6 +8,7 @@ from plainbayes.data_io import Dataset
 from plainbayes.distributions import Exponential, HalfNormal, Normal, Uniform
 from plainbayes.errors import (
     DimensionMismatch,
+    FormulaTooDeep,
     MissingResponseColumn,
     NonFiniteDensity,
     NonFiniteGradient,
@@ -680,6 +681,22 @@ class TestAffineFallback:
             assert value == pf.log_density(z) == rows.log_density(z)
             assert np.all(np.isfinite(grad)) and np.array_equal(grad, rows.log_density_and_grad(z)[1])
 
+    def test_residual_beyond_float_range(self):
+        # |y| near 1e200 makes rho = |y - Q Q^T y|^2 overflow: the posterior still
+        # builds, and every call sums the rows, where sigma near 1e200 keeps them finite
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-3.0, 3.0, 30)
+        data = Dataset({"X": x, "y": 1e200 * rng.normal(size=30)})
+        assert posterior._thin_qr([np.ones(30), x], data.columns["y"], np.dot)[2] == math.inf
+        spec = ModelSpec(
+            priors={"a": Normal(mu=0, sigma=2), "b": Exponential(lam=1), "s": HalfNormal(sigma=1e250)},
+            likelihood=LikelihoodSpec(formula_source="a + b * X", noise_param="s"),
+        )
+        vm = validate_model(spec, data.column_names())
+        zs = [[0.3, -0.2, 461.0], [-1.2, 0.7, 465.5], [2.0, -1.0, 0.1]]
+        assert math.isfinite(build_posterior(vm, data).log_density(np.array(zs[0])))
+        self._assert_rows(vm, data, zs)
+
     @pytest.mark.parametrize("source, row_sums", [("a + X / b", False), ("a / (X + b)", True)])
     def test_affine_mean_sums_no_rows_per_call(self, monkeypatch, source, row_sums):
         # every sum over the rows goes through np_dot; the factorisation takes
@@ -695,3 +712,84 @@ class TestAffineFallback:
         pf.log_density(z)
         pf.log_density_and_grad(z)
         assert bool(calls) == row_sums
+
+
+def _built_counting_row_sums(monkeypatch, vm, data):
+    """The posterior, and a list that counts the sums over the rows its calls take."""
+    calls = []
+    monkeypatch.setattr(posterior, "np_dot", lambda a, b: calls.append(a.shape) or np.dot(a, b))
+    pf = build_posterior(vm, data)
+    calls.clear()
+    return pf, calls
+
+
+class TestStraightLine:
+    """The factorisation's density is generated as source: no blueprint text and no
+    formula the parser accepts may break it."""
+
+    def test_blueprint_names_are_not_source(self, monkeypatch):
+        # names that are Python keywords, builtins or the generated function's own
+        # words, as parameters and as data columns, two columns to a mean
+        rng = np.random.default_rng(21)
+        data = Dataset({"z": rng.uniform(-3, 3, 30), "__import__": rng.uniform(0, 5, 30), "y": rng.normal(size=30)})
+        spec = ModelSpec(
+            priors={
+                "lambda": Normal(mu=0, sigma=2),
+                "None": Exponential(lam=1),
+                "total": Normal(mu=1, sigma=3),
+                "math": HalfNormal(sigma=3),
+            },
+            likelihood=LikelihoodSpec(formula_source="lambda + None * z - total * __import__ / None", noise_param="math"),
+        )
+        vm = validate_model(spec, data.column_names())
+        for _ in range(20):
+            _assert_close_to_reference(vm, data, rng.normal(scale=1.5, size=4))
+        pf, row_sums = _built_counting_row_sums(monkeypatch, vm, data)
+        pf.log_density_and_grad(np.array([0.1, 0.2, 0.3, 0.4]))
+        assert not row_sums
+
+    @pytest.mark.parametrize("name", ["lambda", "None", "z", "math", "total", "__import__"])
+    def test_each_name_as_parameter_and_column(self, name):
+        rng = np.random.default_rng(22)
+        for param, column in ((name, "X"), ("a", name)):
+            data = Dataset({column: rng.uniform(-3, 3, 20), "y": rng.normal(size=20)})
+            spec = ModelSpec(
+                priors={param: Normal(mu=0, sigma=2), "b": Exponential(lam=1), "s": HalfNormal(sigma=3)},
+                likelihood=LikelihoodSpec(formula_source=f"{param} + b * {column}", noise_param="s"),
+            )
+            vm = validate_model(spec, data.column_names())
+            for scale in (0.8, 6.0):
+                _assert_close_to_reference(vm, data, rng.normal(scale=scale, size=3))
+
+    @staticmethod
+    def _deepest(make):
+        """``make(k)`` for the largest k the parser accepts."""
+        k = 1
+        while True:
+            try:
+                formula.parse_formula(make(k + 1))
+            except FormulaTooDeep:
+                return make(k)
+            k += 1
+
+    @pytest.mark.parametrize("make", [
+        lambda k: "a + " + "-(" * k + "b * X" + ")" * k,  # a negation chain
+        lambda k: " * ".join(["b"] * k + ["X"]) + " + a",  # a product chain
+        lambda k: "a + X / " + "(b / " * k + "b" + ")" * k,  # a nested quotient
+    ], ids=["negations", "products", "quotients"])
+    def test_formulas_at_the_depth_limit(self, monkeypatch, make):
+        # one assignment per node: no accepted formula nests the source deeper than one operation
+        rng = np.random.default_rng(23)
+        data = Dataset({"X": rng.uniform(0.5, 2.0, 40), "y": rng.normal(size=40)})
+        spec = ModelSpec(
+            priors={"a": Normal(mu=0, sigma=2), "b": Exponential(lam=1), "s": HalfNormal(sigma=3)},
+            likelihood=LikelihoodSpec(formula_source=self._deepest(make), noise_param="s"),
+        )
+        vm = validate_model(spec, data.column_names())
+        pf, row_sums = _built_counting_row_sums(monkeypatch, vm, data)
+        z = np.array([0.3, 0.01, 0.2])
+        value, grad = pf.log_density_and_grad(z)
+        assert pf.log_density(z) == value and not row_sums
+        expected_value, expected_grad = _reference_density(vm, data, z, True)
+        assert value == pytest.approx(expected_value, rel=1e-10)
+        np.testing.assert_allclose(grad, expected_grad, rtol=1e-10)
