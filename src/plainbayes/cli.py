@@ -22,6 +22,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -55,8 +56,8 @@ class _Manifest:
     def add_input(self, path) -> None:
         self.payload["input_hashes"][str(path)] = _sha256_file(path)
 
-    def add_output(self, path) -> None:
-        self.payload["outputs"].append(str(path))
+    def add_output(self, *paths) -> None:
+        self.payload["outputs"] += map(str, paths)
 
     def write(self, path) -> None:
         self.payload["finished_at"] = _utc_now()
@@ -120,8 +121,9 @@ def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--step-size-init", type=float)
     g.add_argument("--response-column", default="y")
     g.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for the chains (default: one per usable CPU, at most one per chain); "
-                        "1 runs them in process. Draws do not depend on it")
+                   help="most processes sampling at once (default: one per usable CPU, at most one per chain); "
+                        "run gives each fit its own process and an equal share, at least 1, for its chains; "
+                        "1 runs everything in process. Outputs do not depend on it")
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
@@ -192,16 +194,15 @@ def _public_llm_config(cfg: elicitation.LlmConfig) -> dict:
     return obj  # the config holds the key's env-var NAME only, never the key
 
 
-def _fit(args, scfg: sampler.SamplerConfig, workers: int, manifest: _Manifest, pf: PosteriorFn, prefix: str = "") -> sampler.Trace:
-    """Sample the built posterior ``pf``, free it (the caller keeps no reference), and
-    write and list ``{prefix}trace.csv`` and ``{prefix}stats.json`` in ``--out-dir``."""
+def _fit(args, scfg: sampler.SamplerConfig, workers: int, pf: PosteriorFn, prefix: str = "") -> tuple:
+    """Sample the built posterior ``pf``, free it (the caller keeps no reference), write
+    ``{prefix}trace.csv`` and ``{prefix}stats.json`` in ``--out-dir``, and return the
+    trace and their paths."""
     trace = sampler.sample(pf, scfg, jobs=workers)
     del pf
-    paths = Path(args.out_dir) / f"{prefix}trace.csv", Path(args.out_dir) / f"{prefix}stats.json"
+    paths = [Path(args.out_dir) / f"{prefix}trace.csv", Path(args.out_dir) / f"{prefix}stats.json"]
     sampler.save_trace(trace, *paths)
-    for path in paths:
-        manifest.add_output(path)
-    return trace
+    return trace, paths
 
 
 def _cmd_fit(args) -> int:
@@ -214,7 +215,8 @@ def _cmd_fit(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest("fit", {"sampler": asdict(scfg), "response_column": args.response_column})
-    trace = _fit(args, scfg, workers, manifest, posteriors.pop())
+    trace, paths = _fit(args, scfg, workers, posteriors.pop())
+    manifest.add_output(*paths)
     manifest.add_input(args.model)
     manifest.add_input(args.data)
     manifest.write(out_dir / "manifest.json")
@@ -315,7 +317,7 @@ def _cmd_run(args) -> int:
         manifest.add_input(args.compare_model)
         jobs.append(("compare_", compare_spec))
     jobs = [(prefix, spec_schema.validate_model(s, dataset.column_names())) for prefix, s in jobs]
-    posteriors = [build_posterior(model, dataset, response_column=args.response_column) for _, model in jobs]
+    posteriors = {i: build_posterior(model, dataset, response_column=args.response_column) for i, (_, model) in enumerate(jobs)}
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -325,15 +327,30 @@ def _cmd_run(args) -> int:
     for prefix, model in jobs:
         _write_text(out_dir / f"{prefix}model.json", spec_schema.model_to_json(model.spec), manifest)
 
-    # --- fit + report for the elicited model (and optionally a baseline)
+    # --- fit + report for the elicited model (and optionally a baseline), each
+    # fit in its own worker with its share of the chain workers
+    fork_safe = all(pf.fork_safe for pf in posteriors.values())
+    share = max(1, workers // len(jobs)) if fork_safe else workers
+
+    def fit_and_report(i):
+        prefix = jobs[i][0]
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")  # the caller's filters judge them as it re-issues them
+            trace, paths = _fit(args, scfg, share, posteriors.pop(i), prefix)
+            table = diagnostics.summarize(trace, hdi_prob=args.hdi)
+            for fmt, suffix in (("text", "txt"), ("json", "json"), ("csv", "csv")):
+                paths.append(out_dir / f"{prefix}summary.{suffix}")
+                _write_text(paths[-1], _render_summary(table, fmt))
+        return trace, table, paths, [(str(w.message), w.category, w.filename, w.lineno) for w in warned]
+
+    reports = sampler.forked_map(fit_and_report, len(jobs), workers, fork_safe)
     traces = {}
-    for prefix, _ in jobs:
-        trace = traces[prefix] = _fit(args, scfg, workers, manifest, posteriors.pop(0), prefix)
-        table = diagnostics.summarize(trace, hdi_prob=args.hdi)
-        for fmt, suffix in (("text", "txt"), ("json", "json"), ("csv", "csv")):
-            _write_text(out_dir / f"{prefix}summary.{suffix}", _render_summary(table, fmt), manifest)
-        label = "baseline" if prefix else "elicited"
-        print(f"--- {label} model ---")
+    for (prefix, _), (trace, table, paths, warned) in zip(jobs, reports):
+        for message, category, filename, lineno in warned:
+            warnings.warn_explicit(message, category, filename, lineno)
+        manifest.add_output(*paths)
+        traces[prefix] = trace
+        print(f"--- {'baseline' if prefix else 'elicited'} model ---")
         print(diagnostics.render_text(table))
 
     plots = plotting.plot_trace(
@@ -344,8 +361,7 @@ def _cmd_run(args) -> int:
         label="elicited",
         compare_label="baseline",
     )
-    for p in plots:
-        manifest.add_output(p)
+    manifest.add_output(*plots)
 
     manifest.payload["elapsed_seconds"] = round(time.time() - started, 3)
     manifest.write(out_dir / "manifest.json")

@@ -402,7 +402,7 @@ def _is_literal(node: FormulaAst, value: float) -> bool:
     return isinstance(node, NumberLiteral) and node.value == value
 
 
-def simplify(node: FormulaAst) -> FormulaAst:
+def simplify(node: FormulaAst, memo: dict | None = None) -> FormulaAst:
     """Best-effort simplification: constant folding plus identity elimination.
 
     Applied rules: fold binary/unary operations on finite literals (division
@@ -411,19 +411,32 @@ def simplify(node: FormulaAst) -> FormulaAst:
     double-negation elimination.  Like 0*e -> 0, 0/e -> 0 assumes e finite
     and non-zero: where e evaluates to 0, the folded node is 0, not the
     division's non-finite error.
+
+    ``memo`` maps a node's id to the node and its simplification (holding
+    the node keeps its id from being reused), so a subtree the tree shares
+    in several places, as the quotient rule shares a denominator, is
+    simplified once per call.
     """
+    memo = {} if memo is None else memo
+    hit = memo.get(id(node))
+    if hit is None:
+        hit = memo[id(node)] = node, _simplify(node, memo)
+    return hit[1]
+
+
+def _simplify(node: FormulaAst, memo: dict) -> FormulaAst:
     if isinstance(node, (NumberLiteral, Variable)):
         return node
     if isinstance(node, Negate):
-        child = simplify(node.child)
+        child = simplify(node.child, memo)
         if isinstance(child, NumberLiteral):
             return NumberLiteral(-child.value)
         if isinstance(child, Negate):
             return child.child
         return Negate(child)
 
-    left = simplify(node.left)
-    right = simplify(node.right)
+    left = simplify(node.left, memo)
+    right = simplify(node.right, memo)
     op = node.op
     if isinstance(left, NumberLiteral) and isinstance(right, NumberLiteral):
         if op == "+":
@@ -447,7 +460,7 @@ def simplify(node: FormulaAst) -> FormulaAst:
         if _is_literal(right, 0.0):
             return left
         if _is_literal(left, 0.0):
-            return simplify(Negate(right))
+            return simplify(Negate(right), memo)
     elif op == "*":
         if _is_literal(left, 0.0) or _is_literal(right, 0.0):
             return _ZERO

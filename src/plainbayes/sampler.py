@@ -22,6 +22,8 @@ draws and stats back over a pipe; the parent constrains the draws as it does
 for chains run in process, so the trace is the same bytes with any number of
 workers.  With one worker, or a density not marked ``fork_safe`` (its side
 effects must reach the caller), the chains run one after another in process.
+``forked_map`` is that worker pool; the CLI's ``run`` also maps its fits
+over it, one worker per fit, each with its share of the chain workers.
 Warmup draws are discarded; adaptation is frozen after warmup so the kept
 chain is Markovian.  Past the initial point, a non-finite density (say, a
 positive parameter underflowing to 0 under a division) is log density -inf:
@@ -56,7 +58,7 @@ from .data_io import SEED_BOUND, make_rng
 from .errors import AllDivergent, BadInitialPoint, MalformedTrace, NonFiniteDensity, NonFiniteGradient, SamplerError
 from .posterior import PosteriorFn, np_dot
 
-__all__ = ["SamplerConfig", "Trace", "nuts_sample", "rwm_sample", "sample", "worker_count", "save_trace", "load_trace"]
+__all__ = ["SamplerConfig", "Trace", "nuts_sample", "rwm_sample", "sample", "worker_count", "forked_map", "save_trace", "load_trace"]
 
 _DIVERGENCE_THRESHOLD = 1000.0  # Hamiltonian error that flags a divergence
 _INIT_JITTER_SD = math.sqrt(0.1)  # initial z ~ N(0, 0.1 I)
@@ -534,24 +536,15 @@ def worker_count(chains: int, jobs: int | None = None) -> int:
 
 def _run_chains(run_chain: Callable, stat_types, pf: PosteriorFn, cfg: SamplerConfig, jobs: int | None) -> Trace:
     """Pull ``cfg.kept_draws`` kept ``(z, stats_row)`` transitions from each
-    chain's runner and collect the constrained draws and the named stats.
-
-    The chains run in ``worker_count(cfg.chains, jobs)`` forked processes
-    when there is more than one, ``pf`` is fork-safe, the platform forks and
-    this is the main thread (which alone receives signals); else one after
-    another here."""
+    chain's runner and collect the constrained draws and the named stats, the
+    chains mapped over ``worker_count(cfg.chains, jobs)`` workers by
+    ``forked_map``."""
     if pf.dimension < 1:
         raise SamplerError("posterior must have dimension >= 1")
     run_chain = partial(run_chain, laplace=_laplace(pf.unchecked_value_and_grad, pf.dimension))  # before any fork
-    unconstrained = np.empty((cfg.chains, cfg.kept_draws, pf.dimension))
-    stats = {name: np.empty((cfg.chains, cfg.kept_draws), dtype) for name, dtype in stat_types}
-    workers = worker_count(cfg.chains, jobs)
-    on_main_thread = threading.current_thread() is threading.main_thread()
-    if workers > 1 and pf.fork_safe and hasattr(os, "fork") and on_main_thread:
-        _run_in_workers(run_chain, pf, cfg, workers, unconstrained, stats)
-    else:
-        for c in range(cfg.chains):
-            _run_chain_into(run_chain, pf, cfg, c, unconstrained, stats)
+    chains = forked_map(partial(_kept, run_chain, stat_types, pf, cfg), cfg.chains, worker_count(cfg.chains, jobs), pf.fork_safe)
+    unconstrained = np.array([rows for rows, _ in chains])
+    stats = {name: np.array([columns[k] for _, columns in chains]) for k, (name, _) in enumerate(stat_types)}
     # Each column through its own transform's scalar forward: the floats and
     # the function a per-draw pf.constrain would use, so the same bits.
     draws = np.empty_like(unconstrained)
@@ -564,38 +557,47 @@ def _run_chains(run_chain: Callable, stat_types, pf: PosteriorFn, cfg: SamplerCo
     return Trace(param_names=list(pf.param_names), draws=draws, stats=stats, config=cfg)
 
 
-def _run_chain_into(run_chain: Callable, pf: PosteriorFn, cfg: SamplerConfig, c: int, unconstrained, stats) -> None:
-    """Write chain ``c``'s kept draws and stats into row ``c`` of the outputs."""
+def _kept(run_chain: Callable, stat_types, pf: PosteriorFn, cfg: SamplerConfig, c: int) -> tuple:
+    """Chain ``c``'s kept draws, shape (kept_draws, dim), and one array per stat."""
     with np.errstate(over="ignore"):
         kept = list(islice(run_chain(pf, cfg, c), cfg.kept_draws))
-    unconstrained[c] = [z for z, _ in kept]
-    for column, values in zip(stats.values(), zip(*[stats_row for _, stats_row in kept])):
-        column[c] = values
+    columns = zip(*[stats_row for _, stats_row in kept])
+    return np.array([z for z, _ in kept]), [np.array(values, dtype) for (_, dtype), values in zip(stat_types, columns)]
 
 
 # ---------------------------------------------------------------------------
-# Chains in forked workers
+# Forked workers
+
+_in_worker = False  # set in each forked worker: its own workers join its process group
 
 
 def _exit_on_sigterm(signum, frame):
     raise SystemExit(128 + signum)
 
 
-def _run_in_workers(run_chain: Callable, pf: PosteriorFn, cfg: SamplerConfig, n_workers: int, unconstrained, stats) -> None:
-    """Fill the outputs from ``n_workers`` forked processes, worker ``w``
-    running chains w, w + n_workers, ... in order, each through
-    ``_run_chain_into`` as in process, and sending back its rows.
+def forked_map(fn: Callable, n: int, workers: int, fork_safe: bool) -> list:
+    """``[fn(i) for i in range(n)]``, in ``min(workers, n)`` forked processes
+    when that is more than one, ``fn`` is ``fork_safe`` (its only effects are
+    its result and files), the platform forks and this is the main thread
+    (which alone receives signals); else one after another here.  Worker
+    ``w`` runs tasks w, w + workers, ... in order, stops at the first that
+    raises, and sends back its results, which must pickle.
 
-    The caller gets the exception of the lowest-index chain that raised.
+    The caller gets the exception of the lowest-index task that raised.
     Whatever ends this call stops and reaps every worker first: a return, an
     exception, Ctrl-C, or SIGTERM while its action is the default one (it
-    then ends the process with status 128 + SIGTERM, as SystemExit)."""
+    then ends the process with status 128 + SIGTERM, as SystemExit).  A
+    worker forked here leads a process group, which its own workers join, so
+    one ``killpg`` stops a worker and all it forked."""
+    workers = min(workers, n)
+    if workers < 2 or not fork_safe or not hasattr(os, "fork") or threading.current_thread() is not threading.main_thread():
+        return [fn(i) for i in range(n)]
     relay = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
     if relay:
         signal.signal(signal.SIGTERM, _exit_on_sigterm)
-    pids, pipes = [], []
+    results, pids, pipes = [None] * n, [], []
     try:
-        for w in range(n_workers):
+        for w in range(workers):
             read_fd, write_fd = os.pipe()
             pipes.append(read_fd)
             # Hold SIGINT and SIGTERM until the new worker is on the list the cleanup stops.
@@ -603,8 +605,10 @@ def _run_in_workers(run_chain: Callable, pf: PosteriorFn, cfg: SamplerConfig, n_
             try:
                 pid = _fork()
                 if pid == 0:
-                    _worker(run_chain, pf, cfg, range(w, cfg.chains, n_workers), unconstrained, stats, write_fd, mask)
+                    _worker(fn, range(w, n, workers), write_fd, mask)
                 pids.append(pid)
+                if not _in_worker:
+                    os.setpgid(pid, pid)  # as the worker does, so the cleanup finds its group
             finally:
                 os.close(write_fd)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -614,24 +618,24 @@ def _run_in_workers(run_chain: Callable, pf: PosteriorFn, cfg: SamplerConfig, n_
                 try:
                     done, failure = pickle.load(pipe)
                 except (EOFError, pickle.UnpicklingError):
-                    raise SamplerError(f"chain worker {pid} exited without sending its draws") from None
-            for c, rows, columns in done:
-                unconstrained[c] = rows
-                for column, values in zip(stats.values(), columns):
-                    column[c] = values
+                    raise SamplerError(f"worker {pid} exited without sending its results") from None
+            for i, result in done:
+                results[i] = result
             if failure is not None:
                 failures.append(failure)
         if failures:
-            _, cls, args, attrs = min(failures, key=lambda failure: failure[0])
-            exc = cls.__new__(cls)
-            exc.args = args
-            exc.__dict__.update(attrs)
+            exc = min(failures, key=lambda failure: failure[0])[1]
+            if not isinstance(exc, BaseException):
+                cls, args, attrs = exc
+                exc = cls.__new__(cls, *args)
+                exc.__dict__.update(attrs)
             raise exc
+        return results
     finally:
         for read_fd in pipes:
             os.close(read_fd)
         for pid in pids:
-            os.kill(pid, signal.SIGKILL)  # one that sent its rows is only exiting
+            (os.kill if _in_worker else os.killpg)(pid, signal.SIGKILL)  # one that sent its results is only exiting
             os.waitpid(pid, 0)
         if relay:
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -647,26 +651,28 @@ def _fork() -> int:
         return os.fork()
 
 
-def _worker(run_chain: Callable, pf: PosteriorFn, cfg: SamplerConfig, chains, unconstrained, stats, fd: int, mask) -> NoReturn:
-    """A forked worker: run ``chains`` in order, stopping at the first that
-    raises, and send the parent ``(done, failure)``, the finished chains'
-    ``(c, rows, stat columns)`` and ``(c, type, args, attributes)`` of the
-    failing chain's exception or None.  It leaves only through ``os._exit``,
-    so nothing of the parent's (buffers, atexit hooks, callers' cleanup) runs
-    twice."""
+def _worker(fn: Callable, tasks, fd: int, mask) -> NoReturn:
+    """A forked worker: run ``tasks`` in order, stopping at the first that
+    raises, and send the parent ``(done, failure)``, the finished tasks'
+    ``(i, fn(i))`` and ``(i, _portable(exception))`` of the failing task or
+    None.  It leaves only through ``os._exit``, so nothing of
+    the parent's (buffers, atexit hooks, callers' cleanup) runs twice."""
+    global _in_worker
     code = 1
     try:
+        if not _in_worker:
+            os.setpgid(0, 0)
+        _in_worker = True
         signal.signal(signal.SIGINT, signal.SIG_DFL)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         done, failure = [], None
-        for c in chains:
+        for i in tasks:
             try:
-                _run_chain_into(run_chain, pf, cfg, c, unconstrained, stats)
+                done.append((i, fn(i)))
             except Exception as exc:
-                failure = (c, *_portable(exc))
+                failure = (i, _portable(exc))
                 break
-            done.append((c, unconstrained[c], [column[c] for column in stats.values()]))
         with open(fd, "wb") as pipe:
             pickle.dump((done, failure), pipe, pickle.HIGHEST_PROTOCOL)
         code = 0
@@ -674,10 +680,18 @@ def _worker(run_chain: Callable, pf: PosteriorFn, cfg: SamplerConfig, chains, un
         os._exit(code)
 
 
-def _portable(exc: Exception) -> tuple:
-    """``exc`` as (type, args, attributes), rebuilt in the parent without
-    ``__init__``: pickling the exception itself calls ``__init__`` with
-    ``args``, which some of ours do not take (``AllDivergent``)."""
+def _portable(exc: Exception):
+    """``exc`` where pickle carries it whole (an ``OSError`` with its file
+    name), else as (type, args, attributes), rebuilt in the parent without
+    ``__init__``: unpickling an exception calls ``__init__`` with ``args``,
+    which some of ours do not take (``AllDivergent``) or take as other words
+    (``UnknownDistribution``)."""
+    try:
+        copy = pickle.loads(pickle.dumps(exc))
+        if type(copy) is type(exc) and str(copy) == str(exc) and vars(copy) == vars(exc):
+            return exc
+    except Exception:
+        pass
     parts = (type(exc), exc.args, vars(exc))
     try:
         pickle.dumps(parts)

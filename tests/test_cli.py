@@ -17,7 +17,7 @@ from plainbayes import formula, sampler
 from plainbayes.cli import main
 from plainbayes.data_io import SimConfig, load_csv
 from plainbayes.elicitation import FixtureStore, LlmConfig, packaged_fixtures_dir, render_model_prompt
-from plainbayes.errors import SummaryCellWarning
+from plainbayes.errors import SamplerError, SummaryCellWarning
 from plainbayes.sampler import SamplerConfig, load_trace
 
 EXAMPLES = resources.files("plainbayes") / "resources" / "examples"
@@ -618,6 +618,133 @@ class TestChainWorkers:
             for pid in pids:
                 with pytest.raises(ProcessLookupError):
                     os.kill(pid, 0)
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+
+# paper Experiment I: elicited priors against manual ones, two RWM fits of 4 chains
+_EXPERIMENT_I = [
+    "run", "--beliefs-file", EXAMPLES / "linear_regression_beliefs.json",
+    "--compare-model", EXAMPLES / "manual_priors_model.json", "--algorithm", "rwm",
+    "--n", 40, "--seed", 8, "--chains", 4,
+]
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs: it is not gone, nor a zombie its new parent has yet to reap."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def _outputs(out_dir: Path) -> dict:
+    return {
+        str(p.relative_to(out_dir)): p.read_bytes()
+        for p in sorted(out_dir.rglob("*")) if p.is_file() and p.name != "manifest.json"
+    }
+
+
+class TestFitWorkers:
+    """``run`` forks one worker per fit, which gets ``worker_count`` divided across
+    the fits for its chains, samples and reports; the command prints, plots and
+    writes the manifest, with the same bytes at any ``--jobs``."""
+
+    def test_same_bytes_and_stdout_at_any_job_count(self, tmp_path, capsys, worker_pids):
+        runs = {}
+        for jobs in (1, 2, 3, 5):  # 5: two chain workers inside each fit's worker
+            out_dir = tmp_path / f"jobs{jobs}"
+            assert run_cli(*_EXPERIMENT_I, "--warmup", 200, "--draws", 300, "--jobs", jobs, "--out-dir", out_dir) == 0
+            stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            outputs = [Path(p).relative_to(out_dir) for p in manifest["outputs"]]
+            runs[jobs] = _outputs(out_dir), stdout.rsplit("run complete in", 1)[0], outputs
+            assert len(worker_pids) == (0 if jobs == 1 else 2)
+            for pid in worker_pids:
+                with pytest.raises(ChildProcessError):  # already reaped
+                    os.waitpid(pid, os.WNOHANG)
+            worker_pids.clear()
+        assert "compare_summary.csv" in runs[1][0] and "plots/hist_beta.svg" in runs[1][0]
+        assert "--- elicited model ---" in runs[1][1] and "--- baseline model ---" in runs[1][1]
+        for jobs in (2, 3, 5):
+            assert runs[jobs] == runs[1], jobs
+
+    def test_cell_warnings_surface_in_the_command_as_in_process(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
+        stderr = {}
+        for jobs in (1, 4):
+            argv = [str(a) for a in (*_EXPERIMENT_I, "--warmup", 200, "--draws", 3, "--jobs", jobs, "--out-dir", tmp_path / str(jobs))]
+            done = subprocess.run([sys.executable, "-m", "plainbayes", *argv], env=env, capture_output=True, check=True)
+            stderr[jobs] = done.stderr.decode()
+        assert stderr[1].count("SummaryCellWarning: ") == 12  # ess_bulk and r_hat of 3 parameters in 2 fits
+        assert stderr[1].index("alpha/ess_bulk") < stderr[1].index("sigma/r_hat")
+        assert stderr[4] == stderr[1]
+
+    @pytest.mark.parametrize("failing", [("compare_",), ("", "compare_")], ids=["baseline", "both"])
+    @pytest.mark.parametrize("error,line", [
+        (lambda name: SamplerError(f"cannot write {name}"), "SamplerError: cannot write {}"),
+        (lambda name: FileNotFoundError(2, "No such file or directory", name), "[Errno 2] No such file or directory: '{}'"),
+    ], ids=["ours", "oserror"])
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_a_failing_fit_is_one_line_and_every_worker_is_reaped(
+        self, tmp_path, capsys, monkeypatch, worker_pids, failing, error, line, jobs
+    ):
+        save_trace = sampler.save_trace
+
+        def save_or_fail(trace, csv_path, stats_path=None):
+            if Path(csv_path).name[: -len("trace.csv")] in failing:
+                raise error(Path(csv_path).name)
+            save_trace(trace, csv_path, stats_path)
+
+        monkeypatch.setattr(sampler, "save_trace", save_or_fail)
+        assert run_cli(*_EXPERIMENT_I, "--warmup", 200, "--draws", 100, "--jobs", jobs, "--out-dir", tmp_path) == 1
+        captured = capsys.readouterr()
+        # the lowest-index failing fit's exception, whichever worker ends first
+        assert captured.err == "run: " + line.format(f"{failing[0]}trace.csv") + "\n"
+        assert captured.out == ""
+        assert len(worker_pids) == (0 if jobs == 1 else 2)
+        for pid in worker_pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+    @pytest.mark.parametrize("ending", ["finish", "sigterm"])
+    def test_no_process_outlives_the_command(self, tmp_path, ending):
+        # --jobs 4 over two fits of 4 chains: two fit workers, each forking two chain workers
+        log = tmp_path / "workers"
+        env = {**os.environ, "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
+        warmup = 100 if ending == "finish" else 10_000_000
+        argv = [
+            sys.executable, "-c", _LOGGED_FORK_MAIN, str(log),
+            *(str(a) for a in _EXPERIMENT_I), "--warmup", str(warmup), "--draws", "50", "--jobs", "4",
+            "--out-dir", str(tmp_path / "run"),
+        ]
+        pids = []
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            if ending == "finish":
+                assert proc.wait(timeout=120) == 0
+            else:
+                deadline = time.monotonic() + 60
+                while len(pids) < 6:
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.02)
+                    pids = [int(pid) for pid in log.read_text().split()] if log.exists() else []
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+            pids = [int(pid) for pid in log.read_text().split()]
+            assert len(pids) == 6
+            deadline = time.monotonic() + 10
+            while any(_alive(pid) for pid in pids):  # a killed chain worker's new parent reaps it
+                assert time.monotonic() < deadline, [pid for pid in pids if _alive(pid)]
+                time.sleep(0.02)
         finally:
             proc.kill()
             proc.wait()

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -790,6 +791,50 @@ class TestStraightLine:
         z = np.array([0.3, 0.01, 0.2])
         value, grad = pf.log_density_and_grad(z)
         assert pf.log_density(z) == value and not row_sums
+        expected_value, expected_grad = _reference_density(vm, data, z, True)
+        assert value == pytest.approx(expected_value, rel=1e-10)
+        np.testing.assert_allclose(grad, expected_grad, rtol=1e-10)
+
+
+class _Unmemoised(dict):
+    """A memo that keeps nothing: ``formula.simplify`` walks every shared subtree anew."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestDeepNestedQuotient:
+    """``X / (a / (a / ... b))`` at the parser's depth limit (98 quotients).  The
+    quotient rule shares each denominator in three places, which ``simplify``
+    simplifies once per call; walked as a tree, the slope's partial in ``b``
+    alone took seconds."""
+
+    SOURCE = TestStraightLine._deepest(lambda k: "X / " + "(a / " * k + "b" + ")" * k)
+
+    def test_partials_equal_an_unmemoised_reference(self):
+        ast = formula.parse_formula(self.SOURCE)
+        assert self.SOURCE.count("(a /") == 98
+        slope = formula.differentiate(ast, "X")
+        assert slope == formula.simplify(formula._diff(ast, "X"), _Unmemoised())
+        for tree in (ast, slope):  # the partials build_posterior takes: of the mean and of its slope
+            for name in ("a", "b"):
+                assert formula.differentiate(tree, name) == formula.simplify(formula._diff(tree, name), _Unmemoised())
+
+    def test_build_takes_seconds_at_most(self):
+        rng = np.random.default_rng(29)
+        data = Dataset({"X": rng.uniform(0.5, 2.0, 100), "y": rng.normal(size=100)})
+        spec = ModelSpec(
+            priors={"a": Normal(mu=0, sigma=2), "b": Exponential(lam=1), "s": HalfNormal(sigma=3)},
+            likelihood=LikelihoodSpec(formula_source=self.SOURCE, noise_param="s"),
+        )
+        vm = validate_model(spec, data.column_names())
+        started = time.perf_counter()
+        pf = build_posterior(vm, data)
+        # about 4 s on a 2-vCPU x86-64 host, most of it compiling the generated
+        # density; 9 s when simplify walked each shared denominator anew
+        assert time.perf_counter() - started < 60.0
+        z = np.array([0.3, 0.01, 0.2])
+        value, grad = pf.log_density_and_grad(z)
         expected_value, expected_grad = _reference_density(vm, data, z, True)
         assert value == pytest.approx(expected_value, rel=1e-10)
         np.testing.assert_allclose(grad, expected_grad, rtol=1e-10)
