@@ -6,8 +6,10 @@ Implements every column of the standard summary table:
 * ``mode`` — argmax of a Gaussian KDE (Silverman bandwidth
   ``0.9 * min(sd, IQR/1.34) * n^(-1/5)``) on a 512-point grid over
   ``[min, max]``.  The grid is screened with a kernel truncated at 9
-  bandwidths, and only the points that could still be the argmax are summed
-  in full, so the reported grid point is the full sum's argmax, bit for bit.
+  bandwidths, over the distinct draws weighted by their counts when repeats
+  are most of the draws (as rejected RWM proposals make them), and only the
+  points that could still be the argmax are summed in full over every draw,
+  so the reported grid point is the full sum's argmax, bit for bit.
 * ``sd`` — sample standard deviation (denominator n-1).
 * ``hdi_3%`` / ``hdi_97%`` — the narrowest window of ``ceil(prob*n)``
   consecutive sorted samples (94% interval by default).
@@ -103,8 +105,9 @@ def _average_ranks(arr: np.ndarray) -> np.ndarray:
 def _rank_normalize(arr: np.ndarray) -> np.ndarray:
     """Map pooled samples to normal quantiles via average ranks (NaN stays NaN)."""
     probabilities = (_average_ranks(arr) - 0.5) / arr.size
+    distinct, inverse = np.unique(probabilities.ravel(), return_inverse=True)  # tied draws share one
     inv_cdf = NormalDist().inv_cdf  # Wichura's AS 241, accurate to about 1e-16
-    return np.array([inv_cdf(p) for p in probabilities.ravel().tolist()]).reshape(arr.shape)
+    return np.array([inv_cdf(p) for p in distinct.tolist()])[inverse].reshape(arr.shape)
 
 
 def _next_fast_len(target: int) -> int:
@@ -249,21 +252,29 @@ def _kde_mode(values: np.ndarray, ordered: np.ndarray) -> float:
     grid = np.linspace(lo, hi, _GRID_POINTS)
 
     # Screen: each block of sorted draws adds its kernel to the grid points
-    # within reach of it.  At every grid point, the screen and the full sum
-    # below are each within ``error`` of the exact KDE: n terms each off by
-    # at most 16 roundoffs u (the argument and exp), summation off by at most
+    # within reach of it; where repeats are most of the draws (RWM traces, not
+    # NUTS ones), each distinct draw once, times its count.  At every grid
+    # point, the screen and the full sum below are each within ``error`` of
+    # the exact KDE: n draws' terms each off by at most 16 roundoffs u (the
+    # argument and exp; 17 with a count's product), summation off by at most
     # n * u * (their total), and for the screen the skipped terms, each under
     # exp(-40) (the reach, less rounding).  So the full sum's argmax is among
     # the points the screen puts within 2 * 2 * error of its maximum.
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    points, counts = (ordered, None) if 2 * starts.size > n else (ordered[starts], np.diff(np.r_[starts, n])[:, None])
     screened = np.zeros(_GRID_POINTS)
     reach = _SCREEN_REACH * bandwidth
-    for start in range(0, n, _SCREEN_BLOCK):
-        block = ordered[start : start + _SCREEN_BLOCK, None]
+    for start in range(0, points.shape[0], _SCREEN_BLOCK):
+        block = points[start : start + _SCREEN_BLOCK, None]
         first = int(np.searchsorted(grid, block[0, 0] - reach))
         stop = int(np.searchsorted(grid, block[-1, 0] + reach, "right"))
-        screened[first:stop] += np.exp(-0.5 * ((grid[None, first:stop] - block) / bandwidth) ** 2).sum(axis=0)
+        kernel = np.exp(-0.5 * ((grid[None, first:stop] - block) / bandwidth) ** 2)
+        if counts is not None:
+            kernel *= counts[start : start + _SCREEN_BLOCK]
+        screened[first:stop] += kernel.sum(axis=0)
+        del kernel  # so no two blocks' kernels are held at once
     top = float(screened.max())
-    error = n * (math.exp(-40.0) + 16 * _UNIT_ROUNDOFF) + 1.01 * n * _UNIT_ROUNDOFF * (top + 1.0)
+    error = n * (math.exp(-40.0) + (16 if counts is None else 17) * _UNIT_ROUNDOFF) + 1.01 * n * _UNIT_ROUNDOFF * (top + 1.0)
     candidates = np.flatnonzero(screened >= top - 4.0 * error) if math.isfinite(top) else np.arange(_GRID_POINTS)
     if candidates.size == 1:
         # numpy sums a one-column kernel matrix pairwise, not row by row as

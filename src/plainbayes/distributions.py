@@ -6,7 +6,8 @@ from it, and a parsed prior is an instance of its family.  Constructing a
 family checks its parameter values, whoever constructs it.  Each family
 knows its log density, the analytic derivative of that log density, and the
 bijection that maps an unconstrained real coordinate onto its support
-(with the log-Jacobian needed for density corrections in unconstrained space).
+(with the log-Jacobian needed for density corrections in unconstrained space);
+``emit`` writes the same arithmetic as source for the generated density.
 
 Conventions:
   * the second Normal parameter is a standard deviation,
@@ -50,6 +51,12 @@ class IdentityTransform:
     def dlog_jacobian_dz(self, z: float) -> float:
         return 0.0
 
+    def emit(self, z: str, let, bind) -> tuple[str, str, str, str]:
+        """Source for (forward, log_jacobian, dforward_dz, dlog_jacobian_dz) at the local ``z``,
+        the same operations in the same order, forward a local; ``let`` and ``bind`` as in
+        ``formula.emit``, and ``exp``, ``log1p`` and ``inf`` those of ``math``."""
+        return z, "0.0", "1.0", "0.0"
+
 
 class ExpTransform:
     """x = exp(z), mapping the real line onto (0, inf)."""
@@ -71,6 +78,11 @@ class ExpTransform:
 
     def dlog_jacobian_dz(self, z: float) -> float:
         return 1.0
+
+    def emit(self, z: str, let, bind) -> tuple[str, str, str, str]:
+        """As ``IdentityTransform.emit``; where ``forward`` gives inf, ``exp`` raises OverflowError."""
+        x = let(f"exp({z})")
+        return x, z, x, "1.0"
 
 
 def _sigmoid(z: float) -> float:
@@ -109,6 +121,15 @@ class LogisticIntervalTransform:
 
     def dlog_jacobian_dz(self, z: float) -> float:
         return 1.0 - 2.0 * _sigmoid(z)
+
+    def emit(self, z: str, let, bind) -> tuple[str, str, str, str]:
+        """As ``IdentityTransform.emit``; the sigmoid and log-sigmoids share one exp and one log1p."""
+        e = let(f"exp(-{z}) if {z} >= 0 else exp({z})")
+        s = let(f"1.0 / (1.0 + {e}) if {z} >= 0 else {e} / (1.0 + {e})")
+        log1p_e, width = let(f"log1p({e})"), bind(self.upper - self.lower)
+        log_jacobian = (f"{bind(math.log(self.upper - self.lower))} + (-{log1p_e} if {z} >= 0 else {z} - {log1p_e})"
+                        f" + (-{log1p_e} if {z} <= 0 else -{z} - {log1p_e})")
+        return let(f"{bind(self.lower)} + {width} * {s}"), log_jacobian, f"{width} * {s} * (1.0 - {s})", f"1.0 - 2.0 * {s}"
 
 
 Transform = IdentityTransform | ExpTransform | LogisticIntervalTransform
@@ -173,6 +194,12 @@ class Normal(PriorDistribution):
     def dlogpdf_dx(self, x: float) -> float:
         return -(x - self.mu) / (self.sigma * self.sigma)
 
+    def emit(self, x: str, let, bind) -> tuple[str, str]:
+        """Source for (log_pdf, dlogpdf_dx) at the local ``x``, as ``IdentityTransform.emit``."""
+        t = let(f"({x} - {bind(self.mu)}) / {bind(self.sigma)}")
+        return (f"-0.5 * {t} * {t} - {bind(math.log(self.sigma))} - {bind(0.5 * _LOG_2PI)}",
+                f"-({x} - {bind(self.mu)}) / {bind(self.sigma * self.sigma)}")
+
     def transform(self) -> Transform:
         return IdentityTransform()
 
@@ -193,6 +220,11 @@ class HalfNormal(PriorDistribution):
 
     def dlogpdf_dx(self, x: float) -> float:
         return -x / (self.sigma * self.sigma)
+
+    def emit(self, x: str, let, bind) -> tuple[str, str]:
+        t = f"({x} / {bind(self.sigma)})"
+        return (f"-inf if {x} < 0 else {bind(0.5 * math.log(2.0 / math.pi) - math.log(self.sigma))} - 0.5 * {t} * {t}",
+                f"-{x} / {bind(self.sigma * self.sigma)}")
 
     def transform(self) -> Transform:
         return ExpTransform()
@@ -222,6 +254,9 @@ class Uniform(PriorDistribution):
     def dlogpdf_dx(self, x: float) -> float:
         return 0.0
 
+    def emit(self, x: str, let, bind) -> tuple[str, str]:
+        return f"-inf if {x} < {bind(self.lower)} or {x} > {bind(self.upper)} else {bind(-math.log(self.upper - self.lower))}", "0.0"
+
     def transform(self) -> Transform:
         return LogisticIntervalTransform(self.lower, self.upper)
 
@@ -241,6 +276,9 @@ class Exponential(PriorDistribution):
 
     def dlogpdf_dx(self, x: float) -> float:
         return -self.lam
+
+    def emit(self, x: str, let, bind) -> tuple[str, str]:
+        return f"-inf if {x} < 0 else {bind(math.log(self.lam))} - {bind(self.lam)} * {x}", bind(-self.lam)
 
     def transform(self) -> Transform:
         return ExpTransform()

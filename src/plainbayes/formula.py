@@ -343,15 +343,25 @@ def compile_formula(ast: FormulaAst, params: Sequence[str], data: Mapping[str, o
     return value if fn is None else fn
 
 
-def emit(ast: FormulaAst, params: Mapping[str, str], data: Mapping[str, object], let: Callable, bind: Callable) -> str:
+def emit(ast: FormulaAst, params: Mapping[str, str], data: Mapping[str, object], let: Callable, bind: Callable,
+         memo: dict | None = None) -> str:
     """The name of the expression's value in straight-line source: the float arithmetic of
     :func:`compile_formula` with ``data`` bound, in the same order, one ``let(expr)`` (which
     returns a new local's name) per operation.  ``params`` maps each parameter to its local
     and ``data`` binds every other name; ``bind(value)`` names a value in the source's
     namespace, and a quotient calls its node's divide.  No name or number of the expression
-    is printed."""
+    is printed.  ``memo`` maps a node's id to the node and its walk, as in :func:`simplify`, so a
+    subtree shared in several places, or by several calls with one ``memo``, ``params`` and
+    ``data``, is emitted once: its later uses read its first local."""
+    memo = {} if memo is None else memo
 
-    def walk(node):  # as _compile: (value, None) for a subtree computed here, else (None, its local)
+    def walk(node):
+        hit = memo.get(id(node))
+        if hit is None:
+            hit = memo[id(node)] = node, step(node)
+        return hit[1]
+
+    def step(node):  # as _compile: (value, None) for a subtree computed here, else (None, its local)
         if isinstance(node, NumberLiteral):
             return node.value, None
         if isinstance(node, Variable):

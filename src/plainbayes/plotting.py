@@ -19,6 +19,7 @@ __all__ = ["check_bins", "plot_trace", "write_histogram_csv", "render_histogram_
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 70, 20, 40, 50
 _COLORS = ("#4878cf", "#d65f5f")
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # for text nodes, as xml.sax.saxutils.escape
 
 
 def write_histogram_csv(path, edges: np.ndarray, series: dict[str, np.ndarray]) -> None:
@@ -36,7 +37,7 @@ def _fmt(v: float) -> str:
 
 
 def render_histogram_svg(path, title: str, edges: np.ndarray, series: dict[str, np.ndarray]) -> None:
-    """Draw one or two histogram series as overlaid bars with axes and legend."""
+    """Draw one or two histogram series as overlaid bars with axes and legend, each text XML-escaped."""
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     x_min, x_max = float(edges[0]), float(edges[-1])
@@ -53,7 +54,7 @@ def render_histogram_svg(path, title: str, edges: np.ndarray, series: dict[str, 
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2}" y="20" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{_WIDTH / 2}" y="20" text-anchor="middle" font-size="15">{title.translate(_XML_TEXT)}</text>',
     ]
     opacity = 0.55 if len(series) > 1 else 0.9
     for (label, counts), color in zip(series.items(), _COLORS):
@@ -73,13 +74,13 @@ def render_histogram_svg(path, title: str, edges: np.ndarray, series: dict[str, 
     for i in range(6):
         x = x_min + x_span * i / 5
         parts.append(f'<line x1="{sx(x):.2f}" y1="{x_axis_y}" x2="{sx(x):.2f}" y2="{x_axis_y + 5}" stroke="black"/>')
-        parts.append(f'<text x="{sx(x):.2f}" y="{x_axis_y + 20}" text-anchor="middle">{_fmt(x)}</text>')
+        parts.append(f'<text x="{sx(x):.2f}" y="{x_axis_y + 20}" text-anchor="middle">{_fmt(x).translate(_XML_TEXT)}</text>')
     for i in range(5):
         count = y_max * i / 4
         parts.append(f'<line x1="{_MARGIN_LEFT - 5}" y1="{sy(count):.2f}" x2="{_MARGIN_LEFT}" y2="{sy(count):.2f}" stroke="black"/>')
-        parts.append(f'<text x="{_MARGIN_LEFT - 9}" y="{sy(count) + 4:.2f}" text-anchor="end">{_fmt(count)}</text>')
+        parts.append(f'<text x="{_MARGIN_LEFT - 9}" y="{sy(count) + 4:.2f}" text-anchor="end">{_fmt(count).translate(_XML_TEXT)}</text>')
     parts.append(
-        f'<text x="{_WIDTH / 2}" y="{_HEIGHT - 12}" text-anchor="middle">{title}</text>'
+        f'<text x="{_WIDTH / 2}" y="{_HEIGHT - 12}" text-anchor="middle">{title.translate(_XML_TEXT)}</text>'
     )
     parts.append(
         f'<text x="18" y="{_MARGIN_TOP + plot_h / 2}" text-anchor="middle" '
@@ -90,7 +91,7 @@ def render_histogram_svg(path, title: str, edges: np.ndarray, series: dict[str, 
             y = _MARGIN_TOP + 14 + 18 * j
             x = _WIDTH - _MARGIN_RIGHT - 140
             parts.append(f'<rect x="{x}" y="{y - 10}" width="12" height="12" fill="{color}" fill-opacity="{opacity}"/>')
-            parts.append(f'<text x="{x + 18}" y="{y}">{label}</text>')
+            parts.append(f'<text x="{x + 18}" y="{y}">{label.translate(_XML_TEXT)}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 

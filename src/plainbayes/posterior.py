@@ -21,10 +21,12 @@ for a mean affine in the data, mu = c_0 + sum_k c_k X_k: with
 B = [1, X_1, ..., X_K] = QR factored once and b = Q^T y - R c,
 sum (y - mu)^2 = b . b + |y - Q Q^T y|^2 and sum (y - mu) d mu / d x_i =
 (R^T b) . d c / d x_i, in O(K^2) Python floats, by one straight-line function
-generated once per posterior (one assignment per formula node, each sum
-unrolled in ``sum``'s order).  A B that is rank-deficient or has n <= K + 1
-rows, and any call with a c_k or partial that raises, a non-finite b . b or
-gradient, or an underflowing sigma^3, take the rows.
+generated once per posterior (one assignment per distinct formula node, each
+sum unrolled in ``sum``'s order, and each prior family's and transform's
+arithmetic inlined, its constants bound once).  A B that is rank-deficient or
+has n <= K + 1 rows, and any call with a c_k or partial that raises, an
+``exp`` that overflows, a non-finite b . b or gradient, or an underflowing
+sigma^3, take the rows.
 
 Density policy: proposals outside a prior's support (or with a degenerate
 noise scale) get -inf so samplers can reject them; a non-finite likelihood
@@ -96,6 +98,7 @@ class PosteriorFn:
         fork_safe: bool = False,
     ):
         self.param_names = tuple(param_names)
+        self._shape = (len(self.param_names),)
         self.fork_safe = fork_safe
         if transforms is None:
             if constrain is not None:
@@ -112,7 +115,7 @@ class PosteriorFn:
 
     def _check(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        if z.shape != (self.dimension,):
+        if z.shape != self._shape:
             raise DimensionMismatch(self.dimension, int(z.size))
         return z
 
@@ -173,13 +176,14 @@ def _thin_qr(columns, y: np.ndarray, dot):
 def _straight_line(names, dists, transforms, noise_index, n_rows, coefficients, partials, qr, rows):
     """The factorisation's log density ``density(z, with_grad)``, one straight-line function
     generated as source: see the module docstring.  ``partials`` holds (i, _, the ASTs of
-    d c / d x_i or None for 0) per gradient term.  Methods and numbers are bound, never printed,
-    and every name is made here, so no blueprint text reaches the source."""
+    d c / d x_i or None for 0) per gradient term.  Numbers and functions are bound, never
+    printed, and every name is made here, so no blueprint text reaches the source."""
     R, qty, rho = qr
     columns_at_0 = dict.fromkeys(formula.free_vars(coefficients[0]) - set(names), 0.0)
-    # a quotient that raises, or a float division by 0 in a prior term (inf on the rows' numpy scalars)
-    env = {"inf": math.inf, "log": math.log, "array": np.array, "zeros": np.zeros, "rows": rows,
-           "Unvouched": (NonFiniteResult, ZeroDivisionError)}
+    # a quotient that raises, a float division by 0 in a prior term (inf on the rows' numpy
+    # scalars), or an exp that overflows (inf in the rows, whose prior is then -inf)
+    env = {"inf": math.inf, "log": math.log, "exp": math.exp, "log1p": math.log1p, "array": np.array,
+           "zeros": np.zeros, "rows": rows, "Unvouched": (NonFiniteResult, ZeroDivisionError, OverflowError)}
     z = [f"z{i}" for i in range(len(names))]
     lines = [f"{', '.join(z)}, = z.tolist()"]
 
@@ -192,15 +196,18 @@ def _straight_line(names, dists, transforms, noise_index, n_rows, coefficients, 
         return f"t{len(lines) - 1}"
 
     def dot(a, b):
-        return " + ".join(["0", *(f"{p} * {q}" for p, q in zip(a, b))])
+        return " + ".join(["0.0", *(f"{p} * {q}" for p, q in zip(a, b))])  # 0.0 + x is sum's 0 + x, bit for bit, and a faster add
 
-    def emit(asts):
-        return [formula.emit(ast, dict(zip(names, x)), columns_at_0, let, bind) for ast in asts]
+    def emit(asts):  # one memo per build: a subtree the ASTs share is one local
+        return [formula.emit(ast, dict(zip(names, x)), columns_at_0, let, bind, memo) for ast in asts]
 
-    x = [let(f"{bind(tf.forward)}({zi})") for tf, zi in zip(transforms, z)]
+    memo = {}
+    inlined = [tf.emit(zi, let, bind) for tf, zi in zip(transforms, z)]  # (x, log |J|, dx/dz, dlog |J|/dz)
+    x = [xi for xi, *_ in inlined]
+    priors = [dist.emit(xi, let, bind) for dist, xi in zip(dists, x)]  # (log prior, dlog prior/dx)
     total = "0.0"
-    for xi, zi, dist, tf in zip(x, z, dists, transforms):
-        total = let(f"{total} + ({bind(dist.log_pdf)}({xi}) + {bind(tf.log_jacobian)}({zi}))")
+    for (lp, _), (_, lj, *_) in zip(priors, inlined):
+        total = let(f"{total} + (({lp}) + ({lj}))")
     sigma = x[noise_index]
     lines.append(f"if not ({total} > -inf and 0.0 < {sigma} < inf): return rows(z, with_grad)")
     cube = let(f"{sigma} * {sigma} * {sigma}")
@@ -212,9 +219,8 @@ def _straight_line(names, dists, transforms, noise_index, n_rows, coefficients, 
     value = let(f"{total} + {loglik}")
     lines.append(f"if not with_grad: return -inf if {loglik} == -inf else {value}")
     lines.append(f"if {loglik} == -inf: return -inf, zeros({bind(len(names))})")
-    d = [let(f"{bind(tf.dforward_dz)}({zi})") for tf, zi in zip(transforms, z)]
-    g = [let(f"{bind(dist.dlogpdf_dx)}({xi}) * {di} + {bind(tf.dlog_jacobian_dz)}({zi})")
-         for dist, xi, di, tf, zi in zip(dists, x, d, transforms, z)]
+    d = [let(dx) for _, _, dx, _ in inlined]
+    g = [let(f"({dl}) * {di} + ({dj})") for (_, dl), di, (*_, dj) in zip(priors, d, inlined)]
     w = let(f"1.0 / ({sigma} * {sigma})")
     dsigma = let(f"{ss} / {cube} - {bind(n_rows)} / {sigma}")
     btr = [let(dot(map(bind, col), b)) for col in zip(*R)]
@@ -223,7 +229,7 @@ def _straight_line(names, dists, transforms, noise_index, n_rows, coefficients, 
         g[i] = let(f"{g[i]} + ({s}{f' + {dsigma}' if i == noise_index else ''}) * {d[i]}")
     lines.append(f"if {' and '.join(f'-inf < {gi} < inf' for gi in g)}: return {value}, array([{', '.join(g)}])")
     body = "\n".join(f"        {line}" for line in lines)
-    exec(f"def density(z, with_grad):\n    try:\n{body}\n    except Unvouched:\n        pass\n    return rows(z, with_grad)", env)
+    exec(f"def density(z, with_grad=False):\n    try:\n{body}\n    except Unvouched:\n        pass\n    return rows(z, with_grad)", env)
     return env["density"]
 
 
@@ -279,7 +285,7 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
         elif i == noise_index:
             partials.append((i, None, None))
 
-    def density(z: np.ndarray, with_grad: bool):
+    def density(z: np.ndarray, with_grad: bool = False):
         """Log density at ``z`` from row sums; with ``with_grad``, the pair (value, gradient)."""
         x = [tf.forward(zi) for tf, zi in zip(transforms, z)]
         total = 0.0
@@ -355,7 +361,7 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
     return PosteriorFn(
         param_names=names,
         log_density_and_grad=lambda z: density(z, True),
-        log_density=lambda z: density(z, False),
+        log_density=density,
         transforms=transforms,
         fork_safe=True,
     )

@@ -48,13 +48,14 @@ import signal
 import threading
 import warnings
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 from typing import Callable, NoReturn
 
 import numpy as np
 
 from .data_io import SEED_BOUND, make_rng
+from .distributions import IdentityTransform
 from .errors import AllDivergent, BadInitialPoint, MalformedTrace, NonFiniteDensity, NonFiniteGradient, SamplerError
 from .posterior import PosteriorFn, np_dot
 
@@ -158,39 +159,54 @@ class _DualAveraging:
 
 
 class _WindowedCovariance:
-    """Streaming covariance of the warm-up draws in each adaptation window, by
-    Welford's recurrences in Python floats (the upper triangle, mirrored when
-    a window closes).  Its diagonal has the bits of the per-coordinate array
-    recurrences, at a fraction of their cost for a few coordinates."""
+    """Sample covariance of the warm-up draws in each adaptation window.  An iteration
+    keeps its state (a new array each step); a closing window's rows go through
+    ``_welford(dim)``'s recurrences in Python floats (the upper triangle, mirrored
+    here), whose diagonal has the bits of per-coordinate array recurrences."""
 
     def __init__(self, warmup: int, dim: int):
-        self.windows, self.dim = _adaptation_windows(warmup), dim
+        self.windows, self.dim, self.rows = iter(_adaptation_windows(warmup)), dim, []
+        self.start, self.end = next(self.windows, (0, 0))
 
     def observe(self, m: int, z: np.ndarray) -> tuple[np.ndarray, float] | None:
         """Add the state after warm-up iteration ``m``; if ``m`` closes a
         window, return that window's sample covariance matrix and shrinkage
         weight, else None."""
-        if not self.windows:
-            return None
-        start, end = self.windows[0]
-        if m == start:
-            self.n, self.mean, self.m2 = 0, [0.0] * self.dim, [[0.0] * self.dim for _ in range(self.dim)]
-        if start <= m < end:
-            self.n += 1
-            n, mean, z = self.n, self.mean, z.tolist()
-            delta = [zj - mj for zj, mj in zip(z, mean)]
-            for j, dj in enumerate(delta):
-                mean[j] += dj / n
-            after = [zj - mj for zj, mj in zip(z, mean)]
-            for i, (row, di) in enumerate(zip(self.m2, delta)):
-                for j in range(i, self.dim):
-                    row[j] += di * after[j]
-        if m + 1 != end:
-            return None
-        m2 = np.array(self.m2)
-        m2 += np.triu(m2, 1).T
-        del self.windows[0]
-        return m2 / max(self.n - 1, 1), self.n / (self.n + 5.0)
+        if self.start <= m < self.end:
+            self.rows.append(z)
+            if m + 1 == self.end:
+                n, m2 = _welford(self.dim)(np.array(self.rows).tolist())
+                self.rows, (self.start, self.end) = [], next(self.windows, (0, 0))
+                m2 = np.array(m2)
+                m2 += np.triu(m2, 1).T
+                return m2 / max(n - 1, 1), n / (n + 5.0)
+        return None
+
+
+@cache
+def _welford(dim: int) -> Callable:
+    """``welford(rows)``, generated for ``dim`` coordinates: the count of ``rows`` and
+    their sums of squared deviations, upper triangle (the rest 0.0), by Welford's
+    recurrences, one assignment per operation: per row, every delta from the
+    old means, then the means, then every product with the new deviations."""
+    idx = range(dim)
+    upper = [(i, j) for i in idx for j in idx[i:]]
+    matrix = ", ".join("[" + ", ".join(f"s{i}_{j}" if j >= i else "0.0" for j in idx) + "]" for i in idx)
+    body = [f"d{j} = z{j} - m{j}" for j in idx] + [f"m{j} += d{j} / n" for j in idx]
+    body += [f"a{j} = z{j} - m{j}" for j in idx] + [f"s{i}_{j} += d{i} * a{j}" for i, j in upper]
+    source = "\n".join([
+        "def welford(rows):",
+        "    n = 0",
+        *(f"    m{j} = 0.0" for j in idx),
+        *(f"    s{i}_{j} = 0.0" for i, j in upper),
+        f"    for {''.join(f'z{j}, ' for j in idx)}in rows:",
+        "        n += 1",
+        *(f"        {line}" for line in body),
+        f"    return n, [{matrix}]",
+    ])
+    namespace = {}
+    exec(source, namespace)
+    return namespace["welford"]
 
 
 def _adaptation_windows(warmup: int, init_buffer: int = 75, term_buffer: int = 50, base: int = 25):
@@ -545,12 +561,13 @@ def _run_chains(run_chain: Callable, stat_types, pf: PosteriorFn, cfg: SamplerCo
     chains = forked_map(partial(_kept, run_chain, stat_types, pf, cfg), cfg.chains, worker_count(cfg.chains, jobs), pf.fork_safe)
     unconstrained = np.array([rows for rows, _ in chains])
     stats = {name: np.array([columns[k] for _, columns in chains]) for k, (name, _) in enumerate(stat_types)}
-    # Each column through its own transform's scalar forward: the floats and
-    # the function a per-draw pf.constrain would use, so the same bits.
-    draws = np.empty_like(unconstrained)
+    # Each column through its own transform's scalar forward (an identity's is
+    # the column): the floats and function a per-draw pf.constrain uses, so the same bits.
+    draws = unconstrained.copy()
     for i, tf in enumerate(pf.transforms):
-        column = unconstrained[:, :, i]
-        draws[:, :, i] = np.reshape([tf.forward(v) for v in column.ravel().tolist()], column.shape)
+        if not isinstance(tf, IdentityTransform):
+            column = unconstrained[:, :, i]
+            draws[:, :, i] = np.reshape([tf.forward(v) for v in column.ravel().tolist()], column.shape)
     divergent_fraction = float(np.mean(stats["divergent"]))
     if divergent_fraction > 0.5:
         raise AllDivergent(divergent_fraction)
@@ -742,8 +759,10 @@ def save_trace(trace: Trace, csv_path, stats_path=None) -> None:
 
 def _indented_json(value, depth: int = 0):
     """Yield in pieces the text ``json.dump(value, fh, indent=2)`` writes for a
-    value ``depth`` levels deep.  A list of scalars (one chain's stat) is one
-    piece, rendered by the C encoder with the indentation as its separator."""
+    value ``depth`` levels deep.  A list of scalars (one chain's stat, the
+    ``tolist`` of one array, so of one type) is one piece, rendered by the C
+    encoder with the indentation as its separator, or from one item if all
+    are equal."""
     pad = "\n" + "  " * (depth + 1)
     if isinstance(value, dict) and value:
         for k, (key, item) in enumerate(value.items()):
@@ -756,7 +775,11 @@ def _indented_json(value, depth: int = 0):
             yield from _indented_json(item, depth + 1)
         yield pad[:-2] + "]"
     elif isinstance(value, list) and value:
-        yield "[" + pad + json.dumps(value, separators=("," + pad, ": "))[1:-1] + pad[:-2] + "]"
+        first = value[0]  # equal items (a chain's step size) render alike, but for a float 0 (signed)
+        if value.count(first) == len(value) and (first or type(first) is not float):
+            yield "[" + pad + ("," + pad).join([json.dumps(first)] * len(value)) + pad[:-2] + "]"
+        else:
+            yield "[" + pad + json.dumps(value, separators=("," + pad, ": "))[1:-1] + pad[:-2] + "]"
     else:
         yield json.dumps(value)
 

@@ -12,7 +12,9 @@ cost grows with n while theirs does not.  These three put Normal,
 Exponential and HalfNormal priors on their parameters; ``experiment-ii`` is
 the blueprint of the paper's Experiment II, ``alpha + beta * X`` with
 Uniform(-25, 25), Exponential(0.5) and HalfNormal(15) priors, so alpha takes
-the logistic transform.  The data are those of the ``recip-large-n``
+the logistic transform; ``manual-priors`` is ``manual_priors_model.json``,
+the baseline of the paper's Experiment I, with Normal(0, 100), Normal(0, 50)
+and HalfNormal(50) priors.  The data are those of the ``recip-large-n``
 benchmark workload: X ~ Uniform(0, 100) and y = 2.5 + X / 0.5 + Normal(0, 15).
 """
 
@@ -35,6 +37,10 @@ CASES = {
     "experiment-ii": (
         "alpha + beta * X",
         {"alpha": Uniform(lower=-25, upper=25), "beta": Exponential(lam=0.5), "sigma": HalfNormal(sigma=15)},
+    ),
+    "manual-priors": (
+        "alpha + beta * X",
+        {"alpha": Normal(mu=0, sigma=100), "beta": Normal(mu=0, sigma=50), "sigma": HalfNormal(sigma=50)},
     ),
 }
 SIZES = [100, 10_000, 100_000]

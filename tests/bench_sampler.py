@@ -1,6 +1,8 @@
 """Sampler micro-benchmarks: microseconds per NUTS leapfrog step, less the
-density, on a standard normal at d = 3 and 10; and the gradient evaluations
-and ESS of NUTS fits at the CLI defaults.
+density, on a standard normal at d = 3 and 10; microseconds per RWM step,
+less the density, in warm-up and in kept draws at d = 3, and the warm-up
+window estimator's share of a step; and the gradient evaluations and ESS of
+NUTS fits at the CLI defaults.
 
 Run them with::
 
@@ -15,6 +17,14 @@ timed on its own and its cost subtracted, which leaves the sampler's own
 work per step: the leapfrog's arithmetic, the tree's bookkeeping, the U-turn
 checks and, once per transition, the momentum draw.  Each test prints that
 figure and stores it in the benchmark's ``extra_info``.
+
+``test_rwm_overhead`` times RWM on the same standard normal at d = 3, its
+value density ``-z.z / 2`` timed on its own and subtracted.  A warm-up round
+starts a chain and runs its 1000 warm-up iterations (five adaptation windows)
+and one kept draw; a kept round pulls 1000 kept draws from a chain warmed up
+untimed.  ``test_window_estimator`` feeds 1000 warm-up states at d = 3 to
+the adaptation windows' covariance estimator and reports microseconds per
+iteration, the closing windows included, less the feeding loop's own cost.
 
 ``test_gradient_evaluations`` fits two models with NUTS at the CLI defaults
 (4 chains x (1000 warm-up + 1000 kept draws)), at seeds 0-3, the chains run
@@ -81,6 +91,66 @@ def test_leapfrog_overhead(benchmark, dim):
     print(f"\nd = {dim}: {sum(steps) / len(steps) / TRANSITIONS:.2f} steps per transition, "
           f"{step_s * 1e6:.2f} us per step, {overhead_us:.2f} us less the density")
     assert math.isfinite(overhead_us) and overhead_us > 0.0
+
+
+RWM_STEPS = 1000
+
+
+def _value_density(calls):
+    def value(z):
+        calls.append(1)
+        return -0.5 * float(np_dot(z, z))
+
+    return value
+
+
+@pytest.mark.parametrize("phase", ["warm-up", "kept"])
+def test_rwm_overhead(benchmark, phase):
+    dim, calls = 3, []
+    value = _value_density(calls)
+    pf = PosteriorFn(param_names=[f"x{i}" for i in range(dim)], log_density_and_grad=lambda z: (value(z), -z), log_density=value)
+    laplace = sampler._laplace(pf.unchecked_value_and_grad, dim)
+    cfg = SamplerConfig(algorithm="rwm", warmup_draws=RWM_STEPS, seed=dim)
+    chain, counts = sampler._run_rwm_chain(pf, cfg, 0, laplace), []
+    next(chain)
+
+    def steps():
+        before = len(calls)
+        if phase == "warm-up":
+            next(sampler._run_rwm_chain(pf, cfg, 0, laplace))  # every warm-up iteration and one kept draw
+        else:
+            for _ in islice(chain, RWM_STEPS):
+                pass
+        counts.append(len(calls) - before)
+
+    benchmark.group = "RWM sampler overhead"
+    benchmark(steps)
+    per_round = sum(counts) / len(counts)
+    z = np.full(dim, 0.3)
+    density_s = min(timeit.repeat(lambda: value(z), number=20_000, repeat=5)) / 20_000
+    step_s = benchmark.stats.stats.median / per_round
+    overhead_us = (step_s - density_s) * 1e6
+    benchmark.extra_info.update(us_per_step=step_s * 1e6, density_us=density_s * 1e6, overhead_us_per_step=overhead_us)
+    print(f"\nRWM {phase}, d = {dim}: {per_round:.0f} value calls per round, {step_s * 1e6:.2f} us per step, "
+          f"{overhead_us:.2f} us less the density")
+    assert math.isfinite(overhead_us) and overhead_us > 0.0
+
+
+def _feed(states, observe):
+    return [window for m, z in enumerate(states) if (window := observe(m, z)) is not None]
+
+
+def test_window_estimator(benchmark):
+    dim = 3
+    states = list(np.random.default_rng(dim).standard_normal((RWM_STEPS, dim)))
+
+    benchmark.group = "RWM sampler overhead"
+    windows = benchmark(lambda: _feed(states, sampler._WindowedCovariance(RWM_STEPS, dim).observe))
+    loop_s = min(timeit.repeat(lambda: _feed(states, lambda m, z: None), number=20, repeat=5)) / 20
+    us_per_iteration = (benchmark.stats.stats.median - loop_s) / RWM_STEPS * 1e6
+    benchmark.extra_info.update(us_per_iteration=us_per_iteration)
+    print(f"\nwindow estimator, d = {dim}: {len(windows)} windows, {us_per_iteration:.2f} us per warm-up iteration")
+    assert len(windows) == len(sampler._adaptation_windows(RWM_STEPS))
 
 
 def demo():

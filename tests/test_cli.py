@@ -9,6 +9,7 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -358,6 +359,15 @@ class TestPlot:
                        "--out-dir", tmp_path / "p")
         assert code != 0
         assert "PlotMismatch" in capsys.readouterr().err
+
+    def test_labels_are_escaped_in_well_formed_svg(self, fit_dir, tmp_path):
+        labels = ("prior <elicited> & co", "a<b & \"c\"")
+        assert run_cli("plot", "--trace", fit_dir / "trace.csv", "--compare", fit_dir / "trace.csv",
+                       "--label", labels[0], "--compare-label", labels[1], "--out-dir", tmp_path / "p") == 0
+        for name in ("alpha", "beta", "sigma"):
+            root = ElementTree.parse(tmp_path / "p" / f"hist_{name}.svg").getroot()
+            texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+            assert texts[0] == texts[-4] == name and texts[-3] == "count" and tuple(texts[-2:]) == labels
 
 
 RECIP_MODEL = {

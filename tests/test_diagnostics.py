@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -139,6 +140,15 @@ class TestScipyReplacements:
         expected = ndtri((rankdata(arr, method="average").reshape(arr.shape) - 0.5) / arr.size)
         np.testing.assert_allclose(_rank_normalize(arr), expected, rtol=2e-15, atol=0)
 
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_rank_normalize_one_quantile_per_draw_bit_for_bit(self, tied):
+        # each distinct probability's quantile, computed once, is what each draw's own call gives
+        rng = make_rng(9)
+        arr = _with_repeats(rng, 12_000).reshape(4, -1) if tied else rng.standard_normal((4, 3000))
+        probabilities = (_average_ranks(arr) - 0.5) / arr.size
+        expected = np.array([NormalDist().inv_cdf(p) for p in probabilities.ravel().tolist()]).reshape(arr.shape)
+        assert _rank_normalize(arr).tobytes() == expected.tobytes()
+
     def test_cli_import_skips_scipy_stats_and_fft(self):
         # the runtime is numpy and the standard library alone, and chain
         # workers are bare forks, with no multiprocessing or executor start-up
@@ -250,6 +260,13 @@ _MODE_SAMPLERS = {
 }
 
 
+def _with_repeats(rng, n):
+    """n draws in runs of repeats, as rejected RWM proposals make them: each
+    value held for a geometric number of draws, a quarter of them distinct."""
+    values = rng.standard_normal(n) * rng.uniform(0.01, 10)
+    return np.repeat(values, rng.geometric(0.25, n))[:n]
+
+
 class TestModeMatchesFullSum:
     """The screened mode is the full sum's grid point on 6 x 170 seeded samples."""
 
@@ -261,6 +278,21 @@ class TestModeMatchesFullSum:
         differ = []
         for n in sizes:
             draws = _MODE_SAMPLERS[kind](rng, n)
+            if mode_estimate(draws) != _full_sum_mode_estimate(draws):
+                differ.append(n)
+        assert differ == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_repeated_draws_same_grid_point(self, seed):
+        # the screen sums each distinct draw once, weighted by its count
+        rng = make_rng(720 + seed)
+        sizes = [20_000] + [round(10 * 2000 ** (u * u)) for u in rng.random(99)]
+        differ = []
+        for n in sizes:
+            draws = _with_repeats(rng, n)
+            if rng.random() < 0.3:  # a bimodal pair of runs
+                draws[: n // 3] += 4.0
+            assert np.unique(draws).size < n
             if mode_estimate(draws) != _full_sum_mode_estimate(draws):
                 differ.append(n)
         assert differ == []

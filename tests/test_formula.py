@@ -21,6 +21,7 @@ from plainbayes.formula import (
     check_finite,
     compile_formula,
     differentiate,
+    emit,
     evaluate,
     free_vars,
     parse,
@@ -303,6 +304,51 @@ class TestCompile:
             assert (value is None) == (other_value is None), to_source(ast)
             if value is not None:
                 assert np.array_equal(value, other_value, equal_nan=True), to_source(ast)
+
+
+def _emitter():
+    """(the source lines, the namespace, ``let``, ``bind``) of one straight-line function."""
+    lines, env = [], {}
+
+    def let(expr):
+        lines.append(f"t{len(lines)} = {expr}")
+        return f"t{len(lines) - 1}"
+
+    def bind(value):
+        env[f"k{len(env)}"] = value
+        return f"k{len(env) - 1}"
+
+    return lines, env, let, bind
+
+
+class TestEmit:
+    PARAMS = {"a": "a", "b": "b", "c": "c"}
+
+    @staticmethod
+    def _tree(shared):
+        return Binary("+", Binary("/", Variable("c"), shared), shared)
+
+    def test_a_shared_subtree_gets_one_local(self):
+        shared = parse_formula("a * b - c")
+        lines, env, let, bind = _emitter()
+        name = emit(self._tree(shared), self.PARAMS, {}, let, bind)
+        assert len(lines) == 4  # a * b, - c, c / (...), + (...)
+        exec("\n".join(lines), env, values := {"a": 1.5, "b": -2.0, "c": 0.7})
+        expected = evaluate(self._tree(shared), {"a": 1.5, "b": -2.0, "c": 0.7})
+        assert np.float64(values[name]).tobytes() == np.float64(expected).tobytes()
+        # an equal tree whose two copies are distinct nodes: each copy its own locals
+        lines, _, let, bind = _emitter()
+        emit(Binary("+", Binary("/", Variable("c"), parse_formula("a * b - c")), parse_formula("a * b - c")),
+             self.PARAMS, {}, let, bind)
+        assert len(lines) == 6
+
+    def test_one_memo_across_calls_reads_earlier_locals(self):
+        shared, memo = parse_formula("a * b - c"), {}
+        lines, _, let, bind = _emitter()
+        first = emit(shared, self.PARAMS, {}, let, bind, memo)
+        emit(self._tree(shared), self.PARAMS, {}, let, bind, memo)
+        assert len(lines) == 4 and lines[2] == f"t2 = k0(c, {first})"  # the quotient calls its divide
+        assert emit(shared, self.PARAMS, {}, let, bind, memo) == first and len(lines) == 4
 
 
 def _checked(compiled, values):

@@ -6,7 +6,16 @@ import pytest
 
 from plainbayes import formula, posterior
 from plainbayes.data_io import Dataset
-from plainbayes.distributions import Exponential, HalfNormal, Normal, Uniform
+from plainbayes.distributions import (
+    FAMILIES,
+    Exponential,
+    ExpTransform,
+    HalfNormal,
+    IdentityTransform,
+    LogisticIntervalTransform,
+    Normal,
+    Uniform,
+)
 from plainbayes.errors import (
     DimensionMismatch,
     FormulaTooDeep,
@@ -796,6 +805,97 @@ class TestStraightLine:
         np.testing.assert_allclose(grad, expected_grad, rtol=1e-10)
 
 
+def _bits(fn, z):
+    """A call's value and gradient as bytes, or its exception as (type, message)."""
+    try:
+        result = fn(z)
+    except (NonFiniteDensity, NonFiniteGradient) as exc:
+        return type(exc), str(exc)
+    value, grad = result if isinstance(result, tuple) else (result, None)
+    return np.float64(value).tobytes(), None if grad is None else grad.tobytes()
+
+
+def _built_with_method_calls(monkeypatch, vm, data):
+    """The posterior whose kernel calls each family's and transform's methods,
+    as the row path does, where the kernel inlines them."""
+    with monkeypatch.context() as m:
+        for cls in (IdentityTransform, ExpTransform, LogisticIntervalTransform):
+            m.setattr(cls, "emit", lambda self, z, let, bind: (
+                let(f"{bind(self.forward)}({z})"), f"{bind(self.log_jacobian)}({z})",
+                f"{bind(self.dforward_dz)}({z})", f"{bind(self.dlog_jacobian_dz)}({z})"))
+        for cls in FAMILIES.values():
+            m.setattr(cls, "emit", lambda self, x, let, bind: (f"{bind(self.log_pdf)}({x})", f"{bind(self.dlogpdf_dx)}({x})"))
+        return build_posterior(vm, data)
+
+
+_INLINED = {
+    "Normal": Normal(mu=1.5, sigma=2.5),
+    "HalfNormal": HalfNormal(sigma=3.0),
+    "Exponential": Exponential(lam=0.7),
+    "Uniform": Uniform(lower=-4.0, upper=9.0),
+}
+
+
+class TestInlinedFamilies:
+    """The kernel inlines each family's log density and its derivative, and each
+    transform's map, log-Jacobian and their derivatives, bit for bit."""
+
+    # the logistic's tails, exp's last finite and first overflowing arguments, a prior
+    # total of -inf (exp(700) squared, 1e200 squared), signed zeros and a subnormal
+    EDGES = [750.0, -750.0, 709.0, 710.0, 1000.0, -1000.0, 700.0, 1e200, -1e200, 36.0, -36.0, 0.0, -0.0, 5e-324]
+
+    @staticmethod
+    def _model(role, dist):
+        rng = np.random.default_rng(41)
+        data = Dataset({"X": rng.uniform(-3, 3, 30), "y": rng.normal(1.0, 2.0, 30)})
+        priors = {"a": Normal(mu=0, sigma=2), "b": Exponential(lam=1), "s": HalfNormal(sigma=3)}
+        priors[role] = dist
+        spec = ModelSpec(priors=priors, likelihood=LikelihoodSpec(formula_source="a + b * X", noise_param="s"))
+        return validate_model(spec, data.column_names()), data
+
+    @pytest.mark.parametrize("family, role", [
+        (family, role) for family in _INLINED for role in "abs" if role != "s" or family in ("HalfNormal", "Exponential")
+    ])
+    def test_value_and_gradient_as_method_calls(self, monkeypatch, family, role):
+        # each family as the intercept a, the slope b and, where it may be, the noise scale s
+        vm, data = self._model(role, _INLINED[family])
+        pf, reference = build_posterior(vm, data), _built_with_method_calls(monkeypatch, vm, data)
+        rng = np.random.default_rng(42)
+        zs = [rng.normal(scale=scale, size=3) for scale in (0.3, 2.0, 30.0) for _ in range(20)]
+        for edge in self.EDGES:
+            z = rng.normal(scale=0.5, size=3)
+            z["abs".index(role)] = edge
+            zs += [z, np.full(3, edge)]
+        with np.errstate(over="ignore"):  # as the sampler runs it
+            for z in zs:
+                assert _bits(pf.log_density, z) == _bits(reference.log_density, z)
+                assert _bits(pf.log_density_and_grad, z) == _bits(reference.log_density_and_grad, z)
+
+    @pytest.mark.parametrize("z", [[0.1, 710.0, 0.2], [0.1, 0.2, 1000.0], [1e200, 0.1, 0.2], [0.1, 0.2, 700.0]],
+                             ids=["slope-exp-overflows", "noise-exp-overflows", "normal-minus-inf", "half-normal-minus-inf"])
+    def test_overflow_and_minus_infinity_take_the_rows(self, monkeypatch, z):
+        vm, data = self._model("a", Normal(mu=0, sigma=2))
+        pf = build_posterior(vm, data)
+        monkeypatch.setattr(posterior, "_thin_qr", lambda *args: None)
+        rows = build_posterior(vm, data)
+        z = np.array(z)
+        with np.errstate(over="ignore"):
+            assert _bits(pf.log_density, z) == _bits(rows.log_density, z) == (np.float64(-math.inf).tobytes(), None)
+            assert _bits(pf.log_density_and_grad, z) == _bits(rows.log_density_and_grad, z)
+
+    def test_random_affine_models_as_method_calls(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            spec, data = _random_model_and_data(rng, affine_only=True, n=int(rng.integers(3, 40)))
+            vm = validate_model(spec, data.column_names())
+            pf, reference = build_posterior(vm, data), _built_with_method_calls(monkeypatch, vm, data)
+            with np.errstate(over="ignore"):
+                for scale in (0.3, 2.0, 30.0):
+                    z = rng.normal(scale=scale, size=pf.dimension)
+                    assert _bits(pf.log_density, z) == _bits(reference.log_density, z)
+                    assert _bits(pf.log_density_and_grad, z) == _bits(reference.log_density_and_grad, z)
+
+
 class _Unmemoised(dict):
     """A memo that keeps nothing: ``formula.simplify`` walks every shared subtree anew."""
 
@@ -820,6 +920,25 @@ class TestDeepNestedQuotient:
             for name in ("a", "b"):
                 assert formula.differentiate(tree, name) == formula.simplify(formula._diff(tree, name), _Unmemoised())
 
+    def test_kernel_has_one_local_per_distinct_operation(self):
+        # the trees the kernel emits share each denominator in three places; with
+        # one memo per build, each distinct operation node is one assignment
+        ast = formula.parse_formula(self.SOURCE)
+        slope = formula.differentiate(ast, "X")
+        trees = [ast, slope] + [formula.differentiate(tree, name) for tree in (ast, slope) for name in ("a", "b")]
+        nodes, stack = {}, list(trees)
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack += [getattr(node, part) for part in ("child", "left", "right") if hasattr(node, part)]
+        operations = sum(isinstance(node, (Binary, Negate)) for node in nodes.values())
+        lets, memo = [], {}
+        for tree in trees:
+            formula.emit(tree, {"a": "a", "b": "b"}, {"X": 2.0}, lambda expr: lets.append(expr) or f"t{len(lets)}",
+                         lambda value: "k", memo)
+        assert len(lets) == operations == 13247  # walked as trees, 100 765
+
     def test_build_takes_seconds_at_most(self):
         rng = np.random.default_rng(29)
         data = Dataset({"X": rng.uniform(0.5, 2.0, 100), "y": rng.normal(size=100)})
@@ -830,8 +949,8 @@ class TestDeepNestedQuotient:
         vm = validate_model(spec, data.column_names())
         started = time.perf_counter()
         pf = build_posterior(vm, data)
-        # about 4 s on a 2-vCPU x86-64 host, most of it compiling the generated
-        # density; 9 s when simplify walked each shared denominator anew
+        # about 1.5 s on a 2-vCPU x86-64 host; 4 s when the kernel emitted each shared
+        # denominator anew, and 9 s when simplify also walked it anew
         assert time.perf_counter() - started < 60.0
         z = np.array([0.3, 0.01, 0.2])
         value, grad = pf.log_density_and_grad(z)

@@ -506,6 +506,55 @@ class TestWindowedVariance:
             assert np.all(np.abs(cov - want) <= 1e-13 * np.sqrt(np.outer(moments, moments)))
 
 
+class _ReferenceWindowedCovariance:
+    """The window estimator as it was before its generated pass: Welford's
+    recurrences on Python floats, run at every warm-up iteration."""
+
+    def __init__(self, warmup, dim):
+        self.windows, self.dim = sampler._adaptation_windows(warmup), dim
+
+    def observe(self, m, z):
+        if not self.windows:
+            return None
+        start, end = self.windows[0]
+        if m == start:
+            self.n, self.mean, self.m2 = 0, [0.0] * self.dim, [[0.0] * self.dim for _ in range(self.dim)]
+        if start <= m < end:
+            self.n += 1
+            n, mean, z = self.n, self.mean, z.tolist()
+            delta = [zj - mj for zj, mj in zip(z, mean)]
+            for j, dj in enumerate(delta):
+                mean[j] += dj / n
+            after = [zj - mj for zj, mj in zip(z, mean)]
+            for i, (row, di) in enumerate(zip(self.m2, delta)):
+                for j in range(i, self.dim):
+                    row[j] += di * after[j]
+        if m + 1 != end:
+            return None
+        m2 = np.array(self.m2)
+        m2 += np.triu(m2, 1).T
+        del self.windows[0]
+        return m2 / max(self.n - 1, 1), self.n / (self.n + 5.0)
+
+
+class TestGeneratedWindowPass:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_bit_for_bit_as_the_per_iteration_recurrences(self, dim, scale):
+        # 2000 warm-up iterations close 6 windows, of 25 to 925 rows; every third row repeats
+        draws = _windowed_draws(2000, dim) * scale
+        got, want = sampler._WindowedCovariance(2000, dim), _ReferenceWindowedCovariance(2000, dim)
+        pairs = [(got.observe(m, z), want.observe(m, z)) for m, z in enumerate(draws)]
+        closed = [(a, b) for a, b in pairs if b is not None]
+        assert len(closed) == 6 and all(a is None for a, b in pairs if b is None)
+        for (cov, w), (ref_cov, ref_w) in closed:
+            assert cov.tobytes() == ref_cov.tobytes() and w == ref_w
+
+    def test_one_generated_function_per_dimension(self):
+        assert sampler._welford(4) is sampler._welford(4) is not sampler._welford(5)
+        assert sampler._welford(2)([[1.0, 2.0], [3.0, 5.0], [2.0, 2.0]]) == (3, [[2.0, 3.0], [0.0, 6.0]])
+
+
 class TestUncheckedCalls:
     """The samplers call the callables a PosteriorFn was built with, without
     ``_check`` on each call: their z is always float64 of shape (dim,)."""
@@ -877,6 +926,19 @@ def _edge_trace(config):
     return Trace(param_names=["a", "b"], draws=draws, stats=stats, config=config)
 
 
+def _equal_stats_trace():
+    """Stats whose chains each hold one value, rendered from one item, and
+    chains equal as values but not as text, rendered item by item."""
+    stats = {
+        "step_size": np.array([[0.25] * 30, [1e-300] * 30, [math.inf] * 30]),
+        "divergent": np.array([[False] * 30, [True] * 30, [False] * 29 + [True]]),
+        "tree_depth": np.array([[3] * 30, [0] * 30, [2**40] * 30], dtype=np.int64),
+        "zeros": np.array([[0.0] * 30, [-0.0] * 30, [0.0] * 15 + [-0.0] * 15]),
+        "nans": np.array([[math.nan] * 30, [-0.0] + [0.0] * 29, [1.0] * 29 + [1.0 + 2**-52]]),
+    }
+    return Trace(param_names=["a"], draws=np.zeros((3, 30, 1)), stats=stats)
+
+
 class TestTraceSerialization:
     @pytest.mark.parametrize(
         "make_trace",
@@ -888,8 +950,9 @@ class TestTraceSerialization:
             lambda: rwm_sample(  # rejections repeat rows
                 std_normal_posterior(3), SamplerConfig(algorithm="rwm", chains=2, warmup_draws=100, kept_draws=300, seed=3)
             ),
+            lambda: _equal_stats_trace(),
         ],
-        ids=["edge-values", "no-config", "no-stats", "one-draw", "rwm-run"],
+        ids=["edge-values", "no-config", "no-stats", "one-draw", "rwm-run", "equal-stats"],
     )
     def test_same_bytes_as_reference_writer(self, tmp_path, make_trace):
         trace = make_trace()
