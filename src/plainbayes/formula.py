@@ -1,4 +1,4 @@
-"""The likelihood-mean expression language: lexer, parser, compiler, derivatives.
+"""The likelihood-mean expression language: lexer, parser, code emitter, derivatives.
 
 Grammar (EBNF)::
 
@@ -14,10 +14,10 @@ that out-of-contract model formulas fail fast instead of misparsing.
 
 Evaluation environments may bind numpy arrays as well as scalars; arithmetic
 then broadcasts element-wise, which is how the posterior module applies one
-scalar formula across every data row.  :func:`compile_formula` turns an
-expression with its data bound into a function of the parameter values,
-once, and :func:`emit` writes the same float arithmetic as straight-line
-source; :func:`evaluate` runs the compiled arithmetic with every name bound.
+scalar formula across every data row.  :func:`emit` writes an expression,
+its data bound, as straight-line source in the parameters, one local per
+operation: the posterior's generated functions are made of it.
+:func:`evaluate` runs the same arithmetic with every name bound.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
     "parse_formula",
     "free_vars",
     "check_finite",
-    "compile_formula",
+    "writer",
     "emit",
     "evaluate",
     "differentiate",
@@ -276,13 +276,10 @@ def check_finite(value) -> None:
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _operation(node: Binary) -> Callable:
-    """The node's arithmetic as ``f(left, right)``."""
-    if node.op != "/":
-        return _ARITHMETIC[node.op]
+def _divide(node: Binary) -> Callable:
+    """The quotient node as ``divide(left, right)``: a non-finite quotient is an error, not IEEE propagation."""
 
     def divide(left, right):
-        # Non-finite quotients are an error, not IEEE propagation.
         try:
             if type(left) is float and type(right) is float:  # the same quotient, less numpy's cost
                 out = left / right
@@ -298,91 +295,70 @@ def _operation(node: Binary) -> Callable:
     return divide
 
 
-def _compile(node: FormulaAst, index: Mapping[str, int], data: Mapping[str, object]):
-    """``(value, None)`` for a parameter-free subtree that evaluates cleanly, else ``(None, fn)``."""
-    if isinstance(node, NumberLiteral):
-        return node.value, None
-    if isinstance(node, Variable):
-        if node.name in index:
-            return None, operator.itemgetter(index[node.name])
-        if node.name in data:
-            return data[node.name], None
+def writer(namespace: dict):
+    """``(lines, let, bind)`` for straight-line source run in ``namespace``: ``let(expr)``
+    appends the line ``tN = expr`` to ``lines`` and returns the new local ``tN``, and
+    ``bind(value)`` names ``value`` in ``namespace``."""
+    lines = []
 
-        def unbound(values):
-            raise UnboundVariable(node.name)
+    def let(expr):
+        lines.append(f"t{len(lines)} = {expr}")
+        return f"t{len(lines) - 1}"
 
-        return None, unbound
-    if isinstance(node, Negate):
-        value, fn = _compile(node.child, index, data)
-        return (-value, None) if fn is None else (None, lambda values: -fn(values))
-    op = _operation(node)
-    left, left_fn = _compile(node.left, index, data)
-    right, right_fn = _compile(node.right, index, data)
-    if left_fn is None and right_fn is None:
-        try:
-            return op(left, right), None
-        except NonFiniteResult:
-            return None, lambda values: op(left, right)  # raises again at every call
-    if left_fn is None:
-        return None, lambda values: op(left, right_fn(values))
-    if right_fn is None:
-        return None, lambda values: op(left_fn(values), right)
-    return None, lambda values: op(left_fn(values), right_fn(values))
+    def bind(value):
+        namespace[f"k{len(namespace)}"] = value
+        return f"k{len(namespace) - 1}"
 
-
-def compile_formula(ast: FormulaAst, params: Sequence[str], data: Mapping[str, object]):
-    """Compile the expression, with ``data`` bound, into ``fn(values)`` of the ``params`` values.
-
-    ``fn`` does the numpy or float operations of :func:`evaluate`, in the
-    same order, less its final :func:`check_finite`.  Parameter-free
-    subtrees are computed here, once; a parameter-free expression returns
-    its value in place of ``fn``.  A subtree that raises (a non-finite
-    quotient, an unbound name) raises when ``fn`` is called, as evaluation does.
-    """
-    value, fn = _compile(ast, {name: i for i, name in enumerate(params)}, data)
-    return value if fn is None else fn
+    return lines, let, bind
 
 
 def emit(ast: FormulaAst, params: Mapping[str, str], data: Mapping[str, object], let: Callable, bind: Callable,
          memo: dict | None = None) -> str:
-    """The name of the expression's value in straight-line source: the float arithmetic of
-    :func:`compile_formula` with ``data`` bound, in the same order, one ``let(expr)`` (which
-    returns a new local's name) per operation.  ``params`` maps each parameter to its local
-    and ``data`` binds every other name; ``bind(value)`` names a value in the source's
-    namespace, and a quotient calls its node's divide.  No name or number of the expression
-    is printed.  ``memo`` maps a node's id to the node and its walk, as in :func:`simplify`, so a
-    subtree shared in several places, or by several calls with one ``memo``, ``params`` and
-    ``data``, is emitted once: its later uses read its first local."""
-    memo = {} if memo is None else memo
-
-    def walk(node):
-        hit = memo.get(id(node))
-        if hit is None:
-            hit = memo[id(node)] = node, step(node)
-        return hit[1]
-
-    def step(node):  # as _compile: (value, None) for a subtree computed here, else (None, its local)
-        if isinstance(node, NumberLiteral):
-            return node.value, None
-        if isinstance(node, Variable):
-            return (None, params[node.name]) if node.name in params else (data[node.name], None)
-        if isinstance(node, Negate):
-            value, name = walk(node.child)
-            return (-value, None) if name is None else (None, let(f"-{name}"))
-        op = _operation(node)
-        (left, left_name), (right, right_name) = walk(node.left), walk(node.right)
-        if left_name is None and right_name is None:
-            try:
-                return op(left, right), None
-            except NonFiniteResult:
-                pass  # raises again at every call
-        left_name, right_name = left_name or bind(left), right_name or bind(right)
-        if node.op == "/":
-            return None, let(f"{bind(op)}({left_name}, {right_name})")
-        return None, let(f"{left_name} {node.op} {right_name}")
-
-    value, name = walk(ast)
+    """The name of the expression's value in straight-line source: its numpy or float arithmetic,
+    ``data`` bound, in evaluation order, one ``let(expr)`` (which returns a new local's name) per
+    operation on a parameter.  ``params`` maps each parameter to its local and ``data`` binds every
+    other name (else :class:`UnboundVariable`); ``bind(value)`` names a value in the source's namespace.
+    A quotient calls its node's divide; a parameter-free subtree is computed here unless it raises, so
+    the source raises at every run.  No name or number of the expression is printed.  ``memo`` maps a
+    node's id to the node and its walk, ``(value, None)`` or ``(None, its local)``, as in :func:`simplify`:
+    a subtree shared, or emitted again with one ``memo``, ``params`` and ``data``, reads its first local."""
+    value, name = _walk(ast, (params, data, let, bind, {} if memo is None else memo))
     return name or bind(value)
+
+
+def _walk(node: FormulaAst, context: tuple) -> tuple:
+    """:func:`emit`'s walk of ``node``, once per memo: ``(value, None)`` for a subtree computed
+    here, else ``(None, its local)``.  Not nested closures: two that call each other form a
+    reference cycle, which would hold the memo's arrays until the garbage collector ran."""
+    memo = context[-1]
+    hit = memo.get(id(node))
+    if hit is None:
+        hit = memo[id(node)] = node, _step(node, context)
+    return hit[1]
+
+
+def _step(node: FormulaAst, context: tuple) -> tuple:
+    params, data, let, bind, _ = context
+    if isinstance(node, NumberLiteral):
+        return node.value, None
+    if isinstance(node, Variable):
+        if node.name not in params and node.name not in data:
+            raise UnboundVariable(node.name)
+        return (None, params[node.name]) if node.name in params else (data[node.name], None)
+    if isinstance(node, Negate):
+        value, name = _walk(node.child, context)
+        return (-value, None) if name is None else (None, let(f"-{name}"))
+    op = _divide(node) if node.op == "/" else _ARITHMETIC[node.op]
+    (left, left_name), (right, right_name) = _walk(node.left, context), _walk(node.right, context)
+    if left_name is None and right_name is None:
+        try:
+            return op(left, right), None
+        except NonFiniteResult:
+            pass  # raises again at every run
+    left_name, right_name = left_name or bind(left), right_name or bind(right)
+    if node.op == "/":
+        return None, let(f"{bind(op)}({left_name}, {right_name})")
+    return None, let(f"{left_name} {node.op} {right_name}")
 
 
 def evaluate(ast: FormulaAst, env: Mapping[str, object]):
@@ -393,11 +369,12 @@ def evaluate(ast: FormulaAst, env: Mapping[str, object]):
     names and :class:`NonFiniteResult` if any (intermediate quotient or
     final) value is not finite.
     """
-    value, fn = _compile(ast, {}, env)
-    if fn is not None:  # a subtree raised while compiling: raise it here
-        value = fn(())
-    check_finite(value)
-    return value
+    lines, let, bind = writer(namespace := {})
+    name = emit(ast, {}, env, let, bind)
+    if lines:  # with every name data, the lines are a quotient that raised: it raises again
+        exec("\n".join(lines), namespace)
+    check_finite(namespace[name])
+    return namespace[name]
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +402,8 @@ def simplify(node: FormulaAst, memo: dict | None = None) -> FormulaAst:
     ``memo`` maps a node's id to the node and its simplification (holding
     the node keeps its id from being reused), so a subtree the tree shares
     in several places, as the quotient rule shares a denominator, is
-    simplified once per call.
+    simplified once per call.  A subtree no rule changes is returned as it
+    is, so a partial shares those of its formula, node for node.
     """
     memo = {} if memo is None else memo
     hit = memo.get(id(node))
@@ -443,7 +421,7 @@ def _simplify(node: FormulaAst, memo: dict) -> FormulaAst:
             return NumberLiteral(-child.value)
         if isinstance(child, Negate):
             return child.child
-        return Negate(child)
+        return node if child is node.child else Negate(child)
 
     left = simplify(node.left, memo)
     right = simplify(node.right, memo)
@@ -483,7 +461,7 @@ def _simplify(node: FormulaAst, memo: dict) -> FormulaAst:
             return _ZERO
         if _is_literal(right, 1.0):
             return left
-    return Binary(op, left, right)
+    return node if left is node.left and right is node.right else Binary(op, left, right)
 
 
 def _diff(node: FormulaAst, var: str) -> FormulaAst:

@@ -11,10 +11,10 @@ likelihood-mean formula evaluated on row r, and sigma is the constrained
 noise parameter.  Gradients are exact: symbolic formula partials chained
 with analytic distribution and transform derivatives.
 
-The sums over rows take one of two paths.  *Rows*, the reference: the
-formula and its partials, compiled once with the data columns bound as
-arrays, repeat per call only the parameter-dependent operations, in the
-order of evaluating the scalar formula row by row; a non-finite ``t . t``
+The sums over rows take one of two paths.  *Rows*, the reference: one
+function generated by :func:`formula.emit`, the data columns bound as arrays,
+gives the n-vectors of the mean and its partials, each operation once, in
+the order of evaluating the scalar formula row by row; a non-finite ``t . t``
 scans the rows for the first bad mean; dot products are taken in fixed
 blocks, so the bits do not depend on the BLAS thread count.  *Factorisation*,
 for a mean affine in the data, mu = c_0 + sum_k c_k X_k: with
@@ -132,13 +132,6 @@ class PosteriorFn:
         return {name: tf.forward(zi) for name, tf, zi in zip(self.param_names, self.transforms, z.tolist())}
 
 
-def _rows(value, n_rows: int) -> np.ndarray:
-    """``value`` as an n-vector of floats; an array already is one (data columns are n-vectors)."""
-    if isinstance(value, np.ndarray):
-        return value
-    return np.broadcast_to(np.asarray(value, dtype=float), (n_rows,))
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """``a . b`` for n-vectors, the same bits under any BLAS thread count:
     ``np.dot`` over blocks of ``_DOT_BLOCK`` rows, the block sums added in
@@ -173,6 +166,35 @@ def _thin_qr(columns, y: np.ndarray, dot):
         return R, qty, float(dot(rest, rest))
 
 
+def _row_formulas(names, columns, n_rows, asts):
+    """``formulas(x, with_grad)``, one straight-line function generated as source, returning
+    ``(mean, partials)``: the n-vector of ``asts[0]`` at the parameter values ``x`` and, with
+    ``with_grad``, a tuple of the n-vectors of ``asts[1:]`` (None for None).  ``partials`` is None
+    without ``with_grad``, or where a partial raises :class:`NonFiniteResult`: the mean's lines come
+    first, so only its errors escape.  One memo spans the trees.  A tree with no parameter is
+    computed here as a contiguous vector, and one with no column is broadcast at each call."""
+    env = {"NonFiniteResult": NonFiniteResult, "broadcast_to": np.broadcast_to, "asarray": np.asarray}
+    lines, let, bind = formula.writer(env)
+    params, memo = {name: f"x{i}" for i, name in enumerate(names)}, {}
+
+    def vector(ast):
+        formula.emit(ast, params, columns, let, bind, memo)
+        value, local = memo[id(ast)][1]
+        if local is None:
+            return bind(np.ascontiguousarray(np.broadcast_to(np.asarray(value, dtype=float), (n_rows,))))
+        if formula.free_vars(ast) & columns.keys():
+            return local
+        return let(f"broadcast_to(asarray({local}, dtype=float), {bind((n_rows,))})")
+
+    mean, split = vector(asts[0]), len(lines)
+    partials = "".join(f"{'None' if ast is None else vector(ast)}, " for ast in asts[1:])
+    body = [f"{', '.join(params.values())}, = x", *lines[:split], f"if not with_grad: return {mean}, None", "try:",
+            *(f"    {line}" for line in lines[split:]), f"    return {mean}, ({partials})", "except NonFiniteResult:",
+            f"    return {mean}, None"]
+    exec("def formulas(x, with_grad):\n" + "\n".join(f"    {line}" for line in body), env)
+    return env["formulas"]
+
+
 def _straight_line(names, dists, transforms, noise_index, n_rows, coefficients, partials, qr, rows):
     """The factorisation's log density ``density(z, with_grad)``, one straight-line function
     generated as source: see the module docstring.  ``partials`` holds (i, _, the ASTs of
@@ -185,15 +207,8 @@ def _straight_line(names, dists, transforms, noise_index, n_rows, coefficients, 
     env = {"inf": math.inf, "log": math.log, "exp": math.exp, "log1p": math.log1p, "array": np.array,
            "zeros": np.zeros, "rows": rows, "Unvouched": (NonFiniteResult, ZeroDivisionError, OverflowError)}
     z = [f"z{i}" for i in range(len(names))]
-    lines = [f"{', '.join(z)}, = z.tolist()"]
-
-    def bind(value):
-        env[f"k{len(env)}"] = value
-        return f"k{len(env) - 1}"
-
-    def let(expr):
-        lines.append(f"t{len(lines)} = {expr}")
-        return f"t{len(lines) - 1}"
+    lines, let, bind = formula.writer(env)
+    lines.append(f"{', '.join(z)}, = z.tolist()")
 
     def dot(a, b):
         return " + ".join(["0.0", *(f"{p} * {q}" for p, q in zip(a, b))])  # 0.0 + x is sum's 0 + x, bit for bit, and a faster add
@@ -257,103 +272,90 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
 
     dot = np_dot if n_rows <= _DOT_BLOCK else _dot  # the same bits as _dot, less its call
 
-    def compile_rows(ast):
-        """``ast`` compiled into a function of the parameter values giving its
-        n-vector; a parameter-free one computed once, here."""
-        compiled = formula.compile_formula(ast, names, fixed_env)
-        if not callable(compiled):
-            vector = np.ascontiguousarray(_rows(compiled, n_rows))
-            return lambda x: vector
-        if formula.free_vars(ast) & fixed_env.keys():
-            return compiled  # a data column in it makes every value an n-vector
-        return lambda x: _rows(compiled(x), n_rows)
-
     # mu = c_0 + sum_k c_k X_k when each slope c_k (its partial in a column) has no column
     # in it; c_0 is mu at every column 0, and d c_0 / d x_i is d mu / d x_i there
     slopes = [formula.differentiate(mean_ast, v) for v in column_vars]
     affine = not any(formula.free_vars(slope) & fixed_env.keys() for slope in slopes)
 
     qr = affine and n_rows > len(slopes) + 1 and _thin_qr([np.ones(n_rows)] + list(fixed_env.values()), y, dot)
-    mean = compile_rows(mean_ast)
-    # (i, d mu / d x_i, with the factorisation the ASTs of d c / d x_i) for each parameter whose
+    # (i, the AST of d mu / d x_i, with the factorisation those of d c / d x_i) for each parameter whose
     # partial is not the literal 0, which would add exactly +0.0; the noise scale always, with None for 0.
     partials = []
     for i, name in enumerate(names):
         partial = formula.differentiate(mean_ast, name)
         if partial != formula.NumberLiteral(0.0):
-            partials.append((i, compile_rows(partial), qr and [partial, *(formula.differentiate(s, name) for s in slopes)]))
+            partials.append((i, partial, qr and [partial, *(formula.differentiate(s, name) for s in slopes)]))
         elif i == noise_index:
             partials.append((i, None, None))
+    formulas = _row_formulas(names, fixed_env, n_rows, [mean_ast, *(partial for _, partial, _ in partials)])
 
     def density(z: np.ndarray, with_grad: bool = False):
-        """Log density at ``z`` from row sums; with ``with_grad``, the pair (value, gradient)."""
-        x = [tf.forward(zi) for tf, zi in zip(transforms, z)]
-        total = 0.0
-        for zi, xi, dist, tf in zip(z, x, dists, transforms):
-            total += dist.log_pdf(xi) + tf.log_jacobian(zi)
-        if math.isnan(total):
-            raise NonFiniteDensity("prior log density is NaN")
+        """Log density at ``z`` from row sums; with ``with_grad``, the pair (value, gradient).
+        An overflow below gives -inf, a rejection or an error, so numpy need not warn of it."""
+        with np.errstate(over="ignore"):
+            x = [tf.forward(zi) for tf, zi in zip(transforms, z)]
+            total = 0.0
+            for zi, xi, dist, tf in zip(z, x, dists, transforms):
+                total += dist.log_pdf(xi) + tf.log_jacobian(zi)
+            if math.isnan(total):
+                raise NonFiniteDensity("prior log density is NaN")
 
-        sigma = x[noise_index]
-        loglik = -math.inf  # outside a prior's support, or noise-scale underflow/overflow
-        if total > -math.inf and sigma > 0.0 and math.isfinite(sigma):
-            cube = sigma * sigma * sigma
-            try:
-                resid = y - mean(x)
-                t = resid / sigma
-                tt = float(dot(t, t))
-                if not math.isfinite(tt):  # a non-finite mean makes t.t non-finite
-                    formula.check_finite(mean(x))
-            except NonFiniteResult as exc:
-                bad = np.broadcast_to(np.asarray(exc.value, dtype=float), (n_rows,)) if exc.value is not None else None
-                row = int(np.argmin(np.isfinite(bad))) if bad is not None else None
-                raise NonFiniteDensity(f"likelihood mean is non-finite: {exc}", row=row) from None
-            loglik = -0.5 * tt - n_rows * math.log(sigma) - 0.5 * n_rows * _LOG_2PI
-            if math.isnan(loglik):
-                raise NonFiniteDensity("likelihood log density is NaN")
-        if loglik == -math.inf:
-            return (-math.inf, np.zeros(dim)) if with_grad else -math.inf
-        total += loglik
-        if not with_grad:
-            return total
+            sigma = x[noise_index]
+            loglik = -math.inf  # outside a prior's support, or noise-scale underflow/overflow
+            if total > -math.inf and sigma > 0.0 and math.isfinite(sigma):
+                cube = sigma * sigma * sigma
+                try:
+                    mean, dmus = formulas(x, with_grad)
+                    resid = y - mean
+                    t = resid / sigma
+                    tt = float(dot(t, t))
+                    if not math.isfinite(tt):  # a non-finite mean makes t.t non-finite
+                        formula.check_finite(mean)
+                except NonFiniteResult as exc:
+                    bad = np.broadcast_to(np.asarray(exc.value, dtype=float), (n_rows,)) if exc.value is not None else None
+                    row = int(np.argmin(np.isfinite(bad))) if bad is not None else None
+                    raise NonFiniteDensity(f"likelihood mean is non-finite: {exc}", row=row) from None
+                loglik = -0.5 * tt - n_rows * math.log(sigma) - 0.5 * n_rows * _LOG_2PI
+                if math.isnan(loglik):
+                    raise NonFiniteDensity("likelihood log density is NaN")
+            if loglik == -math.inf:
+                return (-math.inf, np.zeros(dim)) if with_grad else -math.inf
+            total += loglik
+            if not with_grad:
+                return total
 
-        # d log prior_i / dx_i (one-sided at support edges) * d x_i / dz_i + d log|J_i| / dz_i,
-        # in Python floats: the same IEEE operations as on arrays, at a fraction of the cost
-        dfwd = [tf.dforward_dz(zi) for tf, zi in zip(transforms, z)]
-        grad = [
-            dist.dlogpdf_dx(xi) * dfwd_i + tf.dlog_jacobian_dz(zi)
-            for dist, xi, dfwd_i, tf, zi in zip(dists, x, dfwd, transforms, z)
-        ]
+            # d log prior_i / dx_i (one-sided at support edges) * d x_i / dz_i + d log|J_i| / dz_i,
+            # in Python floats: the same IEEE operations as on arrays, at a fraction of the cost
+            dfwd = [tf.dforward_dz(zi) for tf, zi in zip(transforms, z)]
+            grad = [
+                dist.dlogpdf_dx(xi) * dfwd_i + tf.dlog_jacobian_dz(zi)
+                for dist, xi, dfwd_i, tf, zi in zip(dists, x, dfwd, transforms, z)
+            ]
 
-        # d loglik / d x_i = w * (r . d mu / d x_i), plus dsigma for the noise scale
-        if cube > 0.0:
-            r, w = resid, 1.0 / (sigma * sigma)
-            dsigma = float(dot(resid, resid)) / cube - n_rows / sigma
-        else:
-            # sigma^3 underflows to 0: the same derivatives through t = resid / sigma,
-            # only here, so that every other sigma keeps the arithmetic the draws depend on
-            r, w = t, 1.0 / sigma
-            dsigma = (tt - n_rows) * w
-        try:
-            for i, dmu, _ in partials:
-                s = 0.0 if dmu is None else w * float(dot(r, dmu(x)))
+            # d loglik / d x_i = w * (r . d mu / d x_i), plus dsigma for the noise scale
+            if cube > 0.0:
+                r, w = resid, 1.0 / (sigma * sigma)
+                dsigma = float(dot(resid, resid)) / cube - n_rows / sigma
+            else:
+                # sigma^3 underflows to 0: the same derivatives through t = resid / sigma,
+                # only here, so that every other sigma keeps the arithmetic the draws depend on
+                r, w = t, 1.0 / sigma
+                dsigma = (tt - n_rows) * w
+            if dmus is None:  # a partial raised (as near a division singularity): as a non-finite one
+                grad = [math.nan] * dim
+            for (i, *_), dmu in zip(partials, dmus or ()):
+                s = 0.0 if dmu is None else w * float(dot(r, dmu))
                 if i == noise_index:
                     s += dsigma
                 grad[i] += s * dfwd[i]
-        except NonFiniteResult:
-            # derivative overflow (e.g. near a division singularity) while
-            # the density itself is fine: same policy as non-finite grad.
-            # A non-finite partial that raises nothing makes its component
-            # non-finite, which the same check catches.
-            grad = [math.nan] * dim
 
-        if not all(map(math.isfinite, grad)):
-            # Overflow in the chain rule at an astronomically improbable point
-            # is a rejection, not a bug; the sampler will flag it divergent.
-            if total < _GRADIENT_OVERFLOW_FLOOR:
-                return total, np.zeros(dim)
-            raise NonFiniteGradient("gradient contains non-finite components", z=z)
-        return total, np.array(grad)
+            if not all(map(math.isfinite, grad)):
+                # Overflow in the chain rule at an astronomically improbable point
+                # is a rejection, not a bug; the sampler will flag it divergent.
+                if total < _GRADIENT_OVERFLOW_FLOOR:
+                    return total, np.zeros(dim)
+                raise NonFiniteGradient("gradient contains non-finite components", z=z)
+            return total, np.array(grad)
 
     if qr:
         density = _straight_line(names, dists, transforms, noise_index, n_rows, [mean_ast, *slopes],

@@ -14,7 +14,7 @@ from xml.etree import ElementTree
 import pytest
 
 import plainbayes
-from plainbayes import formula, sampler
+from plainbayes import posterior, sampler
 from plainbayes.cli import main
 from plainbayes.data_io import SimConfig, load_csv
 from plainbayes.elicitation import FixtureStore, LlmConfig, packaged_fixtures_dir, render_model_prompt
@@ -212,15 +212,15 @@ class TestFit:
     @pytest.mark.parametrize("algorithm", ["nuts", "rwm"])
     def test_affine_fit_sums_no_rows(self, tmp_path, monkeypatch, data_csv, model_json, algorithm):
         # the demo mean alpha + beta * X is affine: every density call of the fit comes
-        # from the factorisation, and no compiled row formula (the mean or a partial) runs
+        # from the factorisation, and the generated row function (the mean and its partials) never runs
         row_calls = []
-        compile_formula = formula.compile_formula
+        row_formulas = posterior._row_formulas
 
         def counted(*args):
-            compiled = compile_formula(*args)
-            return (lambda x: row_calls.append(1) or compiled(x)) if callable(compiled) else compiled
+            formulas = row_formulas(*args)
+            return lambda x, with_grad: row_calls.append(1) or formulas(x, with_grad)
 
-        monkeypatch.setattr(formula, "compile_formula", counted)
+        monkeypatch.setattr(posterior, "_row_formulas", counted)
         code = run_cli(
             "fit", "--model", model_json, "--data", data_csv, "--algorithm", algorithm,
             "--chains", 2, "--warmup", 200, "--draws", 100, "--jobs", 1, "--seed", 3,

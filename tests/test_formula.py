@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,6 @@ from plainbayes.formula import (
     NumberLiteral,
     Variable,
     check_finite,
-    compile_formula,
     differentiate,
     emit,
     evaluate,
@@ -29,7 +31,9 @@ from plainbayes.formula import (
     simplify,
     to_source,
     tokenize,
+    writer,
 )
+from plainbayes.posterior import _row_formulas
 
 
 class TestTokenize:
@@ -177,6 +181,23 @@ class TestEvaluate:
         rows = [evaluate(ast, {"a": 0.5, "b": 2.0, "X": xi}) for xi in x]
         np.testing.assert_array_equal(vec, np.array(rows))
 
+    def test_intermediate_arrays_freed_on_return(self):
+        # with no reference cycle in the walk, refcounting frees them; the collector need not run
+        made = []
+
+        class Tracked(np.ndarray):
+            def __array_finalize__(self, obj):
+                made.append(weakref.ref(self))
+
+        x = np.linspace(1.0, 2.0, 5).view(Tracked)
+        made.clear()
+        gc.disable()
+        try:
+            evaluate(parse_formula("a + x / b * x"), {"a": 1.0, "b": 2.0, "x": x})
+            assert made and all(ref() is None for ref in made)
+        finally:
+            gc.enable()
+
     def test_array_division_by_zero(self):
         with pytest.raises(NonFiniteResult):
             evaluate(parse_formula("1 / X"), {"X": np.array([1.0, 0.0])})
@@ -200,6 +221,15 @@ class TestDifferentiate:
         d = differentiate(ast, "b")
         # d/db(a/b) = -a/b^2
         assert evaluate(d, {"a": 3.0, "b": 2.0}) == pytest.approx(-0.75)
+
+    def test_partials_share_the_formulas_unchanged_subtrees(self):
+        # so one memo across a formula and its partials computes X + tau once
+        ast = parse_formula("alpha / (X + tau)")
+        shared = ast.right
+        d_alpha, d_tau = differentiate(ast, "alpha"), differentiate(ast, "tau")
+        assert d_alpha == parse_formula("(X + tau) / ((X + tau) * (X + tau))")
+        assert d_alpha.left is shared and d_alpha.right.left is shared and d_tau.right.right is shared
+        assert simplify(ast) is ast
 
     def test_free_vars_shrink(self):
         ast = parse_formula("a + b * X")
@@ -244,45 +274,59 @@ def _random_ast(rng, variables, depth):
     return Binary(op, _random_ast(rng, variables, depth - 1), _random_ast(rng, variables, depth - 1))
 
 
-class TestCompile:
+class TestRowFormulas:
+    """The row path's generated function, ``formulas(x, with_grad)``: the mean's n-vector and,
+    with ``with_grad``, its partials' (see :func:`plainbayes.posterior._row_formulas`)."""
+
     X = np.array([1.5, 0.0, -2.0, 4.0])
 
     def test_parameter_free_expression_is_its_value(self):
-        value = compile_formula(parse_formula("2 * X - 1"), ["a"], {"X": self.X})
-        assert not callable(value)
-        np.testing.assert_array_equal(value, 2 * self.X - 1)
+        # computed once, as a contiguous vector; a parameter-only tree is broadcast at each call
+        formulas = _row_formulas(["a"], {"X": self.X}, 4, [parse_formula("2 * X - 1"), parse_formula("a * a")])
+        mean, (partial,) = formulas([np.float64(3.0)], True)
+        np.testing.assert_array_equal(mean, 2 * self.X - 1)
+        assert mean.flags.c_contiguous and formulas([np.float64(1.0)], False)[0] is mean
+        assert partial.strides == (0,) and partial.tolist() == [9.0] * 4
 
     def test_raising_constant_subtree_raises_at_call(self):
-        fn = compile_formula(parse_formula("a + X / (X * X)"), ["a"], {"X": self.X})
+        formulas = _row_formulas(["a"], {"X": self.X}, 4, [parse_formula("a + X / (X * X)")])
         for _ in range(2):
             with pytest.raises(NonFiniteResult, match=r"non-finite quotient in 'X / \(X \* X\)'"):
-                fn([1.0])
+                formulas([1.0], False)
 
-    def test_unbound_name_raises_at_call(self):
-        fn = compile_formula(parse_formula("a + c"), ["a"], {"X": self.X})
+    def test_unbound_name_raises_at_build(self):
         with pytest.raises(UnboundVariable):
-            fn([1.0])
+            _row_formulas(["a"], {"X": self.X}, 4, [parse_formula("a + c")])
+
+    def test_raising_partial_gives_no_partials(self):
+        # the mean is fine and d/db of a / b divides by b * b = 0: the gradient's concern, not the mean's
+        formulas = _row_formulas(["a", "b"], {}, 2, [parse_formula("a / b"), differentiate(parse_formula("a / b"), "b")])
+        mean, partials = formulas([1.0, 1e-200], True)
+        assert mean.tolist() == [1e200] * 2 and partials is None
 
     def test_float_quotients_as_numpy_scalars(self):
         # Python floats skip numpy's errstate: the same quotients, and the same errors
-        divide = compile_formula(parse_formula("a / b"), ["a", "b"], {})
+        lines, env, let, bind = _emitter()
+        name = emit(parse_formula("a / b"), {"a": "a", "b": "b"}, {}, let, bind)
+        exec("def divide(a, b):\n" + "".join(f"    {line}\n" for line in lines) + f"    return {name}", env)
+        divide = env["divide"]
         rng = np.random.default_rng(8)
         pairs = [(float(a), float(b)) for a, b in rng.normal(scale=1e3, size=(200, 2))]
         pairs += [(1e300, 1e-300), (-1e300, 1e-300), (1e-300, 1e300), (5e-324, 2.0), (0.0, 3.0), (-0.0, -3.0)]
         for a, b in pairs:
             try:
                 with np.errstate(over="ignore"):  # which numpy scalars warn of, and Python floats do not
-                    expected = divide([np.float64(a), np.float64(b)])
+                    expected = divide(np.float64(a), np.float64(b))
             except NonFiniteResult as exc:
                 with pytest.raises(NonFiniteResult, match="non-finite quotient") as err:
-                    divide([a, b])
+                    divide(a, b)
                 assert err.value.value == exc.value
             else:
-                out = divide([a, b])
+                out = divide(a, b)
                 assert type(out) is float and np.float64(out).tobytes() == expected.tobytes()
         for a in (0.0, 1.0, -2.0):
             with pytest.raises(NonFiniteResult, match="division by zero"):
-                divide([a, 0.0])
+                divide(a, 0.0)
 
     def test_random_asts_match_evaluate(self):
         rng = np.random.default_rng(99)
@@ -293,7 +337,7 @@ class TestCompile:
             outcomes = []
             for run in (
                 lambda: evaluate(ast, env),
-                lambda: _checked(compile_formula(ast, ["a", "b"], {"X": self.X}), values),
+                lambda: _checked(_row_formulas(["a", "b"], {"X": self.X}, 4, [ast])(values, False)[0]),
             ):
                 try:
                     outcomes.append(("ok", run()))
@@ -302,22 +346,14 @@ class TestCompile:
             (kind, value), (other_kind, other_value) = outcomes
             assert kind == other_kind, to_source(ast)
             assert (value is None) == (other_value is None), to_source(ast)
-            if value is not None:
-                assert np.array_equal(value, other_value, equal_nan=True), to_source(ast)
+            if value is not None:  # the rows broadcast a value without X
+                assert np.array_equal(np.broadcast_to(value, (4,)), other_value, equal_nan=True), to_source(ast)
 
 
 def _emitter():
     """(the source lines, the namespace, ``let``, ``bind``) of one straight-line function."""
-    lines, env = [], {}
-
-    def let(expr):
-        lines.append(f"t{len(lines)} = {expr}")
-        return f"t{len(lines) - 1}"
-
-    def bind(value):
-        env[f"k{len(env)}"] = value
-        return f"k{len(env) - 1}"
-
+    env = {}
+    lines, let, bind = writer(env)
     return lines, env, let, bind
 
 
@@ -351,8 +387,7 @@ class TestEmit:
         assert emit(shared, self.PARAMS, {}, let, bind, memo) == first and len(lines) == 4
 
 
-def _checked(compiled, values):
-    value = compiled(values) if callable(compiled) else compiled
+def _checked(value):
     check_finite(value)
     return value
 

@@ -201,6 +201,27 @@ class TestTinyNoiseScale:
         assert grad[1] == pytest.approx(1.0 - 5, rel=1e-12)
 
 
+class TestOverflowWarnsNothing:
+    """Direct calls where a prior term, ``resid / sigma`` or ``t . t`` overflows: -inf with a
+    zero gradient, and no numpy overflow warning, which pyproject's filterwarnings makes an error."""
+
+    @pytest.mark.parametrize("source", ["alpha / (X + tau)", "alpha + beta * X", "alpha * X * X"])
+    def test_minus_infinity_with_a_zero_gradient(self, source):
+        data = Dataset({"X": np.linspace(0.5, 3.0, 50), "y": np.linspace(-2.0, 2.0, 50)})
+        names = sorted(formula.free_vars(formula.parse_formula(source)) - {"X"})
+        priors = {**{name: Normal(mu=0, sigma=1) for name in names}, "sigma": HalfNormal(sigma=1)}
+        spec = ModelSpec(priors=priors, likelihood=LikelihoodSpec(formula_source=source, noise_param="sigma"))
+        pf = build_posterior(validate_model(spec, data.column_names()), data)
+        points = [[1.0] * len(names) + [log_sigma] for log_sigma in (-700.0, -745.0)]
+        for i in range(len(names)):
+            for big, log_sigma in ((1e155, 0.0), (1e300, -300.0)):
+                points.append([big if j == i else 1.0 for j in range(len(names))] + [log_sigma])
+        for z in map(np.array, points):
+            assert pf.log_density(z) == -math.inf
+            value, grad = pf.log_density_and_grad(z)
+            assert value == -math.inf and grad.tolist() == [0.0] * pf.dimension
+
+
 class TestZeroDenominatorGradient:
     """On ``alpha + X / tau``, ``formula.simplify`` folds alpha's partial to 1 and
     sigma's to 0, so only tau's own partial, -X / (tau * tau), divides by tau^2."""
@@ -921,23 +942,28 @@ class TestDeepNestedQuotient:
                 assert formula.differentiate(tree, name) == formula.simplify(formula._diff(tree, name), _Unmemoised())
 
     def test_kernel_has_one_local_per_distinct_operation(self):
-        # the trees the kernel emits share each denominator in three places; with
-        # one memo per build, each distinct operation node is one assignment
+        # the trees the kernel emits, X bound to a number, and those the rows emit, X bound
+        # as an array, share each denominator in three places, and a partial shares the
+        # subtrees simplify leaves as they are with its formula; with one memo per build,
+        # each distinct operation node is one assignment
         ast = formula.parse_formula(self.SOURCE)
         slope = formula.differentiate(ast, "X")
-        trees = [ast, slope] + [formula.differentiate(tree, name) for tree in (ast, slope) for name in ("a", "b")]
-        nodes, stack = {}, list(trees)
-        while stack:
-            node = stack.pop()
-            if id(node) not in nodes:
-                nodes[id(node)] = node
-                stack += [getattr(node, part) for part in ("child", "left", "right") if hasattr(node, part)]
-        operations = sum(isinstance(node, (Binary, Negate)) for node in nodes.values())
-        lets, memo = [], {}
-        for tree in trees:
-            formula.emit(tree, {"a": "a", "b": "b"}, {"X": 2.0}, lambda expr: lets.append(expr) or f"t{len(lets)}",
-                         lambda value: "k", memo)
-        assert len(lets) == operations == 13247  # walked as trees, 100 765
+        kernel = [ast, slope] + [formula.differentiate(tree, name) for tree in (ast, slope) for name in ("a", "b")]
+        rows = [ast] + [formula.differentiate(ast, name) for name in ("a", "b")]
+        for trees, x, expected in ((kernel, 2.0, 3249), (rows, np.linspace(0.5, 2.0, 5), 888)):
+            nodes, stack = {}, list(trees)
+            while stack:
+                node = stack.pop()
+                if id(node) not in nodes:
+                    nodes[id(node)] = node
+                    stack += [getattr(node, part) for part in ("child", "left", "right") if hasattr(node, part)]
+            operations = sum(isinstance(node, (Binary, Negate)) for node in nodes.values())
+            lets, memo = [], {}
+            for tree in trees:
+                formula.emit(tree, {"a": "a", "b": "b"}, {"X": x}, lambda expr: lets.append(expr) or f"t{len(lets)}",
+                             lambda value: "k", memo)
+            # the kernel's count was 13 247 while simplify rebuilt every node, and is 100 765 walked as trees
+            assert len(lets) == operations == expected
 
     def test_build_takes_seconds_at_most(self):
         rng = np.random.default_rng(29)
@@ -949,8 +975,9 @@ class TestDeepNestedQuotient:
         vm = validate_model(spec, data.column_names())
         started = time.perf_counter()
         pf = build_posterior(vm, data)
-        # about 1.5 s on a 2-vCPU x86-64 host; 4 s when the kernel emitted each shared
-        # denominator anew, and 9 s when simplify also walked it anew
+        # about 0.1 s on a 2-vCPU x86-64 host; 1.5 s when each partial rebuilt its formula's
+        # nodes, 4 s when the kernel also emitted each shared denominator anew, and 9 s when
+        # simplify also walked it anew
         assert time.perf_counter() - started < 60.0
         z = np.array([0.3, 0.01, 0.2])
         value, grad = pf.log_density_and_grad(z)
