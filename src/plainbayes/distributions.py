@@ -7,7 +7,8 @@ family checks its parameter values, whoever constructs it.  Each family
 knows its log density, the analytic derivative of that log density, and the
 bijection that maps an unconstrained real coordinate onto its support
 (with the log-Jacobian needed for density corrections in unconstrained space);
-``emit`` writes the same arithmetic as source for the generated density.
+``emit`` writes the same arithmetic as source for the factorisation section of
+the generated density (its rows section calls the methods themselves).
 
 Conventions:
   * the second Normal parameter is a standard deviation,
@@ -240,8 +241,8 @@ class Uniform(PriorDistribution):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.lower < self.upper:
-            raise InvalidParamValue(f"Uniform: lower must be < upper, got lower={self.lower}, upper={self.upper}")
+        if not 0.0 < self.upper - self.lower < math.inf:  # an infinite width: a density of 0, a log-Jacobian of inf
+            raise InvalidParamValue(f"Uniform: lower must be < upper, upper - lower finite, got lower={self.lower}, upper={self.upper}")
 
     def support(self) -> tuple[float, float]:
         return (self.lower, self.upper)

@@ -16,7 +16,7 @@ Evaluation environments may bind numpy arrays as well as scalars; arithmetic
 then broadcasts element-wise, which is how the posterior module applies one
 scalar formula across every data row.  :func:`emit` writes an expression,
 its data bound, as straight-line source in the parameters, one local per
-operation: the posterior's generated functions are made of it.
+operation: the posterior's generated density is made of it.
 :func:`evaluate` runs the same arithmetic with every name bound.
 """
 
@@ -298,7 +298,8 @@ def _divide(node: Binary) -> Callable:
 def writer(namespace: dict):
     """``(lines, let, bind)`` for straight-line source run in ``namespace``: ``let(expr)``
     appends the line ``tN = expr`` to ``lines`` and returns the new local ``tN``, and
-    ``bind(value)`` names ``value`` in ``namespace``."""
+    ``bind(value)`` names ``value`` in ``namespace``.  One writer per generated function gives its locals
+    one numbering: the posterior's density, its factorisation and rows sections alike, and :func:`evaluate`."""
     lines = []
 
     def let(expr):

@@ -11,22 +11,21 @@ likelihood-mean formula evaluated on row r, and sigma is the constrained
 noise parameter.  Gradients are exact: symbolic formula partials chained
 with analytic distribution and transform derivatives.
 
-The sums over rows take one of two paths.  *Rows*, the reference: one
-function generated by :func:`formula.emit`, the data columns bound as arrays,
-gives the n-vectors of the mean and its partials, each operation once, in
-the order of evaluating the scalar formula row by row; a non-finite ``t . t``
-scans the rows for the first bad mean; dot products are taken in fixed
-blocks, so the bits do not depend on the BLAS thread count.  *Factorisation*,
-for a mean affine in the data, mu = c_0 + sum_k c_k X_k: with
-B = [1, X_1, ..., X_K] = QR factored once and b = Q^T y - R c,
-sum (y - mu)^2 = b . b + |y - Q Q^T y|^2 and sum (y - mu) d mu / d x_i =
-(R^T b) . d c / d x_i, in O(K^2) Python floats, by one straight-line function
-generated once per posterior (one assignment per distinct formula node, each
-sum unrolled in ``sum``'s order, and each prior family's and transform's
-arithmetic inlined, its constants bound once).  A B that is rank-deficient or
-has n <= K + 1 rows, and any call with a c_k or partial that raises, an
-``exp`` that overflows, a non-finite b . b or gradient, or an underflowing
-sigma^3, take the rows.
+The density is one function per posterior, generated as source once, one
+assignment per distinct formula node.  *Factorisation*, for a mean affine in
+the data, mu = c_0 + sum_k c_k X_k: with B = [1, X_1, ..., X_K] = QR factored
+once and b = Q^T y - R c, sum (y - mu)^2 = b . b + |y - Q Q^T y|^2 and
+sum (y - mu) d mu / d x_i = (R^T b) . d c / d x_i, in O(K^2) Python floats,
+each sum unrolled in ``sum``'s order, each prior family's and transform's
+arithmetic inlined.  A call with a c_k or partial that raises, an ``exp``
+that overflows, a non-finite b . b or gradient, or an underflowing sigma^3
+falls through to the *rows* below it, the reference and the whole function
+for any other mean or a B rank-deficient or of n <= K + 1 rows: the families'
+and transforms' own methods on the numpy scalars of ``z``; the n-vectors of
+the mean and its partials, the columns bound as arrays, each operation once,
+in the order of evaluating the scalar formula row by row; a non-finite
+``t . t`` scans the rows for the first bad mean; dot products in fixed blocks,
+so the bits do not depend on the BLAS thread count.
 
 Density policy: proposals outside a prior's support (or with a degenerate
 noise scale) get -inf so samplers can reject them; a non-finite likelihood
@@ -133,11 +132,9 @@ class PosteriorFn:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """``a . b`` for n-vectors, the same bits under any BLAS thread count:
-    ``np.dot`` over blocks of ``_DOT_BLOCK`` rows, the block sums added in
-    order.  Up to one block, that is ``np.dot`` itself."""
-    if a.shape[0] <= _DOT_BLOCK:
-        return float(np_dot(a, b))
+    """``a . b`` for n-vectors of more than ``_DOT_BLOCK`` rows, the same bits under any
+    BLAS thread count: ``np.dot`` over blocks of ``_DOT_BLOCK`` rows, the block sums added
+    in order."""
     total = 0.0
     for start in range(0, a.shape[0], _DOT_BLOCK):
         total += float(np_dot(a[start:start + _DOT_BLOCK], b[start:start + _DOT_BLOCK]))
@@ -166,18 +163,94 @@ def _thin_qr(columns, y: np.ndarray, dot):
         return R, qty, float(dot(rest, rest))
 
 
-def _row_formulas(names, columns, n_rows, asts):
-    """``formulas(x, with_grad)``, one straight-line function generated as source, returning
-    ``(mean, partials)``: the n-vector of ``asts[0]`` at the parameter values ``x`` and, with
-    ``with_grad``, a tuple of the n-vectors of ``asts[1:]`` (None for None).  ``partials`` is None
-    without ``with_grad``, or where a partial raises :class:`NonFiniteResult`: the mean's lines come
-    first, so only its errors escape.  One memo spans the trees.  A tree with no parameter is
-    computed here as a contiguous vector, and one with no column is broadcast at each call."""
-    env = {"NonFiniteResult": NonFiniteResult, "broadcast_to": np.broadcast_to, "asarray": np.asarray}
-    lines, let, bind = formula.writer(env)
-    params, memo = {name: f"x{i}" for i, name in enumerate(names)}, {}
+def _density(names, dists, transforms, noise_index, y, columns, mean, slopes, partials, qr, dot):
+    """``density(z, with_grad=False)``, generated as source: see the module docstring.  ``partials``
+    holds (i, the AST of d mu / d x_i, those of d c / d x_i) per gradient term, None for 0; ``qr`` is
+    the factorisation's, if it applies.  Numbers and functions are bound, never printed, and every
+    name is made here, so no blueprint text reaches the source."""
+    n_rows, dim = y.shape[0], len(names)
+    # Unvouched: a quotient that raises, a float division by 0 in a prior term (inf on the rows'
+    # numpy scalars), an exp that overflows (inf in the rows, whose prior is then -inf), or a guard
+    # that fails (it raises, where a branch around the rest would cost every call a long jump)
+    env = {"inf": math.inf, "log": math.log, "exp": math.exp, "log1p": math.log1p, "isnan": math.isnan,
+           "isfinite": math.isfinite, "np": np, "array": np.array, "zeros": np.zeros, "dot": dot,
+           "broadcast_to": np.broadcast_to, "asarray": np.asarray, "check_finite": formula.check_finite,
+           "Unvouched": (NonFiniteResult, ArithmeticError), "NonFiniteResult": NonFiniteResult,
+           "NonFiniteDensity": NonFiniteDensity, "NonFiniteGradient": NonFiniteGradient}
+    lines, let, bind = formula.writer(env)  # one numbering of the locals across the sections
+    zeros, rows_n, log_norm = f"zeros({bind(dim)})", bind(n_rows), bind(0.5 * n_rows * _LOG_2PI)
 
-    def vector(ast):
+    def nest(start):  # the lines from ``start`` on, one block deeper
+        lines[start:] = [f"    {line}" for line in lines[start:]]
+
+    def finite(g):
+        return " and ".join(f"-inf < {gi} < inf" for gi in g)
+
+    def call(method, at):
+        return f"{bind(method)}({at})"
+
+    def prior(z, inline):  # x, the sum of log p + log |J|, and per parameter (dlog p / dx, dx / dz, dlog |J| / dz),
+        # each family's and transform's arithmetic inlined, or its own methods called
+        # maps: (x, log |J|, dx / dz, dlog |J| / dz) per parameter; logs: (log p, dlog p / dx)
+        maps = [tf.emit(zi, let, bind) if inline else
+                (let(call(tf.forward, zi)), call(tf.log_jacobian, zi), call(tf.dforward_dz, zi),
+                 call(tf.dlog_jacobian_dz, zi)) for tf, zi in zip(transforms, z)]
+        x = [xi for xi, *_ in maps]
+        logs = [dist.emit(xi, let, bind) if inline else (call(dist.log_pdf, xi), call(dist.dlogpdf_dx, xi))
+                for dist, xi in zip(dists, x)]
+        total = "0.0"
+        for (lp, _), (_, lj, *_) in zip(logs, maps):
+            total = let(f"{total} + (({lp}) + ({lj}))")
+        return x, total, [(dl, dx, dj) for (_, dl), (_, _, dx, dj) in zip(logs, maps)]
+
+    def prior_gradient(terms):  # (dx / dz, and dlog p / dx * dx / dz + dlog |J| / dz) per parameter
+        d = [let(dx) for _, dx, _ in terms]
+        return d, [let(f"({dl}) * {di} + ({dj})") for (dl, _, dj), di in zip(terms, d)]
+
+    if qr:  # the factorisation, in Python floats; a call it cannot vouch for falls through to the rows
+        R, qty, rho = qr
+        z = [f"z{i}" for i in range(dim)]
+        lines += ["try:", f"{', '.join(z)}, = z.tolist()"]
+
+        def dot_source(a, b):
+            return " + ".join(["0.0", *(f"{p} * {q}" for p, q in zip(a, b))])  # 0.0 + x is sum's 0 + x, bit for bit, and a faster add
+
+        x, total, terms = prior(z, inline=True)
+        params, memo, at_0 = dict(zip(names, x)), {}, dict.fromkeys(formula.free_vars(mean) - set(names), 0.0)
+
+        def emit(asts):  # one memo per section: a subtree the ASTs share is one local
+            return [formula.emit(ast, params, at_0, let, bind, memo) for ast in asts]
+
+        sigma = x[noise_index]
+        lines.append(f"if not ({total} > -inf and 0.0 < {sigma} < inf): raise ArithmeticError")
+        cube = let(f"{sigma} * {sigma} * {sigma}")
+        c = emit([mean, *slopes])
+        b = [let(f"{bind(qy)} - ({dot_source(map(bind, row), c)})") for qy, row in zip(qty, R)]
+        ss = let(f"{dot_source(b, b)} + {bind(rho)}")
+        lines.append(f"if not ({cube} > 0.0 and {ss} < inf): raise ArithmeticError")
+        loglik = let(f"-0.5 * ({ss} / ({sigma} * {sigma})) - {rows_n} * log({sigma}) - {log_norm}")
+        value = let(f"{total} + {loglik}")
+        lines.append(f"if not with_grad: return -inf if {loglik} == -inf else {value}")
+        lines.append(f"if {loglik} == -inf: return -inf, {zeros}")
+        d, g = prior_gradient(terms)
+        w = let(f"1.0 / ({sigma} * {sigma})")
+        dsigma = let(f"{ss} / {cube} - {rows_n} / {sigma}")
+        btr = [let(dot_source(map(bind, col), b)) for col in zip(*R)]
+        for i, _, asts in partials:
+            s = "0.0" if asts is None else f"{w} * ({dot_source(btr, emit(asts))})"
+            g[i] = let(f"{g[i]} + ({s}{f' + {dsigma}' if i == noise_index else ''}) * {d[i]}")
+        lines.append(f"if {finite(g)}: return {value}, array([{', '.join(g)}])")
+        nest(1)
+        lines += ["except Unvouched:", "    pass"]
+
+    # the rows, under numpy's errstate: an overflow gives -inf, a rejection or an error, so numpy need
+    # not warn of it; the methods on the numpy scalars of z, and the mean and its partials as n-vectors
+    u, rows = [f"u{i}" for i in range(dim)], len(lines) + 1
+    lines += ['with np.errstate(over="ignore"):', f"{', '.join(u)}, = z"]
+    x, total, terms = prior(u, inline=False)
+    params, memo = dict(zip(names, x)), {}
+
+    def vector(ast):  # a tree with no parameter is computed here, contiguous; one with no column is broadcast
         formula.emit(ast, params, columns, let, bind, memo)
         value, local = memo[id(ast)][1]
         if local is None:
@@ -186,65 +259,57 @@ def _row_formulas(names, columns, n_rows, asts):
             return local
         return let(f"broadcast_to(asarray({local}, dtype=float), {bind((n_rows,))})")
 
-    mean, split = vector(asts[0]), len(lines)
-    partials = "".join(f"{'None' if ast is None else vector(ast)}, " for ast in asts[1:])
-    body = [f"{', '.join(params.values())}, = x", *lines[:split], f"if not with_grad: return {mean}, None", "try:",
-            *(f"    {line}" for line in lines[split:]), f"    return {mean}, ({partials})", "except NonFiniteResult:",
-            f"    return {mean}, None"]
-    exec("def formulas(x, with_grad):\n" + "\n".join(f"    {line}" for line in body), env)
-    return env["formulas"]
-
-
-def _straight_line(names, dists, transforms, noise_index, n_rows, coefficients, partials, qr, rows):
-    """The factorisation's log density ``density(z, with_grad)``, one straight-line function
-    generated as source: see the module docstring.  ``partials`` holds (i, _, the ASTs of
-    d c / d x_i or None for 0) per gradient term.  Numbers and functions are bound, never
-    printed, and every name is made here, so no blueprint text reaches the source."""
-    R, qty, rho = qr
-    columns_at_0 = dict.fromkeys(formula.free_vars(coefficients[0]) - set(names), 0.0)
-    # a quotient that raises, a float division by 0 in a prior term (inf on the rows' numpy
-    # scalars), or an exp that overflows (inf in the rows, whose prior is then -inf)
-    env = {"inf": math.inf, "log": math.log, "exp": math.exp, "log1p": math.log1p, "array": np.array,
-           "zeros": np.zeros, "rows": rows, "Unvouched": (NonFiniteResult, ZeroDivisionError, OverflowError)}
-    z = [f"z{i}" for i in range(len(names))]
-    lines, let, bind = formula.writer(env)
-    lines.append(f"{', '.join(z)}, = z.tolist()")
-
-    def dot(a, b):
-        return " + ".join(["0.0", *(f"{p} * {q}" for p, q in zip(a, b))])  # 0.0 + x is sum's 0 + x, bit for bit, and a faster add
-
-    def emit(asts):  # one memo per build: a subtree the ASTs share is one local
-        return [formula.emit(ast, dict(zip(names, x)), columns_at_0, let, bind, memo) for ast in asts]
-
-    memo = {}
-    inlined = [tf.emit(zi, let, bind) for tf, zi in zip(transforms, z)]  # (x, log |J|, dx/dz, dlog |J|/dz)
-    x = [xi for xi, *_ in inlined]
-    priors = [dist.emit(xi, let, bind) for dist, xi in zip(dists, x)]  # (log prior, dlog prior/dx)
-    total = "0.0"
-    for (lp, _), (_, lj, *_) in zip(priors, inlined):
-        total = let(f"{total} + (({lp}) + ({lj}))")
     sigma = x[noise_index]
-    lines.append(f"if not ({total} > -inf and 0.0 < {sigma} < inf): return rows(z, with_grad)")
+    # outside a prior's support, or sigma underflows or overflows
+    minus_inf = f"return (-inf, {zeros}) if with_grad else -inf"
+    lines += [f"if isnan({total}): raise NonFiniteDensity('prior log density is NaN')",
+              f"if not ({total} > -inf and {sigma} > 0.0 and isfinite({sigma})): {minus_inf}"]
     cube = let(f"{sigma} * {sigma} * {sigma}")
-    c = emit(coefficients)
-    b = [let(f"{bind(qy)} - ({dot(map(bind, row), c)})") for qy, row in zip(qty, R)]
-    ss = let(f"{dot(b, b)} + {bind(rho)}")
-    lines.append(f"if not ({cube} > 0.0 and {ss} < inf): return rows(z, with_grad)")
-    loglik = let(f"-0.5 * ({ss} / ({sigma} * {sigma})) - {bind(n_rows)} * log({sigma}) - {bind(0.5 * n_rows * _LOG_2PI)}")
-    value = let(f"{total} + {loglik}")
-    lines.append(f"if not with_grad: return -inf if {loglik} == -inf else {value}")
-    lines.append(f"if {loglik} == -inf: return -inf, zeros({bind(len(names))})")
-    d = [let(dx) for _, _, dx, _ in inlined]
-    g = [let(f"({dl}) * {di} + ({dj})") for (_, dl), di, (*_, dj) in zip(priors, d, inlined)]
-    w = let(f"1.0 / ({sigma} * {sigma})")
-    dsigma = let(f"{ss} / {cube} - {bind(n_rows)} / {sigma}")
-    btr = [let(dot(map(bind, col), b)) for col in zip(*R)]
-    for i, _, asts in partials:
-        s = "0.0" if asts is None else f"{w} * ({dot(btr, emit(asts))})"
-        g[i] = let(f"{g[i]} + ({s}{f' + {dsigma}' if i == noise_index else ''}) * {d[i]}")
-    lines.append(f"if {' and '.join(f'-inf < {gi} < inf' for gi in g)}: return {value}, array([{', '.join(g)}])")
-    body = "\n".join(f"        {line}" for line in lines)
-    exec(f"def density(z, with_grad=False):\n    try:\n{body}\n    except Unvouched:\n        pass\n    return rows(z, with_grad)", env)
+    lines.append("try:")
+    start, mu = len(lines), vector(mean)
+    block = len(lines) + 1
+    lines += ["if with_grad:", "try:"]  # a partial that raises (as near a division singularity) is a non-finite one
+    dmus = [None if ast is None else vector(ast) for _, ast, _ in partials]
+    lines.append("raised = False")
+    nest(block + 1)
+    lines += ["except NonFiniteResult:", "    raised = True"]
+    nest(block)
+    # let go of the vectors the mean and partials were made of (each a memoised node's local): held
+    # to the return and freed there at once, at 10^4 rows they made the allocator give memory back,
+    # and fault it in, every call
+    spent = [local for _, (_, local) in memo.values() if local not in (None, mu, *dmus, *params.values())]
+    lines += [" = ".join([*spent, "None"])] if spent else []
+    resid = let(f"{bind(y)} - {mu}")
+    t = let(f"{resid} / {sigma}")
+    tt = let(f"float(dot({t}, {t}))")
+    lines.append(f"if not isfinite({tt}): check_finite({mu})")  # a non-finite mean makes t . t non-finite
+    nest(start)
+    lines += ["except NonFiniteResult as exc:",
+              "    row = None if exc.value is None else int(np.argmin(np.isfinite("
+              f"np.broadcast_to(np.asarray(exc.value, dtype=float), {bind((n_rows,))}))))",
+              "    raise NonFiniteDensity(f'likelihood mean is non-finite: {exc}', row=row) from None"]
+    loglik = let(f"-0.5 * {tt} - {rows_n} * log({sigma}) - {log_norm}")
+    lines += [f"if isnan({loglik}): raise NonFiniteDensity('likelihood log density is NaN')",
+              f"if {loglik} == -inf: {minus_inf}"]
+    total = let(f"{total} + {loglik}")
+    lines.append(f"if not with_grad: return float({total})")
+    d, g = prior_gradient(terms)  # dlog p / dx one-sided at a support's edges
+    # d loglik / d x_i = w * (r . d mu / d x_i), plus dsigma for the noise scale; where sigma^3
+    # underflows to 0, the same derivatives through t = resid / sigma
+    lines += [f"if {cube} > 0.0:", f"    r, w = {resid}, 1.0 / ({sigma} * {sigma})",
+              f"    dsigma = float(dot({resid}, {resid})) / {cube} - {rows_n} / {sigma}",
+              "else:", f"    r, w = {t}, 1.0 / {sigma}", f"    dsigma = ({tt} - {rows_n}) * w", "if not raised:"]
+    block = len(lines)
+    for (i, *_), dmu in zip(partials, dmus):
+        s = "0.0" if dmu is None else f"w * float(dot(r, {dmu}))"
+        g[i] = let(f"{g[i]} + ({s}{' + dsigma' if i == noise_index else ''}) * {d[i]}")
+    lines.append(f"if {finite(g)}: return float({total}), array([{', '.join(g)}])")
+    nest(block)
+    # a non-finite gradient at an astronomically improbable point is a rejection, not a bug
+    lines += [f"if {total} < {bind(_GRADIENT_OVERFLOW_FLOOR)}: return float({total}), {zeros}",
+              "raise NonFiniteGradient('gradient contains non-finite components', z=z)"]
+    nest(rows)
+    exec("def density(z, with_grad=False):\n" + "\n".join(f"    {line}" for line in lines), env)
     return env["density"]
 
 
@@ -256,7 +321,6 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
     transforms = [dist.transform() for dist in dists]
     noise_name = spec.likelihood.noise_param
     noise_index = names.index(noise_name)
-    dim = len(names)
 
     if response_column not in data.columns:
         raise MissingResponseColumn(response_column)
@@ -270,7 +334,7 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             raise UnresolvedVariable(v, "dataset does not provide this column")
     fixed_env = {v: data.columns[v] for v in column_vars}
 
-    dot = np_dot if n_rows <= _DOT_BLOCK else _dot  # the same bits as _dot, less its call
+    dot = np_dot if n_rows <= _DOT_BLOCK else _dot  # up to one block, _dot's sum is np.dot's
 
     # mu = c_0 + sum_k c_k X_k when each slope c_k (its partial in a column) has no column
     # in it; c_0 is mu at every column 0, and d c_0 / d x_i is d mu / d x_i there
@@ -287,79 +351,7 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             partials.append((i, partial, qr and [partial, *(formula.differentiate(s, name) for s in slopes)]))
         elif i == noise_index:
             partials.append((i, None, None))
-    formulas = _row_formulas(names, fixed_env, n_rows, [mean_ast, *(partial for _, partial, _ in partials)])
-
-    def density(z: np.ndarray, with_grad: bool = False):
-        """Log density at ``z`` from row sums; with ``with_grad``, the pair (value, gradient).
-        An overflow below gives -inf, a rejection or an error, so numpy need not warn of it."""
-        with np.errstate(over="ignore"):
-            x = [tf.forward(zi) for tf, zi in zip(transforms, z)]
-            total = 0.0
-            for zi, xi, dist, tf in zip(z, x, dists, transforms):
-                total += dist.log_pdf(xi) + tf.log_jacobian(zi)
-            if math.isnan(total):
-                raise NonFiniteDensity("prior log density is NaN")
-
-            sigma = x[noise_index]
-            loglik = -math.inf  # outside a prior's support, or noise-scale underflow/overflow
-            if total > -math.inf and sigma > 0.0 and math.isfinite(sigma):
-                cube = sigma * sigma * sigma
-                try:
-                    mean, dmus = formulas(x, with_grad)
-                    resid = y - mean
-                    t = resid / sigma
-                    tt = float(dot(t, t))
-                    if not math.isfinite(tt):  # a non-finite mean makes t.t non-finite
-                        formula.check_finite(mean)
-                except NonFiniteResult as exc:
-                    bad = np.broadcast_to(np.asarray(exc.value, dtype=float), (n_rows,)) if exc.value is not None else None
-                    row = int(np.argmin(np.isfinite(bad))) if bad is not None else None
-                    raise NonFiniteDensity(f"likelihood mean is non-finite: {exc}", row=row) from None
-                loglik = -0.5 * tt - n_rows * math.log(sigma) - 0.5 * n_rows * _LOG_2PI
-                if math.isnan(loglik):
-                    raise NonFiniteDensity("likelihood log density is NaN")
-            if loglik == -math.inf:
-                return (-math.inf, np.zeros(dim)) if with_grad else -math.inf
-            total += loglik
-            if not with_grad:
-                return total
-
-            # d log prior_i / dx_i (one-sided at support edges) * d x_i / dz_i + d log|J_i| / dz_i,
-            # in Python floats: the same IEEE operations as on arrays, at a fraction of the cost
-            dfwd = [tf.dforward_dz(zi) for tf, zi in zip(transforms, z)]
-            grad = [
-                dist.dlogpdf_dx(xi) * dfwd_i + tf.dlog_jacobian_dz(zi)
-                for dist, xi, dfwd_i, tf, zi in zip(dists, x, dfwd, transforms, z)
-            ]
-
-            # d loglik / d x_i = w * (r . d mu / d x_i), plus dsigma for the noise scale
-            if cube > 0.0:
-                r, w = resid, 1.0 / (sigma * sigma)
-                dsigma = float(dot(resid, resid)) / cube - n_rows / sigma
-            else:
-                # sigma^3 underflows to 0: the same derivatives through t = resid / sigma,
-                # only here, so that every other sigma keeps the arithmetic the draws depend on
-                r, w = t, 1.0 / sigma
-                dsigma = (tt - n_rows) * w
-            if dmus is None:  # a partial raised (as near a division singularity): as a non-finite one
-                grad = [math.nan] * dim
-            for (i, *_), dmu in zip(partials, dmus or ()):
-                s = 0.0 if dmu is None else w * float(dot(r, dmu))
-                if i == noise_index:
-                    s += dsigma
-                grad[i] += s * dfwd[i]
-
-            if not all(map(math.isfinite, grad)):
-                # Overflow in the chain rule at an astronomically improbable point
-                # is a rejection, not a bug; the sampler will flag it divergent.
-                if total < _GRADIENT_OVERFLOW_FLOOR:
-                    return total, np.zeros(dim)
-                raise NonFiniteGradient("gradient contains non-finite components", z=z)
-            return total, np.array(grad)
-
-    if qr:
-        density = _straight_line(names, dists, transforms, noise_index, n_rows, [mean_ast, *slopes],
-                                 partials, qr, density)
+    density = _density(names, dists, transforms, noise_index, y, fixed_env, mean_ast, slopes, partials, qr, dot)
     return PosteriorFn(
         param_names=names,
         log_density_and_grad=lambda z: density(z, True),

@@ -7,14 +7,16 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from importlib import resources
 from pathlib import Path
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
 import plainbayes
-from plainbayes import posterior, sampler
+from plainbayes import cli, posterior, sampler
 from plainbayes.cli import main
 from plainbayes.data_io import SimConfig, load_csv
 from plainbayes.elicitation import FixtureStore, LlmConfig, packaged_fixtures_dir, render_model_prompt
@@ -198,6 +200,22 @@ class TestFit:
         assert code == 1
         assert capsys.readouterr().err == f"fit: {message}\n"
 
+    @pytest.mark.parametrize("algorithm", ["nuts", "rwm"])
+    def test_uniform_width_beyond_float_range_fails_in_one_line(self, tmp_path, data_csv, capsys, algorithm):
+        # each bound is finite and their difference is not: rejected with the blueprint, before any
+        # density call (which gave NaN, after a RuntimeWarning, for either algorithm)
+        bad = tmp_path / "bad_model.json"
+        prior = '{"distribution": "Uniform", "params": {"lower": -1e308, "upper": 1e308}}'
+        bad.write_text((EXAMPLES / "manual_priors_model.json").read_text().replace(
+            '{"distribution": "Normal", "params": {"mu": 0, "sigma": 100}}', prior, 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("fit", "--model", bad, "--data", data_csv, "--algorithm", algorithm, "--jobs", 1,
+                           "--out-dir", tmp_path / "f")
+        assert code == 1 and not caught
+        assert capsys.readouterr().err == (
+            "fit: InvalidParamValue: Uniform: lower must be < upper, upper - lower finite, got lower=-1e+308, upper=1e+308\n")
+
     def test_rwm_same_contract(self, tmp_path, data_csv, model_json):
         out_dir = tmp_path / "rwm"
         code = run_cli(
@@ -211,22 +229,24 @@ class TestFit:
 
     @pytest.mark.parametrize("algorithm", ["nuts", "rwm"])
     def test_affine_fit_sums_no_rows(self, tmp_path, monkeypatch, data_csv, model_json, algorithm):
-        # the demo mean alpha + beta * X is affine: every density call of the fit comes
-        # from the factorisation, and the generated row function (the mean and its partials) never runs
-        row_calls = []
-        row_formulas = posterior._row_formulas
+        # the demo mean alpha + beta * X is affine: the factorisation sums over the rows once, when the
+        # posterior is built, and no density call of the fit falls through to the rows, whose every
+        # sum over the rows goes through posterior.np_dot
+        row_sums, build = [], cli.build_posterior
 
-        def counted(*args):
-            formulas = row_formulas(*args)
-            return lambda x, with_grad: row_calls.append(1) or formulas(x, with_grad)
+        def built(*args, **kwargs):
+            pf = build(*args, **kwargs)
+            row_sums.clear()
+            return pf
 
-        monkeypatch.setattr(posterior, "_row_formulas", counted)
+        monkeypatch.setattr(posterior, "np_dot", lambda a, b: row_sums.append(a.shape) or np.dot(a, b))
+        monkeypatch.setattr(cli, "build_posterior", built)
         code = run_cli(
             "fit", "--model", model_json, "--data", data_csv, "--algorithm", algorithm,
             "--chains", 2, "--warmup", 200, "--draws", 100, "--jobs", 1, "--seed", 3,
             "--out-dir", tmp_path / "fit",
         )
-        assert code == 0 and not row_calls
+        assert code == 0 and not row_sums
 
 
 class TestConfigDefaults:

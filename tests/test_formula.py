@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -6,11 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plainbayes import formula, posterior
+from plainbayes.data_io import Dataset
+from plainbayes.distributions import HalfNormal, Normal
 from plainbayes.errors import (
     FormulaSyntax,
     FormulaTooDeep,
     IllegalCharacter,
     LiteralOverflow,
+    NonFiniteDensity,
+    NonFiniteGradient,
     NonFiniteResult,
     UnboundVariable,
     UnexpectedEnd,
@@ -21,7 +27,6 @@ from plainbayes.formula import (
     Negate,
     NumberLiteral,
     Variable,
-    check_finite,
     differentiate,
     emit,
     evaluate,
@@ -33,7 +38,8 @@ from plainbayes.formula import (
     tokenize,
     writer,
 )
-from plainbayes.posterior import _row_formulas
+from plainbayes.posterior import build_posterior
+from plainbayes.spec_schema import LikelihoodSpec, ModelSpec, ValidatedModel, validate_model
 
 
 class TestTokenize:
@@ -275,34 +281,103 @@ def _random_ast(rng, variables, depth):
 
 
 class TestRowFormulas:
-    """The row path's generated function, ``formulas(x, with_grad)``: the mean's n-vector and,
-    with ``with_grad``, its partials' (see :func:`plainbayes.posterior._row_formulas`)."""
+    """The rows of the generated density (see :func:`plainbayes.posterior.build_posterior`), the
+    factorisation put aside: the mean's n-vector and, on a gradient call, its partials'."""
 
     X = np.array([1.5, 0.0, -2.0, 4.0])
+    Y = np.array([0.5, -1.0, 2.0, 1.0])
+    PRIORS = {"a": Normal(mu=0, sigma=2), "b": Normal(mu=1, sigma=3), "s": HalfNormal(sigma=3)}
 
-    def test_parameter_free_expression_is_its_value(self):
-        # computed once, as a contiguous vector; a parameter-only tree is broadcast at each call
-        formulas = _row_formulas(["a"], {"X": self.X}, 4, [parse_formula("2 * X - 1"), parse_formula("a * a")])
-        mean, (partial,) = formulas([np.float64(3.0)], True)
-        np.testing.assert_array_equal(mean, 2 * self.X - 1)
-        assert mean.flags.c_contiguous and formulas([np.float64(1.0)], False)[0] is mean
-        assert partial.strides == (0,) and partial.tolist() == [9.0] * 4
+    def _rows(self, monkeypatch, source, dots=None):
+        """The posterior of the mean ``source``, noise scale s, over X and Y, summing its rows; the
+        operands of each of its dot products are appended to ``dots``, if given."""
+        monkeypatch.setattr(posterior, "_thin_qr", lambda *args: None)
+        if dots is not None:
+            monkeypatch.setattr(posterior, "np_dot", lambda a, b: dots.append((a, b)) or np.dot(a, b))
+        spec = ModelSpec(priors=self.PRIORS, likelihood=LikelihoodSpec(formula_source=source, noise_param="s"))
+        return build_posterior(validate_model(spec, ["X", "y"]), Dataset({"X": self.X, "y": self.Y}))
 
-    def test_raising_constant_subtree_raises_at_call(self):
-        formulas = _row_formulas(["a"], {"X": self.X}, 4, [parse_formula("a + X / (X * X)")])
-        for _ in range(2):
-            with pytest.raises(NonFiniteResult, match=r"non-finite quotient in 'X / \(X \* X\)'"):
-                formulas([1.0], False)
+    def _expected(self, ast, z):
+        """The log density at ``z`` with the mean ``evaluate`` gives: the priors' own methods on
+        the numpy scalars of ``z``, then the Normal log likelihood of the rows, in the rows' order."""
+        transforms = [dist.transform() for dist in self.PRIORS.values()]
+        x = [tf.forward(zi) for tf, zi in zip(transforms, z)]
+        total = 0.0
+        for dist, tf, xi, zi in zip(self.PRIORS.values(), transforms, x, z):
+            total += dist.log_pdf(xi) + tf.log_jacobian(zi)
+        try:
+            mean = evaluate(ast, dict(zip(self.PRIORS, x), X=self.X))
+        except NonFiniteResult as exc:
+            bad = np.broadcast_to(np.asarray(exc.value, dtype=float), (4,)) if exc.value is not None else None
+            expected = NonFiniteDensity(f"likelihood mean is non-finite: {exc}",
+                                        row=None if bad is None else int(np.argmin(np.isfinite(bad))))
+            return NonFiniteDensity, str(expected), expected.row
+        t = (self.Y - mean) / x[2]
+        return total + (-0.5 * float(np.dot(t, t)) - 4 * math.log(x[2]) - 0.5 * 4 * math.log(2.0 * math.pi))
 
-    def test_unbound_name_raises_at_build(self):
+    @staticmethod
+    def _outcome(fn, z):
+        try:
+            return fn(z)
+        except NonFiniteDensity as exc:
+            return type(exc), str(exc), exc.row
+
+    def test_parameter_free_expression_is_its_value(self, monkeypatch):
+        # computed once, at build, as a contiguous vector, which every call reads: the mean where a
+        # tiny sigma makes t . t overflow and the mean is checked, a partial in each gradient dot
+        pf = self._rows(monkeypatch, "2 * X - 1")
+        z = np.array([0.5, -0.5, 0.2])
+        assert pf.log_density(z) == pf.log_density_and_grad(z)[0] == self._expected(parse_formula("2 * X - 1"), z)
+        checked = []
+        monkeypatch.setattr(formula, "check_finite", checked.append)
+        pf = self._rows(monkeypatch, "2 * X - 1")
+        z = np.array([0.5, -0.5, -690.0])
+        assert pf.log_density(z) == pf.log_density_and_grad(z)[0] == -math.inf
+        assert len(checked) == 2 and checked[0] is checked[1]
+        assert checked[0].flags.c_contiguous and checked[0].tolist() == (2 * self.X - 1).tolist()
+        dots = []  # the partials in a and b are 2 * X - 1 and the literal 1, a scalar at build
+        pf = self._rows(monkeypatch, "a * (2 * X - 1) + b", dots)
+        pf.log_density_and_grad(np.array([0.5, -0.5, 0.2]))
+        pf.log_density_and_grad(np.array([1.5, 0.5, 0.0]))
+        dmus = [b for a, b in dots if b is not a]  # r . d mu / d a, r . d mu / d b; the others are t . t, r . r
+        assert len(dmus) == 4 and dmus[0] is dmus[2] and dmus[1] is dmus[3]
+        assert all(dmu.flags.c_contiguous for dmu in dmus)
+        assert dmus[0].tolist() == (2 * self.X - 1).tolist() and dmus[1].tolist() == [1.0] * 4
+        # a parameter-only partial, d/da of a * a + X, is a + a broadcast over the rows at each call:
+        # a stride-0 view, which np.dot sums by another kernel than a contiguous vector
+        dots.clear()
+        pf = self._rows(monkeypatch, "a * a + X", dots)
+        z = np.array([3.0, 0.0, 0.0])
+        value, grad = pf.log_density_and_grad(z)
+        assert value == self._expected(parse_formula("a * a + X"), z)
+        (r, dmu), = [(a, b) for a, b in dots if b is not a]
+        assert dmu.strides == (0,) and dmu.tolist() == [6.0] * 4
+        assert grad[0] == -0.75 + float(np.dot(r, dmu))
+
+    def test_raising_constant_subtree_raises_at_call(self, monkeypatch):
+        pf = self._rows(monkeypatch, "a + X / (X * X)")
+        for call in (pf.log_density, pf.log_density_and_grad, pf.log_density):
+            with pytest.raises(NonFiniteDensity, match=r"non-finite quotient in 'X / \(X \* X\)'") as err:
+                call(np.array([1.0, 0.0, 0.0]))
+            assert err.value.row == 1  # X = 0 there
+
+    def test_unbound_name_raises_at_build(self, monkeypatch):
+        # a model whose mean names neither a prior nor a column it was given
+        spec = ModelSpec(priors=self.PRIORS, likelihood=LikelihoodSpec(formula_source="a + c", noise_param="s"))
+        data = Dataset({"X": self.X, "y": self.Y})
         with pytest.raises(UnboundVariable):
-            _row_formulas(["a"], {"X": self.X}, 4, [parse_formula("a + c")])
+            build_posterior(ValidatedModel(spec, ()), data)
+        monkeypatch.setattr(posterior, "_thin_qr", lambda *args: None)
+        with pytest.raises(UnboundVariable):
+            build_posterior(ValidatedModel(spec, ()), data)
 
-    def test_raising_partial_gives_no_partials(self):
-        # the mean is fine and d/db of a / b divides by b * b = 0: the gradient's concern, not the mean's
-        formulas = _row_formulas(["a", "b"], {}, 2, [parse_formula("a / b"), differentiate(parse_formula("a / b"), "b")])
-        mean, partials = formulas([1.0, 1e-200], True)
-        assert mean.tolist() == [1e200] * 2 and partials is None
+    def test_raising_partial_gives_no_partials(self, monkeypatch):
+        # the mean a is fine and its partial in b divides 0 by b * b = 0: the gradient's concern, not the mean's
+        pf = self._rows(monkeypatch, "a * (b / b)")
+        z = np.array([0.5, 1e-200, 0.0])
+        assert pf.log_density(z) == self._expected(parse_formula("a * (b / b)"), z)
+        with pytest.raises(NonFiniteGradient, match="gradient contains non-finite components"):
+            pf.log_density_and_grad(z)
 
     def test_float_quotients_as_numpy_scalars(self):
         # Python floats skip numpy's errstate: the same quotients, and the same errors
@@ -328,26 +403,29 @@ class TestRowFormulas:
             with pytest.raises(NonFiniteResult, match="division by zero"):
                 divide(a, 0.0)
 
-    def test_random_asts_match_evaluate(self):
+    def test_random_asts_match_evaluate(self, monkeypatch):
+        # y = 0 and sigma = 1, so that t = (y - mu) / sigma, the first dot's operand, is -mu: the
+        # mean's n-vector, but for the sign of a zero; where the mean raises, its value and row
+        monkeypatch.setattr(self, "Y", np.zeros(4))
         rng = np.random.default_rng(99)
         for _ in range(500):
             ast = _random_ast(rng, ["a", "b", "X"], depth=4)
             values = [float(rng.uniform(-3, 3)), 0.0 if rng.random() < 0.2 else float(rng.uniform(-3, 3))]
-            env = {"a": values[0], "b": values[1], "X": self.X}
-            outcomes = []
-            for run in (
-                lambda: evaluate(ast, env),
-                lambda: _checked(_row_formulas(["a", "b"], {"X": self.X}, 4, [ast])(values, False)[0]),
-            ):
-                try:
-                    outcomes.append(("ok", run()))
-                except NonFiniteResult as exc:
-                    outcomes.append((str(exc), exc.value))
-            (kind, value), (other_kind, other_value) = outcomes
-            assert kind == other_kind, to_source(ast)
-            assert (value is None) == (other_value is None), to_source(ast)
-            if value is not None:  # the rows broadcast a value without X
-                assert np.array_equal(np.broadcast_to(value, (4,)), other_value, equal_nan=True), to_source(ast)
+            z, dots = np.array([*values, 0.0]), []
+            pf = self._rows(monkeypatch, to_source(ast), dots)
+            assert self._outcome(pf.log_density, z) == self._expected(ast, z), to_source(ast)
+            try:
+                mean = np.broadcast_to(evaluate(ast, dict(zip("ab", z), X=self.X)), (4,))
+            except NonFiniteResult as exc:
+                with pytest.raises(NonFiniteDensity) as err:
+                    pf.log_density(z)
+                value, other = exc.value, err.value.__context__.value  # raised from None, within the handler
+                assert (value is None) == (other is None), to_source(ast)
+                if value is not None:
+                    assert np.array_equal(np.broadcast_to(value, (4,)), np.broadcast_to(other, (4,)),
+                                          equal_nan=True), to_source(ast)
+            else:
+                assert np.array_equal(-dots[0][0], mean), to_source(ast)
 
 
 def _emitter():
@@ -385,11 +463,6 @@ class TestEmit:
         emit(self._tree(shared), self.PARAMS, {}, let, bind, memo)
         assert len(lines) == 4 and lines[2] == f"t2 = k0(c, {first})"  # the quotient calls its divide
         assert emit(shared, self.PARAMS, {}, let, bind, memo) == first and len(lines) == 4
-
-
-def _checked(value):
-    check_finite(value)
-    return value
 
 
 class TestFiniteDifferenceProperty:

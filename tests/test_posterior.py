@@ -222,6 +222,32 @@ class TestOverflowWarnsNothing:
             assert value == -math.inf and grad.tolist() == [0.0] * pf.dimension
 
 
+class TestValueIsAFloat:
+    """Every value the density returns is a Python float, as ``PosteriorFn`` annotates: from the
+    factorisation, from the rows (whose parameters are numpy scalars), -inf, and the gradient floor."""
+
+    @pytest.mark.parametrize("source, z, rows", [
+        ("alpha + beta * X", [1.0, 2.0, 0.0], False),  # the factorisation
+        ("alpha + beta * X", [1.0, 2.0, 0.0], True),  # the same mean on its rows
+        ("alpha / (X + beta)", [1.0, 2.0, 0.0], False),  # a mean not affine in X
+        ("alpha + beta * X", [1.0, 2.0, 1000.0], False),  # -inf: sigma overflows, so the rows answer
+        ("alpha / (X + beta)", [1.0, 2.0, -800.0], False),  # -inf on the rows: sigma underflows to 0
+        ("alpha * X * X + beta", [1e100, 0.0, -115.0], False),  # d/d sigma overflows far below the floor
+    ], ids=["kernel", "rows-affine", "rows", "kernel-minus-inf", "rows-minus-inf", "gradient-floor"])
+    def test_every_return(self, monkeypatch, source, z, rows):
+        if rows:
+            monkeypatch.setattr(posterior, "_thin_qr", lambda *args: None)
+        data = Dataset({"X": np.linspace(0.5, 3.0, 50), "y": np.linspace(-2.0, 2.0, 50)})
+        priors = {"alpha": Normal(mu=0, sigma=1), "beta": Normal(mu=0, sigma=1), "sigma": HalfNormal(sigma=1)}
+        spec = ModelSpec(priors=priors, likelihood=LikelihoodSpec(formula_source=source, noise_param="sigma"))
+        pf = build_posterior(validate_model(spec, data.column_names()), data)
+        z = np.array(z)
+        value, (pair_value, grad) = pf.log_density(z), pf.log_density_and_grad(z)
+        assert type(value) is float and type(pair_value) is float and value == pair_value
+        if source == "alpha * X * X + beta":
+            assert value < _GRADIENT_OVERFLOW_FLOOR and not grad.any()
+
+
 class TestZeroDenominatorGradient:
     """On ``alpha + X / tau``, ``formula.simplify`` folds alpha's partial to 1 and
     sigma's to 0, so only tau's own partial, -X / (tau * tau), divides by tau^2."""

@@ -109,6 +109,11 @@ class TestParsePriorJson:
         with pytest.raises(InvalidParamValue):
             parse_prior_json('{"distribution":"Uniform","params":{"lower":2,"upper":2}}')
 
+    def test_width_beyond_float_range(self):
+        # each bound is finite, but upper - lower is inf
+        _assert_rejected_alike(Uniform, {"lower": -1e308, "upper": 1e308},
+                               "Uniform: lower must be < upper, upper - lower finite, got lower=-1e\\+308, upper=1e\\+308$")
+
     def test_positional_params_rejected(self):
         with pytest.raises(MissingParam, match="positional"):
             parse_prior_json('{"distribution":"Normal","params":{"param1":0,"param2":1}}')
