@@ -20,10 +20,10 @@ __all__ = ["Dataset", "SimConfig", "simulate_linear", "load_csv", "save_csv", "m
 SEED_BOUND = 2**128  # Philox takes keys below this
 
 
-def make_rng(seed: int, stream: int | None = None) -> np.random.Generator:
+def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """The package-wide RNG: Philox (counter-based), keyed by the seed (< ``SEED_BOUND``),
-    or given a ``stream`` by ``SeedSequence([seed, stream])``, one for each (seed, stream)."""
-    bits = np.random.Philox(key=seed) if stream is None else np.random.Philox(np.random.SeedSequence([seed, stream]))
+    or given a ``stream`` of keys by ``SeedSequence([seed, *stream])``, one for each (seed, *stream)."""
+    bits = np.random.Philox(np.random.SeedSequence([seed, *stream])) if stream else np.random.Philox(key=seed)
     return np.random.Generator(bits)
 
 

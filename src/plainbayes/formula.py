@@ -465,27 +465,32 @@ def _simplify(node: FormulaAst, memo: dict) -> FormulaAst:
     return node if left is node.left and right is node.right else Binary(op, left, right)
 
 
-def _diff(node: FormulaAst, var: str) -> FormulaAst:
+def _diff(node: FormulaAst, var: str, squares: dict) -> FormulaAst:
     if isinstance(node, NumberLiteral):
         return _ZERO
     if isinstance(node, Variable):
         return _ONE if node.name == var else _ZERO
     if isinstance(node, Negate):
-        return Negate(_diff(node.child, var))
-    dl = _diff(node.left, var)
-    dr = _diff(node.right, var)
+        return Negate(_diff(node.child, var, squares))
+    dl = _diff(node.left, var, squares)
+    dr = _diff(node.right, var, squares)
     if node.op in "+-":
         return Binary(node.op, dl, dr)
     if node.op == "*":
         return Binary("+", Binary("*", dl, node.right), Binary("*", node.left, dr))
     # quotient rule: (l/r)' = (l'r - lr') / r^2
     numerator = Binary("-", Binary("*", dl, node.right), Binary("*", node.left, dr))
-    return Binary("/", numerator, Binary("*", node.right, node.right))
+    square = squares.get(id(node))
+    if square is None:
+        square = squares[id(node)] = node, Binary("*", node.right, node.right)
+    return Binary("/", numerator, square[1])
 
 
-def differentiate(ast: FormulaAst, var: str) -> FormulaAst:
-    """Symbolic partial derivative of ``ast`` with respect to ``var``."""
-    return simplify(_diff(ast, var))
+def differentiate(ast: FormulaAst, var: str, squares: dict | None = None) -> FormulaAst:
+    """Symbolic partial derivative of ``ast`` with respect to ``var``.  ``squares`` maps a quotient
+    node's id to the node and its squared denominator, as ``simplify``'s memo does: partials taken
+    with one ``squares`` share that node, so one memo in :func:`emit` computes it once."""
+    return simplify(_diff(ast, var, {} if squares is None else squares))
 
 
 # ---------------------------------------------------------------------------

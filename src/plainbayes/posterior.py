@@ -14,7 +14,8 @@ with analytic distribution and transform derivatives.
 The density is one function per posterior, generated as source once, one
 assignment per distinct formula node.  *Factorisation*, for a mean affine in
 the data, mu = c_0 + sum_k c_k X_k: with B = [1, X_1, ..., X_K] = QR factored
-once and b = Q^T y - R c, sum (y - mu)^2 = b . b + |y - Q Q^T y|^2 and
+once (its sums by ``math.fsum``, whatever the BLAS and CPU) and b = Q^T y - R c,
+sum (y - mu)^2 = b . b + |y - Q Q^T y|^2 and
 sum (y - mu) d mu / d x_i = (R^T b) . d c / d x_i, in O(K^2) Python floats,
 each sum unrolled in ``sum``'s order, each prior family's and transform's
 arithmetic inlined.  A call with a c_k or partial that raises, an ``exp``
@@ -24,8 +25,8 @@ for any other mean or a B rank-deficient or of n <= K + 1 rows: the families'
 and transforms' own methods on the numpy scalars of ``z``; the n-vectors of
 the mean and its partials, the columns bound as arrays, each operation once,
 in the order of evaluating the scalar formula row by row; a non-finite
-``t . t`` scans the rows for the first bad mean; dot products in fixed blocks,
-so the bits do not depend on the BLAS thread count.
+``t . t`` scans the rows for the first bad mean; dot products by BLAS in fixed
+blocks, so the bits do not depend on its thread count (but on its CPU kernel).
 
 Density policy: proposals outside a prior's support (or with a degenerate
 noise scale) get -inf so samplers can reject them; a non-finite likelihood
@@ -76,7 +77,11 @@ class PosteriorFn:
     it unless a cheaper value-only callable is supplied.  Both check ``z``;
     ``unchecked_value_and_grad`` and ``unchecked_value`` are the callables
     themselves, for callers that pass a float64 array of shape
-    ``(dimension,)`` (the samplers).  ``transforms`` map
+    ``(dimension,)``.  ``float_density(z_0, ..., z_{d-1}, with_grad=False)``,
+    the samplers' entry, takes z's coordinates as floats and returns log p,
+    or with ``with_grad`` the tuple ``(log p, d_0, ..., d_{d-1})``: the one
+    ``build_posterior`` generates, or else the array callables called on the
+    array of the floats.  ``transforms`` map
     each unconstrained coordinate onto its parameter's support (identities
     when None).  The samplers constrain their kept draws through them, and
     so does ``constrain`` unless given a callable, which must agree with
@@ -95,6 +100,7 @@ class PosteriorFn:
         transforms=None,
         *,
         fork_safe: bool = False,
+        float_density: Callable[..., float | tuple] | None = None,
     ):
         self.param_names = tuple(param_names)
         self._shape = (len(self.param_names),)
@@ -106,6 +112,7 @@ class PosteriorFn:
         self.transforms = tuple(transforms)
         self.unchecked_value_and_grad = log_density_and_grad
         self.unchecked_value = log_density if log_density is not None else lambda z: log_density_and_grad(z)[0]
+        self.float_density = float_density or _float_entry(self.dimension, log_density_and_grad, self.unchecked_value)
         self._constrain = constrain
 
     @property
@@ -131,6 +138,19 @@ class PosteriorFn:
         return {name: tf.forward(zi) for name, tf, zi in zip(self.param_names, self.transforms, z.tolist())}
 
 
+def _float_entry(dim: int, value_and_grad: Callable | None, value: Callable) -> Callable:
+    """``float_density`` for array callables: ``density(*z, with_grad)`` calls one on ``np.array(z)``."""
+
+    def density(*args):
+        z = np.array(args[:dim])
+        if args[dim:] and args[dim]:
+            logp, grad = value_and_grad(z)
+            return (logp, *grad.tolist())
+        return value(z)
+
+    return density
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """``a . b`` for n-vectors of more than ``_DOT_BLOCK`` rows, the same bits under any
     BLAS thread count: ``np.dot`` over blocks of ``_DOT_BLOCK`` rows, the block sums added
@@ -141,7 +161,17 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
-def _thin_qr(columns, y: np.ndarray, dot):
+def fsum_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` correctly rounded, ``math.fsum`` of the products, so in the same bits under any
+    BLAS and CPU; where a partial sum leaves the float range, their plain sum (inf or NaN)."""
+    products = (a * b).tolist()
+    try:
+        return math.fsum(products)
+    except (OverflowError, ValueError):
+        return sum(products)
+
+
+def _thin_qr(columns, y: np.ndarray):
     """``(R, Q^T y, |y - Q Q^T y|^2)`` in Python floats (R a list of rows) for the thin QR
     of the n-vector ``columns`` by classical Gram-Schmidt run twice; None if rank-deficient.
     A sum beyond the float range, unwarned, fails the rank check or makes rho infinite."""
@@ -149,22 +179,22 @@ def _thin_qr(columns, y: np.ndarray, dot):
         m = len(columns)
         q, R = [], [[0.0] * m for _ in range(m)]
         for j, v in enumerate(columns):
-            scale = math.sqrt(float(dot(v, v)))
+            scale = math.sqrt(fsum_dot(v, v))
             for _ in range(2):
-                for i, a in enumerate([float(dot(qi, v)) for qi in q]):
+                for i, a in enumerate([fsum_dot(qi, v) for qi in q]):
                     v = v - a * q[i]
                     R[i][j] += a
-            R[j][j] = math.sqrt(float(dot(v, v)))
+            R[j][j] = math.sqrt(fsum_dot(v, v))
             if not R[j][j] > _RANK_TOL * scale:
                 return None
             q.append(v / R[j][j])
-        qty = [float(dot(qi, y)) for qi in q]
+        qty = [fsum_dot(qi, y) for qi in q]
         rest = y - sum(a * qi for a, qi in zip(qty, q))
-        return R, qty, float(dot(rest, rest))
+        return R, qty, fsum_dot(rest, rest)
 
 
 def _density(names, dists, transforms, noise_index, y, columns, mean, slopes, partials, qr, dot):
-    """``density(z, with_grad=False)``, generated as source: see the module docstring.  ``partials``
+    """``density(z_0, ..., z_{d-1}, with_grad=False)``, generated as source: see the module docstring.  ``partials``
     holds (i, the AST of d mu / d x_i, those of d c / d x_i) per gradient term, None for 0; ``qr`` is
     the factorisation's, if it applies.  Numbers and functions are bound, never printed, and every
     name is made here, so no blueprint text reaches the source."""
@@ -173,12 +203,13 @@ def _density(names, dists, transforms, noise_index, y, columns, mean, slopes, pa
     # numpy scalars), an exp that overflows (inf in the rows, whose prior is then -inf), or a guard
     # that fails (it raises, where a branch around the rest would cost every call a long jump)
     env = {"inf": math.inf, "log": math.log, "exp": math.exp, "log1p": math.log1p, "isnan": math.isnan,
-           "isfinite": math.isfinite, "np": np, "array": np.array, "zeros": np.zeros, "dot": dot,
+           "isfinite": math.isfinite, "np": np, "array": np.array, "dot": dot,
            "broadcast_to": np.broadcast_to, "asarray": np.asarray, "check_finite": formula.check_finite,
            "Unvouched": (NonFiniteResult, ArithmeticError), "NonFiniteResult": NonFiniteResult,
            "NonFiniteDensity": NonFiniteDensity, "NonFiniteGradient": NonFiniteGradient}
     lines, let, bind = formula.writer(env)  # one numbering of the locals across the sections
-    zeros, rows_n, log_norm = f"zeros({bind(dim)})", bind(n_rows), bind(0.5 * n_rows * _LOG_2PI)
+    zeros, rows_n, log_norm = ", ".join(["0.0"] * dim), bind(n_rows), bind(0.5 * n_rows * _LOG_2PI)
+    z = [f"z{i}" for i in range(dim)]
 
     def nest(start):  # the lines from ``start`` on, one block deeper
         lines[start:] = [f"    {line}" for line in lines[start:]]
@@ -209,8 +240,7 @@ def _density(names, dists, transforms, noise_index, y, columns, mean, slopes, pa
 
     if qr:  # the factorisation, in Python floats; a call it cannot vouch for falls through to the rows
         R, qty, rho = qr
-        z = [f"z{i}" for i in range(dim)]
-        lines += ["try:", f"{', '.join(z)}, = z.tolist()"]
+        lines.append("try:")
 
         def dot_source(a, b):
             return " + ".join(["0.0", *(f"{p} * {q}" for p, q in zip(a, b))])  # 0.0 + x is sum's 0 + x, bit for bit, and a faster add
@@ -239,22 +269,23 @@ def _density(names, dists, transforms, noise_index, y, columns, mean, slopes, pa
         for i, _, asts in partials:
             s = "0.0" if asts is None else f"{w} * ({dot_source(btr, emit(asts))})"
             g[i] = let(f"{g[i]} + ({s}{f' + {dsigma}' if i == noise_index else ''}) * {d[i]}")
-        lines.append(f"if {finite(g)}: return {value}, array([{', '.join(g)}])")
+        lines.append(f"if {finite(g)}: return {value}, {', '.join(g)}")
         nest(1)
         lines += ["except Unvouched:", "    pass"]
 
     # the rows, under numpy's errstate: an overflow gives -inf, a rejection or an error, so numpy need
-    # not warn of it; the methods on the numpy scalars of z, and the mean and its partials as n-vectors
+    # not warn of it; the methods on the numpy scalars of z's array, and the mean and its partials as n-vectors
     u, rows = [f"u{i}" for i in range(dim)], len(lines) + 1
-    lines += ['with np.errstate(over="ignore"):', f"{', '.join(u)}, = z"]
+    lines += ['with np.errstate(over="ignore"):', f"z = array([{', '.join(z)}])", f"{', '.join(u)}, = z"]
     x, total, terms = prior(u, inline=False)
     params, memo = dict(zip(names, x)), {}
 
     def vector(ast):  # a tree with no parameter is computed here, contiguous; one with no column is broadcast
-        formula.emit(ast, params, columns, let, bind, memo)
+        name = formula.emit(ast, params, columns, let, bind, memo)
         value, local = memo[id(ast)][1]
-        if local is None:
-            return bind(np.ascontiguousarray(np.broadcast_to(np.asarray(value, dtype=float), (n_rows,))))
+        if local is None:  # the value emit bound as ``name``, bound in its place
+            env[name] = np.ascontiguousarray(np.broadcast_to(np.asarray(value, dtype=float), (n_rows,)))
+            return name
         if formula.free_vars(ast) & columns.keys():
             return local
         return let(f"broadcast_to(asarray({local}, dtype=float), {bind((n_rows,))})")
@@ -303,13 +334,13 @@ def _density(names, dists, transforms, noise_index, y, columns, mean, slopes, pa
     for (i, *_), dmu in zip(partials, dmus):
         s = "0.0" if dmu is None else f"w * float(dot(r, {dmu}))"
         g[i] = let(f"{g[i]} + ({s}{' + dsigma' if i == noise_index else ''}) * {d[i]}")
-    lines.append(f"if {finite(g)}: return float({total}), array([{', '.join(g)}])")
+    lines.append(f"if {finite(g)}: return float({total}), {', '.join(f'float({gi})' for gi in g)}")
     nest(block)
     # a non-finite gradient at an astronomically improbable point is a rejection, not a bug
     lines += [f"if {total} < {bind(_GRADIENT_OVERFLOW_FLOOR)}: return float({total}), {zeros}",
               "raise NonFiniteGradient('gradient contains non-finite components', z=z)"]
     nest(rows)
-    exec("def density(z, with_grad=False):\n" + "\n".join(f"    {line}" for line in lines), env)
+    exec(f"def density({', '.join(z)}, with_grad=False):\n" + "\n".join(f"    {line}" for line in lines), env)
     return env["density"]
 
 
@@ -338,24 +369,25 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
 
     # mu = c_0 + sum_k c_k X_k when each slope c_k (its partial in a column) has no column
     # in it; c_0 is mu at every column 0, and d c_0 / d x_i is d mu / d x_i there
-    slopes = [formula.differentiate(mean_ast, v) for v in column_vars]
+    squares = {}  # one squared denominator per quotient, across the partials
+    slopes = [formula.differentiate(mean_ast, v, squares) for v in column_vars]
     affine = not any(formula.free_vars(slope) & fixed_env.keys() for slope in slopes)
 
-    qr = affine and n_rows > len(slopes) + 1 and _thin_qr([np.ones(n_rows)] + list(fixed_env.values()), y, dot)
+    qr = affine and n_rows > len(slopes) + 1 and _thin_qr([np.ones(n_rows)] + list(fixed_env.values()), y)
     # (i, the AST of d mu / d x_i, with the factorisation those of d c / d x_i) for each parameter whose
     # partial is not the literal 0, which would add exactly +0.0; the noise scale always, with None for 0.
     partials = []
     for i, name in enumerate(names):
-        partial = formula.differentiate(mean_ast, name)
+        partial = formula.differentiate(mean_ast, name, squares)
         if partial != formula.NumberLiteral(0.0):
-            partials.append((i, partial, qr and [partial, *(formula.differentiate(s, name) for s in slopes)]))
+            partials.append((i, partial, qr and [partial, *(formula.differentiate(s, name, squares) for s in slopes)]))
         elif i == noise_index:
             partials.append((i, None, None))
     density = _density(names, dists, transforms, noise_index, y, fixed_env, mean_ast, slopes, partials, qr, dot)
-    return PosteriorFn(
-        param_names=names,
-        log_density_and_grad=lambda z: density(z, True),
-        log_density=density,
-        transforms=transforms,
-        fork_safe=True,
-    )
+
+    def value_and_grad(z):
+        logp, *grad = density(*z.tolist(), True)
+        return logp, np.array(grad)
+
+    return PosteriorFn(names, value_and_grad, lambda z: density(*z.tolist()), transforms=transforms, fork_safe=True,
+                       float_density=density)

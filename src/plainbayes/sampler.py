@@ -10,12 +10,16 @@ check at each join; transitions whose Hamiltonian error exceeds 1000 are
 divergent.  Its warmup adapts the step size by dual averaging toward a target
 acceptance statistic, and a dense inverse metric: Σ₀, then each doubling
 window's covariance.  RWM proposes z + m L ξ, L Lᵀ being Σ₀ and then each
-window's covariance shrunk toward Σ₀ (without a mode, toward the window's own
-variances, as NUTS's is), with one dual averaging of m throughout.
+window's covariance shrunk toward Σ₀ (without a mode, the Laplace
+approximation at the window's mean by central differences of the value, or
+where that has none the window's covariance shrunk toward its own variances,
+as NUTS's is), with one dual averaging of m throughout.
 
-Chain c draws from its own Philox stream keyed by ``SeedSequence([seed, c])``,
-so chains, and fits at different seeds, are independent and results
-reproducible bit for bit.  They run in parallel in forked worker processes,
+Chain c takes its standard normals and its uniforms from two Philox streams
+of its own, keyed by ``SeedSequence([seed, c, purpose])``, each drawn in
+blocks and consumed in order, so chains, and fits at different seeds, are
+independent and results reproducible bit for bit, whatever the block length.
+They run in parallel in forked worker processes,
 by default one per usable CPU and never more than chains (``jobs`` sets the
 number).  Each worker runs its chains in order and sends their unconstrained
 draws and stats back over a pipe; the parent constrains the draws as it does
@@ -28,14 +32,17 @@ Warmup draws are discarded; adaptation is frozen after warmup so the kept
 chain is Markovian.  Past the initial point, a non-finite density (say, a
 positive parameter underflowing to 0 under a division) is log density -inf:
 NUTS marks the step divergent and RWM rejects it; numpy overflow there is not
-warned.  The samplers call the density's callables unchecked (their z is
-always float64 of shape (dim,)).  A NUTS state is the tuple (z, r, grad, logp,
-half_grad), half_grad = 0.5 * eps * grad being shared with the next step in
-its direction.  The U-turn test projects z+ - z- on the momenta r, not on the
-velocities inv_mass r, so it judges a trajectory in the coordinates the
-metric makes isotropic, as Stan's sum-of-momenta test does for small steps.
-Matrices are factored in Python floats, so the draws do not depend on the
-BLAS thread count.
+warned.  Both samplers step in Python floats, in code generated once per
+dimension (``_float_core``), and call the density's float entry,
+``PosteriorFn.float_density``.  A state is a tuple, (z, ∇log p, log p) for
+NUTS and (z, log p) for RWM, z a tuple of floats.  A NUTS trajectory's edge is
+(z, x, p, k): x = L⁻¹(z − z₀) and p = Lᵀ r, the position and momentum in the
+coordinates the metric L Lᵀ makes isotropic, and k the half kick shared with
+the next step in its direction.  The U-turn test projects x+ − x− on p, that
+is z+ − z− on the momenta r, not on the velocities, as Stan's sum-of-momenta
+test does for small steps.  The samplers take no BLAS product: matrices are
+factored and the mode search's and starts' products summed in Python floats,
+so the draws depend neither on the BLAS thread count nor on the CPU's kernel.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import threading
 import warnings
 from dataclasses import asdict, dataclass, replace
 from functools import cache, partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, NoReturn
 
 import numpy as np
@@ -57,7 +64,7 @@ import numpy as np
 from .data_io import SEED_BOUND, make_rng
 from .distributions import IdentityTransform
 from .errors import AllDivergent, BadInitialPoint, MalformedTrace, NonFiniteDensity, NonFiniteGradient, SamplerError
-from .posterior import PosteriorFn, np_dot
+from .posterior import PosteriorFn, fsum_dot
 
 __all__ = ["SamplerConfig", "Trace", "nuts_sample", "rwm_sample", "sample", "worker_count", "forked_map", "save_trace", "load_trace"]
 
@@ -65,6 +72,9 @@ _DIVERGENCE_THRESHOLD = 1000.0  # Hamiltonian error that flags a divergence
 _INIT_JITTER_SD = math.sqrt(0.1)  # initial z ~ N(0, 0.1 I)
 _RWM_TARGET_ACCEPT = 0.234
 _LAPLACE_MAX_STEPS = 100  # trial steps before the mode search gives up
+_DA_GAMMA, _DA_T0, _DA_KAPPA = 0.05, 10.0, 0.75  # dual averaging's shrinkage, offset and decay
+_NORMALS, _UNIFORMS = 1, 2  # a chain's stream purposes (0 would key the stream that [seed, chain] keys)
+_BLOCK = 1024  # values a stream draws at a time
 
 
 @dataclass(frozen=True)
@@ -126,67 +136,64 @@ class Trace:
 # Shared adaptation machinery
 
 
-class _DualAveraging:
-    """Nesterov dual averaging of log step size toward a target acceptance."""
-
-    GAMMA = 0.05
-    T0 = 10.0
-    KAPPA = 0.75
-
-    def __init__(self, step_size: float, target: float):
-        self.mu = math.log(10.0 * step_size)
-        self.log_step = math.log(step_size)
-        self.log_step_avg = math.log(step_size)
-        self.h_bar = 0.0
-        self.m = 0
-        self.target = target
-
-    def update(self, accept: float) -> None:
-        self.m += 1
-        eta = 1.0 / (self.m + self.T0)
-        self.h_bar = (1.0 - eta) * self.h_bar + eta * (self.target - accept)
-        self.log_step = self.mu - math.sqrt(self.m) / self.GAMMA * self.h_bar
-        w = self.m ** (-self.KAPPA)
-        self.log_step_avg = w * self.log_step + (1.0 - w) * self.log_step_avg
-
-    @property
-    def current(self) -> float:
-        return math.exp(self.log_step)
-
-    @property
-    def averaged(self) -> float:
-        return math.exp(self.log_step_avg)
+def _streams(seed: int, chain_index: int) -> tuple[Callable, Callable]:
+    """Chain ``chain_index``'s next standard normal and next uniform on [0, 1): each the
+    ``next`` of its own Philox stream keyed by (seed, chain, purpose), drawn ``_BLOCK`` values
+    at a time and consumed in order, so no value depends on the block length."""
+    normals, uniforms = (make_rng(seed, chain_index, purpose) for purpose in (_NORMALS, _UNIFORMS))
+    return (chain.from_iterable(iter(lambda: normals.standard_normal(_BLOCK).tolist(), None)).__next__,
+            chain.from_iterable(iter(lambda: uniforms.random(_BLOCK).tolist(), None)).__next__)
 
 
-class _WindowedCovariance:
-    """Sample covariance of the warm-up draws in each adaptation window.  An iteration
-    keeps its state (a new array each step); a closing window's rows go through
-    ``_welford(dim)``'s recurrences in Python floats (the upper triangle, mirrored
-    here), whose diagonal has the bits of per-coordinate array recurrences."""
+def _adapt_then_sample(bind: Callable, state: tuple, size: float, low: np.ndarray, refit: Callable,
+                       warmup: int, target: float):
+    """Warm up, then yield ``(z, stats_row)`` per kept draw, the row ``(accept, stat, divergent,
+    size)``.  ``bind(low)`` is the move ``move(state, size) -> (state, accept, stat, divergent)``
+    for the inverse metric L Lᵀ, ``state[0]`` its z.  Warm-up adapts ``size`` by Nesterov dual
+    averaging of its log toward the acceptance ``target``, and at each window's close binds the
+    factor L of ``refit(mean, cov, w)``, a ``_metric`` from the window's mean, covariance and
+    shrinkage weight; where that is None (a window too degenerate to factor), the last L."""
+    move, exp, sqrt = bind(low), math.exp, math.sqrt
+    mu, count, h_bar, log_step, log_avg = math.log(10.0 * size), 0, 0.0, math.log(size), math.log(size)
+    for n, window in _warmup_segments(warmup):
+        rows = []
+        for _ in range(n):
+            state, accept, _, _ = move(state, exp(log_step))
+            count += 1
+            eta = 1.0 / (count + _DA_T0)
+            h_bar = (1.0 - eta) * h_bar + eta * (target - accept)
+            log_step = mu - sqrt(count) / _DA_GAMMA * h_bar
+            w = count ** -_DA_KAPPA
+            log_avg = w * log_step + (1.0 - w) * log_avg
+            rows.append(state[0])
+        if window:
+            metric = refit(*_window_covariance(rows, low.shape[0]))
+            move = bind(metric[2]) if metric else move
+    size = exp(log_avg) if warmup > 0 else size
+    while True:
+        state, accept, stat, divergent = move(state, size)
+        yield state[0], (accept, stat, divergent, size)
 
-    def __init__(self, warmup: int, dim: int):
-        self.windows, self.dim, self.rows = iter(_adaptation_windows(warmup)), dim, []
-        self.start, self.end = next(self.windows, (0, 0))
 
-    def observe(self, m: int, z: np.ndarray) -> tuple[np.ndarray, float] | None:
-        """Add the state after warm-up iteration ``m``; if ``m`` closes a
-        window, return that window's sample covariance matrix and shrinkage
-        weight, else None."""
-        if self.start <= m < self.end:
-            self.rows.append(z)
-            if m + 1 == self.end:
-                n, m2 = _welford(self.dim)(np.array(self.rows).tolist())
-                self.rows, (self.start, self.end) = [], next(self.windows, (0, 0))
-                m2 = np.array(m2)
-                m2 += np.triu(m2, 1).T
-                return m2 / max(n - 1, 1), n / (n + 5.0)
-        return None
+def _window_covariance(rows: list, dim: int) -> tuple[tuple, np.ndarray, float]:
+    """A closed window's mean and sample covariance matrix of its states ``rows``, and its
+    shrinkage weight: ``_welford(dim)``'s recurrences in Python floats (the upper triangle,
+    mirrored here), whose diagonal has the bits of per-coordinate array recurrences."""
+    n, mean, m2 = _welford(dim)(rows)
+    m2 = np.array(m2)
+    m2 += np.triu(m2, 1).T
+    return tuple(mean), m2 / max(n - 1, 1), n / (n + 5.0)
+
+
+def _shrunk(cov: np.ndarray, w: float, toward: np.ndarray):
+    """``_metric`` of a window's covariance shrunk toward ``toward`` by its weight ``w``."""
+    return _metric(w * cov + (1.0 - w) * toward)
 
 
 @cache
 def _welford(dim: int) -> Callable:
-    """``welford(rows)``, generated for ``dim`` coordinates: the count of ``rows`` and
-    their sums of squared deviations, upper triangle (the rest 0.0), by Welford's
+    """``welford(rows)``, generated for ``dim`` coordinates: the count of ``rows``, their means
+    and their sums of squared deviations, upper triangle (the rest 0.0), by Welford's
     recurrences, one assignment per operation: per row, every delta from the
     old means, then the means, then every product with the new deviations."""
     idx = range(dim)
@@ -202,7 +209,7 @@ def _welford(dim: int) -> Callable:
         f"    for {''.join(f'z{j}, ' for j in idx)}in rows:",
         "        n += 1",
         *(f"        {line}" for line in body),
-        f"    return n, [{matrix}]",
+        f"    return n, [{', '.join(f'm{j}' for j in idx)}], [{matrix}]",
     ])
     namespace = {}
     exec(source, namespace)
@@ -227,6 +234,20 @@ def _adaptation_windows(warmup: int, init_buffer: int = 75, term_buffer: int = 5
     if pos < last:
         windows.append((pos, last))
     return windows
+
+
+def _warmup_segments(warmup: int) -> list:
+    """``warmup`` iterations as runs ``(length, whether they are an adaptation window)``, in order."""
+    windows = _adaptation_windows(warmup)
+    if not windows:
+        return [(warmup, False)]
+    return [(windows[0][0], False), *((end - start, True) for start, end in windows), (warmup - windows[-1][1], False)]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a matrix ``a`` and a vector or matrix ``b``, each entry ``fsum_dot``'s."""
+    out = np.array([[fsum_dot(row, col) for col in (b.T if b.ndim == 2 else [b])] for row in a])
+    return out if b.ndim == 2 else out[:, 0]
 
 
 def _laplace(vag: Callable | None, dim: int):
@@ -255,7 +276,7 @@ def _laplace(vag: Callable | None, dim: int):
 
     def newton(damping):  # (R, Rᵀ g) with (H + damping |diag H|)⁻¹ = R Rᵀ, or None
         metric = _metric(hess + np.diag(damping * np.abs(np.diagonal(hess))))
-        return metric and (metric[1], np_dot(metric[1].T, here[1]))
+        return metric and (metric[1], _product(metric[1].T, here[1]))
 
     with np.errstate(all="ignore"):
         z, here = np.zeros(dim), minus(np.zeros(dim))
@@ -264,12 +285,12 @@ def _laplace(vag: Callable | None, dim: int):
             if hess is None:
                 return None
             step = newton(0.0)
-            if step and float(np_dot(step[1], step[1])) < 1e-10:  # the Newton decrement g·H⁻¹g
-                metric = _metric(np_dot(step[0], step[0].T))
+            if step and fsum_dot(step[1], step[1]) < 1e-10:  # the Newton decrement g·H⁻¹g
+                metric = _metric(_product(step[0], step[0].T))
                 return metric and (z, step[0], metric)
             step = newton(damping)
             if step:
-                trial_z = z - np_dot(*step)
+                trial_z = z - _product(*step)
                 trial = minus(trial_z)
                 if trial and trial[0] < here[0]:
                     z, here, hess, damping = trial_z, trial, hessian(trial_z), damping / 10.0
@@ -278,48 +299,114 @@ def _laplace(vag: Callable | None, dim: int):
     return None
 
 
-def _initial_point(density: Callable, rng: np.random.Generator, dim: int, laplace, attempts: int = 100):
-    """A chain's start, the density's output there and ``_metric(Σ₀)``: z ~
+def _value_laplace(value: Callable, z: tuple):
+    """``_metric(Σ)``, Σ = (−H)⁻¹ with H the Hessian of log p at ``z`` by central differences of
+    ``value`` (the lower triangle, which alone ``_metric`` reads); None where a value is not
+    finite or −H is not positive definite.  Numpy warns of nothing here."""
+    h = [1e-4 * max(1.0, abs(v)) for v in z]
+
+    def at(i, si, j, sj):  # log p at z moved si h_i along i, then sj h_j along j
+        w = list(z)
+        w[i] += si * h[i]
+        w[j] += sj * h[j]
+        try:
+            return value(*w)
+        except NonFiniteDensity:
+            return -math.inf
+
+    minus_h = [[(at(i, -1, j, 1) + at(i, 1, j, -1) - at(i, 1, j, 1) - at(i, -1, j, -1)) / (4.0 * h[i] * h[j])
+                for j in range(i + 1)] + [0.0] * (len(z) - i - 1) for i in range(len(z))]
+    with np.errstate(all="ignore"):
+        metric = _metric(np.array(minus_h))
+        return metric and _metric(_product(metric[1], metric[1].T))
+
+
+def _initial_point(density: Callable, normal: Callable, dim: int, laplace, with_grad: bool, attempts: int = 100):
+    """A chain's start z (a tuple), ``density(*z, with_grad)`` there and ``_metric(Σ₀)``: z ~
     N(mode, Σ₀) from the Laplace approximation ``laplace``, or without one z ~
     N(0, 0.1 I) and Σ₀ = I; redrawn while the density is not finite."""
     for _ in range(attempts):
-        xi = rng.standard_normal(dim)
-        z = _INIT_JITTER_SD * xi if laplace is None else laplace[0] + np_dot(laplace[1], xi)
-        out = density(z)
-        logp = out[0] if isinstance(out, tuple) else out
-        if math.isfinite(logp):
+        xi = np.array([normal() for _ in range(dim)])
+        z = tuple((_INIT_JITTER_SD * xi if laplace is None else laplace[0] + _product(laplace[1], xi)).tolist())
+        out = density(*z, with_grad)
+        if math.isfinite(out[0] if with_grad else out):
             return z, out, _metric(np.eye(dim)) if laplace is None else laplace[2]
     raise BadInitialPoint(f"no finite log density found in {attempts} jittered initializations")
 
 
-# ---------------------------------------------------------------------------
-# NUTS
+@cache
+def _float_core(dim: int) -> Callable:
+    """``make(low, density, normal, random)``, generated for ``dim`` coordinates: the samplers'
+    arithmetic in Python floats, one line per coordinate, each sum unrolled, with the entries of
+    a Cholesky factor L of the inverse metric (``low``, its lower triangle row by row) bound.
+    It returns the functions
+    - ``leapfrog(edge, e, h, h0)``: one step of signed size ``e`` = 2 ``h`` from the trajectory
+      edge (z, x, p, k), in the coordinates x = L⁻¹(z − z₀) with momentum p = Lᵀ r, where the
+      metric is the identity, k the half kick ``h`` Lᵀ∇log p; it returns the step as a one-leaf
+      tree for ``_nuts``: [edge, edge, state (z, ∇log p, log p), ΔH, min(1, exp ΔH), 1,
+      divergent, ok], ΔH the change in log joint density from ``h0`` (NaN is -inf, as is a
+      ``NonFiniteDensity``, with gradient 0), divergent below ``-_DIVERGENCE_THRESHOLD``;
+    - ``turning(minus, plus)``: whether the span x+ − x− shrinks at either end, projected on p;
+    - ``start(state)``: a fresh momentum p ~ N(0, I), so r = L⁻ᵀ p ~ N(0, (L Lᵀ)⁻¹), and
+      ``(z, p, Lᵀ∇log p, log p − p·p / 2)``;
+    - ``edge(z, p, c, h)``: the edge at x = 0 toward the side of the signed half step ``h``;
+    - ``propose(state, m)``: one random-walk Metropolis step from (z, log p) to z + m L ξ."""
+    idx = range(dim)
+
+    def names(prefix):  # "z0, z1, "
+        return "".join(f"{prefix}{i}, " for i in idx)
+
+    def lower(i, v):  # (L v)_i
+        return " + ".join(f"l{i}_{j} * {v}{j}" for j in range(i + 1))
+
+    def upper(i, v):  # (Lᵀ v)_i
+        return " + ".join(f"l{j}_{i} * {v}{j}" for j in range(i, dim))
+
+    def squares(prefix):
+        return " + ".join(f"{prefix}{i} * {prefix}{i}" for i in idx)
+
+    def each(line):
+        return [line.format(i=i) for i in idx]
+
+    kicks = "".join(f"{upper(i, 'g')}, " for i in idx)
+    turned = " or ".join(f"{' + '.join(f'd{i} * {p}{i}' for i in idx)} < 0.0" for p in ("q", "p"))
+    functions = {
+        "leapfrog(edge, e, h, h0)": [
+            f"z, {names('x')}{names('p')}{names('k')}= edge", f"{names('z')}= z",
+            *each("p{i} += k{i}"), *each("v{i} = e * p{i}"), *each("x{i} += v{i}"),
+            *(f"z{i} += {lower(i, 'v')}" for i in idx),
+            "try:", f"    logp, {names('g')}= density({names('z')}True)",
+            "except NonFiniteDensity:", f"    logp, {names('g')}= -inf, {'0.0, ' * dim}",
+            *(f"k{i} = h * ({upper(i, 'g')})" for i in idx), *each("p{i} += k{i}"),
+            f"dh = logp - 0.5 * ({squares('p')}) - h0", "dh = -inf if dh != dh else dh",
+            f"z = ({names('z')})", f"edge = (z, {names('x')}{names('p')}{names('k')})",
+            f"return [edge, edge, (z, ({names('g')}), logp), dh, exp(dh) if dh < 0.0 else 1.0, 1, dh < bound, dh >= bound]"],
+        "turning(minus, plus)": [f"_, {names('a')}{names('q')}{'_, ' * dim}= minus",
+                                 f"_, {names('b')}{names('p')}{'_, ' * dim}= plus", *each("d{i} = b{i} - a{i}"),
+                                 f"return {turned}"],
+        "start(state)": [
+            f"z, ({names('g')}), logp = state", *each("p{i} = normal()"),
+            f"return z, ({names('p')}), ({kicks}), logp - 0.5 * ({squares('p')})"],
+        "edge(z, p, c, h)": [
+            f"{names('p')}= p", f"{names('c')}= c", f"return (z, {'0.0, ' * dim}{names('p')}{names('h * c')})"],
+        "propose(state, m)": [
+            f"({names('z')}), logp = state", *each("n{i} = normal()"), *(f"y{i} = z{i} + m * ({lower(i, 'n')})" for i in idx),
+            "try:", f"    new = density({names('y')})", "except NonFiniteDensity:", "    new = -inf",
+            "delta = new - logp", "alpha = 1.0 if delta >= 0.0 else exp(delta)",
+            f"if random() < alpha: return (({names('y')}), new), alpha, True, False", "return state, alpha, False, False"],
+    }
+    source = ["def make(low, density, normal, random):", f"    {''.join(f'l{i}_{j}, ' for i in idx for j in range(i + 1))}= low"]
+    for signature, body in functions.items():
+        source += [f"    def {signature}:", *(f"        {line}" for line in body)]
+    source.append(f"    return {', '.join(signature.split('(')[0] for signature in functions)}")
+    namespace = {"NonFiniteDensity": NonFiniteDensity, "inf": math.inf, "exp": math.exp, "bound": -_DIVERGENCE_THRESHOLD}
+    exec("\n".join(source), namespace)
+    return namespace["make"]
 
 
-def _leapfrog(vag, state, half_step, mass_step, inv_mass, h0):
-    """One leapfrog step of signed size ``eps`` from ``state``: the new state
-    and its change in log joint density from ``h0`` (NaN counts as -inf).
-    ``inv_mass`` is the dense inverse metric, ``mass_step`` the matrix
-    ``eps * inv_mass``, ``half_step`` is ``0.5 * eps`` in every coordinate,
-    and ``state``'s half_grad is ``half_step * grad``.  (A product of arrays
-    costs about half that of a float and an array, and has the same bits, so
-    the samplers spread a float into an array.)"""
-    r_half = state[1] + state[4]
-    z = state[0] + np_dot(mass_step, r_half)
-    try:
-        logp, grad = vag(z)
-    except NonFiniteDensity:
-        logp, grad = -math.inf, np.zeros_like(z)
-    half_grad = half_step * grad
-    r = r_half + half_grad
-    delta_h = (logp - 0.5 * float(np_dot(r, np_dot(inv_mass, r)))) - h0
-    return (z, r, grad, logp, half_grad), -math.inf if math.isnan(delta_h) else delta_h
-
-
-def _steps(eps: float, inv_mass: np.ndarray) -> list:
-    """``_leapfrog``'s (half_step, mass_step) backward and forward at step
-    size ``eps``: ``0.5 * eps`` in every coordinate and ``eps * inv_mass``."""
-    return [(np.array([0.5 * signed] * inv_mass.shape[0]), signed * inv_mass) for signed in (-eps, eps)]
+def _bound(low: np.ndarray, density: Callable, normal: Callable, random: Callable) -> tuple:
+    """``_float_core``'s functions with the factor ``low`` bound."""
+    return _float_core(low.shape[0])(low[np.tril_indices(low.shape[0])].tolist(), density, normal, random)
 
 
 def _metric(inv_mass: np.ndarray):
@@ -343,12 +430,12 @@ def _metric(inv_mass: np.ndarray):
     return inv_mass, np.array(inv).T.copy(), np.array(low)
 
 
-def _momentum(z, logp, metric, rng):
-    """A fresh momentum ``r = L⁻ᵀ ξ`` at ``z`` for ``metric = _metric(inv_mass)``
-    (so ``r ~ N(0, inv_mass⁻¹)``) and the log joint density."""
-    inv_mass, root, _ = metric
-    r = np_dot(root, rng.standard_normal(z.shape[0]))
-    return r, logp - 0.5 * float(np_dot(r, np_dot(inv_mass, r)))
+def _diagonal(cov: np.ndarray) -> np.ndarray:
+    return np.diag(np.diagonal(cov))
+
+
+# ---------------------------------------------------------------------------
+# NUTS
 
 
 def _logaddexp(x: float, y: float) -> float:
@@ -363,72 +450,66 @@ def _logaddexp(x: float, y: float) -> float:
     return d  # NaN
 
 
-def _is_turning(minus, plus) -> bool:
-    """Whether the span from ``minus`` to ``plus`` shrinks at either end, in the metric's own geometry."""
-    dz = plus[0] - minus[0]
-    return np_dot(dz, minus[1]) < 0.0 or np_dot(dz, plus[1]) < 0.0
+def _nuts(low: np.ndarray, density: Callable, normal: Callable, random: Callable, max_depth: int) -> tuple:
+    """``(transition, first_step)`` for the inverse metric L Lᵀ, L = ``low``, on ``_float_core``'s
+    arithmetic.  ``transition(state, eps) -> (state, accept, depth, divergent)`` is one NUTS
+    transition from ``state = (z, ∇log p, log p)``: the tree of the state alone doubles toward
+    random sides by biased joins, and the depth counts the subtrees that ended well.
+    ``first_step(state)`` draws a momentum and gives the change in log joint density of one
+    forward leapfrog step from ``state`` with it, as a function of the step size."""
+    leapfrog, turning, start, edge, _ = _bound(low, density, normal, random)
+    exp = math.exp
+
+    def build(edge_, side, depth, e, h, h0):
+        """A subtree of 2**depth leapfrog steps from ``edge_``, forward if ``side`` else
+        backward, as the list [minus edge, plus edge, proposed state, log weight, acceptance
+        sum, acceptance count, divergent, ok]: a leaf, or two halves and one ``join``."""
+        if depth == 0:
+            return leapfrog(edge_, e, h, h0)
+        tree = build(edge_, side, depth - 1, e, h, h0)
+        if tree[7]:
+            join(tree, build(tree[side], side, depth - 1, e, h, h0), side, False)
+        return tree
+
+    def join(tree, sub, side, biased=False):
+        """Grow the unfinished ``tree`` toward ``side`` by ``sub``, built from its edge
+        there.  A ``sub`` that ended well adds its weight and gives its proposal with
+        probability w(sub) / w(tree + sub) (multinomial, within subtrees) or, if ``biased``,
+        min(1, w(sub) / w(tree)) (biased progressive, at the top); the joined tree stops if
+        it turns."""
+        tree[side] = sub[side]
+        tree[4] += sub[4]
+        tree[5] += sub[5]
+        tree[6] = tree[6] or sub[6]
+        if sub[7]:
+            total = _logaddexp(tree[3], sub[3])
+            log_ratio = sub[3] - (tree[3] if biased else total)
+            if random() < (exp(log_ratio) if log_ratio < 0.0 else 1.0):  # exp(min(0, log_ratio))
+                tree[2] = sub[2]
+            tree[3] = total
+        tree[7] = sub[7] and not turning(tree[0], tree[1])
+
+    def transition(state, eps):
+        z, p, c, h0 = start(state)
+        h = 0.5 * eps
+        tree = [edge(z, p, c, -h), edge(z, p, c, h), state, 0.0, 0.0, 0, False, True]
+        depth = 0
+        while tree[7] and depth < max_depth:
+            side = random() < 0.5
+            sub = build(tree[side], side, depth, eps if side else -eps, h if side else -h, h0)
+            join(tree, sub, side, biased=True)
+            depth += sub[7]
+        return tree[2], tree[4] / max(tree[5], 1), depth, tree[6]
+
+    def first_step(state):
+        z, p, c, h0 = start(state)
+        return lambda eps: leapfrog(edge(z, p, c, 0.5 * eps), eps, 0.5 * eps, h0)[3]
+
+    return transition, first_step
 
 
-def _join(tree, sub, side, random, biased=False) -> None:
-    """The one join of a trajectory: grow the unfinished ``tree`` toward
-    ``side`` by ``sub``, built from its edge there.  A ``sub`` that ended well
-    adds its weight and gives its proposal with probability w(sub) / w(tree +
-    sub) (multinomial, within subtrees) or, if ``biased``, min(1, w(sub) /
-    w(tree)) (biased progressive, at the top); the joined tree stops if it turns."""
-    tree[side] = sub[side]
-    tree[4] += sub[4]
-    tree[5] += sub[5]
-    tree[6] = tree[6] or sub[6]
-    if sub[7]:
-        total = _logaddexp(tree[3], sub[3])
-        if random() < math.exp(min(0.0, sub[3] - (tree[3] if biased else total))):
-            tree[2] = sub[2]
-        tree[3] = total
-    tree[7] = sub[7] and not _is_turning(tree[0], tree[1])
-
-
-def _build_tree(vag, edge, side, depth, half_step, mass_step, inv_mass, h0, random) -> list:
-    """Build a subtree of 2**depth leapfrog steps from ``edge``, forward if
-    ``side`` else backward, as the list [minus edge, plus edge, proposed state,
-    log weight, acceptance sum, acceptance count, divergent, ok]: a leaf, or
-    two halves and one ``_join``; ``tree[side]`` is the edge to extend."""
-    if depth == 0:
-        leaf, delta_h = _leapfrog(vag, edge, half_step, mass_step, inv_mass, h0)
-        divergent = delta_h < -_DIVERGENCE_THRESHOLD
-        return [leaf, leaf, leaf, delta_h, math.exp(min(0.0, delta_h)), 1, divergent, not divergent]
-    tree = _build_tree(vag, edge, side, depth - 1, half_step, mass_step, inv_mass, h0, random)
-    if tree[7]:
-        sub = _build_tree(vag, tree[side], side, depth - 1, half_step, mass_step, inv_mass, h0, random)
-        _join(tree, sub, side, random)
-    return tree
-
-
-def _nuts_transition(vag, z, logp, grad, steps, metric, rng, max_depth):
-    """One NUTS transition from ``z`` with ``steps = _steps(eps, metric[0])``.
-    The tree of ``z`` alone doubles toward random sides by biased joins; the
-    depth counts the subtrees that ended well."""
-    r, h0 = _momentum(z, logp, metric, rng)
-    random = rng.random
-    tree = [(z, r, grad, logp, half_step * grad) for half_step, _ in steps]  # [minus, plus]
-    tree += [tree[0], 0.0, 0.0, 0, False, True]
-    depth = 0
-    while tree[7] and depth < max_depth:
-        side = random() < 0.5
-        sub = _build_tree(vag, tree[side], side, depth, *steps[side], metric[0], h0, random)
-        _join(tree, sub, side, random, biased=True)
-        depth += sub[7]
-    z, _, grad, logp = tree[2][:4]
-    return z, logp, grad, tree[4] / max(tree[5], 1), depth, tree[6]
-
-
-def _find_reasonable_step_size(vag, z, logp, grad, metric, rng, init: float) -> float:
-    """Double/halve the step size until the one-step acceptance crosses 1/2."""
-    r, h0 = _momentum(z, logp, metric, rng)
-
-    def delta_h(eps):
-        half_step, mass_step = _steps(eps, metric[0])[1]
-        return _leapfrog(vag, (z, r, grad, logp, half_step * grad), half_step, mass_step, metric[0], h0)[1]
-
+def _find_reasonable_step_size(delta_h: Callable, init: float) -> float:
+    """Double/halve the step size until ``delta_h``, one step's acceptance on its log scale, crosses 1/2."""
     eps = min(max(init, 1e-10), 1e7)  # a start outside the search range begins at its nearer end
     dh = delta_h(eps)
     direction = 1.0 if dh > math.log(0.5) else -1.0
@@ -447,35 +528,18 @@ _NUTS_STATS = (("accept_prob", float), ("tree_depth", np.int64), ("divergent", b
 
 def _run_nuts_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int, laplace):
     """Warm up, then yield ``(z, stats_row)`` per kept transition, ordered as ``_NUTS_STATS``."""
-    rng = make_rng(cfg.seed, chain_index)
-    dim = pf.dimension
-    vag = pf.unchecked_value_and_grad
+    normal, random = _streams(cfg.seed, chain_index)
+    z, (logp, *grad), metric = _initial_point(pf.float_density, normal, pf.dimension, laplace, True)
+    state = (z, tuple(grad), logp)
 
-    z, (logp, grad), metric = _initial_point(vag, rng, dim, laplace)
-    eps = _find_reasonable_step_size(vag, z, logp, grad, metric, rng, cfg.step_size_init)
-    averaging = _DualAveraging(eps, cfg.target_accept)
+    def bind(low):
+        return _nuts(low, pf.float_density, normal, random, cfg.max_tree_depth)
 
-    covariance = _WindowedCovariance(cfg.warmup_draws, dim)
-    for m in range(cfg.warmup_draws):
-        z, logp, grad, accept, _, _ = _nuts_transition(
-            vag, z, logp, grad, _steps(averaging.current, metric[0]), metric, rng, cfg.max_tree_depth
-        )
-        averaging.update(accept)
-        window = covariance.observe(m, z)
-        if window is not None:
-            # Shrink the correlations toward 0, not the matrix toward 1e-3 I as Stan
-            # does, which swamps a posterior variance far below 1e-3; a window too
-            # degenerate to factor keeps the last metric.
-            cov, w = window
-            metric = _metric(w * cov + (1.0 - w) * np.diag(np.diagonal(cov))) or metric
-
-    eps = averaging.averaged if cfg.warmup_draws > 0 else eps
-    steps = _steps(eps, metric[0])
-    while True:
-        z, logp, grad, accept, depth, divergent = _nuts_transition(
-            vag, z, logp, grad, steps, metric, rng, cfg.max_tree_depth
-        )
-        yield z, (accept, depth, divergent, eps)
+    eps = _find_reasonable_step_size(bind(metric[2])[1](state), cfg.step_size_init)
+    # Shrink the correlations toward 0, not the matrix toward 1e-3 I as Stan does, which
+    # swamps a posterior variance far below 1e-3
+    yield from _adapt_then_sample(lambda low: bind(low)[0], state, eps, metric[2],
+                                  lambda mean, cov, w: _shrunk(cov, w, _diagonal(cov)), cfg.warmup_draws, cfg.target_accept)
 
 
 def nuts_sample(pf: PosteriorFn, cfg: SamplerConfig, *, jobs: int | None = None) -> Trace:
@@ -493,43 +557,17 @@ _RWM_STATS = (("accept_prob", float), ("step_accepted", bool), ("divergent", boo
 
 def _run_rwm_chain(pf: PosteriorFn, cfg: SamplerConfig, chain_index: int, laplace):
     """Warm up, then yield ``(z, stats_row)`` per kept transition, ordered as ``_RWM_STATS``."""
-    rng = make_rng(cfg.seed, chain_index)
-    dim = pf.dimension
-    value = pf.unchecked_value
-    normal, random = rng.standard_normal, rng.random
+    normal, random = _streams(cfg.seed, chain_index)
+    value = pf.float_density
+    z, logp, (cov0, _, low) = _initial_point(value, normal, pf.dimension, laplace, False)
 
-    z, logp, (cov0, _, low) = _initial_point(value, rng, dim, laplace)
-    multiplier = 2.38 / math.sqrt(dim)
-    averaging = _DualAveraging(multiplier, _RWM_TARGET_ACCEPT)
+    def refit(mean, cov, w):  # without a mode, the Laplace approximation at the window's mean where it has one
+        if laplace is not None:
+            return _shrunk(cov, w, cov0)
+        return _value_laplace(value, mean) or _shrunk(cov, w, _diagonal(cov))
 
-    covariance = _WindowedCovariance(cfg.warmup_draws, dim)
-
-    def step(z, logp, scale):
-        proposal = z + np_dot(scale, normal(dim))
-        try:
-            logp_new = value(proposal)
-        except NonFiniteDensity:
-            logp_new = -math.inf
-        delta = logp_new - logp
-        alpha = 1.0 if delta >= 0 else math.exp(delta)
-        if random() < alpha:
-            return proposal, logp_new, alpha, True
-        return z, logp, alpha, False
-
-    for m in range(cfg.warmup_draws):
-        z, logp, alpha, _ = step(z, logp, averaging.current * low)
-        averaging.update(alpha)
-        window = covariance.observe(m, z)
-        if window is not None:  # a window too degenerate to factor keeps the last L
-            cov, w = window
-            shrunk = _metric(w * cov + (1.0 - w) * (np.diag(np.diagonal(cov)) if laplace is None else cov0))
-            low = shrunk[2] if shrunk else low
-
-    multiplier = averaging.averaged if cfg.warmup_draws > 0 else multiplier
-    scale = multiplier * low
-    while True:
-        z, logp, alpha, moved = step(z, logp, scale)
-        yield z, (alpha, moved, False, multiplier)
+    yield from _adapt_then_sample(lambda low: _bound(low, value, normal, random)[4], (z, logp),
+                                  2.38 / math.sqrt(pf.dimension), low, refit, cfg.warmup_draws, _RWM_TARGET_ACCEPT)
 
 
 def rwm_sample(pf: PosteriorFn, cfg: SamplerConfig, *, jobs: int | None = None) -> Trace:

@@ -12,19 +12,20 @@ The file name keeps it out of the tier-1 suite (``test_*.py``).  One chain
 warms up for 300 iterations, untimed; then each round pulls 100 kept
 transitions from it, counting the density's calls: one call is one leapfrog
 step, and a step's time is the median round's over the mean steps per
-round.  The density, ``-z.z / 2`` and ``-z``, is
-timed on its own and its cost subtracted, which leaves the sampler's own
-work per step: the leapfrog's arithmetic, the tree's bookkeeping, the U-turn
-checks and, once per transition, the momentum draw.  Each test prints that
+round.  The density, ``-z.z / 2`` and ``-z`` as the samplers call it
+(``PosteriorFn.float_density``, on the floats of z), is timed on its own
+and its cost subtracted, which leaves the sampler's own work per step: the
+leapfrog's arithmetic, the tree's bookkeeping, the U-turn checks and, once
+per transition, the momentum draw.  Each test prints that
 figure and stores it in the benchmark's ``extra_info``.
 
 ``test_rwm_overhead`` times RWM on the same standard normal at d = 3, its
 value density ``-z.z / 2`` timed on its own and subtracted.  A warm-up round
 starts a chain and runs its 1000 warm-up iterations (five adaptation windows)
 and one kept draw; a kept round pulls 1000 kept draws from a chain warmed up
-untimed.  ``test_window_estimator`` feeds 1000 warm-up states at d = 3 to
-the adaptation windows' covariance estimator and reports microseconds per
-iteration, the closing windows included, less the feeding loop's own cost.
+untimed.  ``test_window_estimator`` gives the adaptation windows'
+covariance estimator the rows of the windows of 1000 warm-up states at
+d = 3 and reports microseconds per warm-up iteration.
 
 ``test_gradient_evaluations`` fits two models with NUTS at the CLI defaults
 (4 chains x (1000 warm-up + 1000 kept draws)), at seeds 0-3, the chains run
@@ -51,25 +52,30 @@ import pytest
 from plainbayes import sampler
 from plainbayes.data_io import Dataset, SimConfig, simulate_linear
 from plainbayes.diagnostics import ess_bulk
-from plainbayes.posterior import PosteriorFn, build_posterior, np_dot
+from plainbayes.posterior import PosteriorFn, build_posterior
 from plainbayes.sampler import SamplerConfig
 from plainbayes.spec_schema import parse_model_json, validate_model
 
 TRANSITIONS = 100
 
 
-def _density(calls):
-    def vag(z):
-        calls.append(1)
-        return -0.5 * float(np_dot(z, z)), -z
+def _posterior(dim, calls):
+    """The standard normal, its float entry ``-z.z / 2`` and, on a gradient call, ``-z``,
+    counting its calls in ``calls``; the mode search takes the array callable, uncounted."""
 
-    return vag
+    def density(*args):  # z's floats, then with_grad
+        calls.append(1)
+        z = args[:dim]
+        logp = -0.5 * sum([v * v for v in z])
+        return (logp, *[-v for v in z]) if args[dim:] and args[dim] else logp
+
+    return PosteriorFn([f"x{i}" for i in range(dim)], lambda z: (-0.5 * float(z @ z), -z), float_density=density)
 
 
 @pytest.mark.parametrize("dim", [3, 10])
 def test_leapfrog_overhead(benchmark, dim):
     calls = []
-    pf = PosteriorFn(param_names=[f"x{i}" for i in range(dim)], log_density_and_grad=_density(calls))
+    pf = _posterior(dim, calls)
     laplace = sampler._laplace(pf.unchecked_value_and_grad, dim)
     chain = sampler._run_nuts_chain(pf, SamplerConfig(warmup_draws=300, seed=dim), 0, laplace)
     next(chain)  # warm-up
@@ -83,8 +89,8 @@ def test_leapfrog_overhead(benchmark, dim):
 
     benchmark.group = "NUTS sampler overhead"
     benchmark(transitions)
-    z, density = np.full(dim, 0.3), _density([])
-    density_s = min(timeit.repeat(lambda: density(z), number=20_000, repeat=5)) / 20_000
+    z, density = (0.3,) * dim, _posterior(dim, []).float_density
+    density_s = min(timeit.repeat(lambda: density(*z, True), number=20_000, repeat=5)) / 20_000
     step_s = benchmark.stats.stats.median / (sum(steps) / len(steps))
     overhead_us = (step_s - density_s) * 1e6
     benchmark.extra_info.update(us_per_step=step_s * 1e6, density_us=density_s * 1e6, overhead_us_per_step=overhead_us)
@@ -96,19 +102,10 @@ def test_leapfrog_overhead(benchmark, dim):
 RWM_STEPS = 1000
 
 
-def _value_density(calls):
-    def value(z):
-        calls.append(1)
-        return -0.5 * float(np_dot(z, z))
-
-    return value
-
-
 @pytest.mark.parametrize("phase", ["warm-up", "kept"])
 def test_rwm_overhead(benchmark, phase):
     dim, calls = 3, []
-    value = _value_density(calls)
-    pf = PosteriorFn(param_names=[f"x{i}" for i in range(dim)], log_density_and_grad=lambda z: (value(z), -z), log_density=value)
+    pf = _posterior(dim, calls)
     laplace = sampler._laplace(pf.unchecked_value_and_grad, dim)
     cfg = SamplerConfig(algorithm="rwm", warmup_draws=RWM_STEPS, seed=dim)
     chain, counts = sampler._run_rwm_chain(pf, cfg, 0, laplace), []
@@ -126,8 +123,8 @@ def test_rwm_overhead(benchmark, phase):
     benchmark.group = "RWM sampler overhead"
     benchmark(steps)
     per_round = sum(counts) / len(counts)
-    z = np.full(dim, 0.3)
-    density_s = min(timeit.repeat(lambda: value(z), number=20_000, repeat=5)) / 20_000
+    z, value = (0.3,) * dim, _posterior(dim, []).float_density
+    density_s = min(timeit.repeat(lambda: value(*z), number=20_000, repeat=5)) / 20_000
     step_s = benchmark.stats.stats.median / per_round
     overhead_us = (step_s - density_s) * 1e6
     benchmark.extra_info.update(us_per_step=step_s * 1e6, density_us=density_s * 1e6, overhead_us_per_step=overhead_us)
@@ -136,18 +133,14 @@ def test_rwm_overhead(benchmark, phase):
     assert math.isfinite(overhead_us) and overhead_us > 0.0
 
 
-def _feed(states, observe):
-    return [window for m, z in enumerate(states) if (window := observe(m, z)) is not None]
-
-
 def test_window_estimator(benchmark):
     dim = 3
-    states = list(np.random.default_rng(dim).standard_normal((RWM_STEPS, dim)))
+    states = [tuple(z) for z in np.random.default_rng(dim).standard_normal((RWM_STEPS, dim)).tolist()]
+    rows = [states[start:end] for start, end in sampler._adaptation_windows(RWM_STEPS)]
 
     benchmark.group = "RWM sampler overhead"
-    windows = benchmark(lambda: _feed(states, sampler._WindowedCovariance(RWM_STEPS, dim).observe))
-    loop_s = min(timeit.repeat(lambda: _feed(states, lambda m, z: None), number=20, repeat=5)) / 20
-    us_per_iteration = (benchmark.stats.stats.median - loop_s) / RWM_STEPS * 1e6
+    windows = benchmark(lambda: [sampler._window_covariance(window, dim) for window in rows])
+    us_per_iteration = benchmark.stats.stats.median / RWM_STEPS * 1e6
     benchmark.extra_info.update(us_per_iteration=us_per_iteration)
     print(f"\nwindow estimator, d = {dim}: {len(windows)} windows, {us_per_iteration:.2f} us per warm-up iteration")
     assert len(windows) == len(sampler._adaptation_windows(RWM_STEPS))

@@ -405,28 +405,30 @@ class TestDrawsLocked:
     ``stats.json``.
 
     The hashes were recorded on x86-64 Linux (Python 3.11.7, numpy 2.4.6,
-    OpenBLAS single-threaded) when every chain began to start from one mode
-    search's Laplace approximation, with its stream keyed by (seed, chain),
-    and RWM to propose densely, which moved every draw.  ``nuts-linear-depth2``
+    OpenBLAS single-threaded) when the samplers began to step in Python
+    floats, drawing each chain's normals and uniforms from two streams keyed
+    by (seed, chain, purpose), which moved every draw.  ``nuts-linear-depth2``
     caps its trees at depth 2, which most kept trees reach, an exit the other
     fits seldom take.  The stats hashes also pin the stat names, their order
-    and their dtypes.  A change that moves the draws
-    updates them and names the change in CHANGES.md.  Another BLAS build
-    may sum dot products in another order, so the hashes hold only where
-    they were recorded.
+    and their dtypes.  A change that moves the draws updates them and names
+    the change in CHANGES.md.  The linear fits take no BLAS product, so their
+    hashes hold under any BLAS kernel (``TestDrawsIndependentOfTheCpu``);
+    ``nuts-recip``'s mean is not affine, and the rows' per-call dot products,
+    which serve it, stay on BLAS, whose kernel may sum them in another
+    order, so that hash holds only where it was recorded.
     """
 
     HASHES = {
-        "nuts-linear": "fe8b7751237e57b063cf58936d73037c16476ad0506aa4547e51f3b4b0623974",
-        "nuts-linear-depth2": "d8af05739df8aacbb5c75ff2ffe94dca9ec69c12917460aa36447e9ebe86cd8c",
-        "nuts-recip": "ec6ef893d06ec3b9374dab219c3db6a1f659121e993cc423df14212ef0d6ac49",
-        "rwm-linear": "a598b3edc4d3fa43bbbf62a0d5d382323244c563f15e9427c44302cc93f2275b",
+        "nuts-linear": "9f577bdc283b4b5fc9aae8e0502e39f9cce62595ef7eabee08b25d3c3e73edda",
+        "nuts-linear-depth2": "af10084e6bc77baaef7190bba57277a4dc5cc10965c336534b44b8871b2bec57",
+        "nuts-recip": "03f5a23a6cd9483c1acef801621b8cea593ce1b2b3620c92c58bab4e42175a13",
+        "rwm-linear": "4cecca95571f800c33254f37d1ea98912e20a720c7cbf821892ba6d687c0e7b3",
     }
     STATS_HASHES = {
-        "nuts-linear": "7c9644bbfd48483bed446cbe37fd8c9e0315f7a779e1aaf9c364497ca7e05d9d",
-        "nuts-linear-depth2": "19cffa90d9dabd47dd64c76dd6559152cd865b8e6a99d42798783dd927d0b682",
-        "nuts-recip": "51349d0239cf6d03b6d5717cb02e2ba86be4cbcce7af9382010f79a4bc46f1aa",
-        "rwm-linear": "872f803b8775b35031e419229646b4b2813580b1c4d5fec83d6e1ad8027b0abe",
+        "nuts-linear": "206f053075d097d2e655a7816bfe5fa7763f89dd851e220284012294bb60c2e5",
+        "nuts-linear-depth2": "7e34dd91bc26b4a605be6136682cf18b4e30dc2bedb604fd6d5ae228bc44be11",
+        "nuts-recip": "7f2af420ab138d9d018f4d6aa65f5cd563a3ca0f84865c20c1e4440bd1ca97e1",
+        "rwm-linear": "02fd374f1942e0ba0d362c3858bb6927ae9a17287e2371a912599dd221556ea6",
     }
 
     @pytest.mark.parametrize("case", sorted(HASHES))
@@ -455,29 +457,58 @@ class TestDrawsLocked:
         assert digest == self.STATS_HASHES[case]
 
 
+_LOCKED_FITS = """
+import sys
+from plainbayes import cli
+for algorithm in ("nuts", "rwm"):
+    argv = ["fit", "--model", sys.argv[1], "--data", sys.argv[2], "--algorithm", algorithm, "--chains", "2",
+            "--warmup", "150", "--draws", "100", "--seed", "11", "--out-dir", sys.argv[3] + "/" + algorithm]
+    assert cli.main(argv) == 0
+"""
+
+
+class TestDrawsIndependentOfTheCpu:
+    """OpenBLAS picks its kernels by CPU, and kernels with and without FMA round a dot product
+    differently.  The samplers and the factorisation take no BLAS product, so a linear fit
+    writes the same bytes under every kernel the host can run; one subprocess per kernel runs
+    TestDrawsLocked's NUTS and RWM fits of the demo model."""
+
+    def test_same_bytes_under_every_openblas_kernel(self, tmp_path, data_csv):
+        written = {}
+        for coretype in ("Prescott", "Sandybridge", "Haswell", None):  # None: the host's own
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
+            env.pop("OPENBLAS_CORETYPE", None)
+            env.update({"OPENBLAS_CORETYPE": coretype} if coretype else {})
+            out = tmp_path / str(coretype)
+            argv = [sys.executable, "-c", _LOCKED_FITS, str(EXAMPLES / "manual_priors_model.json"), str(data_csv), str(out)]
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+            written[coretype] = [(out / fit / name).read_bytes() for fit in ("nuts", "rwm") for name in ("trace.csv", "stats.json")]
+        assert all(files == written[None] for files in written.values())
+
+
 class TestReportsLocked:
     """A short fixed-seed Experiment I run must keep writing the same summaries
     and histograms, for the elicited model and the manual baseline.
 
     The hashes were recorded where TestDrawsLocked's were (x86-64 Linux,
     Python 3.11.7, numpy 2.4.6, OpenBLAS single-threaded) with them, when
-    the Laplace start moved the draws of both fits.  5 000
+    the samplers' float core and streams moved the draws of both fits.  5 000
     pooled draws per fit make the mode's kernel sum span two chunks of 4 096.
     """
 
     HASHES = {
-        "summary.txt": "c0ac9d80ca4afc444a466b2abd4c465f3ac2f06a449f1540bc4e61d75957cee2",
-        "summary.json": "dd437af2e0e00444ea6dfde7a78fe71b3cb428a7e8923de7a6c4c3279112732f",
-        "summary.csv": "39afc2827463d43af4e832c48643126fe7f4e4e1d4f25243ba5764a86efef726",
-        "compare_summary.txt": "f50725b3f09627b679630a38838e0751430645b9af6019b811805172d0a59dcb",
-        "compare_summary.json": "a6181936273506f8266ae2df88096c85405d41f843a9d72424adef910e36042c",
-        "compare_summary.csv": "977ab8810b5c5d754cb2cb00ff98fbac7a1bdf08cd3d8b59ce39be2fc91c44d7",
-        "plots/hist_alpha.csv": "94c6b8dd4809b57cb4f5645b778aa8ffa886cbe84aa20c87ed69cf98f2c643bf",
-        "plots/hist_alpha.svg": "b0fcd325d99261bd23b9be3131cfaead18a49cce1f2c9d91ab5a0d8a003ab3ee",
-        "plots/hist_beta.csv": "f795dd64c5fe9a99cfe87a94131a3636fd61ed897b0e35061e4d3306d1891b76",
-        "plots/hist_beta.svg": "c50ca199f9f16fa1317df31347cc172e441c268be477de8a5c60378b0721ba67",
-        "plots/hist_sigma.csv": "6578ca944673804417c1d5a6d0cd589ea0646af6bdd072514446fd8185dbc3de",
-        "plots/hist_sigma.svg": "cf176b34755862d7b151a5c90801ba522f91f1ffc5fea6bb4ba4495869dfc694",
+        "summary.txt": "4a57c6b66d533a4d80a362358ff8e563dfd38e9c72427daf7a5f7ae54b836eb6",
+        "summary.json": "d564d1a6d89ee995b52172ae7faab685c4e3a655438e05583a5f98712129f7a7",
+        "summary.csv": "4dc2af500b11f7bb75a5436e176ee59c98ba42bd0266bcf1292994bcefcfd7e7",
+        "compare_summary.txt": "d73153ac9040c7ad56fe9224b60cb1d2954cb071e4ae925a357e4e174586a0f4",
+        "compare_summary.json": "b35caa5430a8fbd804bf8193654e17d54100d17bc7a2babf1770b56c79c7fbf0",
+        "compare_summary.csv": "2e3ae41c316c870d2a72da7c37ce08ab18878b7aeb0ef48f14ce23b7cb675ecd",
+        "plots/hist_alpha.csv": "f0bfb139cc98b231e6c995869f401482c6a1f86b2ebef1668f48deb0cf10d327",
+        "plots/hist_alpha.svg": "1112e53f0e32487cb032d3b151aae80102ff4293c35aa8976d2b552d0ac7f7fa",
+        "plots/hist_beta.csv": "141d9780fe9afb6bd59b7a430fb75dcde0ec9ae090a76503f4899509637a188f",
+        "plots/hist_beta.svg": "eeb7cdce059ded6db7880ca214699df8f5d995b7856977325e2e865b786e9132",
+        "plots/hist_sigma.csv": "08004eebfd75e2f11460273b682fa26648149aab11e5bf76c81f8b77d5d163ca",
+        "plots/hist_sigma.svg": "525a10e94ca2938a438df19ef68d1511946d86036b898b435ff146adf581c575",
     }
 
     def test_report_hashes(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -244,6 +245,8 @@ class TestValueIsAFloat:
         z = np.array(z)
         value, (pair_value, grad) = pf.log_density(z), pf.log_density_and_grad(z)
         assert type(value) is float and type(pair_value) is float and value == pair_value
+        floats = pf.float_density(*z.tolist(), True)  # the samplers' entry: floats only, the gradient's too
+        assert all(type(v) is float for v in floats) and floats == (value, *grad.tolist())
         if source == "alpha * X * X + beta":
             assert value < _GRADIENT_OVERFLOW_FLOOR and not grad.any()
 
@@ -617,7 +620,7 @@ class TestCompiledMatchesReference:
             likelihood=LikelihoodSpec(formula_source="a + b * X", noise_param="s"),
         )
         vm = validate_model(spec, data.column_names())
-        assert posterior._thin_qr([np.ones(50), x], data.columns["y"], np.dot) is not None
+        assert posterior._thin_qr([np.ones(50), x], data.columns["y"]) is not None
         z = np.array([0.5, 0.3, 0.2])
         value, grad = build_posterior(vm, data).log_density_and_grad(z)
         expected_value, expected_grad = _reference_density(vm, data, z, True)
@@ -662,6 +665,33 @@ class TestCompiledMatchesReference:
         vm, data = self._singular_model(source)
         for z in self.SINGULAR_ZS:
             _assert_close_to_reference(vm, data, np.array(z))
+
+
+class TestGeneratedRowsOnce:
+    """The rows compute each n-vector once per call and hold each bound one once."""
+
+    def test_quotient_partials_share_one_squared_denominator(self, monkeypatch):
+        # the quotient rule's partials in alpha and tau share one (X + tau) * (X + tau)
+        sources = []
+        monkeypatch.setattr(posterior, "exec", lambda source, env: sources.append(source) or exec(source, env),
+                            raising=False)
+        data = Dataset({"X": np.linspace(0.5, 3.0, 20), "y": np.linspace(-2.0, 2.0, 20)})
+        priors = {"alpha": Normal(mu=0, sigma=1), "tau": Exponential(lam=1), "sigma": HalfNormal(sigma=1)}
+        spec = ModelSpec(priors=priors, likelihood=LikelihoodSpec(formula_source="alpha / (X + tau)", noise_param="sigma"))
+        pf = build_posterior(validate_model(spec, data.column_names()), data)
+        (source,) = sources
+        assert len(re.findall(r"^ *t\d+ = (t\d+) \* \1$", source, re.M)) == 1
+        value, grad = pf.log_density_and_grad(np.array([0.4, -0.3, 0.2]))
+        assert math.isfinite(value) and np.isfinite(grad).all()
+
+    def test_parameter_free_mean_bound_once(self):
+        data = Dataset({"X": np.linspace(0.5, 3.0, 20), "y": np.linspace(-2.0, 2.0, 20)})
+        spec = ModelSpec(priors={"s": HalfNormal(sigma=1)}, likelihood=LikelihoodSpec(formula_source="2 * X - 1", noise_param="s"))
+        pf = build_posterior(validate_model(spec, data.column_names()), data)
+        want = 2.0 * data.columns["X"] - 1.0
+        held = [v for v in pf.float_density.__globals__.values()
+                if isinstance(v, np.ndarray) and v.shape == want.shape and np.array_equal(v, want)]
+        assert len(held) == 1
 
 
 class TestAffineFallback:
@@ -744,7 +774,7 @@ class TestAffineFallback:
         rng = np.random.default_rng(8)
         x = rng.uniform(-3.0, 3.0, 30)
         data = Dataset({"X": x, "y": 1e200 * rng.normal(size=30)})
-        assert posterior._thin_qr([np.ones(30), x], data.columns["y"], np.dot)[2] == math.inf
+        assert posterior._thin_qr([np.ones(30), x], data.columns["y"])[2] == math.inf
         spec = ModelSpec(
             priors={"a": Normal(mu=0, sigma=2), "b": Exponential(lam=1), "s": HalfNormal(sigma=1e250)},
             likelihood=LikelihoodSpec(formula_source="a + b * X", noise_param="s"),
@@ -756,15 +786,16 @@ class TestAffineFallback:
 
     @pytest.mark.parametrize("source, row_sums", [("a + X / b", False), ("a / (X + b)", True)])
     def test_affine_mean_sums_no_rows_per_call(self, monkeypatch, source, row_sums):
-        # every sum over the rows goes through np_dot; the factorisation takes
-        # its sums once, at build time, and a mean that is not affine every call
-        calls = []
+        # every sum over the rows a call takes goes through np_dot; the factorisation takes
+        # its sums once, at build time, through fsum_dot, and a mean that is not affine every call
+        calls, built = [], []
         monkeypatch.setattr(posterior, "np_dot", lambda a, b: calls.append(a.shape) or np.dot(a, b))
+        fsum_dot = posterior.fsum_dot
+        monkeypatch.setattr(posterior, "fsum_dot", lambda a, b: built.append(a.shape) or fsum_dot(a, b))
         rng = np.random.default_rng(5)
         data = Dataset({"X": rng.uniform(0, 10, 50), "y": rng.normal(size=50)})
         pf = build_posterior(self._vm(source, data), data)
-        assert bool(calls) == (not row_sums)
-        calls.clear()
+        assert bool(built) == (not row_sums) and not calls
         z = np.array([0.4, -0.3, 0.2])
         pf.log_density(z)
         pf.log_density_and_grad(z)
@@ -962,21 +993,22 @@ class TestDeepNestedQuotient:
         ast = formula.parse_formula(self.SOURCE)
         assert self.SOURCE.count("(a /") == 98
         slope = formula.differentiate(ast, "X")
-        assert slope == formula.simplify(formula._diff(ast, "X"), _Unmemoised())
+        assert slope == formula.simplify(formula._diff(ast, "X", {}), _Unmemoised())
         for tree in (ast, slope):  # the partials build_posterior takes: of the mean and of its slope
             for name in ("a", "b"):
-                assert formula.differentiate(tree, name) == formula.simplify(formula._diff(tree, name), _Unmemoised())
+                assert formula.differentiate(tree, name) == formula.simplify(formula._diff(tree, name, {}), _Unmemoised())
 
     def test_kernel_has_one_local_per_distinct_operation(self):
         # the trees the kernel emits, X bound to a number, and those the rows emit, X bound
         # as an array, share each denominator in three places, and a partial shares the
         # subtrees simplify leaves as they are with its formula; with one memo per build,
-        # each distinct operation node is one assignment
-        ast = formula.parse_formula(self.SOURCE)
-        slope = formula.differentiate(ast, "X")
-        kernel = [ast, slope] + [formula.differentiate(tree, name) for tree in (ast, slope) for name in ("a", "b")]
-        rows = [ast] + [formula.differentiate(ast, name) for name in ("a", "b")]
-        for trees, x, expected in ((kernel, 2.0, 3249), (rows, np.linspace(0.5, 2.0, 5), 888)):
+        # each distinct operation node is one assignment; partials taken with one ``squares``, as
+        # build_posterior takes them, share each quotient's squared denominator
+        ast, squares = formula.parse_formula(self.SOURCE), {}
+        slope = formula.differentiate(ast, "X", squares)
+        kernel = [ast, slope] + [formula.differentiate(tree, name, squares) for tree in (ast, slope) for name in ("a", "b")]
+        rows = [ast] + [formula.differentiate(ast, name, squares) for name in ("a", "b")]
+        for trees, x, expected in ((kernel, 2.0, 2560), (rows, np.linspace(0.5, 2.0, 5), 789)):
             nodes, stack = {}, list(trees)
             while stack:
                 node = stack.pop()
@@ -988,7 +1020,8 @@ class TestDeepNestedQuotient:
             for tree in trees:
                 formula.emit(tree, {"a": "a", "b": "b"}, {"X": x}, lambda expr: lets.append(expr) or f"t{len(lets)}",
                              lambda value: "k", memo)
-            # the kernel's count was 13 247 while simplify rebuilt every node, and is 100 765 walked as trees
+            # the kernel's count was 13 247 while simplify rebuilt every node, 3 249 (rows 888) while each
+            # quotient rule squared its denominator anew, and is 100 765 walked as trees
             assert len(lets) == operations == expected
 
     def test_build_takes_seconds_at_most(self):
