@@ -8,17 +8,19 @@ statistics and histogram plots.
 
 __version__ = "0.1.0"
 
-from .data_io import Dataset, SimConfig, load_csv, save_csv, simulate_linear  # noqa: F401
-from .diagnostics import SummaryTable, ess_bulk, hdi, mode_estimate, split_rhat, summarize  # noqa: F401
-from .elicitation import LlmConfig, elicit_model, elicit_prior  # noqa: F401
-from .posterior import PosteriorFn, build_posterior  # noqa: F401
-from .sampler import SamplerConfig, Trace, load_trace, nuts_sample, rwm_sample, save_trace  # noqa: F401
-from .spec_schema import (  # noqa: F401
-    LikelihoodSpec,
-    ModelSpec,
-    ValidatedModel,
-    parse_model_json,
-    parse_prior_json,
-    sanitize_llm_text,
-    validate_model,
-)
+_MODULE_OF = {  # each name's module, loaded on first access: importing the package loads no numpy
+    **dict.fromkeys(("Dataset", "SimConfig", "load_csv", "save_csv", "simulate_linear"), "data_io"),
+    **dict.fromkeys(("SummaryTable", "ess_bulk", "hdi", "mode_estimate", "split_rhat", "summarize"), "diagnostics"),
+    **dict.fromkeys(("LlmConfig", "elicit_model", "elicit_prior"), "elicitation"),
+    **dict.fromkeys(("PosteriorFn", "build_posterior"), "posterior"),
+    **dict.fromkeys(("SamplerConfig", "Trace", "load_trace", "nuts_sample", "rwm_sample", "save_trace"), "sampler"),
+    **dict.fromkeys(("LikelihoodSpec", "ModelSpec", "ValidatedModel", "parse_model_json", "parse_prior_json",
+                     "sanitize_llm_text", "validate_model"), "spec_schema"),
+}
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)

@@ -12,7 +12,8 @@ Subcommands:
 
 Every command writes a manifest describing its inputs (by content hash),
 configuration, and outputs, so a run can be reproduced exactly in replay
-mode.  Exit code is 0 iff no stage failed.
+mode.  Exit code is 0 iff no stage failed.  This module imports the standard
+library and ``errors`` alone: each command imports the modules it runs.
 """
 
 from __future__ import annotations
@@ -25,10 +26,13 @@ import time
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, data_io, diagnostics, elicitation, plotting, sampler, spec_schema
+from . import __version__
 from .errors import ElicitationFailed, PlainbayesError
-from .posterior import PosteriorFn, build_posterior
+
+if TYPE_CHECKING:
+    from . import diagnostics, elicitation, posterior, sampler
 
 __all__ = ["main", "build_parser"]
 
@@ -105,6 +109,7 @@ def _add_llm_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _llm_config(args) -> elicitation.LlmConfig:
+    from . import elicitation
     live = getattr(args, "mode", elicitation.LlmConfig.mode) == "live"
     return _config(elicitation.LlmConfig, args, fixtures_dir=None if live else elicitation.packaged_fixtures_dir())
 
@@ -141,6 +146,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    from . import data_io
     cfg = _config(data_io.SimConfig, args)
     dataset = data_io.simulate_linear(cfg)
     out = Path(args.out)
@@ -162,6 +168,7 @@ def _read_text_arg(inline: str | None, file_arg: str | None, what: str) -> str:
 
 
 def _cmd_elicit_prior(args) -> int:
+    from . import elicitation, spec_schema
     cfg = _llm_config(args)
     belief = _read_text_arg(args.belief, args.belief_file, "belief")
     spec = elicitation.elicit_prior(args.param, belief, cfg)
@@ -175,6 +182,7 @@ def _cmd_elicit_prior(args) -> int:
 
 
 def _cmd_elicit_model(args) -> int:
+    from . import elicitation, spec_schema
     cfg = _llm_config(args)
     description = Path(args.description_file).read_text(encoding="utf-8")
     spec = elicitation.elicit_model(description, cfg)
@@ -194,10 +202,11 @@ def _public_llm_config(cfg: elicitation.LlmConfig) -> dict:
     return obj  # the config holds the key's env-var NAME only, never the key
 
 
-def _fit(args, scfg: sampler.SamplerConfig, workers: int, pf: PosteriorFn, prefix: str = "") -> tuple:
+def _fit(args, scfg: sampler.SamplerConfig, workers: int, pf: posterior.PosteriorFn, prefix: str = "") -> tuple:
     """Sample the built posterior ``pf``, free it (the caller keeps no reference), write
     ``{prefix}trace.csv`` and ``{prefix}stats.json`` in ``--out-dir``, and return the
     trace and their paths."""
+    from . import sampler
     trace = sampler.sample(pf, scfg, jobs=workers)
     del pf
     paths = [Path(args.out_dir) / f"{prefix}trace.csv", Path(args.out_dir) / f"{prefix}stats.json"]
@@ -205,7 +214,13 @@ def _fit(args, scfg: sampler.SamplerConfig, workers: int, pf: PosteriorFn, prefi
     return trace, paths
 
 
+def build_posterior(*args, **kwargs) -> posterior.PosteriorFn:  # loads the model compiler when fit or run calls it
+    from .posterior import build_posterior
+    return build_posterior(*args, **kwargs)
+
+
 def _cmd_fit(args) -> int:
+    from . import data_io, sampler, spec_schema
     scfg = _config(sampler.SamplerConfig, args)
     workers = sampler.worker_count(scfg.chains, args.jobs)
     spec = spec_schema.parse_model_json(Path(args.model).read_text(encoding="utf-8"))
@@ -226,6 +241,7 @@ def _cmd_fit(args) -> int:
 
 
 def _render_summary(table: diagnostics.SummaryTable, fmt: str) -> str:
+    from . import diagnostics
     if fmt == "text":
         return diagnostics.render_text(table)
     if fmt == "csv":
@@ -234,6 +250,7 @@ def _render_summary(table: diagnostics.SummaryTable, fmt: str) -> str:
 
 
 def _cmd_summarize(args) -> int:
+    from . import diagnostics, sampler
     diagnostics.check_hdi_prob(args.hdi)  # before reading the trace
     trace = sampler.load_trace(args.trace, args.stats)
     table = diagnostics.summarize(trace, hdi_prob=args.hdi)
@@ -245,6 +262,7 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from . import plotting, sampler
     plotting.check_bins(args.bins)  # before reading the traces
     trace = sampler.load_trace(args.trace)
     compare = sampler.load_trace(args.compare) if args.compare else None
@@ -275,7 +293,8 @@ def _load_beliefs(path) -> dict[str, str]:
 
 
 def _cmd_run(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
+    from . import data_io, diagnostics, elicitation, plotting, sampler, spec_schema
     diagnostics.check_hdi_prob(args.hdi)  # before any work: these stages come last
     plotting.check_bins(args.bins)
     llm_cfg = _llm_config(args)
@@ -363,7 +382,7 @@ def _cmd_run(args) -> int:
     )
     manifest.add_output(*plots)
 
-    manifest.payload["elapsed_seconds"] = round(time.time() - started, 3)
+    manifest.payload["elapsed_seconds"] = round(time.perf_counter() - started, 3)
     manifest.write(out_dir / "manifest.json")
     print(f"run complete in {manifest.payload['elapsed_seconds']}s; outputs in {out_dir}")
     return 0

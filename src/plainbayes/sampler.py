@@ -57,14 +57,15 @@ import warnings
 from dataclasses import asdict, dataclass, replace
 from functools import cache, partial
 from itertools import chain, islice
-from typing import Callable, NoReturn
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 import numpy as np
 
 from .data_io import SEED_BOUND, make_rng
-from .distributions import IdentityTransform
 from .errors import AllDivergent, BadInitialPoint, MalformedTrace, NonFiniteDensity, NonFiniteGradient, SamplerError
-from .posterior import PosteriorFn, fsum_dot
+
+if TYPE_CHECKING:  # the model compiler loads only where a posterior is built, not to read a trace
+    from .posterior import PosteriorFn
 
 __all__ = ["SamplerConfig", "Trace", "nuts_sample", "rwm_sample", "sample", "worker_count", "forked_map", "save_trace", "load_trace"]
 
@@ -246,6 +247,7 @@ def _warmup_segments(warmup: int) -> list:
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for a matrix ``a`` and a vector or matrix ``b``, each entry ``fsum_dot``'s."""
+    from .posterior import fsum_dot
     out = np.array([[fsum_dot(row, col) for col in (b.T if b.ndim == 2 else [b])] for row in a])
     return out if b.ndim == 2 else out[:, 0]
 
@@ -258,6 +260,7 @@ def _laplace(vag: Callable | None, dim: int):
     ``_LAPLACE_MAX_STEPS`` trial steps.  Numpy warns of nothing here."""
     if vag is None:
         return None
+    from .posterior import fsum_dot
 
     def minus(z):  # (−log p, −∇log p) at z, or None where either is not finite
         try:
@@ -599,13 +602,12 @@ def _run_chains(run_chain: Callable, stat_types, pf: PosteriorFn, cfg: SamplerCo
     chains = forked_map(partial(_kept, run_chain, stat_types, pf, cfg), cfg.chains, worker_count(cfg.chains, jobs), pf.fork_safe)
     unconstrained = np.array([rows for rows, _ in chains])
     stats = {name: np.array([columns[k] for _, columns in chains]) for k, (name, _) in enumerate(stat_types)}
-    # Each column through its own transform's scalar forward (an identity's is
-    # the column): the floats and function a per-draw pf.constrain uses, so the same bits.
+    # Each column through its own transform's scalar forward: the floats and
+    # function a per-draw pf.constrain uses, so the same bits.
     draws = unconstrained.copy()
     for i, tf in enumerate(pf.transforms):
-        if not isinstance(tf, IdentityTransform):
-            column = unconstrained[:, :, i]
-            draws[:, :, i] = np.reshape([tf.forward(v) for v in column.ravel().tolist()], column.shape)
+        column = unconstrained[:, :, i]
+        draws[:, :, i] = np.reshape([tf.forward(v) for v in column.ravel().tolist()], column.shape)
     divergent_fraction = float(np.mean(stats["divergent"]))
     if divergent_fraction > 0.5:
         raise AllDivergent(divergent_fraction)
@@ -832,6 +834,8 @@ def load_trace(csv_path, stats_path=None) -> Trace:
         if len(columns) < 3 or columns[0] != "chain" or columns[1] != "draw":
             raise MalformedTrace(f"{csv_path}: expected header 'chain,draw,<params...>'")
         param_names = columns[2:]
+        if bad := [n for n in param_names if not (n.isascii() and n.isidentifier()) or param_names.count(n) > 1]:
+            raise MalformedTrace(f"{csv_path}: parameter column {bad[0]!r} is not a distinct identifier")
         rows = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -344,6 +345,23 @@ class TestSummarize:
         bad.write_text('{"stats": ')
         assert run_cli("summarize", "--trace", fit_dir / "trace.csv", "--stats", bad) != 0
         assert "MalformedTrace" in capsys.readouterr().err
+
+
+class TestTraceHeader:
+    """A trace's parameter names become summary rows and plot file names, so a header whose
+    names are not distinct identifiers fails in one line before either command writes."""
+
+    @pytest.mark.parametrize("command", ["summarize", "plot"])
+    @pytest.mark.parametrize("names, bad", [("a,a", "a"), ("", ""), ("../x", "../x")], ids=["repeated", "empty", "path"])
+    def test_names_not_distinct_identifiers_fail(self, tmp_path, capsys, command, names, bad):
+        trace = tmp_path / "t.csv"
+        cells = ",0.5" * len(names.split(","))
+        trace.write_text(f"chain,draw,{names}\n" + "".join(f"0,{d}{cells}\n" for d in range(20)))
+        out = tmp_path / "out"
+        assert run_cli(command, "--trace", trace, *(["--out-dir", out] if command == "plot" else ["--out", out / "s"])) == 1
+        err = capsys.readouterr().err
+        assert err == f"{command}: MalformedTrace: {trace}: parameter column {bad!r} is not a distinct identifier\n"
+        assert not out.exists()
 
 
 class TestPlot:
@@ -819,6 +837,7 @@ class TestFitWorkers:
 class TestRun:
     def test_full_pipeline_replay(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
+        started = time.perf_counter()
         code = run_cli(
             "run",
             "--description-file", EXAMPLES / "linear_regression_description.txt",
@@ -826,6 +845,7 @@ class TestRun:
             "--chains", 2, "--warmup", 200, "--draws", 150,
             "--out-dir", out_dir,
         )
+        wall = time.perf_counter() - started
         assert code == 0
         for name in (
             "data.csv", "model.json", "trace.csv", "stats.json",
@@ -835,6 +855,7 @@ class TestRun:
         assert (out_dir / "plots" / "hist_sigma.svg").exists()
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == "run"
+        assert 0 <= manifest["elapsed_seconds"] <= wall + 0.0005  # rounded to the millisecond
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_reruns_are_byte_identical(self, tmp_path):
@@ -988,6 +1009,72 @@ class TestInputsBeforeOutputs:
         assert capsys.readouterr().err == "run: MissingResponseColumn: dataset has no response column 'nope'\n"
         assert not out_dir.exists()
         assert list(tmp_path.rglob("data.csv")) == [data_csv]
+
+
+# Runs the CLI on argv[2:] and writes the names of the modules loaded by its end to the file argv[1].
+_MODULES_MAIN = """
+import sys
+from plainbayes import cli
+
+try:
+    code = cli.main(sys.argv[2:])
+except SystemExit as exc:  # argparse's exit: --version, --help, a bad flag
+    code = exc.code
+with open(sys.argv[1], "w") as fh:
+    fh.write("\\n".join(sys.modules))
+sys.exit(code)
+"""
+
+_MODEL_COMPILER = {f"plainbayes.{m}" for m in ("posterior", "formula", "spec_schema", "distributions", "elicitation")}
+
+
+class TestImportFence:
+    """The CLI parses its command line before it loads the library, and a command loads the modules it runs."""
+
+    @pytest.mark.parametrize(
+        "command, code, unloaded",
+        [
+            ("--version", 0, {"numpy"}),
+            ("--help", 0, {"numpy"}),
+            ("fit --bogus", 2, {"numpy"}),
+            ("summarize", 0, _MODEL_COMPILER),
+            ("plot", 0, _MODEL_COMPILER),
+            ("fit", 0, {"plainbayes.elicitation", "plainbayes.diagnostics", "plainbayes.plotting"}),
+        ],
+        ids=["version", "help", "bad-flag", "summarize", "plot", "fit"],
+    )
+    def test_a_command_loads_only_what_it_runs(self, tmp_path, data_csv, command, code, unloaded):
+        trace = tmp_path / "t.csv"
+        trace.write_text("chain,draw,a\n" + "".join(f"{c},{d},{0.01 * d + c}\n" for c in range(2) for d in range(25)))
+        argv = {
+            "summarize": ["summarize", "--trace", trace],
+            "plot": ["plot", "--trace", trace, "--out-dir", tmp_path / "p"],
+            "fit": ["fit", "--model", EXAMPLES / "manual_priors_model.json", "--data", data_csv, "--chains", 1,
+                    "--warmup", 20, "--draws", 10, "--jobs", 1, "--out-dir", tmp_path / "fit"],
+        }.get(command, command.split())
+        env = {**os.environ, "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
+        modules = tmp_path / "modules"
+        proc = subprocess.run([sys.executable, "-c", _MODULES_MAIN, str(modules), *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        loaded = set(modules.read_text().split())
+        assert "plainbayes.cli" in loaded and not loaded & unloaded
+
+    def test_package_names_resolve_on_first_use(self):
+        exported = {
+            "data_io": ("Dataset", "SimConfig", "load_csv", "save_csv", "simulate_linear"),
+            "diagnostics": ("SummaryTable", "ess_bulk", "hdi", "mode_estimate", "split_rhat", "summarize"),
+            "elicitation": ("LlmConfig", "elicit_model", "elicit_prior"),
+            "posterior": ("PosteriorFn", "build_posterior"),
+            "sampler": ("SamplerConfig", "Trace", "load_trace", "nuts_sample", "rwm_sample", "save_trace"),
+            "spec_schema": ("LikelihoodSpec", "ModelSpec", "ValidatedModel", "parse_model_json", "parse_prior_json",
+                            "sanitize_llm_text", "validate_model"),
+        }
+        for module, names in exported.items():
+            for name in names:
+                assert getattr(plainbayes, name) is getattr(importlib.import_module(f"plainbayes.{module}"), name)
+        with pytest.raises(AttributeError, match="'nope'"):
+            plainbayes.nope
 
 
 class TestTracedBenchmark:
