@@ -324,9 +324,7 @@ def _cmd_run(args) -> int:
             name: elicitation.elicit_prior(name, belief, llm_cfg)
             for name, belief in beliefs.items()
         }
-        likelihood = spec_schema.LikelihoodSpec(
-            formula_source=args.formula, noise_param=args.noise_param
-        )
+        likelihood = spec_schema.LikelihoodSpec(formula_source=args.formula, noise_param=args.noise_param)
         spec = spec_schema.ModelSpec(priors=priors, likelihood=likelihood)
     else:
         raise PlainbayesError("provide --description-file or --beliefs-file")

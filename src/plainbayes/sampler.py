@@ -602,12 +602,14 @@ def _run_chains(run_chain: Callable, stat_types, pf: PosteriorFn, cfg: SamplerCo
     chains = forked_map(partial(_kept, run_chain, stat_types, pf, cfg), cfg.chains, worker_count(cfg.chains, jobs), pf.fork_safe)
     unconstrained = np.array([rows for rows, _ in chains])
     stats = {name: np.array([columns[k] for _, columns in chains]) for k, (name, _) in enumerate(stat_types)}
-    # Each column through its own transform's scalar forward: the floats and
-    # function a per-draw pf.constrain uses, so the same bits.
+    # Each column through its own transform's scalar forward (an identity's is
+    # the column): the floats and function a per-draw pf.constrain uses, so the same bits.
+    from .distributions import IdentityTransform
     draws = unconstrained.copy()
     for i, tf in enumerate(pf.transforms):
-        column = unconstrained[:, :, i]
-        draws[:, :, i] = np.reshape([tf.forward(v) for v in column.ravel().tolist()], column.shape)
+        if not isinstance(tf, IdentityTransform):
+            column = unconstrained[:, :, i]
+            draws[:, :, i] = np.reshape([tf.forward(v) for v in column.ravel().tolist()], column.shape)
     divergent_fraction = float(np.mean(stats["divergent"]))
     if divergent_fraction > 0.5:
         raise AllDivergent(divergent_fraction)
