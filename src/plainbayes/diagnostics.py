@@ -232,6 +232,16 @@ def mode_estimate(samples) -> float:
     return _kde_mode(values, np.sort(values))
 
 
+def _quantile(ordered: np.ndarray, q: float) -> float:
+    """The q-quantile (0 <= q < 1) of sorted finite samples, ``np.percentile``'s bit for bit, which would
+    import ``numpy.ma``: numpy's ``_lerp`` of the samples either side of the virtual index (n - 1) q."""
+    virtual = (ordered.shape[0] - 1) * q
+    below = math.floor(virtual)
+    gamma = virtual - below
+    a, b = float(ordered[below]), float(ordered[below + 1])
+    return b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+
+
 def _kde_mode(values: np.ndarray, ordered: np.ndarray) -> float:
     """``mode_estimate`` of ``values``, given them also sorted as ``ordered``."""
     n = values.shape[0]
@@ -243,12 +253,12 @@ def _kde_mode(values: np.ndarray, ordered: np.ndarray) -> float:
     if lo == hi:
         return lo
     sd = float(np.std(values, ddof=1))
-    q75, q25 = np.percentile(ordered, [75.0, 25.0])
-    iqr = float(q75 - q25)
+    iqr = _quantile(ordered, 0.75) - _quantile(ordered, 0.25)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd  # bandwidth floor for spiky samples
     bandwidth = 0.9 * spread * n ** (-0.2)
-    if bandwidth <= 0:
-        return float(np.median(values))
+    if bandwidth <= 0:  # np.median's, bit for bit: the middle draw, or the mean of the two
+        mid = n // 2
+        return float(ordered[mid]) if n % 2 else (float(ordered[mid - 1]) + float(ordered[mid])) / 2.0
     grid = np.linspace(lo, hi, _GRID_POINTS)
 
     # Screen: each block of sorted draws adds its kernel to the grid points

@@ -23,10 +23,14 @@ that overflows, a non-finite b . b or gradient, or an underflowing sigma^3
 falls through to the *rows* below it, the reference and the whole function
 for any other mean or a B rank-deficient or of n <= K + 1 rows: the families'
 and transforms' own methods on the numpy scalars of ``z``; the n-vectors of
-the mean and its partials, the columns bound as arrays, each operation once,
-in the order of evaluating the scalar formula row by row; a non-finite
-``t . t`` scans the rows for the first bad mean; dot products by BLAS in fixed
-blocks, so the bits do not depend on its thread count (but on its CPU kernel).
+the mean and its partials (scalars where they have no column), the columns
+bound as arrays, each operation once, in the order of evaluating the scalar
+formula row by row; the value and gradient through t = (y - mu) / sigma, and
+a non-finite ``t . t`` scans the rows for the first bad mean; each sum over
+the rows is ``row_sum`` of an elementwise product, numpy's pairwise sum in
+the order its C loop fixes.  No BLAS routine runs in a density call, so its
+bits depend on neither the BLAS thread count nor the CPU kernel BLAS would
+pick.
 
 Density policy: proposals outside a prior's support (or with a degenerate
 noise scale) get -inf so samplers can reject them; a non-finite likelihood
@@ -61,13 +65,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # point (reject gracefully); above it, it is a bug (hard error).
 _GRADIENT_OVERFLOW_FLOOR = -1e10
 
-# OpenBLAS sums a dot product of up to 10 000 elements on one thread, and of
-# more on as many threads as it has, in an order that depends on that count.
-_DOT_BLOCK = 8192
-
 _RANK_TOL = 1e-8  # a column this close to the span of those before it makes B rank-deficient
 
-np_dot = getattr(np.dot, "_implementation", np.dot)  # np.dot less its __array_function__ dispatch
+# every sum over the rows a density call takes, of an elementwise product: numpy's pairwise sum, in
+# the order its C loop fixes, whatever the BLAS, its thread count or its CPU kernel
+row_sum = np.add.reduce
 
 
 class PosteriorFn:
@@ -151,16 +153,6 @@ def _float_entry(dim: int, value_and_grad: Callable | None, value: Callable) -> 
     return density
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """``a . b`` for n-vectors of more than ``_DOT_BLOCK`` rows, the same bits under any
-    BLAS thread count: ``np.dot`` over blocks of ``_DOT_BLOCK`` rows, the block sums added
-    in order."""
-    total = 0.0
-    for start in range(0, a.shape[0], _DOT_BLOCK):
-        total += float(np_dot(a[start:start + _DOT_BLOCK], b[start:start + _DOT_BLOCK]))
-    return total
-
-
 def fsum_dot(a: np.ndarray, b: np.ndarray) -> float:
     """``a . b`` correctly rounded, ``math.fsum`` of the products, so in the same bits under any
     BLAS and CPU; where a partial sum leaves the float range, their plain sum (inf or NaN)."""
@@ -193,7 +185,7 @@ def _thin_qr(columns, y: np.ndarray):
         return R, qty, fsum_dot(rest, rest)
 
 
-def _density(names, dists, transforms, noise_index, y, columns, mean, slopes, partials, qr, dot):
+def _density(names, dists, transforms, noise_index, y, columns, mean, slopes, partials, qr):
     """``density(z_0, ..., z_{d-1}, with_grad=False)``, generated as source: see the module docstring.  ``partials``
     holds (i, the AST of d mu / d x_i, those of d c / d x_i) per gradient term, None for 0; ``qr`` is
     the factorisation's, if it applies.  Numbers and functions are bound, never printed, and every
@@ -203,8 +195,8 @@ def _density(names, dists, transforms, noise_index, y, columns, mean, slopes, pa
     # numpy scalars), an exp that overflows (inf in the rows, whose prior is then -inf), or a guard
     # that fails (it raises, where a branch around the rest would cost every call a long jump)
     env = {"inf": math.inf, "log": math.log, "exp": math.exp, "log1p": math.log1p, "isnan": math.isnan,
-           "isfinite": math.isfinite, "np": np, "array": np.array, "dot": dot,
-           "broadcast_to": np.broadcast_to, "asarray": np.asarray, "check_finite": formula.check_finite,
+           "isfinite": math.isfinite, "np": np, "array": np.array, "row_sum": row_sum, "multiply": np.multiply,
+           "check_finite": formula.check_finite,
            "Unvouched": (NonFiniteResult, ArithmeticError), "NonFiniteResult": NonFiniteResult,
            "NonFiniteDensity": NonFiniteDensity, "NonFiniteGradient": NonFiniteGradient}
     lines, let, bind = formula.writer(env)  # one numbering of the locals across the sections
@@ -242,7 +234,7 @@ def _density(names, dists, transforms, noise_index, y, columns, mean, slopes, pa
         R, qty, rho = qr
         lines.append("try:")
 
-        def dot_source(a, b):
+        def sum_of_products(a, b):
             return " + ".join(["0.0", *(f"{p} * {q}" for p, q in zip(a, b))])  # 0.0 + x is sum's 0 + x, bit for bit, and a faster add
 
         x, total, terms = prior(z, inline=True)
@@ -255,8 +247,8 @@ def _density(names, dists, transforms, noise_index, y, columns, mean, slopes, pa
         lines.append(f"if not ({total} > -inf and 0.0 < {sigma} < inf): raise ArithmeticError")
         cube = let(f"{sigma} * {sigma} * {sigma}")
         c = emit([mean, *slopes])
-        b = [let(f"{bind(qy)} - ({dot_source(map(bind, row), c)})") for qy, row in zip(qty, R)]
-        ss = let(f"{dot_source(b, b)} + {bind(rho)}")
+        b = [let(f"{bind(qy)} - ({sum_of_products(map(bind, row), c)})") for qy, row in zip(qty, R)]
+        ss = let(f"{sum_of_products(b, b)} + {bind(rho)}")
         lines.append(f"if not ({cube} > 0.0 and {ss} < inf): raise ArithmeticError")
         loglik = let(f"-0.5 * ({ss} / ({sigma} * {sigma})) - {rows_n} * log({sigma}) - {log_norm}")
         value = let(f"{total} + {loglik}")
@@ -265,38 +257,36 @@ def _density(names, dists, transforms, noise_index, y, columns, mean, slopes, pa
         d, g = prior_gradient(terms)
         w = let(f"1.0 / ({sigma} * {sigma})")
         dsigma = let(f"{ss} / {cube} - {rows_n} / {sigma}")
-        btr = [let(dot_source(map(bind, col), b)) for col in zip(*R)]
+        btr = [let(sum_of_products(map(bind, col), b)) for col in zip(*R)]
         for i, _, asts in partials:
-            s = "0.0" if asts is None else f"{w} * ({dot_source(btr, emit(asts))})"
+            s = "0.0" if asts is None else f"{w} * ({sum_of_products(btr, emit(asts))})"
             g[i] = let(f"{g[i]} + ({s}{f' + {dsigma}' if i == noise_index else ''}) * {d[i]}")
         lines.append(f"if {finite(g)}: return {value}, {', '.join(g)}")
         nest(1)
         lines += ["except Unvouched:", "    pass"]
 
-    # the rows, under numpy's errstate: an overflow gives -inf, a rejection or an error, so numpy need
-    # not warn of it; the methods on the numpy scalars of z's array, and the mean and its partials as n-vectors
+    # the rows, under numpy's errstate: an overflow, or a NaN it leads to, gives -inf, a rejection or an
+    # error, so numpy need not warn of it; the methods on the numpy scalars of z's array, and the mean and
+    # its partials as n-vectors, or scalars that numpy broadcasts over the rows
     u, rows = [f"u{i}" for i in range(dim)], len(lines) + 1
-    lines += ['with np.errstate(over="ignore"):', f"z = array([{', '.join(z)}])", f"{', '.join(u)}, = z"]
+    lines += ['with np.errstate(over="ignore", invalid="ignore"):', f"z = array([{', '.join(z)}])", f"{', '.join(u)}, = z"]
     x, total, terms = prior(u, inline=False)
     params, memo = dict(zip(names, x)), {}
 
-    def vector(ast):  # a tree with no parameter is computed here, contiguous; one with no column is broadcast
+    def vector(ast):  # a tree with no parameter is computed here, contiguous; one with no column stays a scalar
         name = formula.emit(ast, params, columns, let, bind, memo)
         value, local = memo[id(ast)][1]
         if local is None:  # the value emit bound as ``name``, bound in its place
             env[name] = np.ascontiguousarray(np.broadcast_to(np.asarray(value, dtype=float), (n_rows,)))
             return name
-        if formula.free_vars(ast) & columns.keys():
-            return local
-        return let(f"broadcast_to(asarray({local}, dtype=float), {bind((n_rows,))})")
+        return local
 
     sigma = x[noise_index]
     # outside a prior's support, or sigma underflows or overflows
     minus_inf = f"return (-inf, {zeros}) if with_grad else -inf"
     lines += [f"if isnan({total}): raise NonFiniteDensity('prior log density is NaN')",
-              f"if not ({total} > -inf and {sigma} > 0.0 and isfinite({sigma})): {minus_inf}"]
-    cube = let(f"{sigma} * {sigma} * {sigma}")
-    lines.append("try:")
+              f"if not ({total} > -inf and {sigma} > 0.0 and isfinite({sigma})): {minus_inf}",
+              "try:"]
     start, mu = len(lines), vector(mean)
     block = len(lines) + 1
     lines += ["if with_grad:", "try:"]  # a partial that raises (as near a division singularity) is a non-finite one
@@ -310,9 +300,9 @@ def _density(names, dists, transforms, noise_index, y, columns, mean, slopes, pa
     # and fault it in, every call
     spent = [local for _, (_, local) in memo.values() if local not in (None, mu, *dmus, *params.values())]
     lines += [" = ".join([*spent, "None"])] if spent else []
-    resid = let(f"{bind(y)} - {mu}")
-    t = let(f"{resid} / {sigma}")
-    tt = let(f"float(dot({t}, {t}))")
+    lines.append(f"p = {bind(y)} - {mu}")  # the residuals, then the buffer of each product the sums below take
+    t = let(f"p / {sigma}")
+    tt = let(f"float(row_sum(multiply({t}, {t}, p)))")
     lines.append(f"if not isfinite({tt}): check_finite({mu})")  # a non-finite mean makes t . t non-finite
     nest(start)
     lines += ["except NonFiniteResult as exc:",
@@ -325,15 +315,15 @@ def _density(names, dists, transforms, noise_index, y, columns, mean, slopes, pa
     total = let(f"{total} + {loglik}")
     lines.append(f"if not with_grad: return float({total})")
     d, g = prior_gradient(terms)  # dlog p / dx one-sided at a support's edges
-    # d loglik / d x_i = w * (r . d mu / d x_i), plus dsigma for the noise scale; where sigma^3
-    # underflows to 0, the same derivatives through t = resid / sigma
-    lines += [f"if {cube} > 0.0:", f"    r, w = {resid}, 1.0 / ({sigma} * {sigma})",
-              f"    dsigma = float(dot({resid}, {resid})) / {cube} - {rows_n} / {sigma}",
-              "else:", f"    r, w = {t}, 1.0 / {sigma}", f"    dsigma = ({tt} - {rows_n}) * w", "if not raised:"]
+    # d loglik / d x_i = (t . d mu / d x_i) / sigma, plus (t . t - n) / sigma for the noise scale:
+    # through t, which t . t has shown finite, never the residuals' own squares
+    w = let(f"1.0 / {sigma}")
+    dsigma = let(f"({tt} - {rows_n}) * {w}")
+    lines.append("if not raised:")
     block = len(lines)
     for (i, *_), dmu in zip(partials, dmus):
-        s = "0.0" if dmu is None else f"w * float(dot(r, {dmu}))"
-        g[i] = let(f"{g[i]} + ({s}{' + dsigma' if i == noise_index else ''}) * {d[i]}")
+        s = "0.0" if dmu is None else f"{w} * float(row_sum(multiply({t}, {dmu}, p)))"
+        g[i] = let(f"{g[i]} + ({s}{f' + {dsigma}' if i == noise_index else ''}) * {d[i]}")
     lines.append(f"if {finite(g)}: return float({total}), {', '.join(f'float({gi})' for gi in g)}")
     nest(block)
     # a non-finite gradient at an astronomically improbable point is a rejection, not a bug
@@ -365,8 +355,6 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             raise UnresolvedVariable(v, "dataset does not provide this column")
     fixed_env = {v: data.columns[v] for v in column_vars}
 
-    dot = np_dot if n_rows <= _DOT_BLOCK else _dot  # up to one block, _dot's sum is np.dot's
-
     # mu = c_0 + sum_k c_k X_k when each slope c_k (its partial in a column) has no column
     # in it; c_0 is mu at every column 0, and d c_0 / d x_i is d mu / d x_i there
     squares = {}  # one squared denominator per quotient, across the partials
@@ -383,7 +371,7 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
             partials.append((i, partial, qr and [partial, *(formula.differentiate(s, name, squares) for s in slopes)]))
         elif i == noise_index:
             partials.append((i, None, None))
-    density = _density(names, dists, transforms, noise_index, y, fixed_env, mean_ast, slopes, partials, qr, dot)
+    density = _density(names, dists, transforms, noise_index, y, fixed_env, mean_ast, slopes, partials, qr)
 
     def value_and_grad(z):
         logp, *grad = density(*z.tolist(), True)

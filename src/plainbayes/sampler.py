@@ -828,7 +828,7 @@ def _indented_json(value, depth: int = 0):
 
 def load_trace(csv_path, stats_path=None) -> Trace:
     """Read a trace CSV (plus optional stats sidecar) back into a Trace."""
-    with open(csv_path, "r", encoding="utf-8") as fh:
+    with open(csv_path, "r", encoding="utf-8", errors="replace") as fh:  # a byte not UTF-8 makes a bad cell
         header = fh.readline().strip()
         if not header:
             raise MalformedTrace(f"{csv_path}: empty trace file")
@@ -867,8 +867,6 @@ def load_trace(csv_path, stats_path=None) -> Trace:
             raise MalformedTrace(f"{csv_path}: duplicate (chain={chain}, draw={draw})")
         seen[chain, draw] = True
         draws[chain, draw] = values
-    if not seen.all():
-        raise MalformedTrace(f"{csv_path}: missing (chain, draw) combinations")
 
     stats: dict[str, np.ndarray] = {}
     config = None
@@ -876,22 +874,25 @@ def load_trace(csv_path, stats_path=None) -> Trace:
         with open(stats_path, "r", encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise MalformedTrace(f"{stats_path}: not valid JSON: {exc}") from None
         if not isinstance(payload, dict) or not isinstance(payload.get("stats", {}), dict):
             raise MalformedTrace(f"{stats_path}: expected a JSON object with a 'stats' object")
         sidecar_names = payload.get("param_names")
-        if sidecar_names is not None and list(sidecar_names) != param_names:
+        if sidecar_names is not None and sidecar_names != param_names:
             raise MalformedTrace(
                 f"{stats_path}: sidecar parameters {sidecar_names} do not match trace header {param_names}"
             )
         if payload.get("config") is not None:
             try:
                 config = SamplerConfig(**payload["config"])
-            except TypeError as exc:
+            except (TypeError, SamplerError) as exc:
                 raise MalformedTrace(f"{stats_path}: bad sampler config: {exc}") from None
         for name, values in payload.get("stats", {}).items():
-            arr = np.asarray(values)
+            try:
+                arr = np.asarray(values)
+            except ValueError as exc:  # lists nested unevenly
+                raise MalformedTrace(f"{stats_path}: stat {name!r}: {exc}") from None
             if arr.shape[:2] != (n_chains, n_draws):
                 raise MalformedTrace(
                     f"{stats_path}: stat {name!r} has shape {arr.shape}, expected ({n_chains}, {n_draws})"

@@ -12,9 +12,14 @@ process builds the same posteriors, once as ``build_posterior`` builds them and 
 or the exception's class, message and row, and the warnings the call raised.  The models are
 ``_random_model_and_data()``'s (affine in X or not, and affine only), random formulas with
 quotients, and the division singularities of ``tests/test_posterior.py``; the points are random
-at three scales, and the edge points ``EDGES``, per coordinate and all at once.  It prints the
-number of calls and of mismatches, and exits 1 on any mismatch.  The file name keeps pytest from
-collecting it.
+at three scales, and the edge points ``EDGES``, per coordinate and all at once.
+
+It prints the number of calls, then the mismatches per kind of call: *factorised*, a posterior
+the factorisation serves as ``build_posterior`` builds it (a call it cannot vouch for falls
+through to its rows), and *rows*, any other.  Per kind, it counts the mismatches of each field
+(value, gradient, exception class, message, row) and gives the ulp distances of the value and
+gradient mismatches: their distribution by powers of two and the largest.  It exits 1 on any
+mismatch.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import sys
 import tarfile
 import tempfile
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -103,16 +108,19 @@ def dump(path: str) -> None:
 
     models, rng = _models()
     records = []
+    thin_qr = posterior._thin_qr
     for index, (vm, data) in enumerate(models):
-        built = [posterior.build_posterior(vm, data)]
-        thin_qr = posterior._thin_qr
-        posterior._thin_qr = lambda *args: None
+        factored = []
+        posterior._thin_qr = lambda *args: factored.append(thin_qr(*args)) or factored[-1]
         try:
+            built = [posterior.build_posterior(vm, data)]
+            posterior._thin_qr = lambda *args: None
             built.append(posterior.build_posterior(vm, data))
         finally:
             posterior._thin_qr = thin_qr
+        kinds = ("factorised" if factored and factored[-1] is not None else "rows", "rows")
         for z in _points(rng, built[0].dimension):
-            for path_name, pf in zip(("default", "rows"), built):
+            for path_name, pf in zip(kinds, built):
                 for call in ("log_density", "log_density_and_grad"):
                     outcome, caught = _call(getattr(pf, call), z)
                     records.append(((index, vm.spec.likelihood.formula_source, path_name, call, z.tolist()), outcome, caught))
@@ -153,10 +161,50 @@ def main(argv) -> int:
           f"on {len({key[0] for key, *_ in this})} models; raised: {dict(raised) or 'none'}")
     print(f"warnings: base {sum(len(w) for *_, w in base)}, this {sum(len(w) for *_, w in this)}; "
           f"calls that warned otherwise: {len(warned)}")
-    print(f"mismatches (value bytes, gradient bytes, exception class, message, row): {len(mismatches)}")
+    kinds = Counter(key[2] for key, *_ in this)
+    for kind in ("factorised", "rows"):
+        found = [(key, b, t) for key, b, t in mismatches if key[2] == kind]
+        fields, ulps = _fields(found)
+        print(f"{kind}: {kinds[kind]} calls, {len(found)} mismatches; by field: "
+              + ", ".join(f"{name} {fields[name]}" for name in ("value", "gradient", "exception class", "message", "row")))
+        if ulps:
+            buckets = Counter(max(ulp - 1, 0).bit_length() for ulp in ulps)  # 1, 2, 3-4, 5-8, ... ulps
+            print("  ulp distances of value and gradient mismatches: "
+                  + ", ".join(f"<= {2 ** b}: {buckets[b]}" for b in sorted(buckets)) + f"; largest {max(ulps)}")
     for key, b, t in mismatches[:10]:
         print(f"  {key}\n    base {b}\n    this {t}")
     return 1 if mismatches else 0
+
+
+def _fields(found):
+    """Per field, the number of mismatched calls it differs in; and the ulp distance of each
+    value and gradient component that differs where both sides returned."""
+    import numpy as np
+
+    fields, ulps = Counter(), []
+    for _, b, t in found:
+        if b[0] != t[0]:
+            fields["exception class"] += 1
+        elif b[0] == "ok":
+            for name, bb, tb in (("value", b[1], t[1]), ("gradient", b[2], t[2])):
+                if bb != tb:
+                    fields[name] += 1
+                    ulps += [_ulp(x, y) for x, y in zip(np.frombuffer(bb), np.frombuffer(tb)) if x.tobytes() != y.tobytes()]
+        else:
+            fields["message"] += b[1] != t[1]
+            fields["row"] += b[2] != t[2]
+    return fields, ulps
+
+
+def _ulp(x, y) -> int:
+    """The number of floats from x to y (counting -0.0 and 0.0 as one step); 2**64 if either is NaN."""
+    import numpy as np
+
+    if np.isnan(x) or np.isnan(y):
+        return 2**64
+    i, j = (int(v.view(np.int64)) for v in (x, y))
+    i, j = (v if v >= 0 else -(v & 0x7FFF_FFFF_FFFF_FFFF) - 1 for v in (i, j))
+    return abs(i - j)
 
 
 if __name__ == "__main__":

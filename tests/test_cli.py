@@ -232,7 +232,7 @@ class TestFit:
     def test_affine_fit_sums_no_rows(self, tmp_path, monkeypatch, data_csv, model_json, algorithm):
         # the demo mean alpha + beta * X is affine: the factorisation sums over the rows once, when the
         # posterior is built, and no density call of the fit falls through to the rows, whose every
-        # sum over the rows goes through posterior.np_dot
+        # sum over the rows goes through posterior.row_sum
         row_sums, build = [], cli.build_posterior
 
         def built(*args, **kwargs):
@@ -240,7 +240,7 @@ class TestFit:
             row_sums.clear()
             return pf
 
-        monkeypatch.setattr(posterior, "np_dot", lambda a, b: row_sums.append(a.shape) or np.dot(a, b))
+        monkeypatch.setattr(posterior, "row_sum", lambda a: row_sums.append(a.shape) or np.add.reduce(a))
         monkeypatch.setattr(cli, "build_posterior", built)
         code = run_cli(
             "fit", "--model", model_json, "--data", data_csv, "--algorithm", algorithm,
@@ -314,12 +314,6 @@ class TestSummarize:
         assert run_cli("summarize", "--trace", fit_dir / "trace.csv", "--hdi", 0.5) == 0
         assert "hdi_25%" in capsys.readouterr().out
 
-    def test_empty_trace_fails(self, tmp_path, capsys):
-        empty = tmp_path / "empty.csv"
-        empty.write_text("")
-        assert run_cli("summarize", "--trace", empty) != 0
-        assert "MalformedTrace" in capsys.readouterr().err
-
     def test_nan_draw_gives_nan_cells(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         values = ["0.1", "0.4", "nan", "0.3", "0.9", "0.2", "0.6", "0.5"]
@@ -340,28 +334,73 @@ class TestSummarize:
         assert run_cli("summarize", "--trace", tmp_path / "missing.csv", "--hdi", 2) == 1
         assert capsys.readouterr().err == "summarize: PlainbayesError: hdi prob must be in (0, 1), got 2.0\n"
 
-    def test_stats_sidecar_not_json(self, fit_dir, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"stats": ')
-        assert run_cli("summarize", "--trace", fit_dir / "trace.csv", "--stats", bad) != 0
-        assert "MalformedTrace" in capsys.readouterr().err
+
+_TWO_DRAWS = "chain,draw,a\n0,0,0.5\n0,1,0.25\n"
 
 
-class TestTraceHeader:
-    """A trace's parameter names become summary rows and plot file names, so a header whose
-    names are not distinct identifiers fails in one line before either command writes."""
+class TestMalformedTrace:
+    """A trace or stats sidecar that ``load_trace`` cannot read fails ``summarize``, and ``plot``
+    where it reads no sidecar, with one stderr line naming the file, and the line where the
+    message has one: no traceback, and nothing written.  A trace's parameter names become
+    summary rows and plot file names, so they must be distinct identifiers."""
 
-    @pytest.mark.parametrize("command", ["summarize", "plot"])
-    @pytest.mark.parametrize("names, bad", [("a,a", "a"), ("", ""), ("../x", "../x")], ids=["repeated", "empty", "path"])
-    def test_names_not_distinct_identifiers_fail(self, tmp_path, capsys, command, names, bad):
-        trace = tmp_path / "t.csv"
-        cells = ",0.5" * len(names.split(","))
-        trace.write_text(f"chain,draw,{names}\n" + "".join(f"0,{d}{cells}\n" for d in range(20)))
-        out = tmp_path / "out"
-        assert run_cli(command, "--trace", trace, *(["--out-dir", out] if command == "plot" else ["--out", out / "s"])) == 1
-        err = capsys.readouterr().err
-        assert err == f"{command}: MalformedTrace: {trace}: parameter column {bad!r} is not a distinct identifier\n"
+    CASES = {  # id: (trace bytes, sidecar JSON bytes or None, the message after the failing file's path)
+        "empty": (b"", None, ": empty trace file"),
+        "bad-header": (b"chain,step,a\n0,0,0.5\n", None, ": expected header 'chain,draw,<params...>'"),
+        "repeated-name": (b"chain,draw,a,a\n0,0,0.5,0.5\n", None, ": parameter column 'a' is not a distinct identifier"),
+        "empty-name": (b"chain,draw,\n0,0,0.5\n", None, ": parameter column '' is not a distinct identifier"),
+        "path-name": (b"chain,draw,../x\n0,0,0.5\n", None, ": parameter column '../x' is not a distinct identifier"),
+        "short-row": (b"chain,draw,a,b\n0,0,0.5,1.5\n0,1,0.5\n", None, ":3: expected 4 cells, got 3"),
+        "bad-cell": (b"chain,draw,a\n0,0,0.5\n0,1,x\n", None, ":3: could not convert string to float: 'x'"),
+        "bad-draw-id": (b"chain,draw,a\n0,1.0,0.5\n", None, ":2: invalid literal for int() with base 10: '1.0'"),
+        "not-utf8": (b"chain,draw,a\n0,0,0.5\n\n0,1,0.\xff\n", None, ":4: could not convert string to float: '0.\ufffd'"),
+        "no-draws": (b"chain,draw,a\n\n", None, ": no draws"),
+        "missing-draw": (b"chain,draw,a\n0,0,0.5\n0,2,0.5\n", None, ": expected 3 rows, found 2"),
+        "duplicate-draw": (b"chain,draw,a\n0,0,0.5\n0,0,0.5\n1,0,0.5\n1,1,0.5\n", None, ": duplicate (chain=0, draw=0)"),
+        "short-chain": (b"chain,draw,a\n0,0,0.5\n0,1,0.5\n1,0,0.5\n", None, ": expected 4 rows, found 3"),
+        "stat-shape": (_TWO_DRAWS.encode(), b'{"stats": {"accept_prob": [[0.5]]}}',
+                       ": stat 'accept_prob' has shape (1, 1), expected (1, 2)"),
+        "stat-ragged": (_TWO_DRAWS.encode(), b'{"stats": {"accept_prob": [[0.5, 0.5], [0.5]]}}',
+                        ": stat 'accept_prob': setting an array element with a sequence."),
+        "sidecar-names": (_TWO_DRAWS.encode(), b'{"param_names": ["b"], "stats": {}}',
+                          ": sidecar parameters ['b'] do not match trace header ['a']"),
+        "sidecar-names-not-a-list": (_TWO_DRAWS.encode(), b'{"param_names": 5, "stats": {}}',
+                                     ": sidecar parameters 5 do not match trace header ['a']"),
+        "sidecar-config": (_TWO_DRAWS.encode(), b'{"config": {"chains": 0}, "stats": {}}',
+                           ": bad sampler config: chains must be >= 1, got 0"),
+        "sidecar-not-json": (_TWO_DRAWS.encode(), b'{"stats": ', ": not valid JSON: Expecting value: line 1 column 11"),
+        "sidecar-not-utf8": (_TWO_DRAWS.encode(), b'{"stats": "\xff"}', ": not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+    }
+
+    @pytest.mark.parametrize("case, command", [(case, command) for case, (_, stats, _) in CASES.items()
+                                               for command in ("summarize", "plot")[:1 if stats else 2]])
+    def test_fails_in_one_line_and_writes_nothing(self, tmp_path, capsys, case, command):
+        trace_bytes, stats_bytes, message = self.CASES[case]
+        trace, stats, out = tmp_path / "t.csv", tmp_path / "stats.json", tmp_path / "out"
+        trace.write_bytes(trace_bytes)
+        args = ["--trace", trace]
+        if stats_bytes is not None:
+            stats.write_bytes(stats_bytes)
+            args += ["--stats", stats]
+        args += ["--out-dir", out] if command == "plot" else ["--out", out / "summary.txt"]
+        assert run_cli(command, *args) == 1
+        captured = capsys.readouterr()
+        failing = trace if stats_bytes is None else stats
+        assert captured.err.startswith(f"{command}: MalformedTrace: {failing}{message}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n") and not captured.out
         assert not out.exists()
+
+    def test_blank_lines_load_the_same_draws(self, tmp_path, capsys):
+        lines = ["chain,draw,a,b"] + [f"{c},{d},{0.1 * c + d},{-d / 7}" for c in range(2) for d in range(12)]
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        plain.write_text("\n".join(lines) + "\n")
+        blank.write_text("\n".join([lines[0], "", *lines[1:13], "  ", "\r", *lines[13:], "", ""]))
+        assert load_trace(blank).draws.tobytes() == load_trace(plain).draws.tobytes()
+        summaries = []
+        for trace in (plain, blank):
+            assert run_cli("summarize", "--trace", trace) == 0
+            summaries.append(capsys.readouterr())
+        assert summaries[0] == summaries[1] and summaries[0].err == ""
 
 
 class TestPlot:
@@ -416,6 +455,8 @@ RECIP_MODEL = {
     },
     "likelihood": {"distribution": "Normal", "formula": "alpha + X / tau"},
 }
+# a mean not affine in X, which the factorisation cannot serve: every call sums over the rows
+ROWS_MODEL = {**RECIP_MODEL, "likelihood": {"distribution": "Normal", "formula": "alpha / (X + tau)"}}
 
 
 class TestDrawsLocked:
@@ -429,23 +470,28 @@ class TestDrawsLocked:
     caps its trees at depth 2, which most kept trees reach, an exit the other
     fits seldom take.  The stats hashes also pin the stat names, their order
     and their dtypes.  A change that moves the draws updates them and names
-    the change in CHANGES.md.  The linear fits take no BLAS product, so their
-    hashes hold under any BLAS kernel (``TestDrawsIndependentOfTheCpu``);
-    ``nuts-recip``'s mean is not affine, and the rows' per-call dot products,
-    which serve it, stay on BLAS, whose kernel may sum them in another
-    order, so that hash holds only where it was recorded.
+    the change in CHANGES.md.  ``nuts-recip``'s mean, ``alpha + X / tau``, is
+    affine in X, so the factorisation serves it as it does the linear fits;
+    ``nuts-rows``'s, ``alpha / (X + tau)``, is not, and every call sums over
+    the rows.  Its hashes were recorded when those sums left BLAS for
+    numpy's pairwise sum of an elementwise product, and the rows' gradient
+    came to be taken through t = (y - mu) / sigma, which moved its draws.
+    No fit calls a BLAS routine, so every hash holds under any BLAS kernel
+    and thread count (``TestDrawsIndependentOfTheCpu``).
     """
 
     HASHES = {
         "nuts-linear": "9f577bdc283b4b5fc9aae8e0502e39f9cce62595ef7eabee08b25d3c3e73edda",
         "nuts-linear-depth2": "af10084e6bc77baaef7190bba57277a4dc5cc10965c336534b44b8871b2bec57",
         "nuts-recip": "03f5a23a6cd9483c1acef801621b8cea593ce1b2b3620c92c58bab4e42175a13",
+        "nuts-rows": "a9276451c58ae61380804d57021a48646b2bafe4f32e1b0292dde4acb212adb1",
         "rwm-linear": "4cecca95571f800c33254f37d1ea98912e20a720c7cbf821892ba6d687c0e7b3",
     }
     STATS_HASHES = {
         "nuts-linear": "206f053075d097d2e655a7816bfe5fa7763f89dd851e220284012294bb60c2e5",
         "nuts-linear-depth2": "7e34dd91bc26b4a605be6136682cf18b4e30dc2bedb604fd6d5ae228bc44be11",
         "nuts-recip": "7f2af420ab138d9d018f4d6aa65f5cd563a3ca0f84865c20c1e4440bd1ca97e1",
+        "nuts-rows": "9c242cb5ffb7e100e9950878bd8beb295636927d26cef00057484f40a9954ef7",
         "rwm-linear": "02fd374f1942e0ba0d362c3858bb6927ae9a17287e2371a912599dd221556ea6",
     }
 
@@ -459,7 +505,7 @@ class TestDrawsLocked:
             model_json = EXAMPLES / "manual_priors_model.json"
         else:
             model_json = tmp_path / "model.json"
-            model_json.write_text(json.dumps(RECIP_MODEL))
+            model_json.write_text(json.dumps(RECIP_MODEL if model == "recip" else ROWS_MODEL))
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
         subprocess.run(
             [
@@ -487,21 +533,45 @@ for algorithm in ("nuts", "rwm"):
 
 class TestDrawsIndependentOfTheCpu:
     """OpenBLAS picks its kernels by CPU, and kernels with and without FMA round a dot product
-    differently.  The samplers and the factorisation take no BLAS product, so a linear fit
-    writes the same bytes under every kernel the host can run; one subprocess per kernel runs
-    TestDrawsLocked's NUTS and RWM fits of the demo model."""
+    differently.  No fit calls a BLAS routine: the samplers and the factorisation sum in
+    Python floats, and the rows by numpy's pairwise sum of an elementwise product.  So a fit
+    writes the same bytes under every kernel the host can run, whatever its mean; one
+    subprocess per kernel runs TestDrawsLocked's NUTS and RWM fits, of the demo model and of
+    a mean on the rows.  The rows' fits also run on numpy's baseline loops alone, with every
+    SIMD target numpy dispatches to on this CPU disabled; other CPUs' targets are not covered."""
 
-    def test_same_bytes_under_every_openblas_kernel(self, tmp_path, data_csv):
+    KERNELS = {"host": {}, **{coretype: {"OPENBLAS_CORETYPE": coretype} for coretype in ("Prescott", "Sandybridge", "Haswell")}}
+
+    @staticmethod
+    def _written(tmp_path, model_json, data_csv, variants):
+        """Per variant, the files the fits write with its environment entries set."""
         written = {}
-        for coretype in ("Prescott", "Sandybridge", "Haswell", None):  # None: the host's own
+        for name, entries in variants.items():
             env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
             env.pop("OPENBLAS_CORETYPE", None)
-            env.update({"OPENBLAS_CORETYPE": coretype} if coretype else {})
-            out = tmp_path / str(coretype)
-            argv = [sys.executable, "-c", _LOCKED_FITS, str(EXAMPLES / "manual_priors_model.json"), str(data_csv), str(out)]
-            subprocess.run(argv, env=env, check=True, capture_output=True)
-            written[coretype] = [(out / fit / name).read_bytes() for fit in ("nuts", "rwm") for name in ("trace.csv", "stats.json")]
-        assert all(files == written[None] for files in written.values())
+            env.pop("NPY_DISABLE_CPU_FEATURES", None)
+            out = tmp_path / name
+            argv = [sys.executable, "-c", _LOCKED_FITS, str(model_json), str(data_csv), str(out)]
+            subprocess.run(argv, env={**env, **entries}, check=True, capture_output=True)
+            written[name] = [(out / fit / file).read_bytes() for fit in ("nuts", "rwm") for file in ("trace.csv", "stats.json")]
+        return written
+
+    def test_same_bytes_under_every_openblas_kernel(self, tmp_path, data_csv):
+        written = self._written(tmp_path, EXAMPLES / "manual_priors_model.json", data_csv, self.KERNELS)
+        assert all(files == written["host"] for files in written.values())
+
+    def test_rows_same_bytes_under_every_openblas_kernel(self, tmp_path, data_csv):
+        try:  # the module's place in numpy 2, then in numpy 1
+            from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        except ImportError:
+            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        model_json = tmp_path / "model.json"
+        model_json.write_text(json.dumps(ROWS_MODEL))
+        targets = " ".join(target for target in __cpu_dispatch__ if __cpu_features__.get(target))
+        variants = {**self.KERNELS, "numpy-baseline": {"NPY_DISABLE_CPU_FEATURES": targets}}
+        written = self._written(tmp_path, model_json, data_csv, variants)
+        assert all(files == written["host"] for files in written.values())
 
 
 class TestReportsLocked:
@@ -547,7 +617,8 @@ class TestReportsLocked:
 
 class TestDrawsIndependentOfBlasThreads:
     def test_large_n_trace_same_with_one_and_two_threads(self, tmp_path):
-        # over 10 000 rows, OpenBLAS sums a plain dot product in an order set by its thread count
+        # the mean is affine in X: the factorisation takes its sums over the 20 000 rows once, in
+        # Python floats, and no call takes a sum over the rows
         data = tmp_path / "data.csv"
         assert run_cli("simulate", "--n", 20000, "--seed", 3, "--out", data) == 0
         model_json = tmp_path / "model.json"
@@ -573,7 +644,7 @@ class TestDrawsIndependentOfBlasThreads:
         data = tmp_path / "data.csv"
         assert run_cli("simulate", "--n", 20000, "--seed", 3, "--out", data) == 0
         model_json = tmp_path / "model.json"
-        model_json.write_text(json.dumps({**RECIP_MODEL, "likelihood": {"distribution": "Normal", "formula": "alpha / (X + tau)"}}))
+        model_json.write_text(json.dumps(ROWS_MODEL))
         traces = []
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
@@ -1131,14 +1202,3 @@ class TestFlagValidation:
         assert code == 1
         # after the first "+" the chain is 3 levels deep; its 99th "+", at 6 + 19 * 49, makes the 101st
         assert capsys.readouterr().err == "fit: FormulaTooDeep: formula nests deeper than 100 levels at position 937\n"
-
-    def test_stats_sidecar_mismatch(self, fit_dir, tmp_path, capsys):
-        import json as json_module
-
-        stats = json_module.loads((fit_dir / "stats.json").read_text())
-        stats["param_names"] = ["wrong", "names", "here"]
-        bad = tmp_path / "stats.json"
-        bad.write_text(json_module.dumps(stats))
-        code = run_cli("summarize", "--trace", fit_dir / "trace.csv", "--stats", bad)
-        assert code != 0
-        assert "MalformedTrace" in capsys.readouterr().err

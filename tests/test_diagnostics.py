@@ -1,11 +1,14 @@
 import json
 import math
+import pickle
 import subprocess
 import sys
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.special import ndtri
 from scipy.stats import rankdata
@@ -14,6 +17,7 @@ from plainbayes.data_io import make_rng
 from plainbayes.diagnostics import (
     _average_ranks,
     _next_fast_len,
+    _quantile,
     _rank_normalize,
     ess_bulk,
     hdi,
@@ -148,6 +152,30 @@ class TestScipyReplacements:
         probabilities = (_average_ranks(arr) - 0.5) / arr.size
         expected = np.array([NormalDist().inv_cdf(p) for p in probabilities.ravel().tolist()]).reshape(arr.shape)
         assert _rank_normalize(arr).tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(10, 10_000), seed=st.integers(0, 2**32 - 1), distinct=st.sampled_from([None, 1, 2, 3, 7, 50]),
+           scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e300]))
+    def test_quartiles_and_median_match_numpy_bit_for_bit(self, n, seed, distinct, scale):
+        # the KDE's bandwidth takes them from the sorted draws, as np.percentile and np.median do,
+        # which would import numpy.ma; ties, as rejected RWM proposals make them, included
+        rng = make_rng(seed)
+        pool = rng.standard_normal(distinct or n) * scale
+        ordered = np.sort(pool[rng.integers(0, pool.size, n)] if distinct else pool)
+        q75, q25 = np.percentile(ordered, [75.0, 25.0])
+        assert np.array([_quantile(ordered, 0.75), _quantile(ordered, 0.25)]).tobytes() == np.array([q75, q25]).tobytes()
+        # draws a few subnormal steps apart, whose squared deviations underflow: sd and the
+        # bandwidth are 0, and the mode is the median
+        tiny = rng.integers(-3, 4, n) * 5e-324
+        if tiny.min() < tiny.max():
+            assert np.float64(mode_estimate(tiny)).tobytes() == np.median(tiny).tobytes()
+
+    def test_summarize_skips_numpy_ma(self, tmp_path):
+        trace = Trace(param_names=["a"], draws=make_rng(4).standard_normal((2, 300, 1)), stats={})
+        code = (f"import sys, pickle; from plainbayes import diagnostics; "
+                f"diagnostics.summarize(pickle.loads({pickle.dumps(trace)!r})); print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_cli_import_skips_scipy_stats_and_fft(self):
         # the runtime is numpy and the standard library alone, and chain

@@ -288,12 +288,12 @@ class TestRowFormulas:
     Y = np.array([0.5, -1.0, 2.0, 1.0])
     PRIORS = {"a": Normal(mu=0, sigma=2), "b": Normal(mu=1, sigma=3), "s": HalfNormal(sigma=3)}
 
-    def _rows(self, monkeypatch, source, dots=None):
-        """The posterior of the mean ``source``, noise scale s, over X and Y, summing its rows; the
-        operands of each of its dot products are appended to ``dots``, if given."""
+    def _rows(self, monkeypatch, source, products=None):
+        """The posterior of the mean ``source``, noise scale s, over X and Y, summing its rows; a copy
+        of the product each of its sums over the rows reduces is appended to ``products``, if given."""
         monkeypatch.setattr(posterior, "_thin_qr", lambda *args: None)
-        if dots is not None:
-            monkeypatch.setattr(posterior, "np_dot", lambda a, b: dots.append((a, b)) or np.dot(a, b))
+        if products is not None:
+            monkeypatch.setattr(posterior, "row_sum", lambda a: products.append(a.copy()) or np.add.reduce(a))
         spec = ModelSpec(priors=self.PRIORS, likelihood=LikelihoodSpec(formula_source=source, noise_param="s"))
         return build_posterior(validate_model(spec, ["X", "y"]), Dataset({"X": self.X, "y": self.Y}))
 
@@ -313,7 +313,7 @@ class TestRowFormulas:
                                         row=None if bad is None else int(np.argmin(np.isfinite(bad))))
             return NonFiniteDensity, str(expected), expected.row
         t = (self.Y - mean) / x[2]
-        return total + (-0.5 * float(np.dot(t, t)) - 4 * math.log(x[2]) - 0.5 * 4 * math.log(2.0 * math.pi))
+        return total + (-0.5 * float(np.add.reduce(t * t)) - 4 * math.log(x[2]) - 0.5 * 4 * math.log(2.0 * math.pi))
 
     @staticmethod
     def _outcome(fn, z):
@@ -324,7 +324,7 @@ class TestRowFormulas:
 
     def test_parameter_free_expression_is_its_value(self, monkeypatch):
         # computed once, at build, as a contiguous vector, which every call reads: the mean where a
-        # tiny sigma makes t . t overflow and the mean is checked, a partial in each gradient dot
+        # tiny sigma makes t . t overflow and the mean is checked, a partial in each gradient sum
         pf = self._rows(monkeypatch, "2 * X - 1")
         z = np.array([0.5, -0.5, 0.2])
         assert pf.log_density(z) == pf.log_density_and_grad(z)[0] == self._expected(parse_formula("2 * X - 1"), z)
@@ -335,24 +335,28 @@ class TestRowFormulas:
         assert pf.log_density(z) == pf.log_density_and_grad(z)[0] == -math.inf
         assert len(checked) == 2 and checked[0] is checked[1]
         assert checked[0].flags.c_contiguous and checked[0].tolist() == (2 * self.X - 1).tolist()
-        dots = []  # the partials in a and b are 2 * X - 1 and the literal 1, a scalar at build
-        pf = self._rows(monkeypatch, "a * (2 * X - 1) + b", dots)
-        pf.log_density_and_grad(np.array([0.5, -0.5, 0.2]))
-        pf.log_density_and_grad(np.array([1.5, 0.5, 0.0]))
-        dmus = [b for a, b in dots if b is not a]  # r . d mu / d a, r . d mu / d b; the others are t . t, r . r
-        assert len(dmus) == 4 and dmus[0] is dmus[2] and dmus[1] is dmus[3]
-        assert all(dmu.flags.c_contiguous for dmu in dmus)
-        assert dmus[0].tolist() == (2 * self.X - 1).tolist() and dmus[1].tolist() == [1.0] * 4
-        # a parameter-only partial, d/da of a * a + X, is a + a broadcast over the rows at each call:
-        # a stride-0 view, which np.dot sums by another kernel than a contiguous vector
-        dots.clear()
-        pf = self._rows(monkeypatch, "a * a + X", dots)
+        products = []  # the partials in a and b are 2 * X - 1 and the literal 1, a scalar at build
+        pf = self._rows(monkeypatch, "a * (2 * X - 1) + b", products)
+        vectors = [v for v in pf.float_density.__globals__.values() if isinstance(v, np.ndarray) and v.shape == (4,)]
+        dmus = [v for v in vectors if v.tolist() in ((2 * self.X - 1).tolist(), [1.0] * 4)]
+        assert {1.0, 2.0} <= {dmu[0] for dmu in dmus} and all(dmu.flags.c_contiguous for dmu in dmus)
+        for a, b, s in ([0.5, -0.5, 0.2], [1.5, 0.5, 0.0]):
+            pf.log_density_and_grad(np.array([a, b, s]))
+            sigma = self.PRIORS["s"].transform().forward(np.float64(s))
+            t = (self.Y - (np.float64(a) * (2 * self.X - 1) + np.float64(b))) / sigma
+            # t . t, then t . d mu / d a and t . d mu / d b, each an elementwise product summed
+            assert [p.tobytes() for p in products[-3:]] == [(t * t).tobytes(), (t * (2 * self.X - 1)).tobytes(),
+                                                            (t * 1.0).tobytes()]
+        assert len(products) == 6
+        # a parameter-only partial, d/da of a * a + X, is a + a at each call, a scalar the product broadcasts
+        products.clear()
+        pf = self._rows(monkeypatch, "a * a + X", products)
         z = np.array([3.0, 0.0, 0.0])
         value, grad = pf.log_density_and_grad(z)
         assert value == self._expected(parse_formula("a * a + X"), z)
-        (r, dmu), = [(a, b) for a, b in dots if b is not a]
-        assert dmu.strides == (0,) and dmu.tolist() == [6.0] * 4
-        assert grad[0] == -0.75 + float(np.dot(r, dmu))
+        t = self.Y - (np.float64(9.0) + self.X)  # sigma is 1
+        assert len(products) == 2 and products[-1].tobytes() == (t * 6.0).tobytes()
+        assert grad[0] == -0.75 + float(np.add.reduce(t * 6.0))
 
     def test_raising_constant_subtree_raises_at_call(self, monkeypatch):
         pf = self._rows(monkeypatch, "a + X / (X * X)")
@@ -404,15 +408,16 @@ class TestRowFormulas:
                 divide(a, 0.0)
 
     def test_random_asts_match_evaluate(self, monkeypatch):
-        # y = 0 and sigma = 1, so that t = (y - mu) / sigma, the first dot's operand, is -mu: the
-        # mean's n-vector, but for the sign of a zero; where the mean raises, its value and row
+        # y = 0 and sigma = 1, so that t = (y - mu) / sigma is -mu and the first sum's product, t * t,
+        # is the mean's n-vector squared; at sigma = e^-690, where t . t overflows unless the mean is
+        # 0, the mean itself, as the density checks it; where the mean raises, its value and row
         monkeypatch.setattr(self, "Y", np.zeros(4))
         rng = np.random.default_rng(99)
         for _ in range(500):
             ast = _random_ast(rng, ["a", "b", "X"], depth=4)
             values = [float(rng.uniform(-3, 3)), 0.0 if rng.random() < 0.2 else float(rng.uniform(-3, 3))]
-            z, dots = np.array([*values, 0.0]), []
-            pf = self._rows(monkeypatch, to_source(ast), dots)
+            z, products = np.array([*values, 0.0]), []
+            pf = self._rows(monkeypatch, to_source(ast), products)
             assert self._outcome(pf.log_density, z) == self._expected(ast, z), to_source(ast)
             try:
                 mean = np.broadcast_to(evaluate(ast, dict(zip("ab", z), X=self.X)), (4,))
@@ -425,7 +430,16 @@ class TestRowFormulas:
                     assert np.array_equal(np.broadcast_to(value, (4,)), np.broadcast_to(other, (4,)),
                                           equal_nan=True), to_source(ast)
             else:
-                assert np.array_equal(-dots[0][0], mean), to_source(ast)
+                assert np.array_equal(products[0], mean * mean), to_source(ast)
+                checked = []
+                pf.float_density.__globals__["check_finite"] = checked.append
+                value = pf.log_density(np.array([*values, -690.0]))
+                if mean.any():
+                    assert value == -math.inf, to_source(ast)
+                    (checked_mean,) = checked  # a scalar where the mean has no column
+                    assert np.broadcast_to(checked_mean, (4,)).tobytes() == mean.tobytes(), to_source(ast)
+                else:
+                    assert not checked, to_source(ast)
 
 
 def _emitter():

@@ -482,7 +482,8 @@ def _reference_density(vm, data, z, with_grad):
             raise NonFiniteDensity(f"likelihood mean is non-finite: {exc}", row=row) from None
         resid = y - mu
         t = resid / sigma
-        loglik = -0.5 * float(np.dot(t, t)) - n_rows * math.log(sigma) - 0.5 * n_rows * math.log(2.0 * math.pi)
+        tt = float(np.add.reduce(t * t))
+        loglik = -0.5 * tt - n_rows * math.log(sigma) - 0.5 * n_rows * math.log(2.0 * math.pi)
         if math.isnan(loglik):
             raise NonFiniteDensity("likelihood log density is NaN")
     if loglik == -math.inf:
@@ -494,13 +495,13 @@ def _reference_density(vm, data, z, with_grad):
     dfwd = np.array([tf.dforward_dz(zi) for tf, zi in zip(transforms, z)], dtype=float)
     dprior = np.array([dist.dlogpdf_dx(xi) for dist, xi in zip(dists, x)], dtype=float)
     grad = dprior * dfwd + dljk
-    inv_var = 1.0 / (sigma * sigma)
+    w = 1.0 / sigma
     try:
         for i, partial in enumerate(partials):
             dmu = np.broadcast_to(np.asarray(_reference_evaluate(partial, env), dtype=float), (n_rows,))
-            s = inv_var * float(np.dot(resid, dmu))
+            s = w * float(np.add.reduce(t * dmu))
             if i == noise_index:
-                s += float(np.dot(resid, resid)) / (sigma * sigma * sigma) - n_rows / sigma
+                s += (tt - n_rows) * w
             grad[i] += s * dfwd[i]
     except NonFiniteResult:
         grad[:] = math.nan
@@ -770,26 +771,31 @@ class TestAffineFallback:
 
     def test_residual_beyond_float_range(self):
         # |y| near 1e200 makes rho = |y - Q Q^T y|^2 overflow: the posterior still
-        # builds, and every call sums the rows, where sigma near 1e200 keeps them finite
+        # builds, and every call sums the rows, where sigma near 1e200 keeps them finite;
+        # the gradient too, for a mean the rows serve as for an affine one, since it is
+        # taken through t = resid / sigma, whose squares, unlike the residuals', do not overflow
         rng = np.random.default_rng(8)
         x = rng.uniform(-3.0, 3.0, 30)
         data = Dataset({"X": x, "y": 1e200 * rng.normal(size=30)})
         assert posterior._thin_qr([np.ones(30), x], data.columns["y"])[2] == math.inf
-        spec = ModelSpec(
-            priors={"a": Normal(mu=0, sigma=2), "b": Exponential(lam=1), "s": HalfNormal(sigma=1e250)},
-            likelihood=LikelihoodSpec(formula_source="a + b * X", noise_param="s"),
-        )
-        vm = validate_model(spec, data.column_names())
         zs = [[0.3, -0.2, 461.0], [-1.2, 0.7, 465.5], [2.0, -1.0, 0.1]]
-        assert math.isfinite(build_posterior(vm, data).log_density(np.array(zs[0])))
-        self._assert_rows(vm, data, zs)
+        for source in ("a + b * X", "a / (X + b)"):
+            spec = ModelSpec(
+                priors={"a": Normal(mu=0, sigma=2), "b": Exponential(lam=1), "s": HalfNormal(sigma=1e250)},
+                likelihood=LikelihoodSpec(formula_source=source, noise_param="s"),
+            )
+            vm = validate_model(spec, data.column_names())
+            pf, z = build_posterior(vm, data), np.array(zs[0])
+            value, grad = pf.log_density_and_grad(z)
+            assert math.isfinite(value) and value == pf.log_density(z) and np.all(np.isfinite(grad)), source
+            self._assert_rows(vm, data, zs)
 
     @pytest.mark.parametrize("source, row_sums", [("a + X / b", False), ("a / (X + b)", True)])
     def test_affine_mean_sums_no_rows_per_call(self, monkeypatch, source, row_sums):
-        # every sum over the rows a call takes goes through np_dot; the factorisation takes
+        # every sum over the rows a call takes goes through row_sum; the factorisation takes
         # its sums once, at build time, through fsum_dot, and a mean that is not affine every call
         calls, built = [], []
-        monkeypatch.setattr(posterior, "np_dot", lambda a, b: calls.append(a.shape) or np.dot(a, b))
+        monkeypatch.setattr(posterior, "row_sum", lambda a: calls.append(a.shape) or np.add.reduce(a))
         fsum_dot = posterior.fsum_dot
         monkeypatch.setattr(posterior, "fsum_dot", lambda a, b: built.append(a.shape) or fsum_dot(a, b))
         rng = np.random.default_rng(5)
@@ -805,7 +811,7 @@ class TestAffineFallback:
 def _built_counting_row_sums(monkeypatch, vm, data):
     """The posterior, and a list that counts the sums over the rows its calls take."""
     calls = []
-    monkeypatch.setattr(posterior, "np_dot", lambda a, b: calls.append(a.shape) or np.dot(a, b))
+    monkeypatch.setattr(posterior, "row_sum", lambda a: calls.append(a.shape) or np.add.reduce(a))
     pf = build_posterior(vm, data)
     calls.clear()
     return pf, calls
