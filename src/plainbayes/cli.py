@@ -289,6 +289,9 @@ def _load_beliefs(path) -> dict[str, str]:
         raise PlainbayesError(
             f"beliefs file {path}: expected a non-empty JSON object mapping parameter names to belief text"
         )
+    from .spec_schema import is_identifier
+    if bad := [name for name in beliefs if not is_identifier(name)]:
+        raise PlainbayesError(f"beliefs file {path}: parameter name {bad[0]!r} is not a valid identifier")
     return beliefs
 
 
@@ -320,11 +323,11 @@ def _cmd_run(args) -> int:
     elif args.beliefs_file:
         beliefs = _load_beliefs(args.beliefs_file)
         manifest.add_input(args.beliefs_file)
+        likelihood = spec_schema.LikelihoodSpec(formula_source=args.formula, noise_param=args.noise_param)
         priors = {
             name: elicitation.elicit_prior(name, belief, llm_cfg)
             for name, belief in beliefs.items()
         }
-        likelihood = spec_schema.LikelihoodSpec(formula_source=args.formula, noise_param=args.noise_param)
         spec = spec_schema.ModelSpec(priors=priors, likelihood=likelihood)
     else:
         raise PlainbayesError("provide --description-file or --beliefs-file")

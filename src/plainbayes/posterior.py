@@ -53,6 +53,7 @@ from .errors import (
     NonFiniteDensity,
     NonFiniteGradient,
     NonFiniteResult,
+    SamplerError,
     UnresolvedVariable,
 )
 from .spec_schema import ValidatedModel
@@ -75,15 +76,13 @@ row_sum = np.add.reduce
 class PosteriorFn:
     """A pure, immutable log density over unconstrained coordinates.
 
-    ``log_density_and_grad`` is the primitive; ``log_density`` derives from
-    it unless a cheaper value-only callable is supplied.  Both check ``z``;
-    ``unchecked_value_and_grad`` and ``unchecked_value`` are the callables
-    themselves, for callers that pass a float64 array of shape
-    ``(dimension,)``.  ``float_density(z_0, ..., z_{d-1}, with_grad=False)``,
-    the samplers' entry, takes z's coordinates as floats and returns log p,
-    or with ``with_grad`` the tuple ``(log p, d_0, ..., d_{d-1})``: the one
-    ``build_posterior`` generates, or else the array callables called on the
-    array of the floats.  ``transforms`` map
+    One callable is the density, ``float_density(z_0, ..., z_{d-1}, with_grad=False)``:
+    log p at z's coordinates as floats, or with ``with_grad`` the tuple ``(log p, d_0,
+    ..., d_{d-1})``.  It is given (``build_posterior`` gives the one it generates), or
+    built from array callables ``log_density_and_grad`` and, optionally, a cheaper
+    ``log_density``, called on the float64 array of the floats; without the first, a call
+    ``with_grad`` raises ``SamplerError``.  ``log_density`` and ``log_density_and_grad``
+    check ``z`` and call ``float_density``.  ``transforms`` map
     each unconstrained coordinate onto its parameter's support (identities
     when None).  The samplers constrain their kept draws through them, and
     so does ``constrain`` unless given a callable, which must agree with
@@ -96,7 +95,7 @@ class PosteriorFn:
     def __init__(
         self,
         param_names,
-        log_density_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+        log_density_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None,
         log_density: Callable[[np.ndarray], float] | None = None,
         constrain: Callable[[np.ndarray], dict[str, float]] | None = None,
         transforms=None,
@@ -105,16 +104,15 @@ class PosteriorFn:
         float_density: Callable[..., float | tuple] | None = None,
     ):
         self.param_names = tuple(param_names)
-        self._shape = (len(self.param_names),)
         self.fork_safe = fork_safe
         if transforms is None:
             if constrain is not None:
                 raise TypeError("a constrain callable needs the transforms it applies: the samplers use those")
             transforms = [IdentityTransform()] * len(self.param_names)
         self.transforms = tuple(transforms)
-        self.unchecked_value_and_grad = log_density_and_grad
-        self.unchecked_value = log_density if log_density is not None else lambda z: log_density_and_grad(z)[0]
-        self.float_density = float_density or _float_entry(self.dimension, log_density_and_grad, self.unchecked_value)
+        if (float_density is None) == (log_density_and_grad is None and log_density is None):
+            raise TypeError("give a PosteriorFn float_density or array callables, one of the two")
+        self.float_density = float_density or _float_entry(self.dimension, log_density_and_grad, log_density)
         self._constrain = constrain
 
     @property
@@ -123,15 +121,16 @@ class PosteriorFn:
 
     def _check(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        if z.shape != self._shape:
+        if z.shape != (self.dimension,):
             raise DimensionMismatch(self.dimension, int(z.size))
         return z
 
     def log_density(self, z) -> float:
-        return self.unchecked_value(self._check(z))
+        return self.float_density(*self._check(z).tolist())
 
     def log_density_and_grad(self, z) -> tuple[float, np.ndarray]:
-        return self.unchecked_value_and_grad(self._check(z))
+        logp, *grad = self.float_density(*self._check(z).tolist(), with_grad=True)
+        return logp, np.array(grad)
 
     def constrain(self, z) -> dict[str, float]:
         z = self._check(z)
@@ -140,15 +139,18 @@ class PosteriorFn:
         return {name: tf.forward(zi) for name, tf, zi in zip(self.param_names, self.transforms, z.tolist())}
 
 
-def _float_entry(dim: int, value_and_grad: Callable | None, value: Callable) -> Callable:
-    """``float_density`` for array callables: ``density(*z, with_grad)`` calls one on ``np.array(z)``."""
+def _float_entry(dim: int, value_and_grad: Callable | None, value: Callable | None) -> Callable:
+    """``float_density`` for array callables: ``density(*z, with_grad=False)`` calls one on ``np.array(z)``."""
 
-    def density(*args):
-        z = np.array(args[:dim])
-        if args[dim:] and args[dim]:
-            logp, grad = value_and_grad(z)
-            return (logp, *grad.tolist())
-        return value(z)
+    def density(*z, with_grad=False):
+        if len(z) > dim:  # with_grad given by position
+            *z, with_grad = z
+        if not with_grad:
+            return value(np.array(z)) if value else value_and_grad(np.array(z))[0]
+        if value_and_grad is None:
+            raise SamplerError("this posterior has no gradient: it was built from log_density alone")
+        logp, grad = value_and_grad(np.array(z))
+        return (logp, *grad.tolist())
 
     return density
 
@@ -372,10 +374,4 @@ def build_posterior(model: ValidatedModel, data: Dataset, *, response_column: st
         elif i == noise_index:
             partials.append((i, None, None))
     density = _density(names, dists, transforms, noise_index, y, fixed_env, mean_ast, slopes, partials, qr)
-
-    def value_and_grad(z):
-        logp, *grad = density(*z.tolist(), True)
-        return logp, np.array(grad)
-
-    return PosteriorFn(names, value_and_grad, lambda z: density(*z.tolist()), transforms=transforms, fork_safe=True,
-                       float_density=density)
+    return PosteriorFn(names, transforms=transforms, fork_safe=True, float_density=density)

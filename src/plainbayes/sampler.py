@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Callable, NoReturn
 import numpy as np
 
 from .data_io import SEED_BOUND, make_rng
-from .errors import AllDivergent, BadInitialPoint, MalformedTrace, NonFiniteDensity, NonFiniteGradient, SamplerError
+from .errors import AllDivergent, BadInitialPoint, MalformedTrace, NonFiniteDensity, SamplerError
 
 if TYPE_CHECKING:  # the model compiler loads only where a posterior is built, not to read a trace
     from .posterior import PosteriorFn
@@ -252,22 +252,21 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out if b.ndim == 2 else out[:, 0]
 
 
-def _laplace(vag: Callable | None, dim: int):
+def _laplace(density: Callable, dim: int):
     """The Laplace approximation ``(mode, R, _metric(Σ₀))``, Σ₀ = (−H)⁻¹ = R Rᵀ with R = L⁻ᵀ
-    of ``_metric(−H)`` (Tierney & Kadane 1986), by Levenberg–Marquardt on −log p from z = 0,
-    H by central differences of the gradient; None without a gradient, where z = 0 or a
-    difference point is not finite, at a final Σ₀ not positive definite, or after
+    of ``_metric(−H)`` (Tierney & Kadane 1986), by Levenberg–Marquardt on −log p from z = 0
+    through the float entry ``density(*z, True)``, H by central differences of the gradient;
+    None where z = 0 or a difference point is not finite or raises (a density without a gradient
+    raises ``SamplerError``), at a final Σ₀ not positive definite, or after
     ``_LAPLACE_MAX_STEPS`` trial steps.  Numpy warns of nothing here."""
-    if vag is None:
-        return None
     from .posterior import fsum_dot
 
     def minus(z):  # (−log p, −∇log p) at z, or None where either is not finite
         try:
-            logp, grad = vag(z)
-        except (NonFiniteDensity, NonFiniteGradient):
+            logp, *grad = density(*z.tolist(), True)
+        except (NonFiniteDensity, SamplerError):
             return None
-        return (-logp, -grad) if math.isfinite(logp) and np.isfinite(grad).all() else None
+        return (-logp, -np.array(grad)) if math.isfinite(logp) and all(map(math.isfinite, grad)) else None
 
     def hessian(z):  # of −log p, symmetrised, or None
         h = np.array([1e-5 * max(1.0, abs(v)) for v in z.tolist()])
@@ -598,7 +597,7 @@ def _run_chains(run_chain: Callable, stat_types, pf: PosteriorFn, cfg: SamplerCo
     ``forked_map``."""
     if pf.dimension < 1:
         raise SamplerError("posterior must have dimension >= 1")
-    run_chain = partial(run_chain, laplace=_laplace(pf.unchecked_value_and_grad, pf.dimension))  # before any fork
+    run_chain = partial(run_chain, laplace=_laplace(pf.float_density, pf.dimension))  # before any fork
     chains = forked_map(partial(_kept, run_chain, stat_types, pf, cfg), cfg.chains, worker_count(cfg.chains, jobs), pf.fork_safe)
     unconstrained = np.array([rows for rows, _ in chains])
     stats = {name: np.array([columns[k] for _, columns in chains]) for k, (name, _) in enumerate(stat_types)}

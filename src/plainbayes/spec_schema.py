@@ -41,6 +41,7 @@ __all__ = [
     "LikelihoodSpec",
     "ModelSpec",
     "ValidatedModel",
+    "is_identifier",
     "sanitize_llm_text",
     "parse_prior_json",
     "parse_model_json",
@@ -50,16 +51,15 @@ __all__ = [
     "model_to_json",
 ]
 
-_IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
 # Families supported on (0, inf) may carry the likelihood noise scale.
 _NOISE_FAMILIES = tuple(name for name, f in FAMILIES.items() if f.SUPPORT == (0.0, math.inf))
 
 _POSITIONAL_RE = re.compile(r"^param\d+$")
 
 
-def _is_identifier(name: object) -> bool:
-    return isinstance(name, str) and bool(_IDENTIFIER_RE.match(name))
+def is_identifier(name: object) -> bool:
+    """Whether ``name`` is an ASCII identifier: a parameter name, as ``sampler.load_trace`` reads one."""
+    return isinstance(name, str) and name.isascii() and name.isidentifier()
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class LikelihoodSpec:
     ast: formula.FormulaAst = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _is_identifier(self.noise_param):
+        if not is_identifier(self.noise_param):
             raise InvalidSpec(f"noise parameter name {self.noise_param!r} is not a valid identifier")
         object.__setattr__(self, "ast", formula.parse_formula(self.formula_source))
 
@@ -88,7 +88,7 @@ class ModelSpec:
         if not self.priors:
             raise InvalidSpec("a model needs at least one prior")
         for name in self.priors:
-            if not _is_identifier(name):
+            if not is_identifier(name):
                 raise InvalidSpec(f"prior name {name!r} is not a valid identifier")
         object.__setattr__(self, "priors", dict(self.priors))
 
@@ -233,7 +233,7 @@ def parse_prior_json(text: str) -> tuple[str | None, PriorDistribution]:
     obj = _loads_object(text)
     name = None
     for key in ("parameter", "name"):
-        if _is_identifier(obj.get(key)):
+        if is_identifier(obj.get(key)):
             name = obj[key]
             break
     _warn_extra_keys(obj, ("distribution", "params", "parameter", "name"), "prior")
@@ -254,7 +254,7 @@ def parse_model_json(text: str) -> ModelSpec:
         raise MalformedJson("'priors' must be an object")
     priors: dict[str, PriorDistribution] = {}
     for pname, pobj in priors_obj.items():
-        if not _is_identifier(pname):
+        if not is_identifier(pname):
             raise MalformedJson(f"prior name {pname!r} is not a valid identifier")
         if not isinstance(pobj, Mapping):
             raise MalformedJson(f"prior {pname!r} must be an object")
@@ -276,7 +276,7 @@ def parse_model_json(text: str) -> ModelSpec:
     if not isinstance(formula_source, str):
         raise MalformedJson("'formula' must be a string")
     noise = lik_obj.get("noise_param", "sigma")
-    if not _is_identifier(noise):
+    if not is_identifier(noise):
         raise MalformedJson(f"'noise_param' must be an identifier, got {noise!r}")
 
     likelihood = LikelihoodSpec(formula_source=formula_source, noise_param=noise)

@@ -60,8 +60,8 @@ TRANSITIONS = 100
 
 
 def _posterior(dim, calls):
-    """The standard normal, its float entry ``-z.z / 2`` and, on a gradient call, ``-z``,
-    counting its calls in ``calls``; the mode search takes the array callable, uncounted."""
+    """The standard normal as a float entry alone, ``-z.z / 2`` and, on a gradient call, ``-z``,
+    counting its calls in ``calls``."""
 
     def density(*args):  # z's floats, then with_grad
         calls.append(1)
@@ -69,14 +69,14 @@ def _posterior(dim, calls):
         logp = -0.5 * sum([v * v for v in z])
         return (logp, *[-v for v in z]) if args[dim:] and args[dim] else logp
 
-    return PosteriorFn([f"x{i}" for i in range(dim)], lambda z: (-0.5 * float(z @ z), -z), float_density=density)
+    return PosteriorFn([f"x{i}" for i in range(dim)], float_density=density)
 
 
 @pytest.mark.parametrize("dim", [3, 10])
 def test_leapfrog_overhead(benchmark, dim):
     calls = []
     pf = _posterior(dim, calls)
-    laplace = sampler._laplace(pf.unchecked_value_and_grad, dim)
+    laplace = sampler._laplace(pf.float_density, dim)
     chain = sampler._run_nuts_chain(pf, SamplerConfig(warmup_draws=300, seed=dim), 0, laplace)
     next(chain)  # warm-up
     steps = []
@@ -106,7 +106,7 @@ RWM_STEPS = 1000
 def test_rwm_overhead(benchmark, phase):
     dim, calls = 3, []
     pf = _posterior(dim, calls)
-    laplace = sampler._laplace(pf.unchecked_value_and_grad, dim)
+    laplace = sampler._laplace(pf.float_density, dim)
     cfg = SamplerConfig(algorithm="rwm", warmup_draws=RWM_STEPS, seed=dim)
     chain, counts = sampler._run_rwm_chain(pf, cfg, 0, laplace), []
     next(chain)
@@ -167,13 +167,13 @@ def recip_large_n():
 def _counted_fit(pf, cfg):
     """(search, warm-up, sampling) gradient evaluations and the smallest bulk ESS of one fit."""
     calls = [0]
-    vag = pf.unchecked_value_and_grad
+    density = pf.float_density
 
-    def counted(z):
+    def counted(*args):
         calls[0] += 1
-        return vag(z)
+        return density(*args)
 
-    counted_pf = PosteriorFn(pf.param_names, counted, transforms=pf.transforms)
+    counted_pf = PosteriorFn(pf.param_names, transforms=pf.transforms, float_density=counted)
     with np.errstate(over="ignore"):
         laplace = sampler._laplace(counted, pf.dimension)
         search, warm, kept, draws = calls[0], 0, 0, []

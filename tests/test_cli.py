@@ -20,7 +20,13 @@ import plainbayes
 from plainbayes import cli, posterior, sampler
 from plainbayes.cli import main
 from plainbayes.data_io import SimConfig, load_csv
-from plainbayes.elicitation import FixtureStore, LlmConfig, packaged_fixtures_dir, render_model_prompt
+from plainbayes.elicitation import (
+    FixtureStore,
+    LlmConfig,
+    packaged_fixtures_dir,
+    render_model_prompt,
+    render_prior_prompt,
+)
 from plainbayes.errors import SamplerError, SummaryCellWarning
 from plainbayes.sampler import SamplerConfig, load_trace
 
@@ -131,6 +137,27 @@ class TestElicit:
         assert printed == {"distribution": "Normal", "params": {"mu": 2.0, "sigma": 1.0}}
         assert json.loads(out.read_text()) == printed
 
+    def test_prior_from_belief_file(self, tmp_path, capsys):
+        beliefs = json.loads((EXAMPLES / "linear_regression_beliefs.json").read_text())
+        belief = tmp_path / "belief.txt"
+        belief.write_text(beliefs["beta"], encoding="utf-8")
+        assert run_cli("elicit-prior", "--param", "beta", "--belief-file", belief) == 0
+        assert json.loads(capsys.readouterr().out) == {"distribution": "Normal", "params": {"mu": 2.0, "sigma": 1.0}}
+
+    def test_prior_without_belief_fails_in_one_line(self, capsys):
+        assert run_cli("elicit-prior", "--param", "beta") == 1
+        assert capsys.readouterr().err == "elicit-prior: PlainbayesError: provide --belief or --belief-file\n"
+
+    def test_exhausted_retries_print_the_last_response(self, tmp_path, capsys):
+        # every attempt's response fails to parse: one error line, then the last response's excerpt
+        FixtureStore(tmp_path).put(render_prior_prompt("beta", "b"), "no object here " * 20, "m")
+        code = run_cli("elicit-prior", "--param", "beta", "--belief", "b", "--fixtures-dir", tmp_path,
+                       "--max-retries", 0)
+        assert code == 1
+        first, second = capsys.readouterr().err.splitlines()
+        assert first.startswith("elicit-prior: ElicitationFailed: all attempts exhausted; last error: ")
+        assert second == f"last response excerpt: {('no object here ' * 20)[:200]!r}"
+
     def test_model_file_contents(self, model_json):
         obj = json.loads(model_json.read_text())
         assert obj["likelihood"]["formula"] == "alpha + beta * X"
@@ -173,6 +200,18 @@ class TestElicit:
 
 
 class TestFit:
+    def test_prior_name_with_trailing_newline_fails_in_one_line(self, tmp_path, data_csv, capsys):
+        # "unused\n" once passed validation, and the fit wrote a trace whose header broke in two
+        obj = json.loads((EXAMPLES / "manual_priors_model.json").read_text())
+        obj["priors"]["unused\n"] = {"distribution": "Normal", "params": {"mu": 0, "sigma": 1}}
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(obj))
+        code = run_cli("fit", "--model", bad, "--data", data_csv, "--out-dir", tmp_path / "f")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "fit: MalformedJson: prior name 'unused\\n' is not a valid identifier\n"
+        assert not (tmp_path / "f").exists()
+
     def test_outputs(self, fit_dir):
         trace = load_trace(fit_dir / "trace.csv", fit_dir / "stats.json")
         assert trace.param_names == ["alpha", "beta", "sigma"]
@@ -977,6 +1016,45 @@ class TestRun:
         code = run_cli("run", "--beliefs-file", bad, "--out-dir", tmp_path / "r")
         assert code != 0
         assert "beliefs file" in capsys.readouterr().err
+
+
+    def test_beliefs_file_not_json(self, tmp_path, capsys):
+        bad = tmp_path / "beliefs.json"
+        bad.write_text('{"alpha": ')
+        assert run_cli("run", "--beliefs-file", bad, "--out-dir", tmp_path / "r") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"run: PlainbayesError: beliefs file {bad}: invalid JSON: ") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("mode", ["replay", "live", "record"])
+    @pytest.mark.parametrize("key", ["my param", "unused\n"])
+    def test_belief_key_not_an_identifier_fails_before_any_llm_call(self, tmp_path, capsys, monkeypatch, mode, key):
+        beliefs = tmp_path / "beliefs.json"
+        beliefs.write_text(json.dumps({"alpha": "about 0", key: "about 1", "sigma": "about 2"}))
+        assert self._llm_calls(tmp_path, monkeypatch, mode, "--beliefs-file", beliefs) == []
+        assert capsys.readouterr().err == (
+            f"run: PlainbayesError: beliefs file {beliefs}: parameter name {key!r} is not a valid identifier\n")
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--formula", "alpha +"], "run: UnexpectedEnd: expression ended unexpectedly\n"),
+        (["--noise-param", "my sigma"], "run: InvalidSpec: noise parameter name 'my sigma' is not a valid identifier\n"),
+    ], ids=["formula", "noise-param"])
+    def test_bad_likelihood_flag_fails_before_any_llm_call(self, tmp_path, capsys, monkeypatch, flags, error):
+        beliefs = EXAMPLES / "linear_regression_beliefs.json"
+        assert self._llm_calls(tmp_path, monkeypatch, "live", "--beliefs-file", beliefs, *flags) == []
+        assert capsys.readouterr().err == error
+
+    @staticmethod
+    def _llm_calls(tmp_path, monkeypatch, mode, *argv) -> list:
+        """The prompts ``run`` sends in ``mode``, on ``argv``, asserting that it fails and writes nothing."""
+        from plainbayes import elicitation
+        calls = []
+        monkeypatch.setattr(elicitation, "call_llm", lambda prompt, cfg: calls.append(prompt) or "{}")
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        llm = [] if mode == "replay" else ["--endpoint-url", "http://127.0.0.1:9/x", "--fixtures-dir", tmp_path]
+        assert run_cli("run", *argv, "--llm-mode", mode, *llm, "--out-dir", tmp_path / "r") == 1
+        assert not (tmp_path / "r").exists()
+        return calls
 
 
 class TestOutputsIntoMissingDirectories:

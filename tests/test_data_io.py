@@ -126,3 +126,22 @@ class TestCsv:
         data = load_csv(path)
         assert data.column_names() == ["X", "y"]
         np.testing.assert_array_equal(data.columns["X"], [1.0, 3.0])
+
+    def test_blank_line_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("X,y\n1,2\n\n3,4\n")
+        data = load_csv(path)
+        np.testing.assert_array_equal(data.columns["y"], [2.0, 4.0])
+
+    def test_blank_line_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("X,y\n1,2\n\n3,z\n")
+        with pytest.raises(NonNumericCell, match="line 4"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("header", ["X,,y", "X, ,y", ",y"])
+    def test_empty_header_name(self, tmp_path, header):
+        path = tmp_path / "empty_name.csv"
+        path.write_text(f"{header}\n" + ",".join(["1"] * (header.count(",") + 1)) + "\n")
+        with pytest.raises(MalformedCsv, match="^line 1: empty column name in header$"):
+            load_csv(path)

@@ -19,6 +19,7 @@ from plainbayes.distributions import LogisticIntervalTransform
 from plainbayes.errors import (
     AllDivergent,
     BadInitialPoint,
+    DimensionMismatch,
     MalformedTrace,
     NonFiniteDensity,
     NonFiniteGradient,
@@ -43,6 +44,11 @@ from conftest import EXPERIMENT_MODEL_JSON
 
 def _std_normal_vag(z):
     return -0.5 * float(np.dot(z, z)), -z
+
+
+def _floats(vag, dim):
+    """The float entry, ``float_density``, of a posterior built from the array callable ``vag``."""
+    return PosteriorFn([f"x{i}" for i in range(dim)], vag).float_density
 
 
 def std_normal_posterior(dim):
@@ -306,8 +312,8 @@ def _demo():
     data = simulate_linear(SimConfig(alpha=2.5, beta=1.8, sigma=15.0, n=100, seed=42))
     model = (resources.files("plainbayes") / "resources" / "examples" / "manual_priors_model.json").read_text()
     pf = build_posterior(validate_model(parse_model_json(model), data.column_names()), data)
-    mode, root, metric = sampler._laplace(pf.unchecked_value_and_grad, 3)
-    return pf.unchecked_value_and_grad, metric, root, mode, 0.01, pf
+    mode, root, metric = sampler._laplace(pf.float_density, 3)
+    return pf.log_density_and_grad, metric, root, mode, 0.01, pf
 
 
 _TARGETS = {"gauss-1": lambda: _gaussian(1), "gauss-3": lambda: _gaussian(3), "gauss-10": lambda: _gaussian(10),
@@ -389,7 +395,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("target", ["gauss-3", "demo-3"])
     def test_rwm_steps_match_the_reference(self, target):
         vag, metric, factor, mean, scale, *rest = _TARGETS[target]()
-        value = rest[0].unchecked_value if rest else (lambda z: vag(z)[0])
+        value = rest[0].log_density if rest else (lambda z: vag(z)[0])
         dim = len(mean)
         density = PosteriorFn([f"x{i}" for i in range(dim)], vag, value).float_density
         rng = np.random.default_rng(8)
@@ -737,8 +743,9 @@ class TestStreamBlocks:
 
 
 class TestUncheckedCalls:
-    """The samplers call the callables a PosteriorFn was built with, without
-    ``_check`` on each call: their z is always float64 of shape (dim,)."""
+    """The samplers call a PosteriorFn's float entry, without ``_check`` on
+    each call; the array callables it was built from get z as float64 of
+    shape (dim,)."""
 
     @pytest.mark.parametrize("algorithm", ["nuts", "rwm"])
     def test_fit_never_checks(self, experiment_dataset, monkeypatch, algorithm):
@@ -782,13 +789,62 @@ class TestUncheckedCalls:
         cfg = SamplerConfig(algorithm=algorithm, chains=2, warmup_draws=200, kept_draws=100, seed=4)
         sampler.sample(pf, cfg, jobs=2)  # not fork-safe: in process, so the counts land here
         assert len(counted) == len(evaluated) > cfg.chains * (cfg.warmup_draws + cfg.kept_draws)
-        assert all(a is b for a, b in zip(counted, evaluated))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(counted, evaluated))
         assert all(z.dtype == np.float64 and z.shape == (2,) for z in evaluated)
         if algorithm == "rwm":  # the mode search's gradient calls, then per chain
             # one value call at the initial point and one per iteration
             search = []
-            sampler._laplace(lambda z: search.append(z) or vag(z), 2)
+            sampler._laplace(_floats(lambda z: search.append(z) or vag(z), 2), 2)
             assert len(counted) == len(search) + cfg.chains * (1 + cfg.warmup_draws + cfg.kept_draws)
+
+
+class TestOneDensity:
+    """A PosteriorFn holds one callable, ``float_density``: given, or built from array callables."""
+
+    MEAN, PRECISION = (1.5, -0.5), ((2.0, 0.6), (0.6, 1.0))
+
+    @classmethod
+    def _density(cls, a, b, with_grad=False):  # a correlated Gaussian in two floats
+        (m0, m1), ((p00, p01), (_, p11)) = cls.MEAN, cls.PRECISION
+        d0, d1 = a - m0, b - m1
+        g0, g1 = -(p00 * d0 + p01 * d1), -(p01 * d0 + p11 * d1)
+        logp = 0.5 * (d0 * g0 + d1 * g1)
+        return (logp, g0, g1) if with_grad else logp
+
+    @pytest.mark.parametrize("algorithm", ["nuts", "rwm"])
+    def test_float_density_alone_samples(self, algorithm):
+        pf = PosteriorFn(["a", "b"], float_density=self._density)
+        mode, _, (sigma, _, _) = sampler._laplace(pf.float_density, 2)
+        assert np.allclose(mode, self.MEAN) and np.allclose(sigma, np.linalg.inv(self.PRECISION))
+        trace = sampler.sample(pf, SamplerConfig(algorithm=algorithm, chains=2, warmup_draws=300, kept_draws=500, seed=6))
+        assert np.allclose(trace.draws.reshape(-1, 2).mean(axis=0), self.MEAN, atol=0.25)
+
+    def test_methods_return_the_float_function_values(self):
+        pf, z = PosteriorFn(["a", "b"], float_density=self._density), np.array([0.25, 2.0])
+        value, grad = pf.log_density_and_grad(z)
+        assert pf.log_density(z) == value == self._density(0.25, 2.0)
+        assert (value, *grad.tolist()) == self._density(0.25, 2.0, with_grad=True)
+        with pytest.raises(DimensionMismatch):
+            pf.log_density(np.zeros(3))
+
+    def test_array_entry_takes_with_grad_by_position_or_keyword(self):
+        density = PosteriorFn(["a"], lambda z: (-0.5 * float(z @ z), -z)).float_density
+        assert density(0.5, with_grad=True) == density(0.5, True) == (-0.125, -0.5)
+        assert density(0.5) == density(0.5, False) == density(0.5, with_grad=False) == -0.125
+
+    def test_value_only_has_no_gradient(self):
+        pf = PosteriorFn(["a"], log_density=lambda z: -0.5 * float(z @ z))
+        assert pf.float_density(0.5) == -0.125 and sampler._laplace(pf.float_density, 1) is None
+        with pytest.raises(SamplerError, match="no gradient"):
+            pf.float_density(0.5, with_grad=True)
+        with pytest.raises(SamplerError, match="no gradient"):
+            nuts_sample(pf, SamplerConfig(chains=1, warmup_draws=10, kept_draws=10))
+
+    @pytest.mark.parametrize("callables", [{}, {"log_density": lambda z: 0.0, "float_density": lambda z0: 0.0}],
+                             ids=["neither", "both"])
+    def test_one_representation(self, callables):
+        with pytest.raises(TypeError, match="one of the two"):
+            PosteriorFn(["a"], **callables)
 
 
 def _flat_in_one_coordinate(z):
@@ -819,7 +875,7 @@ class TestLaplaceStart:
             d = z - mean
             return -0.5 * float(d @ precision @ d), -(precision @ d)
 
-        mode, root, (sigma, _, low) = sampler._laplace(vag, 3)
+        mode, root, (sigma, _, low) = sampler._laplace(_floats(vag, 3), 3)
         assert np.allclose(mode, mean, rtol=0.0, atol=1e-6 * np.sqrt(np.diag(cov)).max())
         assert np.allclose(sigma, cov, rtol=1e-6, atol=1e-12)
         assert np.allclose(root @ root.T, sigma, rtol=1e-12) and np.allclose(low @ low.T, sigma, rtol=1e-12)
@@ -839,7 +895,9 @@ class TestLaplaceStart:
     def test_chains_start_from_the_search_or_jittered(self, monkeypatch, vag, dim, algorithm):
         # the start of chain c is made of the first normals of its own normal stream, so
         # the search drew nothing from it; with no mode it is _initial_point's jitter
-        laplace = sampler._laplace(vag, dim)
+        value = (lambda z: vag(z)[0]) if vag is not None else (lambda z: -0.5 * float(z[0]) ** 2)
+        pf = PosteriorFn([f"x{i}" for i in range(dim)], vag, value)
+        laplace = sampler._laplace(pf.float_density, dim)
         assert (laplace is None) == (vag is not _std_normal_vag)
         starts = {}
         initial_point = sampler._initial_point
@@ -850,8 +908,6 @@ class TestLaplaceStart:
             return z, out, metric
 
         monkeypatch.setattr(sampler, "_initial_point", recorded)
-        value = (lambda z: vag(z)[0]) if vag is not None else (lambda z: -0.5 * float(z[0]) ** 2)
-        pf = PosteriorFn([f"x{i}" for i in range(dim)], vag, value)
         cfg = SamplerConfig(algorithm=algorithm, chains=2, warmup_draws=20, kept_draws=10, seed=5)
         trace = sampler.sample(pf, cfg, jobs=1)
         assert trace.draws.shape == (2, 10, dim) and np.all(np.isfinite(trace.draws))
@@ -867,7 +923,7 @@ class TestLaplaceStart:
             _mode_beyond_reach(np.array([1e300]))  # the density warns where the search goes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert sampler._laplace(_mode_beyond_reach, 1) is None
+            assert sampler._laplace(_floats(_mode_beyond_reach, 1), 1) is None
 
     def test_seeds_do_not_share_chain_streams(self):
         # each (seed, chain) has a normal and a uniform stream of its own
@@ -890,7 +946,7 @@ class TestLaplaceStart:
             return lp, np.array([-(pa * (x + 2.0) + (1.0 - pa) * (x - 2.5)) / 0.16])
 
         pf = PosteriorFn(["x"], vag)
-        assert np.allclose(sampler._laplace(vag, 1)[0], -2.0)
+        assert np.allclose(sampler._laplace(pf.float_density, 1)[0], -2.0)
 
         rhats = [split_rhat(nuts_sample(pf, SamplerConfig(warmup_draws=500, kept_draws=500, seed=seed), jobs=1)
                             .chains_for("x")) for seed in range(8)]
@@ -930,7 +986,7 @@ class TestRwmChainsMix:
         bulk ESS is 623-734 over seeds 0-3, and below 250 on none of seeds
         0-47 (with each window shrunk toward its own variances alone, on 13 of
         48, a chain left under-scaled along alpha; 12-47 shrunk toward I)."""
-        monkeypatch.setattr(sampler, "_laplace", lambda vag, dim: None)
+        monkeypatch.setattr(sampler, "_laplace", lambda density, dim: None)
         pf = _elicited_posterior(experiment_dataset)
         for seed in range(4):
             trace = rwm_sample(pf, SamplerConfig(algorithm="rwm", warmup_draws=1000, kept_draws=2000, seed=seed))
@@ -967,7 +1023,7 @@ def _failing_posterior(make_exc, failing_chains, seed, dim=2):
     """A fork-safe standard normal that raises ``make_exc(c)`` at chain ``c``'s
     first initial point, mode + R ξ from its Laplace approximation and the
     first normals of its normal stream, for each ``c`` in ``failing_chains``."""
-    mode, root, _ = sampler._laplace(_std_normal_vag, dim)
+    mode, root, _ = sampler._laplace(_floats(_std_normal_vag, dim), dim)
     starts = {}
     for c in failing_chains:
         z = mode + sampler._product(root, make_rng(seed, c, sampler._NORMALS).standard_normal(dim))

@@ -241,6 +241,40 @@ class TestParseModelJson:
             parse_model_json(text)
 
 
+class TestIdentifierRule:
+    """A parameter name is an ASCII identifier, whole: a trailing newline, which a
+    ``$``-anchored pattern lets through, breaks the trace header."""
+
+    PRIOR = '{"distribution": "HalfNormal", "params": {"sigma": 1}}'
+
+    @pytest.mark.parametrize("name", ["a\n", "2bad", "my param", "b\u00e9ta", ""])
+    def test_model_json_prior_name(self, name):
+        text = json.dumps({"priors": {name: json.loads(self.PRIOR), "sigma": json.loads(self.PRIOR)},
+                           "likelihood": {"distribution": "Normal", "formula": "sigma"}})
+        with pytest.raises(MalformedJson, match="prior name .* is not a valid identifier"):
+            parse_model_json(text)
+
+    def test_model_json_noise_param(self):
+        text = json.dumps({"priors": {"s": json.loads(self.PRIOR)},
+                           "likelihood": {"distribution": "Normal", "formula": "s", "noise_param": "s\n"}})
+        with pytest.raises(MalformedJson, match="noise_param"):
+            parse_model_json(text)
+
+    def test_model_spec_in_code(self):
+        with pytest.raises(InvalidSpec, match=r"prior name 'unused\\n' is not a valid identifier"):
+            ModelSpec(priors={"sigma": HalfNormal(sigma=1.0), "unused\n": Normal(mu=0.0, sigma=1.0)},
+                      likelihood=LikelihoodSpec(formula_source="sigma"))
+
+    def test_likelihood_spec_in_code(self):
+        with pytest.raises(InvalidSpec, match=r"noise parameter name 'sigma\\n' is not a valid identifier"):
+            LikelihoodSpec(formula_source="a", noise_param="sigma\n")
+
+    @pytest.mark.parametrize("key", ["parameter", "name"])
+    def test_prior_json_name_key(self, key):
+        name, spec = parse_prior_json(json.dumps({key: "beta\n", **json.loads(self.PRIOR)}))
+        assert name is None and spec == HalfNormal(sigma=1.0)
+
+
 class TestValidateModel:
     def test_experiment_classification(self):
         spec = parse_model_json(EXPERIMENT_MODEL)
