@@ -10,10 +10,12 @@ Subcommands:
 * ``plot``           — trace CSV (optionally two) -> histogram CSV + SVG.
 * ``run``            — the full pipeline into one run directory.
 
-Every command writes a manifest describing its inputs (by content hash),
-configuration, and outputs, so a run can be reproduced exactly in replay
-mode.  Exit code is 0 iff no stage failed.  This module imports the standard
-library and ``errors`` alone: each command imports the modules it runs.
+``simulate``, ``fit`` and ``run`` write a manifest describing their inputs
+(by content hash), configuration, and outputs, so a run can be reproduced
+exactly in replay mode; ``elicit-prior`` and ``elicit-model`` write one only
+with ``--out``, and ``summarize`` and ``plot`` write none.  Exit code is 0
+iff no stage failed.  This module imports the standard library and
+``errors`` alone: each command imports the modules it runs.
 """
 
 from __future__ import annotations
@@ -309,13 +311,17 @@ def _cmd_run(args) -> int:
         {"sampler": asdict(scfg), "llm": _public_llm_config(llm_cfg), "hdi": args.hdi, "bins": args.bins},
     )
 
-    # --- inputs: read, parse, elicit and validate everything before writing anything
+    # --- inputs: read, parse, elicit and validate everything before writing anything;
+    # every check an input allows before eliciting comes before the first LLM call
     if args.data:
         dataset = data_io.load_csv(args.data)
         manifest.add_input(Path(args.data))
     else:
         dataset = data_io.simulate_linear(sim)
         manifest.payload["config"]["simulate"] = asdict(sim)
+    if args.compare_model:
+        compare_spec = spec_schema.parse_model_json(Path(args.compare_model).read_text(encoding="utf-8"))
+        compare = spec_schema.validate_model(compare_spec, dataset.column_names())
     if args.description_file:
         description = Path(args.description_file).read_text(encoding="utf-8")
         manifest.add_input(args.description_file)
@@ -324,6 +330,7 @@ def _cmd_run(args) -> int:
         beliefs = _load_beliefs(args.beliefs_file)
         manifest.add_input(args.beliefs_file)
         likelihood = spec_schema.LikelihoodSpec(formula_source=args.formula, noise_param=args.noise_param)
+        spec_schema.resolve_names(likelihood, beliefs, dataset.column_names())
         priors = {
             name: elicitation.elicit_prior(name, belief, llm_cfg)
             for name, belief in beliefs.items()
@@ -331,12 +338,10 @@ def _cmd_run(args) -> int:
         spec = spec_schema.ModelSpec(priors=priors, likelihood=likelihood)
     else:
         raise PlainbayesError("provide --description-file or --beliefs-file")
-    jobs = [("", spec)]
+    jobs = [("", spec_schema.validate_model(spec, dataset.column_names()))]
     if args.compare_model:
-        compare_spec = spec_schema.parse_model_json(Path(args.compare_model).read_text(encoding="utf-8"))
         manifest.add_input(args.compare_model)
-        jobs.append(("compare_", compare_spec))
-    jobs = [(prefix, spec_schema.validate_model(s, dataset.column_names())) for prefix, s in jobs]
+        jobs.append(("compare_", compare))
     posteriors = {i: build_posterior(model, dataset, response_column=args.response_column) for i, (_, model) in enumerate(jobs)}
 
     out_dir = Path(args.out_dir)

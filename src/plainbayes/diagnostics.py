@@ -87,27 +87,18 @@ def split_rhat(chains) -> float:
     return math.sqrt(((n - 1) / n * within + between / n) / within)
 
 
-def _average_ranks(arr: np.ndarray) -> np.ndarray:
-    """Average ranks of the pooled samples: 1-based, each tie group sharing
-    its mean rank (an exact half); any NaN makes all ranks NaN."""
+def _rank_normalize(arr: np.ndarray) -> np.ndarray:
+    """Map pooled samples to the normal quantiles of their average ranks: 1-based, each tie
+    group sharing its mean rank (an exact half), one quantile per distinct draw; any NaN makes
+    every quantile NaN."""
     flat = arr.reshape(-1)
     if np.isnan(flat).any():
         return np.full(arr.shape, math.nan)
-    order = np.argsort(flat, kind="stable")
-    sorted_values = flat[order]
-    starts = np.flatnonzero(np.r_[True, sorted_values[1:] != sorted_values[:-1]])
-    stops = np.r_[starts[1:], flat.size]
-    ranks = np.empty(flat.size)
-    ranks[order] = np.repeat(0.5 * (starts + 1 + stops), stops - starts)
-    return ranks.reshape(arr.shape)
-
-
-def _rank_normalize(arr: np.ndarray) -> np.ndarray:
-    """Map pooled samples to normal quantiles via average ranks (NaN stays NaN)."""
-    probabilities = (_average_ranks(arr) - 0.5) / arr.size
-    distinct, inverse = np.unique(probabilities.ravel(), return_inverse=True)  # tied draws share one
+    _, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
+    ranks = np.cumsum(counts) - 0.5 * (counts - 1)  # each distinct draw's, exact in halves
+    probabilities = (ranks - 0.5) / flat.size
     inv_cdf = NormalDist().inv_cdf  # Wichura's AS 241, accurate to about 1e-16
-    return np.array([inv_cdf(p) for p in distinct.tolist()])[inverse].reshape(arr.shape)
+    return np.array([inv_cdf(p) for p in probabilities.tolist()])[inverse].reshape(arr.shape)
 
 
 def _next_fast_len(target: int) -> int:
@@ -137,38 +128,32 @@ def _ess_core(arr: np.ndarray) -> float:
     """Multi-chain ESS with Geyer initial-monotone-positive truncation."""
     n_chains, n_draws = arr.shape
     acov = np.vstack([_autocovariance(arr[c]) for c in range(n_chains)])
-    chain_means = arr.mean(axis=1)
-    mean_var = float(np.mean(acov[:, 0])) * n_draws / (n_draws - 1.0)
+    # each lag's mean over the chains: a row of the transposed copy is summed pairwise, as
+    # np.mean(acov[:, k]) sums one column; acov.mean(axis=0) adds the rows one by one and,
+    # from 8 chains up, gives other bits
+    acov_mean = acov.T.copy().mean(axis=1)
+    mean_var = float(acov_mean[0]) * n_draws / (n_draws - 1.0)
     var_plus = mean_var * (n_draws - 1.0) / n_draws
     if n_chains > 1:
-        var_plus += float(np.var(chain_means, ddof=1))
+        var_plus += float(np.var(arr.mean(axis=1), ddof=1))
     if var_plus == 0.0:
         return math.nan
 
-    rho = np.zeros(n_draws)
+    rho = (1.0 - (mean_var - acov_mean) / var_plus).tolist()  # each lag's autocorrelation
     rho[0] = 1.0
-    rho_even = 1.0
-    rho_odd = 1.0 - (mean_var - float(np.mean(acov[:, 1]))) / var_plus
-    rho[1] = rho_odd
-    # initial positive pair sequence
-    t = 1
-    while t < n_draws - 2 and (rho_even + rho_odd) >= 0.0:
-        rho_even = 1.0 - (mean_var - float(np.mean(acov[:, t + 1]))) / var_plus
-        rho_odd = 1.0 - (mean_var - float(np.mean(acov[:, t + 2]))) / var_plus
-        rho[t + 1] = rho_even
-        if (rho_even + rho_odd) >= 0.0:
-            rho[t + 2] = rho_odd
-        t += 2
-    max_t = t
+    # initial positive pair sequence: pairs of lags (t - 1, t) up to max_t, the first with a
+    # negative sum (or the last lag); of a negative pair only the even lag stays
+    max_t = 1
+    while max_t < n_draws - 2 and rho[max_t - 1] + rho[max_t] >= 0.0:
+        max_t += 2
+    if rho[max_t - 1] + rho[max_t] < 0.0:
+        rho[max_t] = 0.0
     # enforce monotone decrease of the pair sums
-    t = 1
-    while t <= max_t - 2:
+    for t in range(1, max_t - 1, 2):
         if rho[t + 1] + rho[t + 2] > rho[t - 1] + rho[t]:
-            rho[t + 1] = (rho[t - 1] + rho[t]) / 2.0
-            rho[t + 2] = rho[t + 1]
-        t += 2
+            rho[t + 1] = rho[t + 2] = (rho[t - 1] + rho[t]) / 2.0
 
-    tau = -1.0 + 2.0 * float(np.sum(rho[:max_t])) + float(np.sum(rho[max_t + 1 : max_t + 2]))
+    tau = -1.0 + 2.0 * float(np.sum(rho[:max_t]))
     total = n_chains * n_draws
     return total / max(tau, 1.0 / math.log10(total))  # ess <= N log10 N (Vehtari et al. 2021)
 

@@ -217,32 +217,18 @@ def _welford(dim: int) -> Callable:
     return namespace["welford"]
 
 
-def _adaptation_windows(warmup: int, init_buffer: int = 75, term_buffer: int = 50, base: int = 25):
-    """(start, end] draw-index intervals for mass-matrix estimation windows."""
-    if warmup < init_buffer + term_buffer + base:
-        return []
-    last = warmup - term_buffer
-    windows = []
-    pos, width = init_buffer, base
-    while pos + width < last:
-        if pos + 3 * width > last:
-            windows.append((pos, last))
-            pos = last
-        else:
-            windows.append((pos, pos + width))
-            pos += width
-            width *= 2
-    if pos < last:
-        windows.append((pos, last))
-    return windows
-
-
 def _warmup_segments(warmup: int) -> list:
-    """``warmup`` iterations as runs ``(length, whether they are an adaptation window)``, in order."""
-    windows = _adaptation_windows(warmup)
-    if not windows:
+    """``warmup`` iterations as runs ``(length, whether they are an adaptation window)``, in
+    order: Stan's schedule of 75 iterations, windows of 25, 50, 100, ..., the last stretched to
+    end at ``warmup - 50`` once a window of 3 widths would pass that point, then 50; below 150
+    iterations, the whole warm-up is one run."""
+    if warmup < 150:
         return [(warmup, False)]
-    return [(windows[0][0], False), *((end - start, True) for start, end in windows), (warmup - windows[-1][1], False)]
+    segments, start, width, last = [(75, False)], 75, 25, warmup - 50
+    while start + 3 * width <= last:
+        segments.append((width, True))
+        start, width = start + width, 2 * width
+    return [*segments, (last - start, True), (50, False)]
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

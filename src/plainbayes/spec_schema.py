@@ -19,7 +19,7 @@ import math
 import re
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from . import formula
 from .distributions import FAMILIES, PriorDistribution
@@ -45,6 +45,7 @@ __all__ = [
     "sanitize_llm_text",
     "parse_prior_json",
     "parse_model_json",
+    "resolve_names",
     "validate_model",
     "prior_to_obj",
     "model_to_obj",
@@ -287,33 +288,39 @@ def parse_model_json(text: str) -> ModelSpec:
 # Validation against a dataset
 
 
-def validate_model(spec: ModelSpec, data_columns: Iterable[str]) -> ValidatedModel:
-    """Resolve formula variables and check the noise prior's support.
+def resolve_names(likelihood: LikelihoodSpec, priors: Collection[str], data_columns: Iterable[str]) -> tuple[str, ...]:
+    """The data columns that ``likelihood``'s formula reads, sorted.
 
-    Every free variable of the formula must name either a prior or a data
-    column, prior names must not shadow columns, and the noise parameter
-    must name a prior with strictly positive support.
+    Prior names (the keys of ``priors``) must not shadow columns, every free
+    variable of the formula must name either a prior or a data column, and
+    the noise parameter must name a prior.
     """
     columns = set(data_columns)
-    for name in spec.priors:
+    for name in priors:
         if name in columns:
             raise ShadowedColumn(name)
 
     formula_columns = []
-    for var in sorted(formula.free_vars(spec.likelihood.ast)):
+    for var in sorted(formula.free_vars(likelihood.ast)):
         if var in columns:
             formula_columns.append(var)
-        elif var not in spec.priors:
-            raise UnresolvedVariable(var, f"formula {spec.likelihood.formula_source!r}")
+        elif var not in priors:
+            raise UnresolvedVariable(var, f"formula {likelihood.formula_source!r}")
 
+    if likelihood.noise_param not in priors:
+        raise UnresolvedVariable(likelihood.noise_param, "the likelihood noise parameter must name a prior")
+    return tuple(formula_columns)
+
+
+def validate_model(spec: ModelSpec, data_columns: Iterable[str]) -> ValidatedModel:
+    """Resolve the formula's names (``resolve_names``), then check that the
+    noise parameter's prior has strictly positive support."""
+    columns = resolve_names(spec.likelihood, spec.priors, data_columns)
     noise = spec.likelihood.noise_param
-    if noise not in spec.priors:
-        raise UnresolvedVariable(noise, "the likelihood noise parameter must name a prior")
     noise_dist = type(spec.priors[noise]).__name__
     if noise_dist not in _NOISE_FAMILIES:
         raise NoiseNotPositiveSupport(noise, noise_dist, _NOISE_FAMILIES)
-
-    return ValidatedModel(spec=spec, columns=tuple(formula_columns))
+    return ValidatedModel(spec=spec, columns=columns)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,8 @@ from plainbayes.posterior import PosteriorFn, build_posterior
 from plainbayes.sampler import SamplerConfig
 from plainbayes.spec_schema import parse_model_json, validate_model
 
+from conftest import adaptation_windows
+
 TRANSITIONS = 100
 
 
@@ -136,14 +138,14 @@ def test_rwm_overhead(benchmark, phase):
 def test_window_estimator(benchmark):
     dim = 3
     states = [tuple(z) for z in np.random.default_rng(dim).standard_normal((RWM_STEPS, dim)).tolist()]
-    rows = [states[start:end] for start, end in sampler._adaptation_windows(RWM_STEPS)]
+    rows = [states[start:end] for start, end in adaptation_windows(RWM_STEPS)]
 
     benchmark.group = "RWM sampler overhead"
     windows = benchmark(lambda: [sampler._window_covariance(window, dim) for window in rows])
     us_per_iteration = benchmark.stats.stats.median / RWM_STEPS * 1e6
     benchmark.extra_info.update(us_per_iteration=us_per_iteration)
     print(f"\nwindow estimator, d = {dim}: {len(windows)} windows, {us_per_iteration:.2f} us per warm-up iteration")
-    assert len(windows) == len(sampler._adaptation_windows(RWM_STEPS))
+    assert len(windows) == len(adaptation_windows(RWM_STEPS))
 
 
 def demo():

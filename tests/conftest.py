@@ -60,6 +60,19 @@ def experiment_model(experiment_dataset):
     return validate_model(spec, experiment_dataset.column_names())
 
 
+def adaptation_windows(warmup: int) -> list[tuple[int, int]]:
+    """The warm-up iterations ``[start, end)`` of each adaptation window among
+    ``sampler._warmup_segments(warmup)``'s runs, in order."""
+    from plainbayes.sampler import _warmup_segments
+
+    windows, start = [], 0
+    for n, window in _warmup_segments(warmup):
+        if window:
+            windows.append((start, start + n))
+        start += n
+    return windows
+
+
 @pytest.fixture()
 def worker_pids(monkeypatch) -> list[int]:
     """Record, in the parent, the pid of each chain worker the sampler forks."""

@@ -30,6 +30,8 @@ from plainbayes.elicitation import (
 from plainbayes.errors import SamplerError, SummaryCellWarning
 from plainbayes.sampler import SamplerConfig, load_trace
 
+from conftest import EXPERIMENT_MODEL_JSON
+
 EXAMPLES = resources.files("plainbayes") / "resources" / "examples"
 
 
@@ -1043,6 +1045,50 @@ class TestRun:
         beliefs = EXAMPLES / "linear_regression_beliefs.json"
         assert self._llm_calls(tmp_path, monkeypatch, "live", "--beliefs-file", beliefs, *flags) == []
         assert capsys.readouterr().err == error
+
+    @pytest.mark.parametrize("path", ["--description-file", "--beliefs-file"])
+    @pytest.mark.parametrize("model, error", [
+        ("{", "run: MalformedJson: "),
+        (EXPERIMENT_MODEL_JSON.replace("beta * X", "beta * Z"),
+         "run: UnresolvedVariable: variable 'Z' is neither a prior parameter nor a data column: "
+         "formula 'alpha + beta * Z'\n"),
+    ], ids=["malformed", "unresolved"])
+    def test_compare_model_fails_before_any_llm_call(self, tmp_path, capsys, monkeypatch, path, model, error):
+        compare = tmp_path / "compare.json"
+        compare.write_text(model)
+        inputs = {"--description-file": EXAMPLES / "linear_regression_description.txt",
+                  "--beliefs-file": EXAMPLES / "linear_regression_beliefs.json"}
+        assert self._replayed_calls(tmp_path, monkeypatch, path, inputs[path], "--compare-model", compare) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(error) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--formula", "alpha + gamma * X"],
+         "UnresolvedVariable: variable 'gamma' is neither a prior parameter nor a data column: "
+         "formula 'alpha + gamma * X'"),
+        (["--data", "ALPHA_CSV"], "ShadowedColumn: prior name 'alpha' collides with a data column of the same name"),
+        (["--noise-param", "tau"],
+         "UnresolvedVariable: variable 'tau' is neither a prior parameter nor a data column: "
+         "the likelihood noise parameter must name a prior"),
+    ], ids=["formula", "shadowed-column", "noise-param"])
+    def test_belief_names_checked_before_any_llm_call(self, tmp_path, capsys, monkeypatch, flags, error):
+        data = tmp_path / "alpha.csv"
+        data.write_text("X,y,alpha\n0,1,2\n1,3,2\n2,4,2\n")
+        argv = [data if f == "ALPHA_CSV" else f for f in flags]
+        beliefs = EXAMPLES / "linear_regression_beliefs.json"
+        assert self._replayed_calls(tmp_path, monkeypatch, "--beliefs-file", beliefs, *argv) == 0
+        assert capsys.readouterr().err == f"run: {error}\n"
+
+    @staticmethod
+    def _replayed_calls(tmp_path, monkeypatch, *argv) -> int:
+        """How many LLM calls ``run`` makes on ``argv`` in replay mode, each answered from the
+        packaged fixtures, asserting that it fails and writes nothing."""
+        from plainbayes import elicitation
+        calls, replay = [], elicitation.call_llm
+        monkeypatch.setattr(elicitation, "call_llm", lambda prompt, cfg: calls.append(prompt) or replay(prompt, cfg))
+        assert run_cli("run", *argv, "--chains", 1, "--out-dir", tmp_path / "r") == 1
+        assert not (tmp_path / "r").exists()
+        return len(calls)
 
     @staticmethod
     def _llm_calls(tmp_path, monkeypatch, mode, *argv) -> list:

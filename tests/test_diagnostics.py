@@ -15,10 +15,12 @@ from scipy.stats import rankdata
 
 from plainbayes.data_io import make_rng
 from plainbayes.diagnostics import (
-    _average_ranks,
+    _autocovariance,
+    _ess_core,
     _next_fast_len,
     _quantile,
     _rank_normalize,
+    _split_chains,
     ess_bulk,
     hdi,
     mode_estimate,
@@ -41,6 +43,41 @@ def ar1_chains(rng, n_chains, n_draws, phi):
             x = phi * x + scale * rng.standard_normal()
             out[c, t] = x
     return out
+
+
+def _quantiles_of_rankdata(arr):
+    """Each draw's own normal quantile of its rankdata average rank."""
+    probabilities = (rankdata(arr, method="average") - 0.5) / arr.size
+    return np.array([NormalDist().inv_cdf(p) for p in probabilities.ravel().tolist()]).reshape(arr.shape)
+
+
+def _reference_ess_core(arr):
+    """``_ess_core`` as a loop over the lags, each lag's autocovariance averaged over the chains
+    by its own ``np.mean`` of one column."""
+    n_chains, n_draws = arr.shape
+    acov = np.vstack([_autocovariance(arr[c]) for c in range(n_chains)])
+    mean_var = float(np.mean(acov[:, 0])) * n_draws / (n_draws - 1.0)
+    var_plus = mean_var * (n_draws - 1.0) / n_draws + float(np.var(arr.mean(axis=1), ddof=1))
+    rho = np.zeros(n_draws)
+    rho[0] = rho_even = 1.0
+    rho[1] = rho_odd = 1.0 - (mean_var - float(np.mean(acov[:, 1]))) / var_plus
+    t = 1
+    while t < n_draws - 2 and (rho_even + rho_odd) >= 0.0:
+        rho_even = 1.0 - (mean_var - float(np.mean(acov[:, t + 1]))) / var_plus
+        rho_odd = 1.0 - (mean_var - float(np.mean(acov[:, t + 2]))) / var_plus
+        rho[t + 1] = rho_even
+        if (rho_even + rho_odd) >= 0.0:
+            rho[t + 2] = rho_odd
+        t += 2
+    max_t = t
+    t = 1
+    while t <= max_t - 2:
+        if rho[t + 1] + rho[t + 2] > rho[t - 1] + rho[t]:
+            rho[t + 1] = rho[t + 2] = (rho[t - 1] + rho[t]) / 2.0
+        t += 2
+    tau = -1.0 + 2.0 * float(np.sum(rho[:max_t])) + float(np.sum(rho[max_t + 1 : max_t + 2]))
+    total = n_chains * n_draws
+    return total / max(tau, 1.0 / math.log10(total))
 
 
 class TestSplitRhat:
@@ -117,18 +154,18 @@ class TestEssBulk:
 
 
 class TestScipyReplacements:
-    def test_average_ranks_match_rankdata_on_ties(self):
+    def test_rank_normalize_matches_rankdata_on_ties(self):
         # rejected RWM proposals repeat draws, so tied values are the common case
         rng = make_rng(5)
         for _ in range(200):
             shape = (int(rng.integers(1, 6)), int(rng.integers(1, 200)))
             arr = rng.integers(0, int(rng.integers(1, 20)), size=shape).astype(float)
-            expected = rankdata(arr, method="average").reshape(shape)
-            assert _average_ranks(arr).tobytes() == expected.tobytes()
+            assert _rank_normalize(arr).tobytes() == _quantiles_of_rankdata(arr).tobytes()
 
-    def test_average_ranks_propagate_nan(self):
+    def test_rank_normalize_propagates_nan(self):
         arr = np.array([[1.0, math.nan], [2.0, 2.0]])
-        assert np.all(np.isnan(_average_ranks(arr)))
+        ranked = _rank_normalize(arr)
+        assert ranked.shape == arr.shape and np.all(np.isnan(ranked))
         assert np.all(np.isnan(rankdata(arr, method="average")))
 
     def test_next_fast_len_matches_scipy(self):
@@ -149,9 +186,16 @@ class TestScipyReplacements:
         # each distinct probability's quantile, computed once, is what each draw's own call gives
         rng = make_rng(9)
         arr = _with_repeats(rng, 12_000).reshape(4, -1) if tied else rng.standard_normal((4, 3000))
-        probabilities = (_average_ranks(arr) - 0.5) / arr.size
-        expected = np.array([NormalDist().inv_cdf(p) for p in probabilities.ravel().tolist()]).reshape(arr.shape)
-        assert _rank_normalize(arr).tobytes() == expected.tobytes()
+        assert _rank_normalize(arr).tobytes() == _quantiles_of_rankdata(arr).tobytes()
+
+    @pytest.mark.parametrize("n_chains", [4, 8])
+    @pytest.mark.parametrize("phi", [0.0, 0.6, -0.4])
+    def test_ess_core_sums_each_lag_over_the_chains_pairwise(self, n_chains, phi):
+        # 8 and 16 split chains: from 8 rows up, acov.mean(axis=0) adds the rows one by one,
+        # while the reference's np.mean of one column sums pairwise
+        for seed in range(5):
+            arr = _rank_normalize(_split_chains(ar1_chains(make_rng(seed), n_chains, 400, phi)))
+            assert _ess_core(arr) == _reference_ess_core(arr)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(10, 10_000), seed=st.integers(0, 2**32 - 1), distinct=st.sampled_from([None, 1, 2, 3, 7, 50]),

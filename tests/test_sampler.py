@@ -29,7 +29,7 @@ from plainbayes.posterior import PosteriorFn, build_posterior
 from plainbayes.sampler import (
     SamplerConfig,
     Trace,
-    _adaptation_windows,
+    _warmup_segments,
     load_trace,
     nuts_sample,
     rwm_sample,
@@ -39,7 +39,7 @@ from plainbayes.sampler import (
 from plainbayes.diagnostics import ess_bulk, split_rhat
 from plainbayes.spec_schema import parse_model_json, validate_model
 
-from conftest import EXPERIMENT_MODEL_JSON
+from conftest import EXPERIMENT_MODEL_JSON, adaptation_windows
 
 
 def _std_normal_vag(z):
@@ -93,20 +93,32 @@ class TestConfig:
 
 class TestAdaptationWindows:
     def test_standard_schedule(self):
-        assert _adaptation_windows(1000) == [(75, 100), (100, 150), (150, 250), (250, 450), (450, 950)]
+        assert _warmup_segments(1000) == [
+            (75, False), (25, True), (50, True), (100, True), (200, True), (500, True), (50, False)]
+        assert adaptation_windows(1000) == [(75, 100), (100, 150), (150, 250), (250, 450), (450, 950)]
 
     def test_too_short_for_windows(self):
-        assert _adaptation_windows(100) == []
+        assert _warmup_segments(100) == [(100, False)]
+        assert _warmup_segments(149) == [(149, False)] and _warmup_segments(0) == [(0, False)]
+        assert _warmup_segments(150) == [(75, False), (25, True), (50, False)]
+
+    def test_runs_sum_to_the_warmup(self):
+        for warmup in range(3001):
+            assert sum(n for n, _ in _warmup_segments(warmup)) == warmup
 
     def test_windows_cover_middle_exactly_once(self):
-        for warmup in (150, 400, 777, 1000, 3000):
-            windows = _adaptation_windows(warmup)
-            if not windows:
-                continue
+        # widths 25, 50, 100, ...; the last stretched to warmup - 50, to less than 3 of its width
+        for warmup in (150, 174, 175, 400, 777, 1000, 3000, 50_000):
+            windows = adaptation_windows(warmup)
             assert windows[0][0] == 75
             assert windows[-1][1] == warmup - 50
             for (a, b), (c, d) in zip(windows, windows[1:]):
                 assert b == c and a < b
+            width = 25
+            for a, b in windows[:-1]:
+                assert b - a == width
+                width *= 2
+            assert width <= windows[-1][1] - windows[-1][0] < 3 * width
 
 
 _STD_NORMAL_CFG = SamplerConfig(chains=4, warmup_draws=1000, kept_draws=1000, seed=7)
@@ -664,7 +676,7 @@ class TestWindowedVariance:
     @pytest.mark.parametrize("warmup, dim", [(150, 1), (1000, 3), (5000, 4)])
     def test_matrix_matches_numpy_cov(self, warmup, dim):
         # each window's np.cov and its shrinkage weight n / (n + 5)
-        draws, windows = _windowed_draws(warmup, dim), sampler._adaptation_windows(warmup)
+        draws, windows = _windowed_draws(warmup, dim), adaptation_windows(warmup)
         assert len(windows) > 0
         for start, end in windows:
             window, n = draws[start:end], end - start
@@ -682,7 +694,7 @@ class _ReferenceWindowedCovariance:
     recurrences on Python floats, run at every warm-up iteration."""
 
     def __init__(self, warmup, dim):
-        self.windows, self.dim = sampler._adaptation_windows(warmup), dim
+        self.windows, self.dim = adaptation_windows(warmup), dim
 
     def observe(self, m, z):
         if not self.windows:
@@ -716,8 +728,8 @@ class TestGeneratedWindowPass:
         draws = _windowed_draws(2000, dim) * scale
         want = _ReferenceWindowedCovariance(2000, dim)
         closed = [(m, window) for m, z in enumerate(draws) if (window := want.observe(m, z)) is not None]
-        assert [m + 1 for m, _ in closed] == [end for _, end in sampler._adaptation_windows(2000)] and len(closed) == 6
-        for (start, end), (_, (ref_cov, ref_w)) in zip(sampler._adaptation_windows(2000), closed):
+        assert [m + 1 for m, _ in closed] == [end for _, end in adaptation_windows(2000)] and len(closed) == 6
+        for (start, end), (_, (ref_cov, ref_w)) in zip(adaptation_windows(2000), closed):
             _, cov, w = sampler._window_covariance([tuple(z) for z in draws[start:end].tolist()], dim)
             assert cov.tobytes() == ref_cov.tobytes() and w == ref_w
 
