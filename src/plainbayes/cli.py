@@ -14,14 +14,13 @@ Subcommands:
 (by content hash), configuration, and outputs, so a run can be reproduced
 exactly in replay mode; ``elicit-prior`` and ``elicit-model`` write one only
 with ``--out``, and ``summarize`` and ``plot`` write none.  Exit code is 0
-iff no stage failed.  This module imports the standard library and
-``errors`` alone: each command imports the modules it runs.
+iff no stage failed.  ``flags`` parses the command line and then loads this
+module, which imports the standard library, ``errors`` and ``flags`` alone:
+each command imports the modules it runs.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import sys
 import time
@@ -32,6 +31,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ElicitationFailed, PlainbayesError
+from .flags import build_parser, main
 
 if TYPE_CHECKING:
     from . import diagnostics, elicitation, posterior, sampler
@@ -44,6 +44,7 @@ __all__ = ["main", "build_parser"]
 
 
 def _sha256_file(path: Path) -> str:
+    import hashlib  # OpenSSL: only the commands that write a manifest load it
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -87,7 +88,7 @@ def _write_text(path, text: str, manifest: _Manifest | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Shared flag groups
+# Commands
 
 
 def _config(cls, args, **fallbacks):
@@ -98,53 +99,10 @@ def _config(cls, args, **fallbacks):
     return cls(**{**fallbacks, **given})
 
 
-def _add_llm_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("llm", argument_default=argparse.SUPPRESS)
-    g.add_argument("--llm-mode", dest="mode", choices=("live", "replay", "record"))
-    g.add_argument("--fixtures-dir", help="fixture directory (default: packaged fixtures)")
-    g.add_argument("--endpoint-url")
-    g.add_argument("--model-name")
-    g.add_argument("--api-key-env")
-    g.add_argument("--temperature", type=float)
-    g.add_argument("--timeout", type=float)
-    g.add_argument("--max-retries", type=int)
-
-
 def _llm_config(args) -> elicitation.LlmConfig:
     from . import elicitation
     live = getattr(args, "mode", elicitation.LlmConfig.mode) == "live"
     return _config(elicitation.LlmConfig, args, fixtures_dir=None if live else elicitation.packaged_fixtures_dir())
-
-
-def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("sampler", argument_default=argparse.SUPPRESS)
-    g.add_argument("--algorithm", choices=("nuts", "rwm"))
-    g.add_argument("--chains", type=int)
-    g.add_argument("--warmup", dest="warmup_draws", metavar="WARMUP", type=int)
-    g.add_argument("--draws", dest="kept_draws", metavar="DRAWS", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--target-accept", type=float)
-    g.add_argument("--max-tree-depth", type=int)
-    g.add_argument("--step-size-init", type=float)
-    g.add_argument("--response-column", default="y")
-    g.add_argument("--jobs", type=int, default=None,
-                   help="most processes sampling at once (default: one per usable CPU, at most one per chain); "
-                        "run gives each fit its own process and an equal share, at least 1, for its chains; "
-                        "1 runs everything in process. Outputs do not depend on it")
-
-
-def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("simulate", argument_default=argparse.SUPPRESS)
-    g.add_argument("--alpha", type=float, default=2.5)
-    g.add_argument("--beta", type=float, default=1.8)
-    g.add_argument("--sigma", type=float, default=15.0)
-    g.add_argument("--n", type=int, default=100)
-    g.add_argument("--x-low", type=float)
-    g.add_argument("--x-high", type=float)
-
-
-# ---------------------------------------------------------------------------
-# Commands
 
 
 def _cmd_simulate(args) -> int:
@@ -394,85 +352,12 @@ def _cmd_run(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="plainbayes",
-        description="Turn plain-language model descriptions into Bayesian inferences.",
-    )
-    parser.add_argument("--version", action="version", version=f"plainbayes {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a synthetic linear dataset")
-    _add_sim_flags(p)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("elicit-prior", help="turn one belief into a prior JSON")
-    p.add_argument("--param", required=True)
-    p.add_argument("--belief", default=None)
-    p.add_argument("--belief-file", default=None)
-    p.add_argument("--out", default=None)
-    _add_llm_flags(p)
-    p.set_defaults(func=_cmd_elicit_prior)
-
-    p = sub.add_parser("elicit-model", help="turn a problem description into a model JSON")
-    p.add_argument("--description-file", required=True)
-    p.add_argument("--out", default=None)
-    _add_llm_flags(p)
-    p.set_defaults(func=_cmd_elicit_model)
-
-    p = sub.add_parser("fit", help="run MCMC on a model JSON + dataset CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out-dir", required=True)
-    _add_sampler_flags(p)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("summarize", help="summary statistics for a trace CSV")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--stats", default=None)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--hdi", type=float, default=0.94)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_summarize)
-
-    p = sub.add_parser("plot", help="histograms (CSV + SVG) for a trace")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--compare", default=None)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--label", default="trace")
-    p.add_argument("--compare-label", default="compare")
-    p.set_defaults(func=_cmd_plot)
-
-    p = sub.add_parser("run", help="full pipeline: elicit, fit, summarize, plot")
-    p.add_argument("--description-file", default=None)
-    p.add_argument("--beliefs-file", default=None)
-    p.add_argument("--formula", default="alpha + beta * X",
-                   help="likelihood mean used with --beliefs-file")
-    p.add_argument("--noise-param", default="sigma")
-    p.add_argument("--compare-model", default=None, help="model JSON to fit alongside for comparison")
-    p.add_argument("--data", default=None)
-    _add_sim_flags(p)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--hdi", type=float, default=0.94)
-    p.add_argument("--bins", type=int, default=50)
-    _add_llm_flags(p)
-    _add_sampler_flags(p)
-    p.set_defaults(func=_cmd_run)
-
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def run_command(args) -> int:
+    """Run the command ``args.command`` names; an error it raises is one stderr line and exit 1."""
+    command = {"simulate": _cmd_simulate, "elicit-prior": _cmd_elicit_prior, "elicit-model": _cmd_elicit_model,
+               "fit": _cmd_fit, "summarize": _cmd_summarize, "plot": _cmd_plot, "run": _cmd_run}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ElicitationFailed as exc:
         print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         if exc.last_response:

@@ -90,9 +90,13 @@ class SimConfig:
 def simulate_linear(cfg: SimConfig) -> Dataset:
     """Draw X ~ Uniform(x_low, x_high) and y = alpha + beta*X + Normal(0, sigma)."""
     rng = make_rng(cfg.seed)
-    x = cfg.x_low + (cfg.x_high - cfg.x_low) * rng.random(cfg.n)
-    noise = cfg.sigma * rng.standard_normal(cfg.n)
-    y = cfg.alpha + cfg.beta * x + noise
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # Dataset rejects a non-finite column
+            x = cfg.x_low + (cfg.x_high - cfg.x_low) * rng.random(cfg.n)
+            noise = cfg.sigma * rng.standard_normal(cfg.n)
+            y = cfg.alpha + cfg.beta * x + noise
+    except ValueError:  # numpy refuses an array of n doubles before allocating it
+        raise DataError(f"n = {cfg.n} rows is more than an array can hold") from None
     return Dataset({"X": x, "y": y})
 
 

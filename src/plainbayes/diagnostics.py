@@ -141,19 +141,19 @@ def _ess_core(arr: np.ndarray) -> float:
 
     rho = (1.0 - (mean_var - acov_mean) / var_plus).tolist()  # each lag's autocorrelation
     rho[0] = 1.0
-    # initial positive pair sequence: pairs of lags (t - 1, t) up to max_t, the first with a
-    # negative sum (or the last lag); of a negative pair only the even lag stays
+    # initial positive pair sequence (as Stan and ArviZ): the pairs of lags (t - 1, t) up to
+    # max_t, before the first pair with a negative sum, whose even lag counts once if positive
     max_t = 1
-    while max_t < n_draws - 2 and rho[max_t - 1] + rho[max_t] >= 0.0:
+    while max_t + 2 < n_draws and rho[max_t + 1] + rho[max_t + 2] >= 0.0:
         max_t += 2
-    if rho[max_t - 1] + rho[max_t] < 0.0:
-        rho[max_t] = 0.0
-    # enforce monotone decrease of the pair sums
+    # enforce monotone decrease of the kept pair sums
     for t in range(1, max_t - 1, 2):
         if rho[t + 1] + rho[t + 2] > rho[t - 1] + rho[t]:
             rho[t + 1] = rho[t + 2] = (rho[t - 1] + rho[t]) / 2.0
 
-    tau = -1.0 + 2.0 * float(np.sum(rho[:max_t]))
+    tau = -1.0 + 2.0 * float(np.sum(rho[: max_t + 1]))
+    if max_t + 2 < n_draws and rho[max_t + 1] > 0.0:  # a negative pair ended the sequence
+        tau += rho[max_t + 1]
     total = n_chains * n_draws
     return total / max(tau, 1.0 / math.log10(total))  # ess <= N log10 N (Vehtari et al. 2021)
 

@@ -103,10 +103,15 @@ def _finite_draws(trace: Trace, name: str) -> np.ndarray:
     return values
 
 
+MAX_BINS = 1_000_000  # each bin is a CSV row and an SVG bar per series
+
+
 def check_bins(bins: int) -> None:
-    """Raise unless a histogram can have ``bins`` bins."""
+    """Raise unless a histogram can have ``bins`` bins: 1 to ``MAX_BINS``."""
     if bins < 1:
         raise PlainbayesError(f"bins must be >= 1, got {bins}")
+    if bins > MAX_BINS:
+        raise PlainbayesError(f"bins must be <= {MAX_BINS}, got {bins}")
 
 
 def plot_trace(

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import plainbayes
-from plainbayes import cli, posterior, sampler
+from plainbayes import cli, plotting, posterior, sampler
 from plainbayes.cli import main
 from plainbayes.data_io import SimConfig, load_csv
 from plainbayes.elicitation import (
@@ -44,6 +44,14 @@ def data_csv(tmp_path):
     out = tmp_path / "data.csv"
     assert run_cli("simulate", "--n", 40, "--seed", 42, "--out", out) == 0
     return out
+
+
+@pytest.fixture()
+def small_trace(tmp_path):
+    """A trace CSV of one parameter, 2 chains x 25 draws, written without sampling."""
+    trace = tmp_path / "t.csv"
+    trace.write_text("chain,draw,a\n" + "".join(f"{c},{d},{0.01 * d + c}\n" for c in range(2) for d in range(25)))
+    return trace
 
 
 @pytest.fixture()
@@ -95,6 +103,26 @@ class TestSimulate:
         assert x.min() >= 0.0 and x.max() <= 100.0 and x.max() > 90.0
         manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
         assert (manifest["config"]["x_low"], manifest["config"]["x_high"]) == (SimConfig.x_low, SimConfig.x_high)
+
+    @pytest.mark.parametrize("n", [2**62, 2**63 - 1])  # numpy refuses both before it allocates
+    def test_more_rows_than_an_array_holds_fail_in_one_line(self, tmp_path, capsys, n):
+        assert run_cli("simulate", "--n", n, "--out", tmp_path / "d.csv") == 1
+        assert capsys.readouterr().err == f"simulate: DataError: n = {n} rows is more than an array can hold\n"
+        args = ["--description-file", EXAMPLES / "linear_regression_description.txt", "--n", n]
+        assert run_cli("run", *args, "--out-dir", tmp_path / "run") == 1
+        assert capsys.readouterr().err == f"run: DataError: n = {n} rows is more than an array can hold\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [["--sigma", "1e308"], ["--alpha", "1e308", "--beta", "1e308"]],
+                             ids=["sigma", "alpha-beta"])
+    def test_overflow_is_one_error_line_and_no_warning(self, tmp_path, flags):
+        env = {**os.environ, "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
+        for command, out in (("simulate", ["--out", tmp_path / "d.csv"]), ("run", ["--out-dir", tmp_path / "run"])):
+            args = ["--description-file", EXAMPLES / "linear_regression_description.txt"] if command == "run" else []
+            proc = subprocess.run([sys.executable, "-m", "plainbayes", command, *args, *flags, *out],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stderr) == (1, f"{command}: DataError: column 'y' contains non-finite entries\n")
+        assert not any(tmp_path.iterdir())
 
 
 class TestSeedBeyondPhiloxKeys:
@@ -623,15 +651,17 @@ class TestReportsLocked:
     Python 3.11.7, numpy 2.4.6, OpenBLAS single-threaded) with them, when
     the samplers' float core and streams moved the draws of both fits.  5 000
     pooled draws per fit make the mode's kernel sum span two chunks of 4 096.
+    The summaries' were recorded again, the histograms' kept, when bulk ESS
+    took Stan's truncation of the autocorrelations.
     """
 
     HASHES = {
         "summary.txt": "4a57c6b66d533a4d80a362358ff8e563dfd38e9c72427daf7a5f7ae54b836eb6",
-        "summary.json": "d564d1a6d89ee995b52172ae7faab685c4e3a655438e05583a5f98712129f7a7",
-        "summary.csv": "4dc2af500b11f7bb75a5436e176ee59c98ba42bd0266bcf1292994bcefcfd7e7",
-        "compare_summary.txt": "d73153ac9040c7ad56fe9224b60cb1d2954cb071e4ae925a357e4e174586a0f4",
-        "compare_summary.json": "b35caa5430a8fbd804bf8193654e17d54100d17bc7a2babf1770b56c79c7fbf0",
-        "compare_summary.csv": "2e3ae41c316c870d2a72da7c37ce08ab18878b7aeb0ef48f14ce23b7cb675ecd",
+        "summary.json": "0ec8307cffa7a1c8107c07d5fd3f426cc763d4c88accb75da1d578d342945016",
+        "summary.csv": "c29ee3db709a58814cc44727efcf8a658d350df8c5ef9bdc35bf95abbb7de09e",
+        "compare_summary.txt": "bb1d998a6e8d5263d8ca0309f5a6f74a98e6cb43413dac7c27d919e04dd1e7b7",
+        "compare_summary.json": "88c7c3dcda4d8d36dcc90316376b1768fce65802d7d07de277815938a16b0cea",
+        "compare_summary.csv": "c4be8906b1b01466380468d72c00fb6745a4726ca9bc6e20b4f3e98f418a1acf",
         "plots/hist_alpha.csv": "f0bfb139cc98b231e6c995869f401482c6a1f86b2ebef1668f48deb0cf10d327",
         "plots/hist_alpha.svg": "1112e53f0e32487cb032d3b151aae80102ff4293c35aa8976d2b552d0ac7f7fa",
         "plots/hist_beta.csv": "141d9780fe9afb6bd59b7a430fb75dcde0ec9ae090a76503f4899509637a188f",
@@ -1220,7 +1250,24 @@ with open(sys.argv[1], "w") as fh:
 sys.exit(code)
 """
 
+# Runs ``python -m plainbayes`` on argv[2:] through runpy, as the interpreter does, and writes
+# the names of the modules loaded by its end to the file argv[1].
+_MODULES_ENTRY = """
+import runpy
+import sys
+
+out, sys.argv = sys.argv[1], ["plainbayes", *sys.argv[2:]]
+try:
+    runpy.run_module("plainbayes", run_name="__main__", alter_sys=True)
+except SystemExit as exc:  # __main__ always exits
+    code = exc.code
+with open(out, "w") as fh:
+    fh.write("\\n".join(sys.modules))
+sys.exit(code)
+"""
+
 _MODEL_COMPILER = {f"plainbayes.{m}" for m in ("posterior", "formula", "spec_schema", "distributions", "elicitation")}
+_PARSE_ONLY = {"plainbayes.cli", "plainbayes.errors", "hashlib", "json", "dataclasses", "numpy"}
 
 
 class TestImportFence:
@@ -1238,12 +1285,10 @@ class TestImportFence:
         ],
         ids=["version", "help", "bad-flag", "summarize", "plot", "fit"],
     )
-    def test_a_command_loads_only_what_it_runs(self, tmp_path, data_csv, command, code, unloaded):
-        trace = tmp_path / "t.csv"
-        trace.write_text("chain,draw,a\n" + "".join(f"{c},{d},{0.01 * d + c}\n" for c in range(2) for d in range(25)))
+    def test_a_command_loads_only_what_it_runs(self, tmp_path, data_csv, small_trace, command, code, unloaded):
         argv = {
-            "summarize": ["summarize", "--trace", trace],
-            "plot": ["plot", "--trace", trace, "--out-dir", tmp_path / "p"],
+            "summarize": ["summarize", "--trace", small_trace],
+            "plot": ["plot", "--trace", small_trace, "--out-dir", tmp_path / "p"],
             "fit": ["fit", "--model", EXAMPLES / "manual_priors_model.json", "--data", data_csv, "--chains", 1,
                     "--warmup", 20, "--draws", 10, "--jobs", 1, "--out-dir", tmp_path / "fit"],
         }.get(command, command.split())
@@ -1254,6 +1299,32 @@ class TestImportFence:
         assert proc.returncode == code, proc.stderr
         loaded = set(modules.read_text().split())
         assert "plainbayes.cli" in loaded and not loaded & unloaded
+
+    @pytest.mark.parametrize(
+        "command, code, unloaded",
+        [
+            ("--version", 0, _PARSE_ONLY),
+            ("--help", 0, _PARSE_ONLY),
+            ("fit --bogus", 2, _PARSE_ONLY),
+            ("summarize", 0, {"hashlib"}),  # no manifest: no OpenSSL
+            ("plot", 0, {"hashlib"}),
+        ],
+        ids=["version", "help", "bad-flag", "summarize", "plot"],
+    )
+    def test_module_entry_parses_before_loading_cli(self, tmp_path, small_trace, command, code, unloaded):
+        argv = {
+            "summarize": ["summarize", "--trace", small_trace],
+            "plot": ["plot", "--trace", small_trace, "--out-dir", tmp_path / "p"],
+        }.get(command, command.split())
+        env = {**os.environ, "PYTHONPATH": str(Path(plainbayes.__file__).parents[1])}
+        bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                              env=env, capture_output=True, text=True, check=True).stdout.split()
+        modules = tmp_path / "modules"
+        proc = subprocess.run([sys.executable, "-c", _MODULES_ENTRY, str(modules), *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        loaded = set(modules.read_text().split()) - set(bare)
+        assert not loaded & unloaded
 
     def test_package_names_resolve_on_first_use(self):
         exported = {
@@ -1301,9 +1372,18 @@ class TestFlagValidation:
         assert code != 0
         assert "bins" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bins", [2**62, 2**63 - 1])  # numpy refused both with a traceback
+    def test_more_bins_than_an_array_holds_fail_in_one_line(self, tmp_path, small_trace, capsys, bins):
+        code = run_cli("plot", "--trace", small_trace, "--out-dir", tmp_path / "p", "--bins", bins)
+        assert code == 1
+        assert capsys.readouterr().err == f"plot: PlainbayesError: bins must be <= {plotting.MAX_BINS}, got {bins}\n"
+        assert not (tmp_path / "p").exists()
+        plotting.check_bins(plotting.MAX_BINS)
+
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--hdi", 1.5, "hdi prob must be in (0, 1), got 1.5"), ("--bins", 0, "bins must be >= 1, got 0")],
+        [("--hdi", 1.5, "hdi prob must be in (0, 1), got 1.5"), ("--bins", 0, "bins must be >= 1, got 0"),
+         ("--bins", 2**62, f"bins must be <= 1000000, got {2**62}")],
     )
     def test_run_rejects_report_flags_before_any_work(self, tmp_path, capsys, flag, value, message):
         out_dir = tmp_path / "run"

@@ -52,30 +52,36 @@ def _quantiles_of_rankdata(arr):
 
 
 def _reference_ess_core(arr):
-    """``_ess_core`` as a loop over the lags, each lag's autocovariance averaged over the chains
-    by its own ``np.mean`` of one column."""
+    """``_ess_core`` as Stan's ``compute_effective_sample_size`` and ArviZ's ``_ess`` truncate
+    (Vehtari et al. 2021), over every complete pair of lags: Geyer's initial positive sequence
+    keeps the pairs before the first one with a negative sum, the monotone pass runs over the
+    kept pairs, and that negative pair's even lag counts once, if positive.  Each lag's
+    autocovariance is averaged over the chains by its own ``np.mean`` of one column."""
     n_chains, n_draws = arr.shape
     acov = np.vstack([_autocovariance(arr[c]) for c in range(n_chains)])
     mean_var = float(np.mean(acov[:, 0])) * n_draws / (n_draws - 1.0)
     var_plus = mean_var * (n_draws - 1.0) / n_draws + float(np.var(arr.mean(axis=1), ddof=1))
     rho = np.zeros(n_draws)
-    rho[0] = rho_even = 1.0
-    rho[1] = rho_odd = 1.0 - (mean_var - float(np.mean(acov[:, 1]))) / var_plus
+    rho[0] = 1.0
+    rho[1] = 1.0 - (mean_var - float(np.mean(acov[:, 1]))) / var_plus
+    rho_even = rho_odd = 0.0
     t = 1
-    while t < n_draws - 2 and (rho_even + rho_odd) >= 0.0:
+    while t < n_draws - 2:
         rho_even = 1.0 - (mean_var - float(np.mean(acov[:, t + 1]))) / var_plus
         rho_odd = 1.0 - (mean_var - float(np.mean(acov[:, t + 2]))) / var_plus
+        if (rho_even + rho_odd) < 0.0:
+            break
         rho[t + 1] = rho_even
-        if (rho_even + rho_odd) >= 0.0:
-            rho[t + 2] = rho_odd
+        rho[t + 2] = rho_odd
         t += 2
     max_t = t
+    improved = rho_even if (rho_even + rho_odd) < 0.0 and rho_even > 0.0 else 0.0
     t = 1
     while t <= max_t - 2:
         if rho[t + 1] + rho[t + 2] > rho[t - 1] + rho[t]:
             rho[t + 1] = rho[t + 2] = (rho[t - 1] + rho[t]) / 2.0
         t += 2
-    tau = -1.0 + 2.0 * float(np.sum(rho[:max_t])) + float(np.sum(rho[max_t + 1 : max_t + 2]))
+    tau = -1.0 + 2.0 * float(np.sum(rho[: max_t + 1])) + improved
     total = n_chains * n_draws
     return total / max(tau, 1.0 / math.log10(total))
 
